@@ -1,24 +1,20 @@
-"""Edge-loop kernels shared by the propagation engines.
+"""Sparse products shared by the propagation engines.
 
-Every operation here works on the flat edge arrays of a graph
-(endpoints ``eu``, ``ev`` and per-endpoint incidence scales ``su``,
-``sv``) so the graph modules never materialize dense n x n operators.
+Every edge quantity is a product with the edge-row incidence matrix
+``B`` of a graph (row k for edge (u, v) carries +su at u and -sv at v)
+or with ``B.T``, both held as CSR by the graph's cached incidence view,
+so the graph modules never materialize dense n x n operators and never
+loop over edges in Python.
 
-Two interchangeable backends are provided:
-
-* numba ``@njit`` kernels (default when numba imports cleanly), and
-* pure-numpy reference implementations.
-
-Set ``UNFOLD_DISABLE_NUMBA=1`` (or the standard ``NUMBA_DISABLE_JIT``)
-before import to force the numpy path.  Both paths use a fixed, serial
-reduction order, so results are bitwise reproducible across runs and
-backends are interchangeable in tests.  ``unfoldgnn.cli bench`` times
-one against the other.
+Operation counts are analytic: each call adds a fixed multiple of
+(edges x columns) to the counter, whatever the product's implementation.
 """
 
-import os
-
 import numpy as np
+import scipy.sparse as sp
+
+# the one implementation: numpy arrays with scipy.sparse CSR products
+BACKEND = "numpy"
 
 _FLOPS = {"edge": 0, "dense": 0}
 
@@ -37,228 +33,45 @@ def count_dense(nflops):
     _FLOPS["dense"] += int(nflops)
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def edge_diff_np(y, eu, ev, su, sv):
+def edge_diff(y, b):
     """Rows of B @ y: one scaled endpoint difference per edge."""
-    return su[:, None] * y[eu] - sv[:, None] * y[ev]
+    _FLOPS["edge"] += 2 * b.shape[0] * y.shape[1]
+    return b @ y
 
 
-def edge_scatter_np(e, eu, ev, su, sv, n):
-    """B.T @ e via per-column bincount (fixed reduction order)."""
-    m, d = e.shape
-    out = np.zeros((n, d))
-    for j in range(d):
-        col = e[:, j]
-        out[:, j] = np.bincount(eu, weights=su * col, minlength=n)
-        out[:, j] -= np.bincount(ev, weights=sv * col, minlength=n)
-    return out
+def edge_scatter(e, bt):
+    """B.T @ e for one row of e per edge."""
+    _FLOPS["edge"] += 2 * e.shape[0] * e.shape[1]
+    return bt @ e
 
 
-def weighted_lap_apply_np(y, gamma, eu, ev, su, sv):
-    """Fused B.T @ diag(gamma) @ B @ y."""
-    e = gamma[:, None] * edge_diff_np(y, eu, ev, su, sv)
-    return edge_scatter_np(e, eu, ev, su, sv, y.shape[0])
+def weighted_lap_apply(y, gamma, b, bt):
+    """B.T @ diag(gamma) @ B @ y."""
+    _FLOPS["edge"] += 5 * b.shape[0] * y.shape[1]
+    e = b @ y
+    e *= gamma[:, None]  # in place: a fresh m x d temporary costs more than the product
+    return bt @ e
 
 
-def edge_sqnorm_np(y, eu, ev, su, sv):
+def edge_sqnorm(y, b):
     """Per-edge squared norm of the incidence difference."""
-    e = edge_diff_np(y, eu, ev, su, sv)
+    _FLOPS["edge"] += 4 * b.shape[0] * y.shape[1]
+    e = b @ y
     return np.einsum("ij,ij->i", e, e)
 
 
-def edge_quadform_np(y, w, eu, ev, su, sv):
+def edge_quadform(y, w, b):
     """Per-edge quadratic form z_e @ w @ z_e.T of the incidence rows."""
-    e = edge_diff_np(y, eu, ev, su, sv)
+    _FLOPS["edge"] += b.shape[0] * y.shape[1] * (2 * y.shape[1] + 3)
+    e = b @ y
     return np.einsum("ij,jk,ik->i", e, w, e)
 
 
-def weighted_adj_apply_np(y, gamma, eu, ev, n):
-    """diag-free weighted adjacency product: out[u] += g*y[v] and
-    symmetrically, one term per edge."""
-    m, d = gamma.shape[0], y.shape[1]
-    out = np.zeros((n, d))
-    for j in range(d):
-        out[:, j] = np.bincount(eu, weights=gamma * y[ev, j], minlength=n)
-        out[:, j] += np.bincount(ev, weights=gamma * y[eu, j], minlength=n)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-_DISABLE = (
-    os.environ.get("UNFOLD_DISABLE_NUMBA", "") not in ("", "0")
-    or os.environ.get("NUMBA_DISABLE_JIT", "") not in ("", "0")
-)
-
-if not _DISABLE:
-    try:
-        from numba import njit
-    except ImportError:
-        _DISABLE = True
-
-if not _DISABLE:
-
-    @njit(cache=True)
-    def _edge_diff_nb(y, eu, ev, su, sv):
-        m = eu.shape[0]
-        d = y.shape[1]
-        out = np.empty((m, d))
-        for k in range(m):
-            u = eu[k]
-            v = ev[k]
-            a = su[k]
-            b = sv[k]
-            for j in range(d):
-                out[k, j] = a * y[u, j] - b * y[v, j]
-        return out
-
-    @njit(cache=True)
-    def _edge_scatter_nb(e, eu, ev, su, sv, n):
-        m, d = e.shape
-        out = np.zeros((n, d))
-        for k in range(m):
-            u = eu[k]
-            v = ev[k]
-            a = su[k]
-            b = sv[k]
-            for j in range(d):
-                out[u, j] += a * e[k, j]
-                out[v, j] -= b * e[k, j]
-        return out
-
-    @njit(cache=True)
-    def _weighted_lap_apply_nb(y, gamma, eu, ev, su, sv):
-        n, d = y.shape
-        m = eu.shape[0]
-        out = np.zeros((n, d))
-        for k in range(m):
-            u = eu[k]
-            v = ev[k]
-            a = su[k]
-            b = sv[k]
-            g = gamma[k]
-            for j in range(d):
-                t = g * (a * y[u, j] - b * y[v, j])
-                out[u, j] += a * t
-                out[v, j] -= b * t
-        return out
-
-    @njit(cache=True)
-    def _edge_sqnorm_nb(y, eu, ev, su, sv):
-        m = eu.shape[0]
-        d = y.shape[1]
-        out = np.empty(m)
-        for k in range(m):
-            u = eu[k]
-            v = ev[k]
-            a = su[k]
-            b = sv[k]
-            s = 0.0
-            for j in range(d):
-                t = a * y[u, j] - b * y[v, j]
-                s += t * t
-            out[k] = s
-        return out
-
-    @njit(cache=True)
-    def _weighted_adj_apply_nb(y, gamma, eu, ev, n):
-        d = y.shape[1]
-        m = eu.shape[0]
-        out = np.zeros((n, d))
-        for k in range(m):
-            u = eu[k]
-            v = ev[k]
-            g = gamma[k]
-            for j in range(d):
-                out[u, j] += g * y[v, j]
-                out[v, j] += g * y[u, j]
-        return out
-
-    @njit(cache=True)
-    def _edge_quadform_nb(y, w, eu, ev, su, sv):
-        m = eu.shape[0]
-        d = y.shape[1]
-        out = np.empty(m)
-        for k in range(m):
-            u = eu[k]
-            v = ev[k]
-            a = su[k]
-            b = sv[k]
-            s = 0.0
-            for j in range(d):
-                zj = a * y[u, j] - b * y[v, j]
-                acc = 0.0
-                for i in range(d):
-                    acc += w[i, j] * (a * y[u, i] - b * y[v, i])
-                s += zj * acc
-            out[k] = s
-        return out
-
-    BACKEND = "numba"
-    _impl = {
-        "edge_diff": _edge_diff_nb,
-        "edge_scatter": _edge_scatter_nb,
-        "weighted_lap_apply": _weighted_lap_apply_nb,
-        "edge_sqnorm": _edge_sqnorm_nb,
-        "edge_quadform": _edge_quadform_nb,
-        "weighted_adj_apply": _weighted_adj_apply_nb,
-    }
-else:
-    BACKEND = "numpy"
-    _impl = {
-        "edge_diff": edge_diff_np,
-        "edge_scatter": edge_scatter_np,
-        "weighted_lap_apply": weighted_lap_apply_np,
-        "edge_sqnorm": edge_sqnorm_np,
-        "edge_quadform": edge_quadform_np,
-        "weighted_adj_apply": weighted_adj_apply_np,
-    }
-
-
-# ---------------------------------------------------------------------------
-# counted public wrappers
-# ---------------------------------------------------------------------------
-
-def edge_diff(y, eu, ev, su, sv):
-    _FLOPS["edge"] += 2 * eu.shape[0] * y.shape[1]
-    return _impl["edge_diff"](y, eu, ev, su, sv)
-
-
-def edge_scatter(e, eu, ev, su, sv, n):
-    _FLOPS["edge"] += 2 * e.shape[0] * e.shape[1]
-    return _impl["edge_scatter"](e, eu, ev, su, sv, n)
-
-
-def weighted_lap_apply(y, gamma, eu, ev, su, sv):
-    _FLOPS["edge"] += 5 * eu.shape[0] * y.shape[1]
-    return _impl["weighted_lap_apply"](y, gamma, eu, ev, su, sv)
-
-
-def edge_sqnorm(y, eu, ev, su, sv):
-    _FLOPS["edge"] += 4 * eu.shape[0] * y.shape[1]
-    return _impl["edge_sqnorm"](y, eu, ev, su, sv)
-
-
-def edge_quadform(y, w, eu, ev, su, sv):
-    _FLOPS["edge"] += eu.shape[0] * y.shape[1] * (2 * y.shape[1] + 3)
-    return _impl["edge_quadform"](y, w, eu, ev, su, sv)
-
-
 def weighted_adj_apply(y, gamma, eu, ev, n):
+    """A_gamma @ y for the symmetric adjacency that carries weight
+    gamma[k] on edge (eu[k], ev[k]) and has no diagonal."""
     _FLOPS["edge"] += 4 * eu.shape[0] * y.shape[1]
-    return _impl["weighted_adj_apply"](y, gamma, eu, ev, n)
-
-
-NUMPY_IMPL = {
-    "edge_diff": edge_diff_np,
-    "edge_scatter": edge_scatter_np,
-    "weighted_lap_apply": weighted_lap_apply_np,
-    "edge_sqnorm": edge_sqnorm_np,
-    "edge_quadform": edge_quadform_np,
-    "weighted_adj_apply": weighted_adj_apply_np,
-}
+    a_gamma = sp.csr_matrix((np.concatenate([gamma, gamma]),
+                             (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
+                            shape=(n, n))
+    return a_gamma @ y

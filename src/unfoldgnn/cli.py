@@ -339,32 +339,6 @@ def cmd_bench(args):
     for key, val in rows.items():
         print(f"n={key[0]} m={key[1]} d={key[2]} K={key[3]} "
               f"edge_flops={val['edge_flops']} seconds={val['seconds']:.4f}")
-    # micro-benchmark: active kernel backend vs the numpy reference
-    n, deg, d, _ = sizes[-1]
-    rng = np.random.default_rng(args.seed)
-    m = n * deg // 2
-    eu = rng.integers(0, n - 1, size=m).astype(np.int64)
-    ev = (eu + 1 + rng.integers(0, n - 1, size=m) % (n - 1)).astype(np.int64) % n
-    su = np.ones(m)
-    y = rng.normal(size=(n, d))
-    gamma = rng.random(m)
-
-    def time_it(fn, repeats=5):
-        best = np.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn(y, gamma, eu, ev, su, su)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    active = time_it(lambda *a: _kernels.weighted_lap_apply(*a))
-    reference = time_it(lambda *a: _kernels.NUMPY_IMPL["weighted_lap_apply"](*a))
-    print(f"kernel_backend={_kernels.BACKEND} weighted_lap_apply: "
-          f"active={active:.5f}s numpy={reference:.5f}s")
-    with open(os.path.join(out, "kernel_bench.csv"), "w") as fh:
-        fh.write("# schema: kernel-bench v1\n")
-        fh.write("backend,seconds_active,seconds_numpy,n,m,d\n")
-        fh.write(f"{_kernels.BACKEND},{active},{reference},{n},{m},{d}\n")
     return 0
 
 
@@ -449,7 +423,7 @@ def build_parser():
     p_exp.add_argument("--name", required=True, choices=EXPERIMENTS)
     p_exp.set_defaults(fn=cmd_experiment)
 
-    p_bench = subs.add_parser("bench", help="time propagation and kernels")
+    p_bench = subs.add_parser("bench", help="time propagation over K layers")
     _add_common(p_bench, config_keys=False)
     p_bench.add_argument("--sizes", default="2000:8:8:8;2000:8:8:16;4000:8:8:8",
                          help="semicolon-separated n:avg_degree:d:K tuples")

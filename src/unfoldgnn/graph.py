@@ -1,14 +1,23 @@
 """Sparse undirected graphs and the operators derived from them.
 
 A :class:`Graph` stores a deduplicated, canonically ordered edge list
-plus a CSR adjacency view.  Everything downstream (Laplacians,
-incidence factorizations, propagation operators, spectral estimates)
-is derived on demand; graphs are immutable and safe to share across
-threads.
+plus a CSR adjacency view.  Everything downstream (degrees, Laplacians,
+incidence factorizations, propagation operators, their spectral norms)
+is derived from the graph alone, so each is built on first use and
+cached on the graph: degrees on the graph itself, the rest in one
+:class:`GraphOperators` bundle per Laplacian kind.  Nothing is built by
+:func:`build_graph`.  Graphs compare and hash by identity, so two graphs
+built from equal edge lists share no cache.
+
+Graphs are immutable and safe to share across threads.  Every cached
+array is read-only, so a caller cannot change what later calls see.  The
+caches take no lock: a concurrent first access may compute an entry
+twice, with the same result, and one of the two copies is kept.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +31,18 @@ class LaplacianKind(Enum):
     SELF_LOOP_SYM = "self_loop_sym"
 
 
-@dataclass(frozen=True)
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _read_only_csr(mat):
+    for arr in (mat.data, mat.indices, mat.indptr):
+        _read_only(arr)
+    return mat
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph with unit edge weights.
 
@@ -34,17 +54,87 @@ class Graph:
     n: int
     edges: np.ndarray
     adjacency: sp.csr_matrix = field(repr=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self):
         return self.edges.shape[0]
 
-    @property
+    @cached_property
     def degrees(self):
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+        return _read_only(np.asarray(self.adjacency.sum(axis=1)).ravel())
+
+    def operators(self, kind):
+        """The cached operator bundle of this graph under ``kind``."""
+        ops = self._operators.get(kind)
+        if ops is None:
+            if not isinstance(kind, LaplacianKind):
+                raise ValueError(f"unknown Laplacian kind {kind}")
+            ops = self._operators.setdefault(kind, GraphOperators(self, kind))
+        return ops
 
 
-@dataclass(frozen=True)
+class GraphOperators:
+    """The operators of one graph under one Laplacian kind, each built on
+    first use and kept: the incidence view (with its CSR ``B`` and
+    ``B.T``), the Laplacian, the propagation matrix and their spectral
+    norms.  Norms are kept per power-iteration tolerance."""
+
+    def __init__(self, g, kind):
+        self.graph = g
+        self.kind = kind
+        self._norms = {}
+
+    @cached_property
+    def incidence(self):
+        g, kind = self.graph, self.kind
+        eu, ev = g.edges[:, 0], g.edges[:, 1]
+        extra = np.zeros(0, dtype=np.int64)
+        if kind is LaplacianKind.COMBINATORIAL:
+            s = np.ones(g.n)
+        elif kind is LaplacianKind.SYM_NORMALIZED:
+            s = _inv_sqrt(g.degrees)
+            extra = np.flatnonzero(g.degrees == 0)
+        else:
+            # self-loop mass keeps D~^{-1/2}(D - A)D~^{-1/2} = I - D~^{-1/2}A~D~^{-1/2}
+            s = _inv_sqrt(g.degrees + 1.0)
+        return IncidenceView(kind, g.n, eu, ev, _read_only(s[eu]), _read_only(s[ev]),
+                             _read_only(extra))
+
+    @cached_property
+    def laplacian(self):
+        g, kind = self.graph, self.kind
+        d = g.degrees
+        eye = sp.identity(g.n, format="csr")
+        if kind is LaplacianKind.COMBINATORIAL:
+            lap = sp.diags(d) - g.adjacency
+        elif kind is LaplacianKind.SYM_NORMALIZED:
+            s = _inv_sqrt(d)
+            lap = eye - sp.diags(s) @ g.adjacency @ sp.diags(s)
+        else:
+            s = _inv_sqrt(d + 1.0)
+            lap = eye - sp.diags(s) @ (g.adjacency + eye) @ sp.diags(s)
+        return _read_only_csr(lap.tocsr())
+
+    @cached_property
+    def propagation(self):
+        p = sp.identity(self.graph.n, format="csr") - self.laplacian
+        return _read_only_csr(p.tocsr())
+
+    def laplacian_norm(self, tol):
+        return self._norm("laplacian", tol)
+
+    def propagation_norm(self, tol):
+        return self._norm("propagation", tol)
+
+    def _norm(self, name, tol):
+        key = (name, tol)
+        if key not in self._norms:
+            self._norms[key] = spectral_norm(getattr(self, name), tol=tol)
+        return self._norms[key]
+
+
+@dataclass(frozen=True, eq=False)
 class IncidenceView:
     """Edge-row factorization B with B.T @ B equal to a chosen Laplacian.
 
@@ -52,7 +142,9 @@ class IncidenceView:
     edge (u, v) carries +scale at u and -scale at v.  Under
     SYM_NORMALIZED, isolated nodes get one extra unit row each so the
     factorization reproduces the e_i convention of the Laplacian; the
-    energy and propagation code only ever consume the edge rows.
+    energy and propagation code only ever consume the edge rows, through
+    the CSR matrices ``b`` (edge rows of B) and ``bt`` (their transpose),
+    and their unit-scaled counterparts ``b_raw`` and ``bt_raw``.
     """
 
     kind: LaplacianKind
@@ -61,7 +153,7 @@ class IncidenceView:
     ev: np.ndarray
     su: np.ndarray
     sv: np.ndarray
-    extra_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    extra_rows: np.ndarray
 
     @property
     def n_edge_rows(self):
@@ -70,6 +162,25 @@ class IncidenceView:
     @property
     def rows(self):
         return self.n_edge_rows + self.extra_rows.shape[0]
+
+    @cached_property
+    def b(self):
+        return _edge_rows(self.n, self.eu, self.ev, self.su, self.sv)
+
+    @cached_property
+    def bt(self):
+        return _read_only_csr(self.b.T.tocsr())
+
+    @cached_property
+    def b_raw(self):
+        if self.kind is LaplacianKind.COMBINATORIAL:
+            return self.b
+        ones = np.ones(self.n_edge_rows)
+        return _edge_rows(self.n, self.eu, self.ev, ones, ones)
+
+    @cached_property
+    def bt_raw(self):
+        return self.bt if self.b_raw is self.b else _read_only_csr(self.b_raw.T.tocsr())
 
     def matrix(self):
         """Materialize B as a sparse matrix (tests and small solves)."""
@@ -86,36 +197,42 @@ class IncidenceView:
 
     def apply(self, y):
         """B @ y restricted to the edge rows."""
-        return _kernels.edge_diff(y, self.eu, self.ev, self.su, self.sv)
+        return _kernels.edge_diff(y, self.b)
 
     def apply_t(self, e):
         """B.T @ e for edge-row inputs."""
-        return _kernels.edge_scatter(e, self.eu, self.ev, self.su, self.sv, self.n)
+        return _kernels.edge_scatter(e, self.bt)
 
     def weighted_laplacian_apply(self, y, gamma):
         """B.T @ diag(gamma) @ B @ y over the edge rows."""
-        return _kernels.weighted_lap_apply(y, gamma, self.eu, self.ev, self.su, self.sv)
+        return _kernels.weighted_lap_apply(y, gamma, self.b, self.bt)
 
     def edge_sqnorm(self, y):
-        return _kernels.edge_sqnorm(y, self.eu, self.ev, self.su, self.sv)
+        return _kernels.edge_sqnorm(y, self.b)
 
     def raw_edge_sqnorm(self, y):
         """Unscaled ||y_u - y_v||^2 per edge, whatever the kind."""
-        ones = np.ones(self.n_edge_rows)
-        return _kernels.edge_sqnorm(y, self.eu, self.ev, ones, ones)
+        return _kernels.edge_sqnorm(y, self.b_raw)
 
     def raw_apply(self, y):
         """Unscaled endpoint differences y_u - y_v per edge."""
-        ones = np.ones(self.n_edge_rows)
-        return _kernels.edge_diff(y, self.eu, self.ev, ones, ones)
+        return _kernels.edge_diff(y, self.b_raw)
 
     def raw_apply_t(self, e):
         """Transpose of raw_apply (unit-scaled scatter)."""
-        ones = np.ones(self.n_edge_rows)
-        return _kernels.edge_scatter(e, self.eu, self.ev, ones, ones, self.n)
+        return _kernels.edge_scatter(e, self.bt_raw)
 
     def edge_quadform(self, y, w):
-        return _kernels.edge_quadform(y, w, self.eu, self.ev, self.su, self.sv)
+        return _kernels.edge_quadform(y, w, self.b)
+
+
+def _edge_rows(n, eu, ev, su, sv):
+    """CSR edge rows of B: row k is +su[k] at eu[k], -sv[k] at ev[k]."""
+    m = eu.shape[0]
+    b = sp.csr_matrix((np.column_stack([su, -sv]).ravel(),
+                       np.column_stack([eu, ev]).ravel(),
+                       np.arange(0, 2 * m + 1, 2)), shape=(m, n))
+    return _read_only_csr(b)
 
 
 class GraphError(ValueError):
@@ -158,7 +275,7 @@ def build_graph(n, edge_pairs, self_loops="strip", duplicates="dedup"):
               np.concatenate([pairs[:, 1], pairs[:, 0]]))),
             shape=(n, n),
         )
-    return Graph(n=n, edges=pairs, adjacency=adj)
+    return Graph(n=n, edges=_read_only(pairs), adjacency=_read_only_csr(adj))
 
 
 def read_edge_list(path, n=None):
@@ -197,52 +314,30 @@ def _inv_sqrt(deg):
 
 
 def laplacian(g, kind):
-    """Selected Laplacian as sparse CSR (symmetric, PSD).
+    """Selected Laplacian as sparse CSR (symmetric, PSD), cached and
+    read-only.
 
     COMBINATORIAL: D - A.  SYM_NORMALIZED: I - D^{-1/2} A D^{-1/2},
     with the row of an isolated node set to e_i.  SELF_LOOP_SYM uses
     A + I and its degrees.
     """
-    d = g.degrees
-    eye = sp.identity(g.n, format="csr")
-    if kind is LaplacianKind.COMBINATORIAL:
-        return (sp.diags(d) - g.adjacency).tocsr()
-    if kind is LaplacianKind.SYM_NORMALIZED:
-        s = _inv_sqrt(d)
-        return (eye - sp.diags(s) @ g.adjacency @ sp.diags(s)).tocsr()
-    if kind is LaplacianKind.SELF_LOOP_SYM:
-        s = _inv_sqrt(d + 1.0)
-        a_tilde = g.adjacency + eye
-        return (eye - sp.diags(s) @ a_tilde @ sp.diags(s)).tocsr()
-    raise ValueError(f"unknown Laplacian kind {kind}")
+    return g.operators(kind).laplacian
 
 
 def propagation_matrix(g, kind):
     """I minus the selected Laplacian (so P row of an isolated node is 0
-    under SYM_NORMALIZED, and D~^{-1/2} A~ D~^{-1/2} under SELF_LOOP_SYM)."""
-    return (sp.identity(g.n, format="csr") - laplacian(g, kind)).tocsr()
+    under SYM_NORMALIZED, and D~^{-1/2} A~ D~^{-1/2} under SELF_LOOP_SYM);
+    cached and read-only."""
+    return g.operators(kind).propagation
 
 
 def incidence(g, kind):
-    """Edge-row incidence view whose B.T @ B equals laplacian(g, kind).
+    """Edge-row incidence view whose B.T @ B equals laplacian(g, kind);
+    cached, with read-only arrays.
 
     Sign convention: edge (u, v) with u < v carries + at u, - at v.
     """
-    eu = g.edges[:, 0].astype(np.int64) if g.m else np.zeros(0, dtype=np.int64)
-    ev = g.edges[:, 1].astype(np.int64) if g.m else np.zeros(0, dtype=np.int64)
-    d = g.degrees
-    if kind is LaplacianKind.COMBINATORIAL:
-        su = np.ones(g.m)
-        return IncidenceView(kind, g.n, eu, ev, su, su.copy())
-    if kind is LaplacianKind.SYM_NORMALIZED:
-        s = _inv_sqrt(d)
-        extra = np.flatnonzero(d == 0).astype(np.int64)
-        return IncidenceView(kind, g.n, eu, ev, s[eu], s[ev], extra_rows=extra)
-    if kind is LaplacianKind.SELF_LOOP_SYM:
-        s = _inv_sqrt(d + 1.0)
-        # self-loop mass keeps D~^{-1/2}(D - A)D~^{-1/2} = I - D~^{-1/2}A~D~^{-1/2}
-        return IncidenceView(kind, g.n, eu, ev, s[eu], s[ev])
-    raise ValueError(f"unknown Laplacian kind {kind}")
+    return g.operators(kind).incidence
 
 
 class PowerIterationError(RuntimeError):

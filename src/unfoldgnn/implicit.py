@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from . import _kernels
 from .energy import Phi
-from .graph import Graph, LaplacianKind, propagation_matrix, spectral_norm
+from .graph import Graph, GraphOperators, LaplacianKind, propagation_matrix, spectral_norm
 
 
 class FixedPointDivergence(RuntimeError):
@@ -65,6 +65,9 @@ def _as_operator(g, kind):
 def project_weights(w_p, p_op, margin=0.9, tol=1e-10):
     """Scale Wp so that ||Wp||_2 ||P||_2 <= margin.
 
+    p_op is P itself, or a graph's :class:`GraphOperators` bundle, whose
+    cached ||P|| is then computed at most once per tolerance.
+
     Pure rescaling: symmetry and eigenvector structure are preserved,
     and a weight already inside the ball is returned unchanged (which
     makes the projection idempotent).
@@ -75,7 +78,10 @@ def project_weights(w_p, p_op, margin=0.9, tol=1e-10):
     wn = spectral_norm(w_p, tol=tol)
     if wn == 0.0:
         return w_p.copy()
-    pn = spectral_norm(p_op, tol=tol)
+    if isinstance(p_op, GraphOperators):
+        pn = p_op.propagation_norm(tol)
+    else:
+        pn = spectral_norm(p_op, tol=tol)
     product = wn * pn
     if product <= margin:
         return w_p.copy()
@@ -130,7 +136,8 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig()):
     w_p = np.asarray(w_p, dtype=float)
     y_star = np.asarray(y_star, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
-    z = p_op @ y_star @ w_p + fx
+    p_y = p_op @ y_star
+    z = p_y @ w_p + fx
     d_sigma = cfg.activate_derivative(z)
     p_t = p_op.T
     v = np.zeros_like(upstream)
@@ -144,7 +151,7 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig()):
         raise FixedPointDivergence("adjoint iteration did not converge")
     weighted = d_sigma * v
     grad_fx = weighted
-    grad_w_p = (p_op @ y_star).T @ weighted
+    grad_w_p = p_y.T @ weighted
     return grad_w_p, grad_fx
 
 

@@ -119,7 +119,7 @@ class Model:
         if cfg.backend == "implicit":
             w_p = _uniform_init(rng, (d, d), d)
             if g is not None:
-                w_p = project_weights(w_p, propagation_matrix(g, cfg.kind),
+                w_p = project_weights(w_p, g.operators(cfg.kind),
                                       margin=cfg.contraction_margin)
             params["w_p"] = w_p
         elif cfg.backend == "eignn":
@@ -454,7 +454,6 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     hist = {"loss": [], "train": [], "val": [], "test": []}
     best = (-1.0, -1, None)  # (val acc, epoch, params)
-    p_op = propagation_matrix(g, model_cfg.kind) if model_cfg.backend == "implicit" else None
     diverged = False
     for epoch in range(train_cfg.epochs):
         try:
@@ -479,7 +478,8 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
             model.params[name] += velocity[name]
         if model_cfg.backend == "implicit" and model_cfg.train_w_p:
             model.params["w_p"] = project_weights(
-                model.params["w_p"], p_op, margin=model_cfg.contraction_margin)
+                model.params["w_p"], g.operators(model_cfg.kind),
+                margin=model_cfg.contraction_margin)
     if best[2] is not None:
         model.params = best[2]
     logits, _ = model.forward(g, x)

@@ -161,7 +161,8 @@ def step_size_bound(spec, g, tol=1e-8):
     2/curvature range valid for the quadratic (identity-rho) energy;
     for robust penalties it falls back to the general bound.
     """
-    lap_norm = spectral_norm(laplacian(g, spec.kind), tol=tol) if g.n else 0.0
+    ops = g.operators(spec.kind)
+    lap_norm = ops.laplacian_norm(tol) if g.n else 0.0
     gcap = spec.rho.grad_max()
     if spec.simple:
         general = 1.0 / (1.0 + spec.lam * gcap * lap_norm)
@@ -175,7 +176,7 @@ def step_size_bound(spec, g, tol=1e-8):
     eye = np.eye(wf.shape[0])
     if np.allclose(wf, eye - wp, atol=1e-12):
         # fixed-point pairing: curvature of I - P (x) Wp_s
-        p_norm = spectral_norm(propagation_matrix(g, spec.kind), tol=tol)
+        p_norm = ops.propagation_norm(tol)
         curvature = 1.0 + npr * p_norm
     else:
         curvature = nf + lap_norm * npr
@@ -241,8 +242,7 @@ def reweighted_propagation_apply(g, y, gamma):
     D_g the reweighted degrees plus the self loop.  Invariant to a
     common rescaling of gamma up to the self-loop term, which is what
     keeps attention-driven propagation stable."""
-    eu = g.edges[:, 0].astype(np.int64) if g.m else np.zeros(0, dtype=np.int64)
-    ev = g.edges[:, 1].astype(np.int64) if g.m else np.zeros(0, dtype=np.int64)
+    eu, ev = g.edges[:, 0], g.edges[:, 1]
     deg = np.bincount(eu, weights=gamma, minlength=g.n) \
         + np.bincount(ev, weights=gamma, minlength=g.n)
     s = 1.0 / np.sqrt(deg + 1.0)

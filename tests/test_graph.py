@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from unfoldgnn import graph as graph_module
+from unfoldgnn import implicit, unfold
+from unfoldgnn.data import SbmSpec, sbm_generate
+from unfoldgnn.energy import rho_truncated_lp
 from unfoldgnn.graph import (
     GraphError,
     LaplacianKind,
@@ -14,6 +18,8 @@ from unfoldgnn.graph import (
     spectral_norm,
     write_edge_list,
 )
+from unfoldgnn.model import ModelConfig, TrainConfig, train
+from unfoldgnn.unfold import sandwich_schedule
 
 ALL_KINDS = list(LaplacianKind)
 
@@ -168,6 +174,97 @@ class TestPropagationMatrix:
         for _ in range(3):
             g = random_graph(rng, 25, p=0.2)
             assert spectral_norm(propagation_matrix(g, kind)) <= 1 + 1e-9
+
+
+class TestOperatorCache:
+    @pytest.fixture
+    def norm_calls(self, monkeypatch):
+        """The graph operators of every power iteration run, wherever it
+        is called from."""
+        calls = []
+        original = graph_module.spectral_norm
+
+        def counting(mat, *args, **kwargs):
+            if sp.issparse(mat):
+                calls.append(mat)
+            return original(mat, *args, **kwargs)
+
+        for module in (graph_module, implicit, unfold):
+            monkeypatch.setattr(module, "spectral_norm", counting)
+        return calls
+
+    @staticmethod
+    def sbm():
+        return sbm_generate(SbmSpec(blocks=(30, 30), p_in=0.2, p_out=0.03,
+                                    feature_dim=4, separation=2.0, seed=1))
+
+    def test_build_graph_builds_no_operator(self):
+        g = build_graph(4, [(0, 1), (1, 2)])
+        assert "degrees" not in vars(g) and g._operators == {}
+        incidence(g, LaplacianKind.COMBINATORIAL)
+        assert list(g._operators) == [LaplacianKind.COMBINATORIAL]
+
+    def test_each_operator_is_built_once(self):
+        g = random_graph(np.random.default_rng(11), 12)
+        for kind in ALL_KINDS:
+            assert laplacian(g, kind) is laplacian(g, kind)
+            assert propagation_matrix(g, kind) is propagation_matrix(g, kind)
+            assert incidence(g, kind) is incidence(g, kind)
+            assert incidence(g, kind).b is incidence(g, kind).b
+        assert g.degrees is g.degrees
+
+    def test_unrolled_training_runs_laplacian_norm_once_per_graph_and_kind(self, norm_calls):
+        ds = self.sbm()
+        cfg = ModelConfig(backend="unrolled", embed_dim=4, n_classes=2, steps=6, alpha="auto",
+                          rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0),
+                          attention_schedule=sandwich_schedule(6))
+        tcfg = TrainConfig(epochs=8, lr=0.1)
+        train(ds.graph, ds.x, ds.labels, ds.masks, cfg, tcfg)
+        assert norm_calls == [laplacian(ds.graph, cfg.kind)]
+        train(ds.graph, ds.x, ds.labels, ds.masks, cfg, tcfg)
+        assert len(norm_calls) == 1
+        other = ModelConfig(backend="unrolled", embed_dim=4, n_classes=2, steps=6,
+                            kind=LaplacianKind.COMBINATORIAL)
+        train(ds.graph, ds.x, ds.labels, ds.masks, other, tcfg)
+        assert norm_calls[1:] == [laplacian(ds.graph, LaplacianKind.COMBINATORIAL)]
+
+    def test_implicit_training_computes_propagation_norm_once(self, norm_calls):
+        ds = self.sbm()
+        cfg = ModelConfig(backend="implicit", embed_dim=4, n_classes=2)
+        train(ds.graph, ds.x, ds.labels, ds.masks, cfg, TrainConfig(epochs=6, lr=0.1))
+        assert norm_calls == [propagation_matrix(ds.graph, cfg.kind)]
+
+    def test_equal_edge_lists_share_no_cache(self):
+        pairs = [(0, 1), (1, 2), (2, 3)]
+        g1, g2 = build_graph(4, pairs), build_graph(4, pairs)
+        assert g1 != g2 and len({g1, g2}) == 2 and g1 == g1
+        for kind in ALL_KINDS:
+            assert laplacian(g1, kind) is not laplacian(g2, kind)
+            assert incidence(g1, kind) is not incidence(g2, kind)
+        assert g1.degrees is not g2.degrees
+
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
+    def test_cached_arrays_are_read_only(self):
+        g = build_graph(4, [(0, 1), (1, 2)])
+        kind = LaplacianKind.SYM_NORMALIZED
+        view = incidence(g, kind)
+        lap_before = laplacian(g, kind).toarray()
+        arrays = [g.edges, g.degrees, g.adjacency.data, view.eu, view.su, view.extra_rows]
+        for mat in (laplacian(g, kind), propagation_matrix(g, kind),
+                    view.b, view.bt, view.b_raw, view.bt_raw):
+            arrays += [mat.data, mat.indices, mat.indptr]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        for entry in ((0, 0), (0, 3)):  # stored, and not stored
+            with pytest.raises(ValueError, match="read-only"):
+                laplacian(g, kind)[entry] = 5.0
+        np.testing.assert_array_equal(laplacian(g, kind).toarray(), lap_before)
+        assert g.degrees.tolist() == [1, 2, 1, 0]
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown Laplacian kind"):
+            laplacian(build_graph(2, [(0, 1)]), "combinatorial")
 
 
 class TestSpectralNorm:
