@@ -42,6 +42,12 @@ def make_dataset(graph, x, labels, masks):
         raise DatasetError(f"feature rows {x.shape[0]} != node count {graph.n}")
     if labels.shape[0] != graph.n:
         raise DatasetError(f"label rows {labels.shape[0]} != node count {graph.n}")
+    if not np.isfinite(x).all():
+        i = int(np.argwhere(~np.isfinite(x))[0, 0])
+        raise DatasetError(f"features of node {i} are not all finite")
+    if labels.size and labels.min() < 0:
+        i = int(np.argmax(labels < 0))
+        raise DatasetError(f"label {labels[i]} at node {i} is negative")
     clean = {}
     for name in ("train", "val", "test"):
         if name not in masks:

@@ -7,7 +7,10 @@ is derived from the graph alone, so each is built on first use and
 cached on the graph: degrees on the graph itself, the rest in one
 :class:`GraphOperators` bundle per Laplacian kind.  Nothing is built by
 :func:`build_graph`.  Graphs compare and hash by identity, so two graphs
-built from equal edge lists share no cache.
+built from equal edge lists share no cache.  An operator bundle keeps
+the graph's arrays but no reference back to the graph, so a graph that
+is dropped is freed at once, with its operators, not at the next run of
+the cyclic garbage collector.
 
 Graphs are immutable and safe to share across threads.  Every cached
 array is read-only, so a caller cannot change what later calls see.  The
@@ -78,47 +81,49 @@ class GraphOperators:
     """The operators of one graph under one Laplacian kind, each built on
     first use and kept: the incidence view (with its CSR ``B`` and
     ``B.T``), the Laplacian, the propagation matrix and their spectral
-    norms.  Norms are kept per power-iteration tolerance."""
+    norms.  Norms are kept per power-iteration tolerance.  The bundle
+    keeps the graph's arrays, not the graph, so the two form no
+    reference cycle."""
 
     def __init__(self, g, kind):
-        self.graph = g
+        self.n, self.edges, self.adjacency = g.n, g.edges, g.adjacency
+        self.degrees = g.degrees
         self.kind = kind
         self._norms = {}
 
     @cached_property
     def incidence(self):
-        g, kind = self.graph, self.kind
-        eu, ev = g.edges[:, 0], g.edges[:, 1]
+        kind, d = self.kind, self.degrees
+        eu, ev = self.edges[:, 0], self.edges[:, 1]
         extra = np.zeros(0, dtype=np.int64)
         if kind is LaplacianKind.COMBINATORIAL:
-            s = np.ones(g.n)
+            s = np.ones(self.n)
         elif kind is LaplacianKind.SYM_NORMALIZED:
-            s = _inv_sqrt(g.degrees)
-            extra = np.flatnonzero(g.degrees == 0)
+            s = _inv_sqrt(d)
+            extra = np.flatnonzero(d == 0)
         else:
             # self-loop mass keeps D~^{-1/2}(D - A)D~^{-1/2} = I - D~^{-1/2}A~D~^{-1/2}
-            s = _inv_sqrt(g.degrees + 1.0)
-        return IncidenceView(kind, g.n, eu, ev, _read_only(s[eu]), _read_only(s[ev]),
+            s = _inv_sqrt(d + 1.0)
+        return IncidenceView(kind, self.n, eu, ev, _read_only(s[eu]), _read_only(s[ev]),
                              _read_only(extra))
 
     @cached_property
     def laplacian(self):
-        g, kind = self.graph, self.kind
-        d = g.degrees
-        eye = sp.identity(g.n, format="csr")
+        kind, d, adj = self.kind, self.degrees, self.adjacency
+        eye = sp.identity(self.n, format="csr")
         if kind is LaplacianKind.COMBINATORIAL:
-            lap = sp.diags(d) - g.adjacency
+            lap = sp.diags(d) - adj
         elif kind is LaplacianKind.SYM_NORMALIZED:
             s = _inv_sqrt(d)
-            lap = eye - sp.diags(s) @ g.adjacency @ sp.diags(s)
+            lap = eye - sp.diags(s) @ adj @ sp.diags(s)
         else:
             s = _inv_sqrt(d + 1.0)
-            lap = eye - sp.diags(s) @ (g.adjacency + eye) @ sp.diags(s)
+            lap = eye - sp.diags(s) @ (adj + eye) @ sp.diags(s)
         return _read_only_csr(lap.tocsr())
 
     @cached_property
     def propagation(self):
-        p = sp.identity(self.graph.n, format="csr") - self.laplacian
+        p = sp.identity(self.n, format="csr") - self.laplacian
         return _read_only_csr(p.tocsr())
 
     def laplacian_norm(self, tol):

@@ -29,13 +29,12 @@ from .implicit import (
     project_weights,
 )
 from .unfold import (
+    DIVERGENCE_LIMIT,
     PropagationDivergence,
     irls_step_bound,
     reweighted_propagation_apply,
     step_size_bound,
 )
-
-DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -561,20 +560,45 @@ def save_checkpoint(params, directory):
         fh.write("\n".join(lines) + "\n")
 
 
+class CheckpointError(ValueError):
+    pass
+
+
 def load_checkpoint(directory):
+    """Read a checkpoint; a params.bin that disagrees with its manifest
+    raises CheckpointError naming the file and the manifest line."""
     import os
 
-    blob = np.fromfile(os.path.join(directory, "params.bin"), dtype=np.float64)
+    blob_path = os.path.join(directory, "params.bin")
+    manifest_path = os.path.join(directory, "manifest.txt")
+    blob = np.fromfile(blob_path, dtype=np.float64)
     params = {}
-    with open(os.path.join(directory, "manifest.txt")) as fh:
-        for line in fh:
+    end = 0
+    with open(manifest_path) as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            name, shape, offset, size = line.split()
-            offset, size = int(offset), int(size)
+            where = f"{manifest_path}:{lineno}"
+            try:
+                name, shape, offset, size = line.split()
+                offset, size = int(offset), int(size)
+                dims = () if shape == "scalar" else tuple(int(s) for s in shape.split("x"))
+            except ValueError:
+                raise CheckpointError(f"{where}: expected 'name shape offset size', got {line!r}")
+            if offset < 0 or size != int(np.prod(dims)):
+                raise CheckpointError(f"{where}: offset {offset} and size {size} do not fit "
+                                      f"shape {shape}")
+            if offset + size > blob.size:
+                raise CheckpointError(f"{blob_path} holds {blob.size} values, but {where} "
+                                      f"needs {offset + size}")
+            end = max(end, offset + size)
             arr = blob[offset:offset + size]
             if shape != "scalar":
-                arr = arr.reshape(tuple(int(s) for s in shape.split("x")))
+                arr = arr.reshape(dims)
             params[name] = arr.copy()
+    nbytes = os.path.getsize(blob_path)
+    if nbytes != blob.itemsize * end:
+        raise CheckpointError(f"{blob_path} is {nbytes} bytes, but {manifest_path} accounts "
+                              f"for {end} float64 values ({blob.itemsize * end} bytes)")
     return params

@@ -15,6 +15,13 @@ the exact gradient of the recorded energy, and the bounds returned by
 :func:`step_size_bound` / :func:`irls_step_bound` are stated for this
 convention.  General mode steps along the full gradient of the matrix
 energy.
+
+:func:`step_size_bound` estimates ||L|| by power iteration, once per
+graph (the estimate is cached with the graph's operators).
+:func:`irls_step_bound`, recomputed at every layer of ``auto_irls``,
+uses a certified O(m) upper bound on ||B.T G B|| from the weighted
+degrees instead: it never falls below the norm and may exceed it, so
+its steps are safe but can be shorter.
 """
 
 import csv
@@ -132,24 +139,24 @@ def abridged_gradient_step(spec, g, y, fx, gamma, alpha):
     return y - alpha * grad
 
 
-class _SymOp:
-    """Symmetric matvec wrapper so spectral_norm can power-iterate it."""
+def _weighted_lap_norm_bound(bview, gamma):
+    """Certified upper bound on ||B.T diag(gamma) B|| over the edge rows,
+    in O(m): max over edges (u, v) of s_u^2 d(u) + s_v^2 d(v), where s is
+    the incidence scale and d(i) sums |gamma| over the edges at i.
 
-    def __init__(self, n, matvec):
-        self.shape = (n, n)
-        self._mv = matvec
-        self.T = self
-
-    def __matmul__(self, x):
-        return self._mv(x)
-
-
-def _weighted_lap_norm(bview, gamma, tol=1e-8):
+    ||B.T G B|| <= rho(|B|.T |G| |B|), whose nonzero spectrum is that of
+    the nonnegative |B| |B|.T |G|; row e of that matrix sums to the
+    expression above, and the largest row sum bounds the spectral
+    radius.  For gamma >= 0 it is at most twice the norm, since each
+    s_i^2 d(i) is a diagonal entry of B.T G B; it is exact on a single
+    edge and 1.2-1.9x the norm on the random graphs tried.
+    """
     if bview.n_edge_rows == 0:
         return 0.0
-    def mv(x):
-        return bview.weighted_laplacian_apply(x.reshape(-1, 1), gamma).ravel()
-    return spectral_norm(_SymOp(bview.n, mv), tol=tol)
+    w = np.abs(gamma)  # rho'(z^2) can be negative (cosine rho)
+    d = np.bincount(bview.eu, weights=w, minlength=bview.n) \
+        + np.bincount(bview.ev, weights=w, minlength=bview.n)
+    return float(np.max(bview.su ** 2 * d[bview.eu] + bview.sv ** 2 * d[bview.ev]))
 
 
 def step_size_bound(spec, g, tol=1e-8):
@@ -187,16 +194,23 @@ def step_size_bound(spec, g, tol=1e-8):
 
 
 def irls_step_bound(spec, g, gamma, tol=1e-8):
-    """Per-step safe size at the current Gamma: 1 / ||lam B.T G B + I||
-    in simple mode, and the matrix-weight analogue otherwise."""
+    """Per-step safe size at the current Gamma: 1 / (1 + lam c) in simple
+    mode, and the matrix-weight analogue otherwise, where c is the
+    certified O(m) upper bound on ||B.T G B|| from
+    :func:`_weighted_lap_norm_bound`.
+
+    c is certified, not estimated, so the step is safe; c exceeding the
+    exact norm (at most 2x for gamma >= 0, about 1.5x on sparse graphs)
+    shortens the step.  ``tol`` only sets the accuracy of the d x d
+    weight norms of general mode.
+    """
     bview = _as_incidence(g, spec)
-    gamma = np.asarray(gamma, dtype=float)
-    lhat_norm = _weighted_lap_norm(bview, gamma, tol=tol)
+    lhat_bound = _weighted_lap_norm_bound(bview, np.asarray(gamma, dtype=float))
     if spec.simple:
-        return 1.0 / (1.0 + spec.lam * lhat_norm)
+        return 1.0 / (1.0 + spec.lam * lhat_bound)
     nf = spectral_norm(spec.w_fid_sym(), tol=tol)
     npr = spectral_norm(spec.w_prop_sym(), tol=tol)
-    return 1.0 / (nf + lhat_norm * npr)
+    return 1.0 / (nf + lhat_bound * npr)
 
 
 def closed_form_solution(g, fx, lam, kind, tol=1e-10):

@@ -60,6 +60,17 @@ class TestTrain:
                         "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_non_finite_features_exit_two(self, fixture_dir, tmp_path, capsys):
+        features = os.path.join(fixture_dir, "features.csv")
+        with open(features) as fh:
+            rows = fh.read().splitlines()
+        rows[3] = ",".join(["nan"] * len(rows[3].split(",")))
+        with open(features, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        code = run_cli(["train", "--dataset", fixture_dir, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "node 3 are not all finite" in capsys.readouterr().err
+
     def test_seed_reproducibility(self, fixture_dir, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):

@@ -46,6 +46,19 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="label rows"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_features_rejected(self, tmp_path, bad):
+        self.write_minimal(tmp_path)
+        (tmp_path / "features.csv").write_text(f"1.0,2.0\n0.5,{bad}\n-1.0,3.5\n")
+        with pytest.raises(DatasetError, match="node 1 are not all finite"):
+            load_dataset(tmp_path)
+
+    def test_negative_label_rejected(self, tmp_path):
+        self.write_minimal(tmp_path)
+        (tmp_path / "labels.csv").write_text("0\n1\n-1\n")
+        with pytest.raises(DatasetError, match="label -1 at node 2 is negative"):
+            load_dataset(tmp_path)
+
     def test_roundtrip(self, tmp_path):
         ds = sbm_generate(SbmSpec(blocks=(10, 10), p_in=0.4, p_out=0.1, seed=3))
         save_dataset(ds, tmp_path / "out")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -233,6 +236,23 @@ class TestOperatorCache:
         cfg = ModelConfig(backend="implicit", embed_dim=4, n_classes=2)
         train(ds.graph, ds.x, ds.labels, ds.masks, cfg, TrainConfig(epochs=6, lr=0.1))
         assert norm_calls == [propagation_matrix(ds.graph, cfg.kind)]
+
+    def test_dropped_graph_is_freed_without_the_cyclic_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = random_graph(np.random.default_rng(12), 10)
+            bundles = [g.operators(kind) for kind in ALL_KINDS]
+            for ops in bundles:
+                ops.incidence.bt, ops.laplacian_norm(1e-8), ops.propagation_norm(1e-8)
+            expected = laplacian(g, LaplacianKind.COMBINATORIAL).toarray()
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+            np.testing.assert_array_equal(bundles[0].laplacian.toarray(), expected)
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_equal_edge_lists_share_no_cache(self):
         pairs = [(0, 1), (1, 2), (2, 3)]

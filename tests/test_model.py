@@ -11,6 +11,7 @@ from unfoldgnn.energy import (
 from unfoldgnn.graph import LaplacianKind, build_graph, propagation_matrix
 from unfoldgnn.implicit import project_weights
 from unfoldgnn.model import (
+    CheckpointError,
     Model,
     ModelConfig,
     TrainConfig,
@@ -366,6 +367,39 @@ class TestCheckpoint:
         assert sorted(loaded) == sorted(model.params)
         for name in loaded:
             np.testing.assert_array_equal(loaded[name], model.params[name])
+
+    @staticmethod
+    def saved(tmp_path):
+        g, x, labels, rows = small_instance(42)
+        model = Model(x.shape[1], ModelConfig(embed_dim=3, n_classes=2), seed=0)
+        save_checkpoint(model.params, tmp_path / "ckpt")
+        return tmp_path / "ckpt" / "params.bin", tmp_path / "ckpt" / "manifest.txt"
+
+    @pytest.mark.parametrize("cut", [8, 4])
+    def test_truncated_params_rejected(self, tmp_path, cut):
+        blob, manifest = self.saved(tmp_path)
+        blob.write_bytes(blob.read_bytes()[:-cut])
+        last = len(manifest.read_text().splitlines())
+        with pytest.raises(CheckpointError,
+                           match=rf"params.bin holds \d+ values, but .*manifest.txt:{last} needs"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("extra", [8, 4])
+    def test_trailing_params_rejected(self, tmp_path, extra):
+        blob, _ = self.saved(tmp_path)
+        blob.write_bytes(blob.read_bytes() + bytes(extra))
+        with pytest.raises(CheckpointError,
+                           match=r"params.bin is \d+ bytes, but .*manifest.txt accounts for"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    def test_manifest_size_disagreeing_with_shape_rejected(self, tmp_path):
+        _, manifest = self.saved(tmp_path)
+        lines = manifest.read_text().splitlines()
+        name, shape, offset, size = lines[1].split()
+        lines[1] = f"{name} {shape} {offset} {int(size) - 1}"
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match=r"manifest.txt:2: offset 0 and size"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_manifest_is_text(self, tmp_path):
         g, x, labels, rows = small_instance(41)

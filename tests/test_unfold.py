@@ -167,6 +167,55 @@ class TestStepSizeBound:
         assert convex == pytest.approx(2.0 / 3.0, rel=1e-6)
         assert irls_step_bound(spec, g, np.ones(1)) == pytest.approx(1.0 / 3.0, rel=1e-6)
 
+    @staticmethod
+    def exact_weighted_lap_norm(g, kind, gamma):
+        b = incidence(g, kind).matrix().toarray()[:g.m]  # edge rows only
+        return np.abs(np.linalg.eigvalsh(b.T @ (gamma[:, None] * b))).max() if g.m else 0.0
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_irls_bound_is_certified(self, kind):
+        rng = np.random.default_rng(40)
+        isolated = build_graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (5, 6)])
+        graphs = [random_graph(rng, 12), random_graph(rng, 30, p=0.1),
+                  random_graph(rng, 30, p=0.6), isolated, build_graph(5, [])]
+        spec = EnergySpec(lam=1.0, kind=kind)
+        for g in graphs:
+            for gamma in (np.ones(g.m), rng.random(g.m) * (rng.random(g.m) > 0.3),
+                          3.0 * rng.random(g.m) ** 4):
+                exact = self.exact_weighted_lap_norm(g, kind, gamma)
+                certified = 1.0 / irls_step_bound(spec, g, gamma) - 1.0
+                assert certified >= exact * (1.0 - 1e-12)
+                assert certified <= 2.0 * exact  # diagonal entries bound the norm below
+            # cosine rho' = 1 - z^2/4 turns negative past z^2 = 4
+            signed = 1.0 - rng.uniform(0.0, 16.0, size=g.m) / 4.0
+            exact = self.exact_weighted_lap_norm(g, kind, signed)
+            assert 1.0 / irls_step_bound(spec, g, signed) - 1.0 >= exact * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_irls_bound_exact_on_even_cycle(self, kind):
+        # regular bipartite graph with uniform weights: the row sums are
+        # all equal, so the bound is the norm
+        g = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+        spec = EnergySpec(lam=1.0, kind=kind)
+        gamma = np.full(g.m, 0.7)
+        exact = self.exact_weighted_lap_norm(g, kind, gamma)
+        assert 1.0 / irls_step_bound(spec, g, gamma) - 1.0 == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_auto_irls_steps_are_certified_and_descend(self, kind, d):
+        rng = np.random.default_rng(41 + d)
+        g = build_graph(20, np.argwhere(np.triu(rng.random((16, 16)) < 0.3, k=1)))
+        spec = EnergySpec(rho=rho_log(eps=0.3), phi=phi_relu(), lam=1.5, kind=kind)
+        fx = 2.0 * rng.normal(size=(g.n, d))
+        out = propagate(spec, g, fx, PropagationConfig(steps=20, alpha="auto_irls",
+                                                       attention_schedule=tuple(range(20))))
+        report = verify_descent(out, slack=1e-9)
+        assert report["ok"], report
+        for k, gamma in out.gamma_trace.items():
+            exact = self.exact_weighted_lap_norm(g, kind, gamma)
+            assert out.alphas[k] <= 1.0 / (1.0 + spec.lam * exact)
+
     def test_fixed_point_pairing_admits_unit_step(self):
         rng = np.random.default_rng(6)
         g = random_graph(rng, 10)
