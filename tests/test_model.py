@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unfoldgnn.energy import (
+    EnergySpec,
     from_symmetric_pair,
     phi_relu,
     phi_zero,
@@ -24,6 +25,7 @@ from unfoldgnn.model import (
     softmax_cross_entropy,
     train,
 )
+from unfoldgnn.unfold import PropagationConfig, propagate, sandwich_schedule
 
 SELF = LaplacianKind.SELF_LOOP_SYM
 
@@ -285,6 +287,59 @@ class TestGradients:
         model.backward = corrupted
         report = finite_difference_check(model, g, x, labels, rows)
         assert not report["ok"]
+
+
+PARITY_STEPS = 6
+PARITY_SCHEDULES = {
+    "none": (),
+    "sandwich": sandwich_schedule(PARITY_STEPS),
+    "every": tuple(range(PARITY_STEPS)),
+}
+
+
+def _parity_spec(simple, d):
+    rho = rho_log(eps=0.5)
+    if simple:
+        return EnergySpec(rho=rho, phi=phi_relu(), lam=0.8, kind=SELF)
+    a = np.random.default_rng(41).normal(size=(d, d))
+    return EnergySpec(rho=rho, phi=phi_relu(), kind=SELF, simple=False,
+                      w_fid=0.5 * np.eye(d), w_prop=0.3 * a @ a.T / d)
+
+
+class TestUnrolledMatchesPropagate:
+    """The unrolled backend's forward is propagate's layer loop."""
+
+    @pytest.mark.parametrize("schedule", sorted(PARITY_SCHEDULES))
+    @pytest.mark.parametrize("alpha", [0.15, "auto", "auto_irls"])
+    @pytest.mark.parametrize("variant, simple", [
+        ("plain", True), ("normalized", True), ("plain", False)])
+    def test_forward_equals_propagate(self, variant, simple, alpha, schedule):
+        g, x, labels, rows = small_instance(40, n=12, d_in=4, c=2)
+        d = 3
+        spec = _parity_spec(simple, d)
+        sched = PARITY_SCHEDULES[schedule]
+        cfg = ModelConfig(backend="unrolled", steps=PARITY_STEPS, alpha=alpha, embed_dim=d,
+                          n_classes=2, variant=variant, attention_schedule=sched,
+                          energy=spec, kind=SELF)
+        model = Model(x.shape[1], cfg, seed=6)
+        fx = np.abs(x @ model.params["w_x"])  # feasible for the relu prox
+        got = model._propagate_forward(g, fx)[0]
+        want = propagate(spec, g, fx, PropagationConfig(
+            steps=PARITY_STEPS, alpha=alpha, variant=variant, attention_schedule=sched,
+            record_trace=False)).y
+        if variant == "plain":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_normalized_with_schedule_gradient(self):
+        g, x, labels, rows = small_instance(42, n=8, d_in=3, c=2)
+        cfg = ModelConfig(backend="unrolled", steps=4, alpha=0.2, lam=0.7, embed_dim=3,
+                          n_classes=2, variant="normalized",
+                          attention_schedule=sandwich_schedule(4), kind=SELF)
+        model = Model(x.shape[1], cfg, seed=8)
+        report = finite_difference_check(model, g, x, labels, rows)
+        assert report["ok"], report
 
 
 class TestTraining:
