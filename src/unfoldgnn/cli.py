@@ -173,13 +173,21 @@ def parse_alpha(text):
         raise CliError(f"bad step size {text!r}")
 
 
-def build_model_config(cfg, n_classes):
+def parse_kind(cfg):
     kind = KIND_NAMES.get(cfg["unfold.kind"])
     if kind is None:
         raise CliError(f"unknown laplacian kind {cfg['unfold.kind']!r}")
+    return kind
+
+
+def parse_sigma(cfg):
+    text = cfg["implicit.sigma"]
+    return None if text in ("zero", "identity", "") else phi_from_config(text)
+
+
+def build_model_config(cfg, n_classes):
+    kind = parse_kind(cfg)
     hidden = tuple(int(tok) for tok in cfg["model.hidden"].split(",") if tok)
-    sigma_text = cfg["implicit.sigma"]
-    sigma = None if sigma_text in ("zero", "identity", "") else phi_from_config(sigma_text)
     try:
         return ModelConfig(
             backend=cfg["model.backend"],
@@ -198,7 +206,7 @@ def build_model_config(cfg, n_classes):
             phi=phi_from_config(cfg["unfold.phi"]),
             variant=cfg["unfold.variant"],
             attention_schedule=parse_schedule(cfg["unfold.attention"], cfg["unfold.steps"]),
-            sigma=sigma,
+            sigma=parse_sigma(cfg),
             fp_tol=cfg["implicit.tol"],
             fp_max_iters=cfg["implicit.max_iters"],
             train_w_p=bool(cfg["implicit.train_w_p"]),
@@ -243,18 +251,19 @@ def cmd_train(args):
 def cmd_propagate(args):
     cfg = resolve_config(args)
     ds = build_dataset(cfg, args.seed)
-    kind = KIND_NAMES.get(cfg["unfold.kind"])
-    if kind is None:
-        raise CliError(f"unknown laplacian kind {cfg['unfold.kind']!r}")
-    spec = EnergySpec(rho=rho_from_config(cfg["unfold.rho"]),
-                      phi=phi_from_config(cfg["unfold.phi"]),
-                      lam=cfg["unfold.lam"], kind=kind)
-    pcfg = PropagationConfig(
-        steps=cfg["unfold.steps"],
-        alpha=parse_alpha(cfg["unfold.alpha"]),
-        variant=cfg["unfold.variant"],
-        attention_schedule=parse_schedule(cfg["unfold.attention"], cfg["unfold.steps"]),
-    )
+    kind = parse_kind(cfg)
+    try:
+        spec = EnergySpec(rho=rho_from_config(cfg["unfold.rho"]),
+                          phi=phi_from_config(cfg["unfold.phi"]),
+                          lam=cfg["unfold.lam"], kind=kind)
+        pcfg = PropagationConfig(
+            steps=cfg["unfold.steps"],
+            alpha=parse_alpha(cfg["unfold.alpha"]),
+            variant=cfg["unfold.variant"],
+            attention_schedule=parse_schedule(cfg["unfold.attention"], cfg["unfold.steps"]),
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
     result = propagate(spec, ds.graph, ds.x, pcfg)
     out = out_dir(args)
     trace_to_csv(result, os.path.join(out, "trace.csv"))
@@ -270,19 +279,21 @@ def cmd_fixedpoint(args):
     ds = build_dataset(cfg, args.seed)
     d = cfg["model.embed_dim"]
     rng = np.random.default_rng(args.seed)
-    kind = KIND_NAMES.get(cfg["unfold.kind"])
+    kind = parse_kind(cfg)
+    try:
+        fcfg = FixedPointConfig(sigma=parse_sigma(cfg), tol=cfg["implicit.tol"],
+                                max_iters=cfg["implicit.max_iters"],
+                                contraction_margin=cfg["implicit.margin"], kind=kind)
+    except ValueError as exc:
+        raise CliError(str(exc))
     p_op = propagation_matrix(ds.graph, kind)
     w_p = project_weights(rng.normal(size=(d, d)) / np.sqrt(d), p_op,
-                          margin=cfg["implicit.margin"])
+                          margin=fcfg.contraction_margin)
     if ds.x.shape[1] != d:
         w_in = rng.normal(size=(ds.x.shape[1], d)) / np.sqrt(ds.x.shape[1])
         fx = ds.x @ w_in
     else:
         fx = ds.x
-    sigma_text = cfg["implicit.sigma"]
-    sigma = None if sigma_text in ("zero", "identity", "") else phi_from_config(sigma_text)
-    fcfg = FixedPointConfig(sigma=sigma, tol=cfg["implicit.tol"],
-                            max_iters=cfg["implicit.max_iters"], kind=kind)
     _kernels.reset_op_counter()
     start = time.perf_counter()
     result = fixed_point_solve(ds.graph, w_p, fx, fcfg)

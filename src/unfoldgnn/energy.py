@@ -193,14 +193,6 @@ def rho_absolute(gamma_max=GAMMA_CAP_DEFAULT):
     return Rho("absolute", gamma_max=gamma_max)
 
 
-def rho_eval(rho, zsq):
-    return rho.value(zsq)
-
-
-def rho_grad(rho, zsq):
-    return rho.grad(zsq)
-
-
 def check_concavity(rho, grid):
     """Scan grad >= 0 and non-increasing over a grid of z^2 values.
 
@@ -276,10 +268,6 @@ def phi_relu():
 
 def phi_soft_threshold(kappa=1.0):
     return Phi("soft_threshold", kappa=kappa)
-
-
-def prox_apply(phi, u, alpha=1.0):
-    return phi.prox(u, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .energy import Phi, from_symmetric_pair, phi_zero, rho_identity
 from .graph import Graph, LaplacianKind, propagation_matrix
-from .unfold import PropagationConfig, propagate
+from .unfold import PropagationConfig, unroll
 
 
 class ConstructionError(RuntimeError):
@@ -268,14 +268,8 @@ def embedded_forward(emb, g, y0, steps, kind=LaplacianKind.SELF_LOOP_SYM):
                                phi=emb.sigma or phi_zero(), kind=kind,
                                gradient_mode="literal")
     y = emb.pad_input(np.asarray(y0, dtype=float))
-    iterates = [y]
-    fx = np.zeros_like(y)
-    for _ in range(steps):
-        out = propagate(spec, g, fx, PropagationConfig(steps=1, alpha=1.0, y0=y,
-                                                       record_trace=False))
-        y = out.y
-        iterates.append(y)
-    return iterates
+    cfg = PropagationConfig(steps=steps, alpha=1.0, y0=y, record_trace=False)
+    return [y] + [layer.y for layer in unroll(spec, g, np.zeros_like(y), cfg)]
 
 
 def verify_gcn_equivalence(emb, g, y0, steps, layers,

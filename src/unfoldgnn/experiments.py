@@ -16,7 +16,7 @@ from .data import PerturbSpec, SbmSpec, edge_indices, perturb_edges, sbm_generat
 from .energy import EnergySpec, rho_identity, rho_truncated_lp
 from .graph import LaplacianKind, propagation_matrix
 from .model import ModelConfig, TrainConfig, train
-from .unfold import PropagationConfig, closed_form_solution, propagate
+from .unfold import PropagationConfig, closed_form_solution, propagate, unroll
 
 EXPERIMENTS = (
     "closed-form-convergence",
@@ -66,21 +66,18 @@ def closed_form_convergence(out_dir, seed=0, n=50, d=8, lam=1.0, steps=500):
     spec = EnergySpec(lam=lam, kind=LaplacianKind.COMBINATORIAL)
     target = closed_form_solution(g, fx, lam, spec.kind)
     tnorm = np.linalg.norm(target)
+    # error curve with snapshots every 25 steps, taken as the layers run
+    rows = [[0, np.linalg.norm(fx - target) / tnorm]]
+    y = fx
     start = time.perf_counter()
-    out = propagate(spec, g, fx, PropagationConfig(steps=steps, alpha="auto",
-                                                   record_trace=False))
-    elapsed = time.perf_counter() - start
-    # per-step error curve re-run with snapshots every 25 steps
-    rows = []
-    y = fx.copy()
-    alpha = out.alphas[0]
-    for k in range(steps + 1):
+    for layer in unroll(spec, g, fx, PropagationConfig(steps=steps, alpha="auto",
+                                                       record_trace=False)):
+        y = layer.y
+        k = layer.k + 1
         if k % 25 == 0 or k == steps:
             rows.append([k, np.linalg.norm(y - target) / tnorm])
-        if k < steps:
-            y = propagate(spec, g, fx, PropagationConfig(steps=1, alpha=alpha,
-                                                         y0=y, record_trace=False)).y
-    final_rel = float(np.linalg.norm(out.y - target) / tnorm)
+    elapsed = time.perf_counter() - start
+    final_rel = float(np.linalg.norm(y - target) / tnorm)
     path = _write_csv(os.path.join(out_dir, "closed_form_convergence.csv"),
                       "closed-form-convergence", ["step", "rel_error"], rows)
     return {"final_rel_error": final_rel, "seconds": elapsed, "csv": [path]}

@@ -10,11 +10,10 @@ gradients off it.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from .energy import Phi
-from .graph import Graph, GraphOperators, LaplacianKind, propagation_matrix, spectral_norm
+from .graph import GraphOperators, LaplacianKind, propagation_matrix, spectral_norm
 
 
 class FixedPointDivergence(RuntimeError):
@@ -56,12 +55,6 @@ class FixedPointResult:
     residual_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _as_operator(g, kind):
-    if isinstance(g, Graph):
-        return propagation_matrix(g, kind)
-    return g
-
-
 def project_weights(w_p, p_op, margin=0.9, tol=1e-10):
     """Scale Wp so that ||Wp||_2 ||P||_2 <= margin.
 
@@ -95,11 +88,11 @@ def fixed_point_solve(g, w_p, fx, cfg=FixedPointConfig(), y0=None):
     choice immaterial) unless y0 overrides it, which the uniqueness
     checks use.  Raises FixedPointDivergence when max_iters is
     exhausted."""
-    p_op = _as_operator(g, cfg.kind)
+    p_op = propagation_matrix(g, cfg.kind)
     fx = np.asarray(fx, dtype=float)
     w_p = np.asarray(w_p, dtype=float)
     y = np.zeros_like(fx) if y0 is None else np.array(y0, dtype=float)
-    nnz = p_op.nnz if sp.issparse(p_op) else int(np.count_nonzero(p_op))
+    nnz = p_op.nnz
     ratios = []
     resid_trace = []
     prev_resid = None
@@ -132,7 +125,7 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig()):
     is the activation derivative at the converged pre-activations, then
     grad_f = D * V and grad_Wp = (P Y*).T (D * V).
     """
-    p_op = _as_operator(g, cfg.kind)
+    p_op = propagation_matrix(g, cfg.kind)
     w_p = np.asarray(w_p, dtype=float)
     y_star = np.asarray(y_star, dtype=float)
     upstream = np.asarray(upstream, dtype=float)

@@ -3,9 +3,12 @@
 A model is a base predictor f(X) (linear map or small MLP), one of the
 three embedding backends (unrolled descent layers, implicit fixed
 point, or the linear symmetric implicit special case), and a linear
-output head with softmax cross-entropy.  Backward passes are written
-by hand: the unrolled backend backpropagates through every recorded
-layer, the implicit backends use the adjoint fixed-point solve.
+output head with softmax cross-entropy.  The unrolled backend runs
+``unfold``'s layer loop (:func:`unfold.unroll`) under the
+:class:`unfold.PropagationConfig` its config builds, and keeps each
+layer's record as its backward tape.  Backward passes are written by
+hand: the unrolled backend backpropagates through every recorded layer,
+the implicit backends use the adjoint fixed-point solve.
 
 Edge reweighting during unrolled training is treated as a constant
 within each backward pass by default (the majorize-then-minimize
@@ -28,13 +31,8 @@ from .implicit import (
     implicit_backward,
     project_weights,
 )
-from .unfold import (
-    DIVERGENCE_LIMIT,
-    PropagationDivergence,
-    irls_step_bound,
-    reweighted_propagation_apply,
-    step_size_bound,
-)
+from .unfold import PropagationConfig, PropagationDivergence, normalized_step, unroll
+from .unfold import irls_step_bound, step_size_bound  # noqa: F401  patched by perfbench/tracing.py
 
 
 @dataclass(frozen=True)
@@ -77,11 +75,19 @@ class ModelConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.attention_grad not in ("stop", "full"):
             raise ValueError("attention_grad must be 'stop' or 'full'")
-        if self.variant not in ("plain", "normalized"):
+        # building the layer plan checks steps, alpha, variant and schedule
+        if self.propagation.variant == "preconditioned":
             raise ValueError("variant must be 'plain' or 'normalized'")
         if self.variant == "normalized" and self.attention_grad == "full":
             raise ValueError("full attention differentiation is supported for "
                              "the plain variant only")
+
+    @property
+    def propagation(self):
+        """The layer plan the unrolled backend runs."""
+        return PropagationConfig(steps=self.steps, alpha=self.alpha, variant=self.variant,
+                                 attention_schedule=self.attention_schedule,
+                                 record_trace=False)
 
 
 @dataclass(frozen=True)
@@ -196,47 +202,15 @@ class Model:
         return self._unrolled_forward(g, fx)
 
     def _unrolled_forward(self, g, fx):
-        cfg = self.cfg
         spec = self._energy_spec()
-        bview = incidence(g, spec.kind)
-        if cfg.alpha == "auto":
-            if cfg.variant == "plain":
-                alpha_fixed = step_size_bound(spec, g)[1]
-            else:
-                alpha_fixed = 1.0 / (1.0 + spec.lam)
-        elif cfg.alpha == "auto_irls":
-            alpha_fixed = None
-        else:
-            alpha_fixed = float(cfg.alpha)
-        schedule = set(cfg.attention_schedule)
-        gamma = np.ones(bview.n_edge_rows)
-        seg_start = -1  # step whose embedding generated the current gamma
-        ys = [fx.copy()]
-        us = []
-        alphas = []
-        gamma_segments = []  # (segment start step, gamma)
-        y = fx.copy()
-        for k in range(cfg.steps):
-            if k in schedule:
-                gamma = spec.rho.grad(_edge_args(spec, bview, y))
-                seg_start = k
-            alpha = irls_step_bound(spec, g, gamma) if alpha_fixed is None else alpha_fixed
-            if cfg.variant == "plain":
-                u = _linear_step(spec, bview, y, fx, gamma, alpha)
-            else:
-                prop = reweighted_propagation_apply(g, y, gamma)
-                u = (1.0 - alpha - alpha * spec.lam) * y \
-                    + alpha * spec.lam * prop + alpha * fx
-            y = spec.phi.prox(u, alpha)
-            norm = np.linalg.norm(y)
-            if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
-                raise PropagationDivergence(k, norm)
-            us.append(u)
-            alphas.append(alpha)
-            gamma_segments.append((seg_start, gamma))
-            ys.append(y)
-        return y, {"kind": "unrolled", "spec": spec, "bview": bview, "g": g,
-                   "ys": ys, "us": us, "alphas": alphas, "segments": gamma_segments}
+        ys, us, alphas, segments = [fx], [], [], []
+        for layer in unroll(spec, g, fx, self.cfg.propagation):
+            ys.append(layer.y)
+            us.append(layer.u)
+            alphas.append(layer.alpha)
+            segments.append((layer.gamma_step, layer.gamma))  # (generating step, gamma)
+        return ys[-1], {"kind": "unrolled", "spec": spec, "bview": incidence(g, spec.kind),
+                        "g": g, "ys": ys, "us": us, "alphas": alphas, "segments": segments}
 
     # -- backward -----------------------------------------------------------
 
@@ -282,9 +256,7 @@ class Model:
             d_u = spec.phi.prox_derivative(us[k], alpha) * d_y
             if cfg.variant == "normalized":
                 d_fx += alpha * d_u
-                prop_du = reweighted_propagation_apply(prop["g"], d_u, gamma)
-                d_y = (1.0 - alpha - alpha * spec.lam) * d_u \
-                    + alpha * spec.lam * prop_du
+                d_y = normalized_step(prop["g"], d_u, 0.0, alpha, spec.lam, gamma=gamma)
                 continue
             d_fx += _fx_pullback(spec, d_u, alpha)
             d_y = _state_pullback(spec, bview, d_u, gamma, alpha)
@@ -321,19 +293,6 @@ class Model:
                     d_h = d_h * (a > 0)
 
 
-def _edge_args(spec, bview, y):
-    return edge_diagonal(spec, bview, y)
-
-
-def _linear_step(spec, bview, y, fx, gamma, alpha):
-    lap_y = bview.weighted_laplacian_apply(y, gamma)
-    if spec.simple:
-        return y - alpha * (spec.lam * lap_y + y - fx)
-    if spec.gradient_mode == "exact":
-        return y - alpha * (lap_y @ spec.w_prop_sym() + (y - fx) @ spec.w_fid_sym())
-    return y - alpha * (lap_y @ spec.w_prop_sym() + y @ spec.w_fid_sym() - fx)
-
-
 def _fx_pullback(spec, d_u, alpha):
     if spec.simple or spec.gradient_mode == "literal":
         return alpha * d_u
@@ -363,7 +322,7 @@ def _gamma_generator_pullback(spec, bview, y_r, d_gamma):
     Simple mode measures raw endpoint distances (matching the gamma
     refresh); general mode measures the scaled-incidence quadratic form.
     """
-    args = _edge_args(spec, bview, y_r)
+    args = edge_diagonal(spec, bview, y_r)
     weights = d_gamma * spec.rho.grad2(args)
     if spec.simple:
         return 2.0 * bview.raw_apply_t(weights[:, None] * bview.raw_apply(y_r))
@@ -447,6 +406,10 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
     parameters.  Divergence aborts early and flags the partial metrics.
     """
     labels = np.asarray(labels)
+    bad = np.flatnonzero((labels < 0) | (labels >= model_cfg.n_classes))
+    if bad.size:
+        raise ValueError(f"node {bad[0]} has label {labels[bad[0]]}; labels must lie "
+                         f"in [0, {model_cfg.n_classes})")
     model = Model(x.shape[1], model_cfg, seed=train_cfg.seed, g=g)
     dropout_rng = np.random.default_rng(train_cfg.seed + 1)
     train_rows = np.flatnonzero(masks["train"])

@@ -8,6 +8,13 @@ refreshes Gamma is held fixed, which is exactly the
 majorize-then-minimize structure that the step-size bounds below make
 safe.
 
+:func:`unroll` is the one layer loop: it picks the step size, refreshes
+Gamma on the schedule, takes the configured variant's step, applies the
+prox, guards against divergence, and yields one :class:`Layer` per
+step.  :func:`propagate` records the energy trace, residuals and Gamma
+snapshots from it; the unrolled model backend (``model.py``) keeps its
+backward tape from it.
+
 Simple mode follows the scalar propagation convention
 ``U = Y - alpha [(lam * Lhat + I) Y - F]`` (the update whose first step
 reduces to a normalized-adjacency layer); its step direction is half
@@ -33,7 +40,7 @@ import scipy.sparse.linalg as spla
 
 from . import _kernels
 from .energy import edge_diagonal, energy_eval
-from .graph import Graph, LaplacianKind, incidence, laplacian, propagation_matrix, spectral_norm
+from .graph import LaplacianKind, incidence, laplacian, propagation_matrix, spectral_norm
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -103,26 +110,18 @@ class PropagationResult:
     ops: dict
 
 
-def _as_incidence(g, spec):
-    if isinstance(g, Graph):
-        return incidence(g, spec.kind)
-    return g
-
-
-def gamma_update(spec, g, y):
+def gamma_update(spec, bview, y):
     """Fresh edge weights: rho' at the current per-edge diagonal."""
-    bview = _as_incidence(g, spec)
     return spec.rho.grad(edge_diagonal(spec, bview, y))
 
 
-def abridged_gradient_step(spec, g, y, fx, gamma, alpha):
+def abridged_gradient_step(spec, bview, y, fx, gamma, alpha):
     """One gradient step on the smooth energy terms at fixed Gamma.
 
     Simple mode: U = Y - alpha [lam * Lhat Y + Y - F].
     General mode ("exact"):   U = Y - alpha [Lhat Y Wp_s + (Y-F) Wf_s].
     General mode ("literal"): U = Y - alpha [Lhat Y Wp_s + Y Wf_s - F].
     """
-    bview = _as_incidence(g, spec)
     y = np.asarray(y, dtype=float)
     fx = np.asarray(fx, dtype=float)
     if y.shape != fx.shape:
@@ -193,7 +192,7 @@ def step_size_bound(spec, g, tol=1e-8):
     return general, general
 
 
-def irls_step_bound(spec, g, gamma, tol=1e-8):
+def irls_step_bound(spec, bview, gamma, tol=1e-8):
     """Per-step safe size at the current Gamma: 1 / (1 + lam c) in simple
     mode, and the matrix-weight analogue otherwise, where c is the
     certified O(m) upper bound on ||B.T G B|| from
@@ -204,7 +203,6 @@ def irls_step_bound(spec, g, gamma, tol=1e-8):
     shortens the step.  ``tol`` only sets the accuracy of the d x d
     weight norms of general mode.
     """
-    bview = _as_incidence(g, spec)
     lhat_bound = _weighted_lap_norm_bound(bview, np.asarray(gamma, dtype=float))
     if spec.simple:
         return 1.0 / (1.0 + spec.lam * lhat_bound)
@@ -235,20 +233,14 @@ def closed_form_solution(g, fx, lam, kind, tol=1e-10):
     return y
 
 
-def _selfloop_operators(g):
+def preconditioned_step(g, z, z0, alpha, lam):
+    """Pre-prox point of the degree-rescaled recursion
+    Z <- prox[(1-a) Z + a*lam*(D~^-1/2 A D~^-1/2) Z + a*D~^-1 Z0]."""
     p_hat = propagation_matrix(g, LaplacianKind.SELF_LOOP_SYM)
     d_tilde_inv = 1.0 / (g.degrees + 1.0)
-    return p_hat, d_tilde_inv
-
-
-def preconditioned_step(g, z, z0, alpha, lam, phi):
-    """One step of the degree-rescaled recursion
-    Z <- prox[(1-a) Z + a*lam*(D~^-1/2 A D~^-1/2) Z + a*D~^-1 Z0]."""
-    p_hat, d_tilde_inv = _selfloop_operators(g)
     adj_part = p_hat @ z - d_tilde_inv[:, None] * z  # D~^-1/2 A D~^-1/2 Z
     _kernels.count_dense(2 * p_hat.nnz * z.shape[1])
-    u = (1.0 - alpha) * z + alpha * lam * adj_part + alpha * d_tilde_inv[:, None] * z0
-    return phi.prox(u, alpha)
+    return (1.0 - alpha) * z + alpha * lam * adj_part + alpha * d_tilde_inv[:, None] * z0
 
 
 def reweighted_propagation_apply(g, y, gamma):
@@ -264,22 +256,90 @@ def reweighted_propagation_apply(g, y, gamma):
     return s[:, None] * out + (s ** 2)[:, None] * y
 
 
-def normalized_step(g, y, y0, alpha, lam, phi, gamma=None):
-    """One step of the self-loop-normalized recursion
+def normalized_step(g, y, y0, alpha, lam, gamma=None):
+    """Pre-prox point of the self-loop-normalized recursion
     Y <- prox[(1-a-a*lam) Y + a*lam*(D~^-1/2 A~ D~^-1/2) Y + a*Y0],
-    with the adjacency optionally reweighted by per-edge gamma."""
+    with the adjacency optionally reweighted by per-edge gamma.  The
+    operator is symmetric, so with y0 = 0 this is also the step's
+    transpose applied to an upstream gradient."""
     if gamma is None:
-        p_hat, _ = _selfloop_operators(g)
+        p_hat = propagation_matrix(g, LaplacianKind.SELF_LOOP_SYM)
         _kernels.count_dense(2 * p_hat.nnz * y.shape[1])
         prop = p_hat @ y
     else:
         prop = reweighted_propagation_apply(g, y, gamma)
-    u = (1.0 - alpha - alpha * lam) * y + alpha * lam * prop + alpha * y0
-    return phi.prox(u, alpha)
+    return (1.0 - alpha - alpha * lam) * y + alpha * lam * prop + alpha * y0
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One unrolled layer: step k took Y_k to ``y = prox(u, alpha)``.
+
+    ``gamma`` holds the edge weights the step used, or None where it
+    used the unweighted operator (the normalized variant without
+    attention, and the preconditioned variant); ``gamma_step`` is the
+    step whose embedding generated them, -1 while they are still ones.
+    """
+
+    k: int
+    u: np.ndarray
+    y: np.ndarray
+    alpha: float
+    gamma: np.ndarray | None
+    gamma_step: int
+
+
+def _start(fx, cfg):
+    y = fx.copy() if cfg.y0 is None else np.array(cfg.y0, dtype=float)
+    if y.shape != fx.shape:
+        raise ValueError("y0 and f(X) shapes differ")
+    return y
+
+
+def unroll(spec, g, fx, cfg):
+    """Run cfg's layers from Y0 (cfg.y0, or f(X)), yielding one
+    :class:`Layer` per step.
+
+    Raises PropagationDivergence when the iterate norm passes the guard.
+    """
+    fx = np.asarray(fx, dtype=float)
+    bview = incidence(g, spec.kind)
+    y = _start(fx, cfg)
+    gamma = np.ones(bview.n_edge_rows)
+    gamma_step = -1
+    fixed_alpha = None  # auto_irls: sized from the current Gamma at every step
+    if cfg.alpha == "auto":
+        if cfg.variant == "plain":
+            fixed_alpha = step_size_bound(spec, g)[1]
+        else:
+            # convex-combination step of the rescaled recursions
+            fixed_alpha = 1.0 / (1.0 + spec.lam)
+    elif cfg.alpha != "auto_irls":
+        fixed_alpha = float(cfg.alpha)
+    schedule = set(cfg.attention_schedule)
+    for k in range(cfg.steps):
+        if k in schedule:
+            gamma = gamma_update(spec, bview, y)
+            gamma_step = k
+        alpha = irls_step_bound(spec, bview, gamma) if fixed_alpha is None else fixed_alpha
+        if cfg.variant == "plain":
+            used = gamma
+            u = abridged_gradient_step(spec, bview, y, fx, gamma, alpha)
+        elif cfg.variant == "preconditioned":
+            used = None
+            u = preconditioned_step(g, y, fx, alpha, spec.lam)
+        else:
+            used = gamma if schedule else None
+            u = normalized_step(g, y, fx, alpha, spec.lam, gamma=used)
+        y = spec.phi.prox(u, alpha)
+        norm = np.linalg.norm(y)
+        if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
+            raise PropagationDivergence(k, norm)
+        yield Layer(k, u, y, alpha, used, gamma_step)
 
 
 def propagate(spec, g, fx, cfg):
-    """Run the configured number of layers from Y0 = f(X).
+    """Run the configured number of layers from Y0 = f(X) (or cfg.y0).
 
     Records the energy after every step, per-step residuals, and Gamma
     snapshots at refresh steps.  Raises PropagationDivergence when the
@@ -287,44 +347,19 @@ def propagate(spec, g, fx, cfg):
     """
     fx = np.asarray(fx, dtype=float)
     bview = incidence(g, spec.kind)
-    y = fx.copy() if cfg.y0 is None else np.array(cfg.y0, dtype=float)
-    if y.shape != fx.shape:
-        raise ValueError("y0 and f(X) shapes differ")
+    y = _start(fx, cfg)
     ops0 = _kernels.op_counter()
-    gamma = np.ones(bview.n_edge_rows)
-    fixed_alpha = None
-    if cfg.alpha == "auto":
-        if cfg.variant == "plain":
-            fixed_alpha = step_size_bound(spec, g)[1]
-        else:
-            # convex-combination step of the rescaled recursions
-            fixed_alpha = 1.0 / (1.0 + spec.lam)
-    elif not isinstance(cfg.alpha, str):
-        fixed_alpha = float(cfg.alpha)
-    schedule = set(cfg.attention_schedule)
     trace = [energy_eval(spec, bview, y, fx)] if cfg.record_trace else []
     residuals = np.zeros(cfg.steps)
     alphas = np.zeros(cfg.steps)
     gamma_trace = {}
-    for k in range(cfg.steps):
-        if k in schedule:
-            gamma = spec.rho.grad(edge_diagonal(spec, bview, y))
-            gamma_trace[k] = gamma.copy()
-        alpha = irls_step_bound(spec, g, gamma) if fixed_alpha is None else fixed_alpha
-        alphas[k] = alpha
-        if cfg.variant == "plain":
-            u = abridged_gradient_step(spec, bview, y, fx, gamma, alpha)
-            y_next = spec.phi.prox(u, alpha)
-        elif cfg.variant == "preconditioned":
-            y_next = preconditioned_step(g, y, fx, alpha, spec.lam, spec.phi)
-        else:
-            reweight = gamma if schedule else None
-            y_next = normalized_step(g, y, fx, alpha, spec.lam, spec.phi, gamma=reweight)
-        residuals[k] = np.linalg.norm(y_next - y)
-        y = y_next
-        norm = np.linalg.norm(y)
-        if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
-            raise PropagationDivergence(k, norm)
+    for layer in unroll(spec, g, fx, cfg):
+        k = layer.k
+        if layer.gamma_step == k:
+            gamma_trace[k] = layer.gamma
+        alphas[k] = layer.alpha
+        residuals[k] = np.linalg.norm(layer.y - y)
+        y = layer.y
         if cfg.record_trace:
             trace.append(energy_eval(spec, bview, y, fx))
     ops1 = _kernels.op_counter()

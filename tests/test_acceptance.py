@@ -83,7 +83,7 @@ def test_01_closed_form_convergence():
     g = random_graph(rng, 50, p=0.15)
     fx = rng.normal(size=(50, 8))
     spec = EnergySpec(lam=1.0, kind=COMB)
-    # warm the jitted kernels so the timing reflects the algorithm
+    # build the cached operators and step bound first, so the timing reflects the layers
     propagate(spec, g, fx, PropagationConfig(steps=1, alpha="auto", record_trace=False))
     target = closed_form_solution(g, fx, 1.0, COMB)
     start = time.perf_counter()

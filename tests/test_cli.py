@@ -105,6 +105,24 @@ class TestPropagate:
         assert gammas[0].startswith("# schema: gamma-trace")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["train", "--K", "4", "--set", "unfold.attention=9"], "attention indices"),
+    (["train", "--set", "unfold.alpha=-0.1"], "alpha must be positive"),
+    (["train", "--set", "unfold.variant=bogus"], "unknown variant"),
+    (["train", "--set", "implicit.sigma=bogus"], "unknown phi config"),
+    (["propagate", "--set", "unfold.variant=bogus"], "unknown variant"),
+    (["propagate", "--set", "unfold.rho=bogus"], "unknown rho config"),
+    (["propagate", "--lam", "-1"], "lam must be nonnegative"),
+    (["propagate", "--K", "4", "--set", "unfold.attention=4"], "attention indices"),
+    (["fixedpoint", "--set", "unfold.kind=bogus"], "unknown laplacian kind"),
+    (["fixedpoint", "--set", "implicit.margin=1.5"], "contraction_margin"),
+])
+def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
+    code = run_cli([*args, "--dataset", fixture_dir, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 class TestFixedPoint:
     def test_solves_and_reports(self, fixture_dir, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -14,12 +14,9 @@ from unfoldgnn.energy import (
     phi_soft_threshold,
     phi_to_config,
     phi_zero,
-    prox_apply,
     rho_absolute,
     rho_cosine,
-    rho_eval,
     rho_from_config,
-    rho_grad,
     rho_identity,
     rho_log,
     rho_to_config,
@@ -54,27 +51,27 @@ def lp_reference(p, tau, big_t, zsq):
 
 class TestRhoValues:
     def test_log_at_zero(self):
-        assert rho_eval(rho_log(eps=1.0), 0.0) == pytest.approx(0.0)
+        assert rho_log(eps=1.0).value(0.0) == pytest.approx(0.0)
 
     def test_cosine_formula(self):
-        assert rho_eval(rho_cosine(), 4.0) == pytest.approx(2.0)
+        assert rho_cosine().value(4.0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("zsq", [1e-4, 0.01, 0.5, 2.0, 10.0, 40.0])
     def test_truncated_lp_three_pieces(self, zsq):
         rho = rho_truncated_lp(p=0.1, tau=0.2, big_t=2.0)
-        assert rho_eval(rho, zsq) == pytest.approx(lp_reference(0.1, 0.2, 2.0, zsq), rel=1e-12)
+        assert rho.value(zsq) == pytest.approx(lp_reference(0.1, 0.2, 2.0, zsq), rel=1e-12)
 
     def test_truncated_lp_continuity_at_breakpoints(self):
         rho = rho_truncated_lp(p=0.3, tau=0.4, big_t=2.5)
         for z in (rho._tau_bar, rho._t_bar):
-            lo = rho_eval(rho, (z - 1e-9) ** 2)
-            hi = rho_eval(rho, (z + 1e-9) ** 2)
+            lo = rho.value((z - 1e-9) ** 2)
+            hi = rho.value((z + 1e-9) ** 2)
             assert hi == pytest.approx(lo, abs=1e-6)
 
     def test_truncated_quadratic_saturates(self):
         rho = rho_truncated_quadratic(tau=1.5)
-        assert rho_eval(rho, 1.0) == 1.0
-        assert rho_eval(rho, 9.0) == pytest.approx(1.5 ** 2)
+        assert rho.value(1.0) == 1.0
+        assert rho.value(9.0) == pytest.approx(1.5 ** 2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -87,19 +84,19 @@ class TestRhoValues:
 
 class TestRhoGradients:
     def test_log_at_zero(self):
-        assert rho_grad(rho_log(eps=1.0), 0.0) == pytest.approx(1.0)
+        assert rho_log(eps=1.0).grad(0.0) == pytest.approx(1.0)
 
     def test_absolute_weight(self):
-        assert rho_grad(rho_absolute(), 4.0) == pytest.approx(0.25)
+        assert rho_absolute().grad(4.0) == pytest.approx(0.25)
 
     def test_absolute_capped_at_zero(self):
-        assert rho_grad(rho_absolute(gamma_max=100.0), 0.0) == 100.0
+        assert rho_absolute(gamma_max=100.0).grad(0.0) == 100.0
 
     def test_cosine_at_zero(self):
-        assert rho_grad(rho_cosine(), 0.0) == pytest.approx(1.0)
+        assert rho_cosine().grad(0.0) == pytest.approx(1.0)
 
     def test_truncated_quadratic_removes_far_edges(self):
-        assert rho_grad(rho_truncated_quadratic(tau=1.0), 4.0) == 0.0
+        assert rho_truncated_quadratic(tau=1.0).grad(4.0) == 0.0
 
     @pytest.mark.parametrize("rho", ALL_RHOS, ids=lambda r: r.kind)
     def test_matches_finite_differences(self, rho):
@@ -146,15 +143,15 @@ class TestConcavityCheck:
 class TestProx:
     def test_relu(self):
         np.testing.assert_allclose(
-            prox_apply(phi_relu(), np.array([-0.5, 0.7])), [0.0, 0.7]
+            phi_relu().prox(np.array([-0.5, 0.7])), [0.0, 0.7]
         )
 
     def test_zero_is_identity(self):
         u = np.array([1.0, -2.0, 0.3])
-        np.testing.assert_array_equal(prox_apply(phi_zero(), u), u)
+        np.testing.assert_array_equal(phi_zero().prox(u), u)
 
     def test_soft_threshold_values(self):
-        got = prox_apply(phi_soft_threshold(kappa=1.0), np.array([2.0, -0.5]), alpha=1.0)
+        got = phi_soft_threshold(kappa=1.0).prox(np.array([2.0, -0.5]), alpha=1.0)
         np.testing.assert_allclose(got, [1.0, 0.0])
 
     def test_soft_threshold_against_grid_minimizer(self):
@@ -165,7 +162,7 @@ class TestProx:
         for u in (-2.3, -0.2, 0.11, 1.9):
             objective = (grid - u) ** 2 / (2 * alpha) + kappa * np.abs(grid)
             best = grid[np.argmin(objective)]
-            assert prox_apply(phi, np.array([u]), alpha)[0] == pytest.approx(best, abs=1e-4)
+            assert phi.prox(np.array([u]), alpha)[0] == pytest.approx(best, abs=1e-4)
 
     @pytest.mark.parametrize("phi", [phi_zero(), phi_relu()])
     def test_non_expansive(self, phi):
@@ -183,7 +180,7 @@ class TestProx:
 
     def test_prox_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            prox_apply(phi_zero(), np.zeros(2), alpha=0.0)
+            phi_zero().prox(np.zeros(2), alpha=0.0)
 
 
 class TestEnergyEval:

@@ -380,6 +380,16 @@ class TestTraining:
                 break
         assert found
 
+    @pytest.mark.parametrize("row_mask", ["train", "test"])
+    def test_label_outside_class_range_rejected(self, row_mask):
+        g, x, labels, masks = two_block_instance(7, n_per=8)
+        node = int(np.flatnonzero(masks[row_mask])[0])
+        labels = labels.copy()
+        labels[node] = 5
+        cfg = ModelConfig(backend="unrolled", steps=2, embed_dim=4, n_classes=2, kind=SELF)
+        with pytest.raises(ValueError, match=f"node {node} has label 5"):
+            train(g, x, labels, masks, cfg, TrainConfig(epochs=2, lr=0.1, seed=0))
+
     def test_divergence_aborts_with_partial_metrics(self):
         g, x, labels, masks = two_block_instance(4, n_per=10)
         cfg = ModelConfig(backend="unrolled", steps=6, embed_dim=4, n_classes=2, kind=SELF)
