@@ -169,17 +169,40 @@ class SbmSpec:
         return within / (within + cross)
 
 
+# Upper-triangle pairs drawn per block of rows in sbm_generate.  Blocks of
+# 8 MB arrays also lift glibc's dynamic mmap threshold that far, so the
+# few-MB temporaries of training on the graph reuse the heap; at 1 << 19
+# every unrolled epoch on a 24k-edge graph page-faulted them anew.
+_SBM_BLOCK_PAIRS = 1 << 20
+
+
 def sbm_generate(spec):
+    """Draw the block model.  Every pair u < v takes one uniform draw, in
+    row-major order, so the cost is O(n^2) draws; they are made in row
+    blocks of about ``_SBM_BLOCK_PAIRS`` pairs (at least one row), which
+    bounds memory by O(n + m) plus one block.  Consecutive
+    ``Generator.random`` calls continue one stream, so the graph does not
+    depend on the block size."""
     rng = np.random.default_rng(spec.seed)
     sizes = np.asarray(spec.blocks, dtype=int)
     n = int(sizes.sum())
     labels = np.repeat(np.arange(sizes.size), sizes)
-    iu, ju = np.triu_indices(n, k=1)
-    same = labels[iu] == labels[ju]
-    probs = np.where(same, spec.p_in, spec.p_out)
-    keep = rng.random(iu.size) < probs
-    pairs = np.stack([iu[keep], ju[keep]], axis=1)
-    graph = build_graph(n, pairs)
+    # pairs before row i: sum_{r < i} (n - 1 - r)
+    row_start = np.arange(n + 1) * (2 * n - 1 - np.arange(n + 1)) // 2
+    pairs, lo = [np.zeros((0, 2), dtype=np.int64)], 0
+    while lo < n - 1:
+        hi = int(np.searchsorted(row_start, row_start[lo] + _SBM_BLOCK_PAIRS, side="right")) - 1
+        hi = min(max(hi, lo + 1), n - 1)
+        rows = np.arange(lo, hi)
+        counts = n - 1 - rows
+        iu = np.repeat(rows, counts)
+        ju = np.arange(row_start[lo], row_start[hi]) - np.repeat(row_start[rows] - rows - 1,
+                                                                  counts)
+        probs = np.where(labels[iu] == labels[ju], spec.p_in, spec.p_out)
+        keep = rng.random(iu.size) < probs
+        pairs.append(np.stack([iu[keep], ju[keep]], axis=1))
+        lo = hi
+    graph = build_graph(n, np.concatenate(pairs))
     means = rng.normal(size=(sizes.size, spec.feature_dim))
     norms = np.linalg.norm(means, axis=1, keepdims=True)
     means = spec.separation * means / np.maximum(norms, 1e-12)
@@ -221,46 +244,73 @@ def perturb_edges(ds, spec):
     """Add rate*m cross-class edges (optionally also remove that many
     intra-class edges).  Returns (dataset, added_pairs); the result
     stays a simple graph, and homophily strictly drops whenever edges
-    are added."""
+    are added.
+
+    The added edges are a uniform sample of the cross-class non-edges
+    u < v, indexed in row-major order.  Picked indices are mapped to
+    pairs by rank, without listing the candidates: O(n * classes) for
+    the per-row candidate counts plus O(m log m) for the existing edges.
+    """
     g = ds.graph
     n_add = int(round(spec.rate * g.m))
     if n_add == 0:
         return ds, np.zeros((0, 2), dtype=np.int64)
-    labels = ds.labels
-    if np.unique(labels).size < 2:
+    classes, labels = np.unique(ds.labels, return_inverse=True)
+    if classes.size < 2:
         raise DatasetError("need at least two classes to inject cross-class edges")
     rng = np.random.default_rng(spec.seed)
-    existing = {(int(u), int(v)) for u, v in g.edges}
-    iu, ju = np.triu_indices(g.n, k=1)
-    cross = labels[iu] != labels[ju]
-    candidates = [
-        (int(u), int(v))
-        for u, v in zip(iu[cross], ju[cross])
-        if (int(u), int(v)) not in existing
-    ]
-    if len(candidates) < n_add:
+    # others[c]: the nodes outside class c, ascending; row u's candidates
+    # are the others[labels[u]] above u, which start at first[u]
+    others = [np.flatnonzero(labels != c) for c in range(classes.size)]
+    first = np.empty(g.n, dtype=np.int64)
+    for c, other in enumerate(others):
+        rows = np.flatnonzero(labels == c)
+        first[rows] = np.searchsorted(other, rows, side="right")
+    sizes = np.array([other.size for other in others])[labels]
+    offsets = np.concatenate([[0], np.cumsum(sizes - first)])
+    eu, ev = g.edges[:, 0], g.edges[:, 1]
+    cross = labels[eu] != labels[ev]
+    eu, ev = eu[cross], ev[cross]
+    within = np.empty(eu.size, dtype=np.int64)
+    for c, other in enumerate(others):
+        sel = labels[eu] == c
+        within[sel] = np.searchsorted(other, ev[sel])
+    existing = np.sort(offsets[eu] + within - first[eu])
+    n_cand = int(offsets[-1]) - existing.size
+    if n_cand < n_add:
         raise DatasetError(
-            f"only {len(candidates)} cross-class non-edges available, need {n_add}")
-    picked = rng.choice(len(candidates), size=n_add, replace=False)
-    added = np.asarray([candidates[i] for i in picked], dtype=np.int64)
+            f"only {n_cand} cross-class non-edges available, need {n_add}")
+    picked = rng.choice(n_cand, size=n_add, replace=False)
+    rank = picked + np.searchsorted(existing - np.arange(existing.size), picked, side="right")
+    u = np.searchsorted(offsets, rank, side="right") - 1
+    col = first[u] + rank - offsets[u]
+    v = np.empty_like(u)
+    for c, other in enumerate(others):
+        sel = labels[u] == c
+        v[sel] = other[col[sel]]
+    added = np.stack([u, v], axis=1).astype(np.int64)
     edges = g.edges
     if spec.remove_intra:
         intra_idx = np.flatnonzero(labels[edges[:, 0]] == labels[edges[:, 1]])
         n_remove = min(n_add, intra_idx.size)
-        drop = set(rng.choice(intra_idx, size=n_remove, replace=False).tolist())
-        edges = edges[[i for i in range(edges.shape[0]) if i not in drop]]
+        keep = np.ones(edges.shape[0], dtype=bool)
+        keep[rng.choice(intra_idx, size=n_remove, replace=False)] = False
+        edges = edges[keep]
     new_edges = np.vstack([edges, added])
     new_graph = build_graph(g.n, new_edges)
-    out = make_dataset(new_graph, ds.x, labels, ds.masks)
+    out = make_dataset(new_graph, ds.x, ds.labels, ds.masks)
     return out, added
 
 
 def edge_indices(graph, pairs):
-    """Row indices of the given (u, v) pairs inside graph.edges."""
-    lookup = {(int(u), int(v)): k for k, (u, v) in enumerate(graph.edges)}
-    idx = []
-    for u, v in np.asarray(pairs):
-        u, v = int(min(u, v)), int(max(u, v))
-        if (u, v) in lookup:
-            idx.append(lookup[(u, v)])
-    return np.asarray(idx, dtype=np.int64)
+    """Row indices of the given (u, v) pairs inside graph.edges, in the
+    order given; pairs that are not edges are skipped."""
+    n = graph.n
+    pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    pairs = pairs[(pairs[:, 0] >= 0) & (pairs[:, 1] < n)]
+    keys = graph.edges[:, 0] * n + graph.edges[:, 1]
+    query = pairs[:, 0] * n + pairs[:, 1]
+    idx = np.searchsorted(keys, query)
+    found = idx < keys.size
+    found[found] = keys[idx[found]] == query[found]
+    return idx[found]

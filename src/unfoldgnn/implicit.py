@@ -34,6 +34,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if not 0 < self.contraction_margin < 1:
             raise ValueError("contraction_margin must lie in (0, 1)")
 

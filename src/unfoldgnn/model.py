@@ -75,6 +75,15 @@ class ModelConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.attention_grad not in ("stop", "full"):
             raise ValueError("attention_grad must be 'stop' or 'full'")
+        for name in ("embed_dim", "n_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be at least 1, got {self.hidden}")
+        if self.fp_tol <= 0:
+            raise ValueError("fp_tol must be positive")
+        if self.fp_max_iters < 1:
+            raise ValueError("fp_max_iters must be at least 1")
         # building the layer plan checks steps, alpha, variant and schedule
         if self.propagation.variant == "preconditioned":
             raise ValueError("variant must be 'plain' or 'normalized'")

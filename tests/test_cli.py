@@ -116,6 +116,13 @@ class TestPropagate:
     (["propagate", "--K", "4", "--set", "unfold.attention=4"], "attention indices"),
     (["fixedpoint", "--set", "unfold.kind=bogus"], "unknown laplacian kind"),
     (["fixedpoint", "--set", "implicit.margin=1.5"], "contraction_margin"),
+    (["fixedpoint", "--set", "implicit.max_iters=0"], "max_iters must be at least 1"),
+    (["train", "--backend", "implicit", "--set", "implicit.max_iters=0"],
+     "fp_max_iters must be at least 1"),
+    (["train", "--backend", "implicit", "--set", "implicit.tol=0"], "fp_tol must be positive"),
+    (["train", "--set", "model.embed_dim=0"], "embed_dim must be at least 1"),
+    (["train", "--set", "model.predictor=mlp", "--set", "model.hidden=4,0"],
+     "hidden widths must be at least 1"),
 ])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
     code = run_cli([*args, "--dataset", fixture_dir, "--out", str(tmp_path / "o")])

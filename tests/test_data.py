@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from unfoldgnn import data
 from unfoldgnn.data import (
     DatasetError,
     PerturbSpec,
@@ -11,6 +14,7 @@ from unfoldgnn.data import (
     perturb_edges,
     save_dataset,
     sbm_generate,
+    stratified_masks,
 )
 from unfoldgnn.graph import build_graph
 
@@ -182,3 +186,191 @@ class TestPerturb:
         got = out.graph.edges[idx]
         want = np.sort(added, axis=1)
         np.testing.assert_array_equal(np.sort(got, axis=0), np.sort(want, axis=0))
+
+
+# ---------------------------------------------------------------------------
+# parity with the O(n^2) generators they replaced
+# ---------------------------------------------------------------------------
+
+def reference_sbm_generate(spec):
+    """The all-pairs block-model draw, kept verbatim as the reference."""
+    rng = np.random.default_rng(spec.seed)
+    sizes = np.asarray(spec.blocks, dtype=int)
+    n = int(sizes.sum())
+    labels = np.repeat(np.arange(sizes.size), sizes)
+    iu, ju = np.triu_indices(n, k=1)
+    same = labels[iu] == labels[ju]
+    probs = np.where(same, spec.p_in, spec.p_out)
+    keep = rng.random(iu.size) < probs
+    pairs = np.stack([iu[keep], ju[keep]], axis=1)
+    graph = build_graph(n, pairs)
+    means = rng.normal(size=(sizes.size, spec.feature_dim))
+    norms = np.linalg.norm(means, axis=1, keepdims=True)
+    means = spec.separation * means / np.maximum(norms, 1e-12)
+    x = means[labels] + rng.normal(size=(n, spec.feature_dim))
+    masks = stratified_masks(labels, spec.train_frac, spec.val_frac, rng)
+    return make_dataset(graph, x, labels, masks)
+
+
+def reference_perturb_edges(ds, spec):
+    """The candidate-listing edge injection, kept verbatim as the reference."""
+    g = ds.graph
+    n_add = int(round(spec.rate * g.m))
+    if n_add == 0:
+        return ds, np.zeros((0, 2), dtype=np.int64)
+    labels = ds.labels
+    if np.unique(labels).size < 2:
+        raise DatasetError("need at least two classes to inject cross-class edges")
+    rng = np.random.default_rng(spec.seed)
+    existing = {(int(u), int(v)) for u, v in g.edges}
+    iu, ju = np.triu_indices(g.n, k=1)
+    cross = labels[iu] != labels[ju]
+    candidates = [
+        (int(u), int(v))
+        for u, v in zip(iu[cross], ju[cross])
+        if (int(u), int(v)) not in existing
+    ]
+    if len(candidates) < n_add:
+        raise DatasetError(
+            f"only {len(candidates)} cross-class non-edges available, need {n_add}")
+    picked = rng.choice(len(candidates), size=n_add, replace=False)
+    added = np.asarray([candidates[i] for i in picked], dtype=np.int64)
+    edges = g.edges
+    if spec.remove_intra:
+        intra_idx = np.flatnonzero(labels[edges[:, 0]] == labels[edges[:, 1]])
+        n_remove = min(n_add, intra_idx.size)
+        drop = set(rng.choice(intra_idx, size=n_remove, replace=False).tolist())
+        edges = edges[[i for i in range(edges.shape[0]) if i not in drop]]
+    new_edges = np.vstack([edges, added])
+    new_graph = build_graph(g.n, new_edges)
+    out = make_dataset(new_graph, ds.x, labels, ds.masks)
+    return out, added
+
+
+def assert_same_perturbation(ds, spec):
+    try:
+        want, want_added = reference_perturb_edges(ds, spec)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError, match=f"^{exc}$"):
+            perturb_edges(ds, spec)
+        return
+    got, got_added = perturb_edges(ds, spec)
+    np.testing.assert_array_equal(got_added, want_added)
+    assert got_added.dtype == want_added.dtype
+    assert_same_dataset(got, want)
+
+
+def assert_same_dataset(got, want):
+    assert got.n == want.n
+    np.testing.assert_array_equal(got.graph.edges, want.graph.edges)
+    np.testing.assert_array_equal(got.x, want.x)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    for name in ("train", "val", "test"):
+        np.testing.assert_array_equal(got.masks[name], want.masks[name])
+
+
+SBM_LAYOUTS = [
+    dict(blocks=(30, 30), p_in=0.3, p_out=0.05),
+    dict(blocks=(7, 23, 11), p_in=0.4, p_out=0.1),
+    dict(blocks=(13, 1, 29, 6), p_in=0.5, p_out=0.2),
+    dict(blocks=(1, 40), p_in=0.3, p_out=0.3),
+    dict(blocks=(20, 20), p_in=0.0, p_out=1.0),
+    dict(blocks=(20, 20), p_in=1.0, p_out=0.0),
+    dict(blocks=(15, 10, 5), p_in=0.0, p_out=0.0),
+]
+
+
+class TestGeneratorParity:
+    @pytest.mark.parametrize("block_pairs", [1, 7, 100, 1 << 18])
+    @pytest.mark.parametrize("layout", SBM_LAYOUTS)
+    def test_sbm_matches_all_pairs_draw(self, layout, block_pairs, monkeypatch):
+        monkeypatch.setattr(data, "_SBM_BLOCK_PAIRS", block_pairs)
+        for seed in (0, 1, 11):
+            spec = SbmSpec(**layout, feature_dim=3, seed=seed)
+            assert_same_dataset(sbm_generate(spec), reference_sbm_generate(spec))
+
+    @pytest.mark.parametrize("remove_intra", [False, True])
+    @pytest.mark.parametrize("rate", [0.05, 0.2, 0.7])
+    @pytest.mark.parametrize("layout", SBM_LAYOUTS[:5])
+    def test_perturb_matches_candidate_list(self, layout, rate, remove_intra):
+        for seed in (0, 3, 12):
+            ds = sbm_generate(SbmSpec(**layout, feature_dim=3, seed=seed))
+            assert_same_perturbation(
+                ds, PerturbSpec(rate=rate, remove_intra=remove_intra, seed=seed + 1))
+
+    @pytest.mark.parametrize("remove_intra", [False, True])
+    def test_perturb_parity_with_non_contiguous_labels(self, remove_intra):
+        rng = np.random.default_rng(4)
+        n = 60
+        labels = rng.choice([2, 5, 9], size=n)
+        pairs = rng.integers(0, n, size=(150, 2))
+        ds = make_dataset(build_graph(n, pairs), rng.normal(size=(n, 2)), labels,
+                          stratified_masks(labels, 0.2, 0.2, rng))
+        assert_same_perturbation(ds, PerturbSpec(rate=0.4, remove_intra=remove_intra, seed=8))
+
+    def test_perturb_parity_when_most_cross_pairs_exist(self):
+        # all but 5 of the 8*9 cross pairs are already edges
+        labels = np.array([0] * 8 + [1] * 9)
+        cross = [(u, v) for u in range(8) for v in range(8, 17)]
+        pairs = cross[5:] + [(0, 1), (2, 3), (9, 10)]
+        ds = make_dataset(build_graph(17, pairs), np.zeros((17, 2)), labels,
+                          stratified_masks(labels, 0.2, 0.2, np.random.default_rng(0)))
+        spec = PerturbSpec(rate=5 / len(pairs), seed=2)
+        assert_same_perturbation(ds, spec)
+        _, added = perturb_edges(ds, spec)
+        assert sorted(map(tuple, added.tolist())) == cross[:5]
+
+    def test_insufficient_candidates_count_matches(self):
+        labels = np.array([0] * 8 + [1] * 9)
+        cross = [(u, v) for u in range(8) for v in range(8, 17)]
+        ds = make_dataset(build_graph(17, cross[5:]), np.zeros((17, 2)), labels,
+                          stratified_masks(labels, 0.2, 0.2, np.random.default_rng(0)))
+        spec = PerturbSpec(rate=0.2, seed=1)
+        for fn in (perturb_edges, reference_perturb_edges):
+            with pytest.raises(DatasetError, match=r"^only 5 cross-class non-edges "
+                                                   r"available, need 13$"):
+                fn(ds, spec)
+
+    def test_edge_indices_match_dict_lookup(self):
+        rng = np.random.default_rng(5)
+        g = build_graph(40, rng.integers(0, 40, size=(120, 2)))
+        u, v = g.edges[-1]
+        # (u - 1, v + n) has the key u*n + v of a real edge
+        out_of_range = [[u - 1, v + 40], [0, 40], [-1, 3]]
+        pairs = np.concatenate([g.edges[rng.permutation(g.m)[:30]][:, ::-1],
+                                rng.integers(0, 40, size=(30, 2)), out_of_range])
+        lookup = {(int(u), int(v)): k for k, (u, v) in enumerate(g.edges)}
+        want = [lookup[(min(u, v), max(u, v))] for u, v in pairs.tolist()
+                if (min(u, v), max(u, v)) in lookup]
+        got = edge_indices(g, pairs)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert edge_indices(g, []).shape == (0,)
+
+
+class TestGeneratorMemory:
+    """Peak traced allocation: the all-pairs versions need O(n^2)."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_perturb_edges_bounded_at_n_20000(self):
+        n = 20000
+        rng = np.random.default_rng(0)
+        labels = np.repeat([0, 1], n // 2)
+        g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+        ds = make_dataset(g, np.zeros((n, 1)), labels,
+                          stratified_masks(labels, 0.2, 0.2, rng))
+        # listing the 10^8 cross-class pairs would take well over 1 GB
+        assert self.traced_peak(perturb_edges, ds, PerturbSpec(rate=0.2)) < 32 * 2 ** 20
+
+    def test_sbm_generate_bounded_at_n_10000(self):
+        spec = SbmSpec(blocks=(5000, 5000), p_in=0.002, p_out=0.0005, feature_dim=4)
+        # triu_indices alone would take 800 MB
+        assert self.traced_peak(sbm_generate, spec) < 64 * 2 ** 20

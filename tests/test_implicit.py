@@ -126,6 +126,11 @@ class TestFixedPointSolve:
         with pytest.raises(FixedPointDivergence):
             fixed_point_solve(g, w, fx, FixedPointConfig(tol=1e-14, max_iters=3))
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_non_positive_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            FixedPointConfig(max_iters=max_iters)
+
 
 class TestUgnnIgnnEquivalence:
     @pytest.mark.parametrize("phi", [phi_zero(), phi_relu(), phi_soft_threshold(0.05)])

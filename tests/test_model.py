@@ -75,6 +75,20 @@ def two_block_instance(seed, n_per=30, d_in=6, sep=2.5, p_in=0.3):
     return g, x, labels, masks
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(embed_dim=0), "embed_dim must be at least 1"),
+        (dict(n_classes=0), "n_classes must be at least 1"),
+        (dict(predictor="mlp", hidden=(8, 0)), "hidden widths must be at least 1"),
+        (dict(hidden=(-2,)), "hidden widths must be at least 1"),
+        (dict(backend="implicit", fp_max_iters=0), "fp_max_iters must be at least 1"),
+        (dict(backend="eignn", fp_tol=0.0), "fp_tol must be positive"),
+    ])
+    def test_bad_sizes_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**overrides)
+
+
 class TestLossAndHead:
     def test_uniform_logits_log_c(self):
         logits = np.zeros((6, 4))
