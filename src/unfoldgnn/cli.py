@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .data import DatasetError, PerturbSpec, SbmSpec, load_dataset, perturb_edges, sbm_generate
 from .energy import EnergySpec, phi_from_config, rho_from_config
-from .graph import GraphError, LaplacianKind, propagation_matrix
+from .graph import GraphError, LaplacianKind
 from .implicit import FixedPointConfig, FixedPointDivergence, fixed_point_solve, project_weights
 from .model import ModelConfig, TrainConfig, save_checkpoint, train
 from .unfold import (
@@ -233,9 +233,12 @@ def cmd_train(args):
     ds = build_dataset(cfg, args.seed)
     n_classes = int(ds.labels.max()) + 1
     mcfg = build_model_config(cfg, n_classes)
-    tcfg = TrainConfig(epochs=cfg["train.epochs"], lr=cfg["train.lr"],
-                       momentum=cfg["train.momentum"],
-                       weight_decay=cfg["train.weight_decay"], seed=args.seed)
+    try:
+        tcfg = TrainConfig(epochs=cfg["train.epochs"], lr=cfg["train.lr"],
+                           momentum=cfg["train.momentum"],
+                           weight_decay=cfg["train.weight_decay"], seed=args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc))
     model, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, mcfg, tcfg)
     out = out_dir(args)
     metrics.to_csv(os.path.join(out, "metrics.csv"))
@@ -286,8 +289,7 @@ def cmd_fixedpoint(args):
                                 contraction_margin=cfg["implicit.margin"], kind=kind)
     except ValueError as exc:
         raise CliError(str(exc))
-    p_op = propagation_matrix(ds.graph, kind)
-    w_p = project_weights(rng.normal(size=(d, d)) / np.sqrt(d), p_op,
+    w_p = project_weights(rng.normal(size=(d, d)) / np.sqrt(d), ds.graph.operators(kind),
                           margin=fcfg.contraction_margin)
     if ds.x.shape[1] != d:
         w_in = rng.normal(size=(ds.x.shape[1], d)) / np.sqrt(ds.x.shape[1])

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .energy import Phi, from_symmetric_pair, phi_zero, rho_identity
-from .graph import Graph, LaplacianKind, propagation_matrix
+from .graph import LaplacianKind, propagation_matrix
 from .unfold import PropagationConfig, unroll
 
 
@@ -108,7 +108,7 @@ def symmetrize_linear(w_p, g, w_x, x, eps=1e-8, seed=0,
     w_p = np.asarray(w_p, dtype=float)
     x = np.asarray(x, dtype=float)
     w_x = np.asarray(w_x, dtype=float)
-    p_op = propagation_matrix(g, kind) if isinstance(g, Graph) else g
+    p_op = propagation_matrix(g, kind)
     rng = np.random.default_rng(seed)
     fx = x @ w_x
 
@@ -154,7 +154,7 @@ def verify_linear_equivalence(rep, g, x, w_p=None, w_x=None,
                               kind=LaplacianKind.SELF_LOOP_SYM):
     """Residual of the represented fixed-point equation plus the drift
     of the perturbed fixed point from the original one."""
-    p_op = propagation_matrix(g, kind) if isinstance(g, Graph) else g
+    p_op = propagation_matrix(g, kind)
     x = np.asarray(x, dtype=float)
     yt = rep.y_embedded
     residual = float(np.linalg.norm(yt - (_dense(p_op) @ yt @ rep.w_p_sym + x @ rep.w_x_tilde)))

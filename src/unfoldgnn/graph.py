@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import _kernels
 
@@ -81,15 +82,13 @@ class GraphOperators:
     """The operators of one graph under one Laplacian kind, each built on
     first use and kept: the incidence view (with its CSR ``B`` and
     ``B.T``), the Laplacian, the propagation matrix and their spectral
-    norms.  Norms are kept per power-iteration tolerance.  The bundle
-    keeps the graph's arrays, not the graph, so the two form no
-    reference cycle."""
+    norms.  The bundle keeps the graph's arrays, not the graph, so the
+    two form no reference cycle."""
 
     def __init__(self, g, kind):
         self.n, self.edges, self.adjacency = g.n, g.edges, g.adjacency
         self.degrees = g.degrees
         self.kind = kind
-        self._norms = {}
 
     @cached_property
     def incidence(self):
@@ -126,17 +125,22 @@ class GraphOperators:
         p = sp.identity(self.n, format="csr") - self.laplacian
         return _read_only_csr(p.tocsr())
 
-    def laplacian_norm(self, tol):
-        return self._norm("laplacian", tol)
+    @cached_property
+    def laplacian_norm(self):
+        return spectral_norm(self.laplacian)
 
-    def propagation_norm(self, tol):
-        return self._norm("propagation", tol)
-
-    def _norm(self, name, tol):
-        key = (name, tol)
-        if key not in self._norms:
-            self._norms[key] = spectral_norm(getattr(self, name), tol=tol)
-        return self._norms[key]
+    @cached_property
+    def propagation_norm(self):
+        """||P||, exactly 1 under the normalized kinds: P is symmetric with
+        spectrum in [-1, 1], and D~^{1/2} 1 on any component with an edge
+        is an eigenvector at 1.  Under SYM_NORMALIZED an isolated node has
+        a zero row, so P = 0 when m = 0; under SELF_LOOP_SYM it keeps
+        P_ii = 1."""
+        if self.kind is LaplacianKind.COMBINATORIAL:
+            return spectral_norm(self.propagation)
+        if self.kind is LaplacianKind.SYM_NORMALIZED:
+            return 1.0 if self.edges.shape[0] else 0.0
+        return 1.0 if self.n else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,36 +349,22 @@ def incidence(g, kind):
     return g.operators(kind).incidence
 
 
-class PowerIterationError(RuntimeError):
-    pass
+def spectral_norm(mat):
+    """Largest singular value of a dense array or sparse matrix.
 
-
-def spectral_norm(mat, tol=1e-8, max_iters=10000, seed=0):
-    """Largest singular value via power iteration on M.T @ M.
-
-    Deterministic for a fixed seed.  Accepts dense arrays or any object
-    with matvec-compatible ``@``/``.T``.  Raises PowerIterationError if
-    the Rayleigh estimate has not stabilized after max_iters.
+    Dense input, and sparse input with a side below 3, gets LAPACK's SVD
+    (exact).  Other sparse input gets ARPACK's Lanczos solve through
+    ``svds``, converged to machine precision, from a fixed seeded start
+    vector so that repeated calls agree.  (A vector of ones would be
+    zero after one product with the combinatorial Laplacian.)
     """
-    n = mat.shape[1]
-    if n == 0 or (sp.issparse(mat) and mat.nnz == 0) or (not sp.issparse(mat) and not np.any(mat)):
-        return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=n)
-    x /= np.linalg.norm(x)
-    mat_t = mat.T
-    est = 0.0
-    for _ in range(max_iters):
-        y = mat_t @ (mat @ x)
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
+    if sp.issparse(mat) and min(mat.shape) >= 3:
+        if not np.any(mat.data):
             return 0.0
-        new_est = np.sqrt(norm_y)
-        x = y / norm_y
-        if abs(new_est - est) <= tol * max(new_est, 1e-300):
-            return new_est
-        est = new_est
-    raise PowerIterationError(f"power iteration did not converge in {max_iters} iterations")
+        v0 = np.random.default_rng(0).standard_normal(min(mat.shape))
+        return float(spla.svds(mat, k=1, v0=v0, return_singular_vectors=False)[0])
+    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
+    return float(np.linalg.norm(dense, 2))
 
 
 def homophily_ratio(g, labels):

@@ -57,11 +57,11 @@ class FixedPointResult:
     residual_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def project_weights(w_p, p_op, margin=0.9, tol=1e-10):
+def project_weights(w_p, p_op, margin=0.9):
     """Scale Wp so that ||Wp||_2 ||P||_2 <= margin.
 
     p_op is P itself, or a graph's :class:`GraphOperators` bundle, whose
-    cached ||P|| is then computed at most once per tolerance.
+    cached ||P|| is then computed at most once.
 
     Pure rescaling: symmetry and eigenvector structure are preserved,
     and a weight already inside the ball is returned unchanged (which
@@ -70,13 +70,13 @@ def project_weights(w_p, p_op, margin=0.9, tol=1e-10):
     if not 0 < margin < 1:
         raise ValueError("margin must lie in (0, 1)")
     w_p = np.asarray(w_p, dtype=float)
-    wn = spectral_norm(w_p, tol=tol)
+    wn = spectral_norm(w_p)
     if wn == 0.0:
         return w_p.copy()
     if isinstance(p_op, GraphOperators):
-        pn = p_op.propagation_norm(tol)
+        pn = p_op.propagation_norm
     else:
-        pn = spectral_norm(p_op, tol=tol)
+        pn = spectral_norm(p_op)
     product = wn * pn
     if product <= margin:
         return w_p.copy()
@@ -160,31 +160,26 @@ class EignnSpec:
 
     The propagation weight is the rescaled Gram matrix
     ``Wp_s = s^2 F.T F`` with ``s = (||F.T F|| + eps_f)^(-1/2)``, damped
-    by ``mu`` in [0, 1); the product norm is then below one by
-    construction.  ``norm`` picks Frobenius (default; upper-bounds the
-    spectral norm, so the contraction argument survives) or spectral.
+    by ``mu`` in [0, 1), where ||.|| is the Frobenius norm.  It bounds
+    the spectral norm from above, so the product norm is below one by
+    construction.
     """
 
     f_mat: np.ndarray
     mu: float = 0.5
     eps_f: float = 0.1
-    norm: str = "fro"
 
     def __post_init__(self):
         if self.eps_f <= 0:
             raise ValueError("eps_f must be positive")
         if not 0 <= self.mu < 1:
             raise ValueError("mu must lie in [0, 1)")
-        if self.norm not in ("fro", "spectral"):
-            raise ValueError("norm must be 'fro' or 'spectral'")
 
     def gram(self):
         return self.f_mat.T @ self.f_mat
 
     def scale_sq(self):
-        m = self.gram()
-        size = np.linalg.norm(m, "fro") if self.norm == "fro" else spectral_norm(m)
-        return 1.0 / (size + self.eps_f)
+        return 1.0 / (np.linalg.norm(self.gram(), "fro") + self.eps_f)
 
     def weight(self):
         """Effective propagation weight mu * s^2 * F.T F (symmetric PSD,
@@ -212,11 +207,5 @@ def eignn_grad_f(spec, grad_weight):
     q = spec.mu * s_sq * g_w
     m_norm = np.linalg.norm(m, "fro")
     if m_norm > 1e-300:
-        if spec.norm == "fro":
-            q = q - spec.mu * s_sq ** 2 * (np.sum(g_w * m) / m_norm) * m
-        else:
-            # spectral norm direction: top eigenvector outer product
-            vals, vecs = np.linalg.eigh(m)
-            top = vecs[:, -1:]
-            q = q - spec.mu * s_sq ** 2 * np.sum(g_w * m) * (top @ top.T)
+        q = q - spec.mu * s_sq ** 2 * (np.sum(g_w * m) / m_norm) * m
     return f_mat @ (q + q.T)

@@ -84,6 +84,14 @@ class ModelConfig:
             raise ValueError("fp_tol must be positive")
         if self.fp_max_iters < 1:
             raise ValueError("fp_max_iters must be at least 1")
+        if not 0 < self.contraction_margin < 1:
+            raise ValueError("contraction_margin must lie in (0, 1)")
+        if not 0 <= self.mu < 1:
+            raise ValueError("mu must lie in [0, 1)")
+        if self.eps_f <= 0:
+            raise ValueError("eps_f must be positive")
+        if not 0 <= self.dropout < 1:
+            raise ValueError("dropout must lie in [0, 1)")
         # building the layer plan checks steps, alpha, variant and schedule
         if self.propagation.variant == "preconditioned":
             raise ValueError("variant must be 'plain' or 'normalized'")
@@ -106,6 +114,12 @@ class TrainConfig:
     momentum: float = 0.0
     weight_decay: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
+        if self.lr < 0:
+            raise ValueError("lr must be nonnegative")
 
 
 def _uniform_init(rng, shape, fan_in):

@@ -23,8 +23,8 @@ the exact gradient of the recorded energy, and the bounds returned by
 convention.  General mode steps along the full gradient of the matrix
 energy.
 
-:func:`step_size_bound` estimates ||L|| by power iteration, once per
-graph (the estimate is cached with the graph's operators).
+:func:`step_size_bound` takes ||L|| from a Lanczos solve, once per
+graph (the norm is cached with the graph's operators).
 :func:`irls_step_bound`, recomputed at every layer of ``auto_irls``,
 uses a certified O(m) upper bound on ||B.T G B|| from the weighted
 degrees instead: it never falls below the norm and may exceed it, so
@@ -43,6 +43,9 @@ from .energy import edge_diagonal, energy_eval
 from .graph import LaplacianKind, incidence, laplacian, propagation_matrix, spectral_norm
 
 DIVERGENCE_LIMIT = 1e12
+# A Lanczos ||L|| can land a few ulps below the exact norm; this slack keeps
+# the auto step at or below the step the exact norm gives.
+_NORM_SLACK = 1e-12
 
 
 class PropagationDivergence(RuntimeError):
@@ -158,7 +161,7 @@ def _weighted_lap_norm_bound(bview, gamma):
     return float(np.max(bview.su ** 2 * d[bview.eu] + bview.sv ** 2 * d[bview.ev]))
 
 
-def step_size_bound(spec, g, tol=1e-8):
+def step_size_bound(spec, g):
     """(alpha_max_convex, alpha_max_general) for the configured energy.
 
     alpha_max_general is safe for every shipped concave rho and any prox
@@ -168,7 +171,7 @@ def step_size_bound(spec, g, tol=1e-8):
     for robust penalties it falls back to the general bound.
     """
     ops = g.operators(spec.kind)
-    lap_norm = ops.laplacian_norm(tol) if g.n else 0.0
+    lap_norm = ops.laplacian_norm * (1.0 + _NORM_SLACK)
     gcap = spec.rho.grad_max()
     if spec.simple:
         general = 1.0 / (1.0 + spec.lam * gcap * lap_norm)
@@ -177,13 +180,12 @@ def step_size_bound(spec, g, tol=1e-8):
         return general, general
     wf = spec.w_fid_sym()
     wp = spec.w_prop_sym()
-    nf = spectral_norm(wf, tol=tol)
-    npr = spectral_norm(wp, tol=tol)
+    nf = spectral_norm(wf)
+    npr = spectral_norm(wp)
     eye = np.eye(wf.shape[0])
     if np.allclose(wf, eye - wp, atol=1e-12):
         # fixed-point pairing: curvature of I - P (x) Wp_s
-        p_norm = ops.propagation_norm(tol)
-        curvature = 1.0 + npr * p_norm
+        curvature = 1.0 + npr * ops.propagation_norm
     else:
         curvature = nf + lap_norm * npr
     general = 1.0 / (nf + gcap * lap_norm * npr)
@@ -192,7 +194,7 @@ def step_size_bound(spec, g, tol=1e-8):
     return general, general
 
 
-def irls_step_bound(spec, bview, gamma, tol=1e-8):
+def irls_step_bound(spec, bview, gamma):
     """Per-step safe size at the current Gamma: 1 / (1 + lam c) in simple
     mode, and the matrix-weight analogue otherwise, where c is the
     certified O(m) upper bound on ||B.T G B|| from
@@ -200,14 +202,13 @@ def irls_step_bound(spec, bview, gamma, tol=1e-8):
 
     c is certified, not estimated, so the step is safe; c exceeding the
     exact norm (at most 2x for gamma >= 0, about 1.5x on sparse graphs)
-    shortens the step.  ``tol`` only sets the accuracy of the d x d
-    weight norms of general mode.
+    shortens the step.
     """
     lhat_bound = _weighted_lap_norm_bound(bview, np.asarray(gamma, dtype=float))
     if spec.simple:
         return 1.0 / (1.0 + spec.lam * lhat_bound)
-    nf = spectral_norm(spec.w_fid_sym(), tol=tol)
-    npr = spectral_norm(spec.w_prop_sym(), tol=tol)
+    nf = spectral_norm(spec.w_fid_sym())
+    npr = spectral_norm(spec.w_prop_sym())
     return 1.0 / (nf + lhat_bound * npr)
 
 

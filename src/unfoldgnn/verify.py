@@ -17,7 +17,7 @@ from .energy import (
     rho_truncated_lp,
     rho_truncated_quadratic,
 )
-from .graph import LaplacianKind, build_graph, propagation_matrix
+from .graph import LaplacianKind, build_graph
 from .implicit import FixedPointConfig, fixed_point_solve, project_weights
 from .equivalence import (
     embed_gcn,
@@ -127,8 +127,8 @@ def convergence_suite(seed, trials, inject_failure=False):
                         "seed": seed})
         ok = ok and good
 
-        p_op = propagation_matrix(g, LaplacianKind.SELF_LOOP_SYM)
-        w = project_weights(rng.normal(size=(d, d)), p_op, margin=0.9)
+        w = project_weights(rng.normal(size=(d, d)), g.operators(LaplacianKind.SELF_LOOP_SYM),
+                            margin=0.9)
         cfg = FixedPointConfig(sigma=phi_relu(), tol=1e-10)
         a = fixed_point_solve(g, w, fx, cfg)
         b = fixed_point_solve(g, w, fx + 1e-9 * rng.normal(size=fx.shape), cfg)
@@ -149,11 +149,10 @@ def equivalence_suite(seed, trials, inject_failure=False):
     for t in range(trials):
         d = int(rng.integers(2, 7))
         g = _random_graph(rng, int(rng.integers(6, 14)))
-        p_dense = propagation_matrix(g, LaplacianKind.SELF_LOOP_SYM).toarray()
         basis = rng.normal(size=(d, d)) + 2.0 * np.eye(d)
         diag = np.diag(np.linspace(-1.0, 1.0, d) + 0.05 * rng.normal(size=d))
         w = basis @ diag @ np.linalg.inv(basis)
-        w = project_weights(w, p_dense, margin=0.8)
+        w = project_weights(w, g.operators(LaplacianKind.SELF_LOOP_SYM), margin=0.8)
         x = rng.normal(size=(g.n, 3))
         w_x = rng.normal(size=(3, d))
         rep = symmetrize_linear(w, g, w_x, x, eps=0.0)

@@ -123,6 +123,14 @@ class TestPropagate:
     (["train", "--set", "model.embed_dim=0"], "embed_dim must be at least 1"),
     (["train", "--set", "model.predictor=mlp", "--set", "model.hidden=4,0"],
      "hidden widths must be at least 1"),
+    (["train", "--backend", "implicit", "--set", "implicit.margin=1.5"], "contraction_margin"),
+    (["train", "--backend", "eignn", "--set", "eignn.mu=1.5"], "mu must lie in [0, 1)"),
+    (["train", "--backend", "eignn", "--set", "eignn.eps_f=0"], "eps_f must be positive"),
+    (["train", "--set", "model.predictor=mlp", "--set", "model.hidden=4",
+      "--set", "model.dropout=1.0"], "dropout must lie in [0, 1)"),
+    (["train", "--set", "model.dropout=-0.5"], "dropout must lie in [0, 1)"),
+    (["train", "--set", "train.epochs=-1"], "epochs must be nonnegative"),
+    (["train", "--set", "train.lr=-1"], "lr must be nonnegative"),
 ])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
     code = run_cli([*args, "--dataset", fixture_dir, "--out", str(tmp_path / "o")])
@@ -148,7 +156,8 @@ class TestVerify:
         code = run_cli(["verify", "--suite", suite, "--trials", "6",
                         "--report", report, "--out", str(tmp_path / "o")])
         assert code == 0
-        records = [json.loads(line) for line in open(report)]
+        with open(report) as fh:
+            records = [json.loads(line) for line in fh]
         assert records and all(r["ok"] for r in records)
 
     def test_injected_failure_exit_one(self, tmp_path, capsys):
@@ -162,8 +171,9 @@ class TestVerify:
         report = str(tmp_path / "report.jsonl")
         run_cli(["verify", "--suite", "convergence", "--trials", "2",
                  "--report", report, "--out", str(tmp_path / "o")])
-        for line in open(report):
-            json.loads(line)
+        with open(report) as fh:
+            for line in fh:
+                json.loads(line)
 
 
 class TestExperimentAndBench:

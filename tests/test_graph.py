@@ -182,8 +182,8 @@ class TestPropagationMatrix:
 class TestOperatorCache:
     @pytest.fixture
     def norm_calls(self, monkeypatch):
-        """The graph operators of every power iteration run, wherever it
-        is called from."""
+        """The sparse operators of every norm solve, wherever it is called
+        from."""
         calls = []
         original = graph_module.spectral_norm
 
@@ -233,9 +233,12 @@ class TestOperatorCache:
 
     def test_implicit_training_computes_propagation_norm_once(self, norm_calls):
         ds = self.sbm()
-        cfg = ModelConfig(backend="implicit", embed_dim=4, n_classes=2)
-        train(ds.graph, ds.x, ds.labels, ds.masks, cfg, TrainConfig(epochs=6, lr=0.1))
-        assert norm_calls == [propagation_matrix(ds.graph, cfg.kind)]
+        for kind in ALL_KINDS:
+            cfg = ModelConfig(backend="implicit", embed_dim=4, n_classes=2, kind=kind)
+            for _ in range(2):
+                train(ds.graph, ds.x, ds.labels, ds.masks, cfg, TrainConfig(epochs=6, lr=0.1))
+        # the normalized kinds' ||P|| = 1 needs no solve
+        assert norm_calls == [propagation_matrix(ds.graph, LaplacianKind.COMBINATORIAL)]
 
     def test_dropped_graph_is_freed_without_the_cyclic_collector(self):
         was_enabled = gc.isenabled()
@@ -244,7 +247,7 @@ class TestOperatorCache:
             g = random_graph(np.random.default_rng(12), 10)
             bundles = [g.operators(kind) for kind in ALL_KINDS]
             for ops in bundles:
-                ops.incidence.bt, ops.laplacian_norm(1e-8), ops.propagation_norm(1e-8)
+                ops.incidence.bt, ops.laplacian_norm, ops.propagation_norm
             expected = laplacian(g, LaplacianKind.COMBINATORIAL).toarray()
             ref = weakref.ref(g)
             del g
@@ -298,7 +301,7 @@ class TestSpectralNorm:
         rng = np.random.default_rng(8)
         dense = rng.normal(size=(20, 20)) * (rng.random((20, 20)) < 0.3)
         expected = np.linalg.svd(dense, compute_uv=False)[0]
-        got = spectral_norm(sp.csr_matrix(dense), tol=1e-10)
+        got = spectral_norm(sp.csr_matrix(dense))
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_deterministic(self):
@@ -308,6 +311,26 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
+
+    def test_sparse_input_is_deterministic(self):
+        g = random_graph(np.random.default_rng(10), 40, p=0.1)
+        for kind in ALL_KINDS:
+            lap = laplacian(g, kind)
+            assert spectral_norm(lap) == spectral_norm(lap)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_operator_norms_match_eigvalsh(self, kind):
+        rng = np.random.default_rng(13)
+        isolated = build_graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (5, 6)])
+        # the 300-node graph goes through the Lanczos solve
+        graphs = [random_graph(rng, 12), isolated, build_graph(5, []),
+                  random_graph(rng, 300, p=0.02)]
+        for g in graphs:
+            ops = g.operators(kind)
+            for got, mat in ((ops.laplacian_norm, ops.laplacian),
+                             (ops.propagation_norm, ops.propagation)):
+                exact = np.abs(np.linalg.eigvalsh(mat.toarray())).max()
+                assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 class TestHomophily:

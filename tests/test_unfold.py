@@ -221,6 +221,16 @@ class TestStepSizeBound:
             exact = self.exact_weighted_lap_norm(g, kind, gamma)
             assert out.alphas[k] <= 1.0 / (1.0 + spec.lam * exact)
 
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_auto_step_never_exceeds_exact_norm_step(self, kind):
+        rng = np.random.default_rng(43)
+        spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), lam=1.5, kind=kind)
+        for n in (12, 60, 200, 600):
+            g = random_graph(rng, n, p=6.0 / n)
+            exact = np.abs(np.linalg.eigvalsh(laplacian(g, kind).toarray())).max()
+            safe = 1.0 / (1.0 + spec.lam * spec.rho.grad_max() * exact)
+            assert step_size_bound(spec, g)[1] <= safe
+
     def test_fixed_point_pairing_admits_unit_step(self):
         rng = np.random.default_rng(6)
         g = random_graph(rng, 10)
