@@ -10,7 +10,14 @@ from unfoldgnn.energy import (
     rho_log,
 )
 from unfoldgnn.graph import LaplacianKind, build_graph, propagation_matrix
-from unfoldgnn.implicit import project_weights
+from unfoldgnn.implicit import (
+    EignnSpec,
+    FixedPointConfig,
+    eignn_grad_f,
+    fixed_point_solve,
+    implicit_backward,
+    project_weights,
+)
 from unfoldgnn.model import (
     CheckpointError,
     Model,
@@ -354,6 +361,44 @@ class TestUnrolledMatchesPropagate:
         model = Model(x.shape[1], cfg, seed=8)
         report = finite_difference_check(model, g, x, labels, rows)
         assert report["ok"], report
+
+
+class TestFixedPointBackendsMatchSolver:
+    """The implicit and eignn backends are the fixed-point solve and its
+    adjoint, called with the backend's weight and activation."""
+
+    @pytest.mark.parametrize("backend, sigma_kind, train_w_p", [
+        ("implicit", "relu", True), ("implicit", "relu", False),
+        ("implicit", "identity", True), ("implicit", "identity", False),
+        ("eignn", "identity", True), ("eignn", "relu", True)])
+    def test_forward_and_gradients_equal_direct_calls(self, backend, sigma_kind, train_w_p):
+        g, x, labels, rows = small_instance(43, n=12, d_in=4, c=3)
+        sigma = phi_relu() if sigma_kind == "relu" else None
+        cfg = ModelConfig(backend=backend, embed_dim=3, n_classes=3, sigma=sigma,
+                          train_w_p=train_w_p, mu=0.7, eps_f=0.2, kind=SELF)
+        model = Model(x.shape[1], cfg, seed=8, g=g)
+        _, logits, grads = loss_and_grads(model, g, x, labels, rows)
+
+        fx = x @ model.params["w_x"]
+        if backend == "eignn":  # identity activation, whatever cfg.sigma says
+            spec = EignnSpec(f_mat=model.params["f_mat"], mu=cfg.mu, eps_f=cfg.eps_f)
+            w_p, sigma = spec.weight(), None
+        else:
+            w_p = model.params["w_p"]
+        fp_cfg = FixedPointConfig(sigma=sigma, tol=cfg.fp_tol, max_iters=cfg.fp_max_iters,
+                                  kind=SELF)
+        y = fixed_point_solve(g, w_p, fx, fp_cfg).y
+        np.testing.assert_array_equal(logits, y @ model.params["w_g"].T)
+        _, d_logits = softmax_cross_entropy(logits, labels, rows)
+        grad_w, grad_fx = implicit_backward(g, w_p, fx, y, d_logits @ model.params["w_g"],
+                                            fp_cfg)
+        assert sorted(grads) == sorted(model.trainable_names())
+        np.testing.assert_array_equal(grads["w_g"], d_logits.T @ y)
+        np.testing.assert_array_equal(grads["w_x"], x.T @ grad_fx)
+        if backend == "eignn":
+            np.testing.assert_array_equal(grads["f_mat"], eignn_grad_f(spec, grad_w))
+        elif train_w_p:
+            np.testing.assert_array_equal(grads["w_p"], grad_w)
 
 
 class TestTraining:
