@@ -4,7 +4,6 @@ two model families together."""
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as kernel_backend
 from .graph import Graph, LaplacianKind, build_graph, homophily_ratio, laplacian, propagation_matrix, spectral_norm
 
 __all__ = [
@@ -12,7 +11,6 @@ __all__ = [
     "LaplacianKind",
     "build_graph",
     "homophily_ratio",
-    "kernel_backend",
     "laplacian",
     "propagation_matrix",
     "spectral_norm",

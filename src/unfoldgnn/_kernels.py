@@ -19,13 +19,9 @@ BACKEND = "numpy"
 _FLOPS = {"edge": 0, "dense": 0}
 
 
-def reset_op_counter():
-    _FLOPS["edge"] = 0
-    _FLOPS["dense"] = 0
-
-
 def op_counter():
-    """Multiply-accumulate counts since the last reset, keyed by kind."""
+    """Multiply-accumulate counts since import, keyed by kind; callers
+    measure a computation by the difference across it."""
     return dict(_FLOPS)
 
 

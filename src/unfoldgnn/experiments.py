@@ -11,10 +11,9 @@ import time
 
 import numpy as np
 
-from . import _kernels
 from .data import PerturbSpec, SbmSpec, edge_indices, perturb_edges, sbm_generate
 from .energy import EnergySpec, rho_identity, rho_truncated_lp
-from .graph import LaplacianKind, propagation_matrix
+from .graph import LaplacianKind, build_graph, propagation_matrix
 from .model import ModelConfig, TrainConfig, train
 from .unfold import PropagationConfig, closed_form_solution, propagate, unroll
 
@@ -237,8 +236,6 @@ def bench_time(out_dir, seed=0, sizes=((2000, 8, 8, 8), (2000, 8, 8, 16),
         iu = rng.integers(0, n, size=int(m_target * 1.3))
         jv = rng.integers(0, n, size=int(m_target * 1.3))
         keep = iu != jv
-        from .graph import build_graph
-
         g = build_graph(n, np.stack([iu[keep], jv[keep]], axis=1)[:m_target])
         fx = rng.normal(size=(n, d))
         spec = EnergySpec(lam=1.0, kind=SELF)
@@ -246,7 +243,6 @@ def bench_time(out_dir, seed=0, sizes=((2000, 8, 8, 8), (2000, 8, 8, 16),
         best = np.inf
         ops = None
         for _ in range(repeats):
-            _kernels.reset_op_counter()
             start = time.perf_counter()
             out = propagate(spec, g, fx, cfg)
             best = min(best, time.perf_counter() - start)

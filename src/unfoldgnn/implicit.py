@@ -4,10 +4,12 @@ The forward map iterates ``Y <- sigma(P Y Wp + F)`` to its unique fixed
 point, which exists whenever ``||Wp||_2 ||P||_2 < 1`` and sigma is
 non-expansive.  The backward pass never stores the iterates: it solves
 the transposed fixed-point system for the adjoint state and reads both
-gradients off it.
+gradients off it.  One Picard loop serves the solve and its adjoint, so
+both stop, and fail, the same way.  The linear symmetric model (EIGNN)
+is the identity-sigma case with a weight derived from F.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,6 @@ class FixedPointConfig:
     sigma: Phi | None = None
     tol: float = 1e-8
     max_iters: int = 5000
-    contraction_margin: float = 0.9
     kind: LaplacianKind = LaplacianKind.SELF_LOOP_SYM
 
     def __post_init__(self):
@@ -36,8 +37,6 @@ class FixedPointConfig:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0 < self.contraction_margin < 1:
-            raise ValueError("contraction_margin must lie in (0, 1)")
 
     def activate(self, z):
         return z if self.sigma is None else self.sigma.prox(z, 1.0)
@@ -54,7 +53,7 @@ class FixedPointResult:
     iterations: int
     residual: float
     contraction_estimate: float
-    residual_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    residual_trace: np.ndarray
 
 
 def project_weights(w_p, p_op, margin=0.9):
@@ -68,7 +67,7 @@ def project_weights(w_p, p_op, margin=0.9):
     makes the projection idempotent).
     """
     if not 0 < margin < 1:
-        raise ValueError("margin must lie in (0, 1)")
+        raise ValueError("contraction_margin must lie in (0, 1)")
     w_p = np.asarray(w_p, dtype=float)
     wn = spectral_norm(w_p)
     if wn == 0.0:
@@ -83,6 +82,27 @@ def project_weights(w_p, p_op, margin=0.9):
     return w_p * (margin / product)
 
 
+def _picard(step, x0, cfg):
+    """Iterate ``x <- step(x)`` from x0 until ``||x_{k+1} - x_k|| <= cfg.tol``.
+
+    Returns (x, iterations, residual_trace).  Raises FixedPointDivergence
+    at the first non-finite residual, or when max_iters is exhausted."""
+    x = x0
+    trace = []
+    for it in range(1, cfg.max_iters + 1):
+        x_next = step(x)
+        resid = np.linalg.norm(x_next - x)
+        x = x_next
+        if not np.isfinite(resid):
+            raise FixedPointDivergence(f"non-finite residual at iteration {it}")
+        trace.append(resid)
+        if resid <= cfg.tol:
+            return x, it, np.asarray(trace)
+    raise FixedPointDivergence(
+        f"no fixed point within {cfg.max_iters} iterations (residual {trace[-1]:.3e})"
+    )
+
+
 def fixed_point_solve(g, w_p, fx, cfg=FixedPointConfig(), y0=None):
     """Iterate the implicit update until the step norm drops below tol.
 
@@ -93,31 +113,19 @@ def fixed_point_solve(g, w_p, fx, cfg=FixedPointConfig(), y0=None):
     p_op = propagation_matrix(g, cfg.kind)
     fx = np.asarray(fx, dtype=float)
     w_p = np.asarray(w_p, dtype=float)
-    y = np.zeros_like(fx) if y0 is None else np.array(y0, dtype=float)
-    nnz = p_op.nnz
-    ratios = []
-    resid_trace = []
-    prev_resid = None
-    for it in range(1, cfg.max_iters + 1):
-        _kernels.count_dense(2 * nnz * fx.shape[1] + 2 * fx.size * w_p.shape[0])
-        z = p_op @ y @ w_p + fx
-        y_next = cfg.activate(z)
-        resid = np.linalg.norm(y_next - y)
-        y = y_next
-        if not np.isfinite(resid):
-            raise FixedPointDivergence(f"non-finite residual at iteration {it}")
-        resid_trace.append(resid)
-        if prev_resid is not None and prev_resid > 0:
-            ratios.append(resid / prev_resid)
-        prev_resid = resid
-        if resid <= cfg.tol:
-            contraction = float(np.median(ratios[-10:])) if ratios else 0.0
-            return FixedPointResult(y=y, iterations=it, residual=resid,
-                                    contraction_estimate=contraction,
-                                    residual_trace=np.asarray(resid_trace))
-    raise FixedPointDivergence(
-        f"no fixed point within {cfg.max_iters} iterations (residual {prev_resid:.3e})"
-    )
+    y0 = np.zeros_like(fx) if y0 is None else np.array(y0, dtype=float)
+    flops = 2 * p_op.nnz * fx.shape[1] + 2 * fx.size * w_p.shape[0]
+
+    def step(y):
+        _kernels.count_dense(flops)
+        return cfg.activate(p_op @ y @ w_p + fx)
+
+    y, iterations, trace = _picard(step, y0, cfg)
+    # every residual before the last is above tol > 0, so each ratio is defined
+    ratios = trace[1:] / trace[:-1]
+    contraction = float(np.median(ratios[-10:])) if ratios.size else 0.0
+    return FixedPointResult(y=y, iterations=iterations, residual=trace[-1],
+                            contraction_estimate=contraction, residual_trace=trace)
 
 
 def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig()):
@@ -132,22 +140,12 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig()):
     y_star = np.asarray(y_star, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
     p_y = p_op @ y_star
-    z = p_y @ w_p + fx
-    d_sigma = cfg.activate_derivative(z)
+    d_sigma = cfg.activate_derivative(p_y @ w_p + fx)
     p_t = p_op.T
-    v = np.zeros_like(upstream)
-    for _ in range(cfg.max_iters):
-        v_next = upstream + p_t @ (d_sigma * v) @ w_p.T
-        delta = np.linalg.norm(v_next - v)
-        v = v_next
-        if delta <= cfg.tol:
-            break
-    else:
-        raise FixedPointDivergence("adjoint iteration did not converge")
-    weighted = d_sigma * v
-    grad_fx = weighted
-    grad_w_p = p_y.T @ weighted
-    return grad_w_p, grad_fx
+    v, _, _ = _picard(lambda v: upstream + p_t @ (d_sigma * v) @ w_p.T,
+                      np.zeros_like(upstream), cfg)
+    grad_fx = d_sigma * v
+    return p_y.T @ grad_fx, grad_fx
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +183,6 @@ class EignnSpec:
         """Effective propagation weight mu * s^2 * F.T F (symmetric PSD,
         spectral norm < 1)."""
         return self.mu * self.scale_sq() * self.gram()
-
-
-def eignn_forward(g, spec, fx, tol=1e-8, max_iters=5000):
-    """Fixed point of the linear symmetric update; identical contract to
-    fixed_point_solve with sigma = identity."""
-    cfg = FixedPointConfig(sigma=None, tol=tol, max_iters=max_iters)
-    return fixed_point_solve(g, spec.weight(), fx, cfg).y
 
 
 def eignn_grad_f(spec, grad_weight):

@@ -7,8 +7,11 @@ output head with softmax cross-entropy.  The unrolled backend runs
 ``unfold``'s layer loop (:func:`unfold.unroll`) under the
 :class:`unfold.PropagationConfig` its config builds, and keeps each
 layer's record as its backward tape.  Backward passes are written by
-hand: the unrolled backend backpropagates through every recorded layer,
-the implicit backends use the adjoint fixed-point solve.
+hand: the unrolled backend backpropagates through every recorded layer.
+The implicit and eignn backends share one path through
+:func:`implicit.fixed_point_solve` and its adjoint
+:func:`implicit.implicit_backward`: eignn is the identity-sigma case
+whose weight :class:`implicit.EignnSpec` derives from F.
 
 Edge reweighting during unrolled training is treated as a constant
 within each backward pass by default (the majorize-then-minimize
@@ -120,6 +123,10 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.lr < 0:
             raise ValueError("lr must be nonnegative")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be nonnegative")
 
 
 def _uniform_init(rng, shape, fan_in):
@@ -211,18 +218,18 @@ class Model:
 
     def _propagate_forward(self, g, fx):
         cfg = self.cfg
-        if cfg.backend == "implicit":
-            fp_cfg = FixedPointConfig(sigma=cfg.sigma, tol=cfg.fp_tol,
-                                      max_iters=cfg.fp_max_iters, kind=cfg.kind)
-            res = fixed_point_solve(g, self.params["w_p"], fx, fp_cfg)
-            return res.y, {"kind": "implicit", "result": res, "fp_cfg": fp_cfg}
+        if cfg.backend == "unrolled":
+            return self._unrolled_forward(g, fx)
         if cfg.backend == "eignn":
             spec = EignnSpec(f_mat=self.params["f_mat"], mu=cfg.mu, eps_f=cfg.eps_f)
-            fp_cfg = FixedPointConfig(sigma=None, tol=cfg.fp_tol,
-                                      max_iters=cfg.fp_max_iters, kind=cfg.kind)
-            res = fixed_point_solve(g, spec.weight(), fx, fp_cfg)
-            return res.y, {"kind": "eignn", "result": res, "spec": spec, "fp_cfg": fp_cfg}
-        return self._unrolled_forward(g, fx)
+            w_p, sigma = spec.weight(), None
+        else:
+            spec, w_p, sigma = None, self.params["w_p"], cfg.sigma
+        fp_cfg = FixedPointConfig(sigma=sigma, tol=cfg.fp_tol, max_iters=cfg.fp_max_iters,
+                                  kind=cfg.kind)
+        res = fixed_point_solve(g, w_p, fx, fp_cfg)
+        return res.y, {"kind": cfg.backend, "result": res, "spec": spec, "w_p": w_p,
+                       "fp_cfg": fp_cfg}
 
     def _unrolled_forward(self, g, fx):
         spec = self._energy_spec()
@@ -251,19 +258,15 @@ class Model:
         prop = cache["prop"]
         g = cache["g"]
         fx = cache["fx"]
-        if prop["kind"] == "implicit":
-            grad_w_p, grad_fx = implicit_backward(
-                g, self.params["w_p"], fx, prop["result"].y, d_y, prop["fp_cfg"])
-            if self.cfg.train_w_p:
-                grads["w_p"] = grad_w_p
-            return grad_fx
+        if prop["kind"] == "unrolled":
+            return self._unrolled_backward(prop, fx, d_y)
+        grad_w, grad_fx = implicit_backward(g, prop["w_p"], fx, prop["result"].y, d_y,
+                                            prop["fp_cfg"])
         if prop["kind"] == "eignn":
-            spec = prop["spec"]
-            grad_w, grad_fx = implicit_backward(
-                g, spec.weight(), fx, prop["result"].y, d_y, prop["fp_cfg"])
-            grads["f_mat"] = eignn_grad_f(spec, grad_w)
-            return grad_fx
-        return self._unrolled_backward(prop, fx, d_y)
+            grads["f_mat"] = eignn_grad_f(prop["spec"], grad_w)
+        elif self.cfg.train_w_p:
+            grads["w_p"] = grad_w
+        return grad_fx
 
     def _unrolled_backward(self, prop, fx, d_y):
         cfg = self.cfg

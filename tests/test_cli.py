@@ -131,6 +131,9 @@ class TestPropagate:
     (["train", "--set", "model.dropout=-0.5"], "dropout must lie in [0, 1)"),
     (["train", "--set", "train.epochs=-1"], "epochs must be nonnegative"),
     (["train", "--set", "train.lr=-1"], "lr must be nonnegative"),
+    (["train", "--set", "train.momentum=2"], "momentum must lie in [0, 1)"),
+    (["train", "--set", "train.momentum=-1"], "momentum must lie in [0, 1)"),
+    (["train", "--set", "train.weight_decay=-1"], "weight_decay must be nonnegative"),
 ])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
     code = run_cli([*args, "--dataset", fixture_dir, "--out", str(tmp_path / "o")])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from unfoldgnn.implicit import (
     EignnSpec,
     FixedPointConfig,
     FixedPointDivergence,
-    eignn_forward,
     eignn_grad_f,
     fixed_point_solve,
     implicit_backward,
@@ -182,6 +183,33 @@ class TestImplicitBackward:
         expected_w = (p_dense @ out.y).T @ expected_fx
         np.testing.assert_allclose(grad_w, expected_w, atol=1e-8)
 
+    def test_non_finite_upstream_fails_at_first_iteration(self):
+        rng = np.random.default_rng(17)
+        g = random_graph(rng, 7)
+        w = contraction_weight(rng, 2, propagation_matrix(g, SELF).toarray())
+        fx = rng.normal(size=(7, 2))
+        out = fixed_point_solve(g, w, fx)
+        up = rng.normal(size=(7, 2))
+        up[3, 1] = np.nan
+        with pytest.raises(FixedPointDivergence, match="non-finite residual at iteration 1$"):
+            implicit_backward(g, w, fx, out.y, up)
+
+    def test_max_iters_exhaustion_names_iterations_and_residual(self):
+        rng = np.random.default_rng(18)
+        g = random_graph(rng, 8)
+        p_dense = propagation_matrix(g, SELF).toarray()
+        w = np.eye(2) * 0.99
+        fx = rng.normal(size=(8, 2))
+        out = fixed_point_solve(g, w, fx)
+        up = rng.normal(size=(8, 2))
+        v = [np.zeros_like(up)]
+        for _ in range(3):  # identity sigma: V <- G + P.T V Wp.T
+            v.append(up + p_dense.T @ v[-1] @ w.T)
+        last = np.linalg.norm(v[3] - v[2])
+        message = f"no fixed point within 3 iterations (residual {last:.3e})"
+        with pytest.raises(FixedPointDivergence, match=re.escape(message)):
+            implicit_backward(g, w, fx, out.y, up, FixedPointConfig(tol=1e-14, max_iters=3))
+
     @pytest.mark.parametrize("sigma", [None, phi_relu()])
     def test_matches_finite_differences(self, sigma):
         rng = np.random.default_rng(11)
@@ -223,7 +251,7 @@ class TestEignn:
         g = random_graph(rng, 7)
         fx = rng.normal(size=(7, 2))
         spec = EignnSpec(f_mat=np.zeros((2, 2)), mu=0.9, eps_f=0.1)
-        np.testing.assert_allclose(eignn_forward(g, spec, fx), fx)
+        np.testing.assert_allclose(fixed_point_solve(g, spec.weight(), fx).y, fx)
 
     def test_identity_f_scaling_and_dense_solve(self):
         rng = np.random.default_rng(13)
@@ -232,7 +260,7 @@ class TestEignn:
         s_sq = spec.scale_sq()
         assert s_sq == pytest.approx(1.0 / (np.sqrt(2.0) + 0.1))
         fx = rng.normal(size=(9, 2))
-        got = eignn_forward(g, spec, fx, tol=1e-12)
+        got = fixed_point_solve(g, spec.weight(), fx, FixedPointConfig(tol=1e-12)).y
         p_dense = propagation_matrix(g, SELF).toarray()
         expected = dense_linear_fixed_point(p_dense, spec.weight(), fx)
         assert np.linalg.norm(got - expected) < 1e-8
@@ -254,7 +282,7 @@ class TestEignn:
         espec = from_symmetric_pair(w_eff, np.eye(3) - w_eff, kind=SELF,
                                     gradient_mode="literal")
         ugnn = propagate(espec, g, fx, PropagationConfig(steps=400, alpha=1.0))
-        got = eignn_forward(g, spec, fx, tol=1e-12)
+        got = fixed_point_solve(g, spec.weight(), fx, FixedPointConfig(tol=1e-12)).y
         assert np.linalg.norm(got - ugnn.y) < 1e-6
 
     def test_grad_f_matches_finite_differences(self):
@@ -263,14 +291,14 @@ class TestEignn:
         f = rng.normal(size=(2, 2))
         fx = rng.normal(size=(6, 2))
         up = rng.normal(size=(6, 2))
+        cfg = FixedPointConfig(tol=1e-13)
 
         def loss(f_mat):
             spec = EignnSpec(f_mat=f_mat, mu=0.6, eps_f=0.1)
-            return float(np.sum(up * eignn_forward(g, spec, fx, tol=1e-13)))
+            return float(np.sum(up * fixed_point_solve(g, spec.weight(), fx, cfg).y))
 
         spec = EignnSpec(f_mat=f, mu=0.6, eps_f=0.1)
-        y_star = eignn_forward(g, spec, fx, tol=1e-13)
-        cfg = FixedPointConfig(tol=1e-13)
+        y_star = fixed_point_solve(g, spec.weight(), fx, cfg).y
         grad_w, _ = implicit_backward(g, spec.weight(), fx, y_star, up, cfg)
         grad_f = eignn_grad_f(spec, grad_w)
         h = 1e-6
