@@ -32,7 +32,7 @@ from unfoldgnn.model import (
     softmax_cross_entropy,
     train,
 )
-from unfoldgnn.unfold import PropagationConfig, propagate, sandwich_schedule
+from unfoldgnn.unfold import PropagationConfig, propagate, sandwich_schedule, unroll
 
 SELF = LaplacianKind.SELF_LOOP_SYM
 
@@ -361,6 +361,42 @@ class TestUnrolledMatchesPropagate:
         model = Model(x.shape[1], cfg, seed=8)
         report = finite_difference_check(model, g, x, labels, rows)
         assert report["ok"], report
+
+
+class TestUnrolledBackwardIsJacobianTranspose:
+    """With x = I_n and the linear predictor, grads["w_x"] is d(loss)/d(f(X)).
+    Under identity rho, zero phi, a fixed step and no attention schedule
+    the layers are linear, Y_K = J vec(F), so that gradient must be
+    J.T d(loss)/d(Y_K) with J built from unroll on the unit inputs."""
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    @pytest.mark.parametrize("variant, mode", [
+        ("plain", "simple"), ("plain", "exact"), ("plain", "literal"),
+        ("normalized", "simple")])
+    def test_gradient_equals_dense_jacobian_transpose(self, variant, mode, kind):
+        g, _, labels, rows = small_instance(44, n=7, c=2)
+        n, d = g.n, 3
+        if mode == "simple":
+            spec = EnergySpec(lam=0.8, kind=kind)
+        else:
+            a = np.random.default_rng(45).normal(size=(d, d))
+            spec = EnergySpec(kind=kind, simple=False, w_fid=0.5 * np.eye(d) + 0.1 * a,
+                              w_prop=0.3 * a @ a.T / d, gradient_mode=mode)
+        cfg = ModelConfig(backend="unrolled", steps=4, alpha=0.15, embed_dim=d, n_classes=2,
+                          variant=variant, energy=spec, kind=kind)
+        model = Model(n, cfg, seed=9)
+        _, logits, grads = loss_and_grads(model, g, np.eye(n), labels, rows)
+        _, d_logits = softmax_cross_entropy(logits, labels, rows)
+        d_y = d_logits @ model.params["w_g"]
+
+        jac = np.empty((n * d, n * d))
+        for i in range(n * d):
+            y = np.eye(1, n * d, i).reshape(n, d)
+            for layer in unroll(spec, g, y, cfg.propagation):
+                y = layer.y
+            jac[:, i] = y.ravel()
+        np.testing.assert_allclose(grads["w_x"].ravel(), jac.T @ d_y.ravel(),
+                                   rtol=0.0, atol=1e-10)
 
 
 class TestFixedPointBackendsMatchSolver:
