@@ -313,6 +313,8 @@ def cmd_fixedpoint(args):
 
 
 def cmd_verify(args):
+    if args.trials is not None and args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     ok, records = run_suite(args.suite, seed=args.seed, trials=args.trials,
                             inject_failure=args.inject_failure)
     stream = open(args.report, "w") if args.report else sys.stdout
@@ -345,6 +347,9 @@ def cmd_bench(args):
             n, deg, d, k = (int(tok) for tok in chunk.split(":"))
         except ValueError:
             raise CliError(f"bad --sizes entry {chunk!r}; expected n:avg_degree:d:K")
+        if min(n, deg, d) < 1 or k < 0:
+            raise CliError(f"bad --sizes entry {chunk!r}; n, avg_degree and d must be at "
+                           f"least 1 and K at least 0")
         sizes.append((n, deg, d, k))
     summary = run_experiment("bench-time", out, seed=args.seed, sizes=tuple(sizes))
     rows = summary["rows"]

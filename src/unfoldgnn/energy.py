@@ -15,6 +15,7 @@ Two parameterizations of the energy are supported by
   q_e the per-edge quadratic form of Wp, plus the phi term in both.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -287,25 +288,7 @@ def rho_to_config(rho):
 
 
 def rho_from_config(text):
-    head, _, args = text.partition(":")
-    kv = _parse_kv(args)
-    if head == "identity":
-        return rho_identity()
-    if head == "log":
-        return rho_log(eps=float(kv.get("eps", 1.0)))
-    if head == "truncated_quadratic":
-        return rho_truncated_quadratic(tau=float(kv.get("tau", 1.0)))
-    if head == "truncated_lp":
-        return rho_truncated_lp(
-            p=float(kv.get("p", 0.1)),
-            tau=float(kv.get("tau", 0.2)),
-            big_t=float(kv.get("T", 2.0)),
-        )
-    if head == "cosine":
-        return rho_cosine()
-    if head == "absolute":
-        return rho_absolute(gamma_max=float(kv.get("gamma_max", GAMMA_CAP_DEFAULT)))
-    raise ValueError(f"unknown rho config {text!r}")
+    return _from_config("rho", _RHO_FACTORIES, text)
 
 
 def phi_to_config(phi):
@@ -315,15 +298,33 @@ def phi_to_config(phi):
 
 
 def phi_from_config(text):
+    return _from_config("phi", _PHI_FACTORIES, text)
+
+
+_RHO_FACTORIES = {"identity": rho_identity, "log": rho_log,
+                  "truncated_quadratic": rho_truncated_quadratic,
+                  "truncated_lp": rho_truncated_lp, "cosine": rho_cosine,
+                  "absolute": rho_absolute}
+_PHI_FACTORIES = {"zero": phi_zero, "none": phi_zero, "relu": phi_relu,
+                  "soft_threshold": phi_soft_threshold}
+
+
+def _from_config(what, factories, text):
+    """Call the kind's factory with only the parameters the string names,
+    so the factory's defaults apply to the rest; the config name of
+    ``big_t`` is ``T``."""
     head, _, args = text.partition(":")
-    kv = _parse_kv(args)
-    if head in ("zero", "none"):
-        return phi_zero()
-    if head == "relu":
-        return phi_relu()
-    if head == "soft_threshold":
-        return phi_soft_threshold(kappa=float(kv.get("kappa", 1.0)))
-    raise ValueError(f"unknown phi config {text!r}")
+    if head not in factories:
+        raise ValueError(f"unknown {what} config {text!r}")
+    factory = factories[head]
+    names = {"T" if p == "big_t" else p: p for p in inspect.signature(factory).parameters}
+    kwargs = {}
+    for key, value in _parse_kv(args).items():
+        if key not in names:
+            raise ValueError(f"{what} {head} takes no parameter {key!r}; "
+                             f"it takes {sorted(names) or 'none'}")
+        kwargs[names[key]] = float(value)
+    return factory(**kwargs)
 
 
 def _parse_kv(args):

@@ -142,8 +142,13 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig()):
     p_y = p_op @ y_star
     d_sigma = cfg.activate_derivative(p_y @ w_p + fx)
     p_t = p_op.T
-    v, _, _ = _picard(lambda v: upstream + p_t @ (d_sigma * v) @ w_p.T,
-                      np.zeros_like(upstream), cfg)
+    flops = 2 * p_op.nnz * upstream.shape[1] + 2 * upstream.size * w_p.shape[0]
+
+    def step(v):
+        _kernels.count_dense(flops)
+        return upstream + p_t @ (d_sigma * v) @ w_p.T
+
+    v, _, _ = _picard(step, np.zeros_like(upstream), cfg)
     grad_fx = d_sigma * v
     return p_y.T @ grad_fx, grad_fx
 

@@ -3,11 +3,12 @@
 A model is a base predictor f(X) (linear map or small MLP), one of the
 three embedding backends (unrolled descent layers, implicit fixed
 point, or the linear symmetric implicit special case), and a linear
-output head with softmax cross-entropy.  The unrolled backend runs
-``unfold``'s layer loop (:func:`unfold.unroll`) under the
-:class:`unfold.PropagationConfig` its config builds, and keeps each
-layer's record as its backward tape.  Backward passes are written by
-hand: the unrolled backend backpropagates through every recorded layer.
+output head with softmax cross-entropy.  Backward passes are written by
+hand.  The unrolled backend runs ``unfold``'s layer loop
+(:func:`unfold.unroll`) under the :class:`unfold.PropagationConfig` its
+config builds, keeps the :class:`unfold.Layer` records as its tape, and
+hands them to the reverse loop :func:`unfold.unroll_backward`, which
+lives beside the steps it differentiates.
 The implicit and eignn backends share one path through
 :func:`implicit.fixed_point_solve` and its adjoint
 :func:`implicit.implicit_backward`: eignn is the identity-sigma case
@@ -24,8 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergySpec, Phi, Rho, edge_diagonal, phi_zero, rho_identity
-from .graph import LaplacianKind, incidence, propagation_matrix
+from .energy import EnergySpec, Phi, Rho, phi_zero, rho_identity
+from .energy import edge_diagonal  # noqa: F401  patched by perfbench/tracing.py
+from .graph import LaplacianKind, propagation_matrix
+from .graph import incidence  # noqa: F401  patched by perfbench/tracing.py
 from .implicit import (
     EignnSpec,
     FixedPointConfig,
@@ -34,7 +37,7 @@ from .implicit import (
     implicit_backward,
     project_weights,
 )
-from .unfold import PropagationConfig, PropagationDivergence, normalized_step, unroll
+from .unfold import PropagationConfig, PropagationDivergence, unroll, unroll_backward
 from .unfold import irls_step_bound, step_size_bound  # noqa: F401  patched by perfbench/tracing.py
 
 
@@ -219,7 +222,10 @@ class Model:
     def _propagate_forward(self, g, fx):
         cfg = self.cfg
         if cfg.backend == "unrolled":
-            return self._unrolled_forward(g, fx)
+            spec = self._energy_spec()
+            layers = list(unroll(spec, g, fx, cfg.propagation))
+            return (layers[-1].y if layers else fx), {"kind": "unrolled", "spec": spec,
+                                                       "layers": layers}
         if cfg.backend == "eignn":
             spec = EignnSpec(f_mat=self.params["f_mat"], mu=cfg.mu, eps_f=cfg.eps_f)
             w_p, sigma = spec.weight(), None
@@ -230,17 +236,6 @@ class Model:
         res = fixed_point_solve(g, w_p, fx, fp_cfg)
         return res.y, {"kind": cfg.backend, "result": res, "spec": spec, "w_p": w_p,
                        "fp_cfg": fp_cfg}
-
-    def _unrolled_forward(self, g, fx):
-        spec = self._energy_spec()
-        ys, us, alphas, segments = [fx], [], [], []
-        for layer in unroll(spec, g, fx, self.cfg.propagation):
-            ys.append(layer.y)
-            us.append(layer.u)
-            alphas.append(layer.alpha)
-            segments.append((layer.gamma_step, layer.gamma))  # (generating step, gamma)
-        return ys[-1], {"kind": "unrolled", "spec": spec, "bview": incidence(g, spec.kind),
-                        "g": g, "ys": ys, "us": us, "alphas": alphas, "segments": segments}
 
     # -- backward -----------------------------------------------------------
 
@@ -259,7 +254,8 @@ class Model:
         g = cache["g"]
         fx = cache["fx"]
         if prop["kind"] == "unrolled":
-            return self._unrolled_backward(prop, fx, d_y)
+            return unroll_backward(prop["spec"], g, fx, prop["layers"], d_y, self.cfg.variant,
+                                   self.cfg.attention_grad == "full")
         grad_w, grad_fx = implicit_backward(g, prop["w_p"], fx, prop["result"].y, d_y,
                                             prop["fp_cfg"])
         if prop["kind"] == "eignn":
@@ -267,34 +263,6 @@ class Model:
         elif self.cfg.train_w_p:
             grads["w_p"] = grad_w
         return grad_fx
-
-    def _unrolled_backward(self, prop, fx, d_y):
-        cfg = self.cfg
-        spec = prop["spec"]
-        bview = prop["bview"]
-        ys, us, alphas = prop["ys"], prop["us"], prop["alphas"]
-        segments = prop["segments"]
-        d_fx = np.zeros_like(fx)
-        d_gamma_acc = {}
-        for k in reversed(range(len(us))):
-            alpha = alphas[k]
-            seg_start, gamma = segments[k]
-            d_u = spec.phi.prox_derivative(us[k], alpha) * d_y
-            if cfg.variant == "normalized":
-                d_fx += alpha * d_u
-                d_y = normalized_step(prop["g"], d_u, 0.0, alpha, spec.lam, gamma=gamma)
-                continue
-            d_fx += _fx_pullback(spec, d_u, alpha)
-            d_y = _state_pullback(spec, bview, d_u, gamma, alpha)
-            if cfg.attention_grad == "full" and seg_start >= 0:
-                # d(loss)/d(gamma_e) from this step's weighted-Laplacian term
-                coeff = _gamma_coefficient(spec, bview, d_u, ys[k], alpha)
-                d_gamma_acc[seg_start] = d_gamma_acc.get(seg_start, 0.0) + coeff
-            if cfg.attention_grad == "full" and k in d_gamma_acc and k == seg_start:
-                d_y = d_y + _gamma_generator_pullback(
-                    spec, bview, ys[k], d_gamma_acc.pop(k))
-        d_fx += d_y  # Y0 = f(X)
-        return d_fx
 
     def _predictor_backward(self, cache, d_fx, grads):
         cfg = self.cfg
@@ -317,43 +285,6 @@ class Model:
                     d_h = d_h * (1.0 - a ** 2)
                 else:
                     d_h = d_h * (a > 0)
-
-
-def _fx_pullback(spec, d_u, alpha):
-    if spec.simple or spec.gradient_mode == "literal":
-        return alpha * d_u
-    return alpha * d_u @ spec.w_fid_sym()
-
-
-def _state_pullback(spec, bview, d_u, gamma, alpha):
-    lap_du = bview.weighted_laplacian_apply(d_u, gamma)
-    if spec.simple:
-        return (1.0 - alpha) * d_u - alpha * spec.lam * lap_du
-    return d_u - alpha * (lap_du @ spec.w_prop_sym() + d_u @ spec.w_fid_sym())
-
-
-def _gamma_coefficient(spec, bview, d_u, y_k, alpha):
-    """dU/dgamma_e contracted with d_u: per-edge inner products of the
-    incidence rows of d_u and of the state the step propagated."""
-    scale = spec.lam if spec.simple else 1.0
-    rhs = y_k @ spec.w_prop_sym() if not spec.simple else y_k
-    e_du = bview.apply(d_u)
-    e_y = bview.apply(rhs)
-    return -alpha * scale * np.einsum("ij,ij->i", e_du, e_y)
-
-
-def _gamma_generator_pullback(spec, bview, y_r, d_gamma):
-    """Chain d(loss)/d(gamma) through gamma = rho'(edge args at Y_r).
-
-    Simple mode measures raw endpoint distances (matching the gamma
-    refresh); general mode measures the scaled-incidence quadratic form.
-    """
-    args = edge_diagonal(spec, bview, y_r)
-    weights = d_gamma * spec.rho.grad2(args)
-    if spec.simple:
-        return 2.0 * bview.raw_apply_t(weights[:, None] * bview.raw_apply(y_r))
-    w_sym = spec.w_prop + spec.w_prop.T
-    return bview.apply_t(weights[:, None] * bview.apply(y_r @ w_sym))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +451,11 @@ def min_preactivation_margin(model, g, x):
     difference checks need this away from the kinks."""
     _, cache = model.forward(g, x)
     prop = cache["prop"]
-    if prop["kind"] != "unrolled" or not prop["us"]:
+    if prop["kind"] != "unrolled" or not prop["layers"]:
         return np.inf
     if prop["spec"].phi.kind == "zero":
         return np.inf
-    return min(float(np.abs(u).min()) for u in prop["us"])
+    return min(float(np.abs(layer.u).min()) for layer in prop["layers"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unfolded forward engine: descent iterations that double as layers.
+"""Unfolded engine: descent iterations that double as layers, and their reverse.
 
 Each layer applies one abridged gradient step on the smooth part of the
 energy followed by the proximal map of the node penalty.  Per-edge
@@ -11,9 +11,11 @@ safe.
 :func:`unroll` is the one layer loop: it picks the step size, refreshes
 Gamma on the schedule, takes the configured variant's step, applies the
 prox, guards against divergence, and yields one :class:`Layer` per
-step.  :func:`propagate` records the energy trace, residuals and Gamma
-snapshots from it; the unrolled model backend (``model.py``) keeps its
-backward tape from it.
+step.  :func:`unroll_backward` is its reverse: it runs back over those
+records and returns the gradient wrt f(X), so each step and its adjoint
+are written in this module.  :func:`propagate` records the energy
+trace, residuals and Gamma snapshots from the forward loop; the
+unrolled model backend (``model.py``) keeps the records as its tape.
 
 Simple mode follows the scalar propagation convention
 ``U = Y - alpha [(lam * Lhat + I) Y - F]`` (the update whose first step
@@ -337,6 +339,55 @@ def unroll(spec, g, fx, cfg):
         if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             raise PropagationDivergence(k, norm)
         yield Layer(k, u, y, alpha, used, gamma_step)
+
+
+def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
+    """Reverse of :func:`unroll` started from Y0 = f(X): pull d(loss)/d(Y_K)
+    back through the recorded ``layers`` of the plain or normalized
+    variant and return d(loss)/d(f(X)).
+
+    Gamma is a constant of each step between refreshes.  full_attention
+    (plain variant) also chains d(loss)/d(Gamma), summed over the steps
+    of a segment, through rho' at the embedding that generated it.
+    """
+    if variant not in ("plain", "normalized"):
+        raise ValueError(f"no backward for the {variant!r} variant")
+    bview = incidence(g, spec.kind)
+    d_fx = np.zeros_like(fx)
+    d_gamma = 0.0
+    for k in reversed(range(len(layers))):
+        layer = layers[k]
+        alpha, gamma, r = layer.alpha, layer.gamma, layer.gamma_step
+        d_u = spec.phi.prox_derivative(layer.u, alpha) * d_y
+        if variant == "normalized":
+            d_fx += alpha * d_u
+            d_y = normalized_step(g, d_u, 0.0, alpha, spec.lam, gamma=gamma)
+            continue
+        lap_du = bview.weighted_laplacian_apply(d_u, gamma)
+        if spec.simple:
+            d_fx += alpha * d_u
+            d_y = (1.0 - alpha) * d_u - alpha * spec.lam * lap_du
+        else:
+            d_fx += alpha * d_u if spec.gradient_mode == "literal" else alpha * d_u @ spec.w_fid_sym()
+            d_y = d_u - alpha * (lap_du @ spec.w_prop_sym() + d_u @ spec.w_fid_sym())
+        if not full_attention or r < 0:
+            continue
+        # dU/dgamma_e contracted with d_u: incidence rows of d_u against
+        # those of the state the step propagated
+        y_k = layers[k - 1].y if k else fx
+        e_y = bview.apply(y_k if spec.simple else y_k @ spec.w_prop_sym())
+        scale = spec.lam if spec.simple else 1.0
+        d_gamma = d_gamma + -alpha * scale * np.einsum("ij,ij->i", bview.apply(d_u), e_y)
+        if k == r:
+            # gamma = rho'(edge_diagonal(Y_r)): raw endpoint distances in
+            # simple mode, the scaled-incidence quadratic form otherwise
+            weights = d_gamma * spec.rho.grad2(edge_diagonal(spec, bview, y_k))
+            if spec.simple:
+                d_y = d_y + 2.0 * bview.raw_apply_t(weights[:, None] * bview.raw_apply(y_k))
+            else:
+                d_y = d_y + bview.apply_t(weights[:, None] * e_y)
+            d_gamma = 0.0
+    return d_fx + d_y  # Y0 = f(X)
 
 
 def propagate(spec, g, fx, cfg):

@@ -53,13 +53,13 @@ def _random_psd(rng, d, scale=1.0):
 
 def run_suite(name, seed=0, trials=None, inject_failure=False):
     if name == "descent":
-        return descent_suite(seed, trials or 40, inject_failure)
+        return descent_suite(seed, 40 if trials is None else trials, inject_failure)
     if name == "convergence":
-        return convergence_suite(seed, trials or 15, inject_failure)
+        return convergence_suite(seed, 15 if trials is None else trials, inject_failure)
     if name == "equivalence":
-        return equivalence_suite(seed, trials or 20, inject_failure)
+        return equivalence_suite(seed, 20 if trials is None else trials, inject_failure)
     if name == "gradients":
-        return gradients_suite(seed, trials or 6, inject_failure)
+        return gradients_suite(seed, 6 if trials is None else trials, inject_failure)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
 
 

@@ -134,9 +134,19 @@ class TestPropagate:
     (["train", "--set", "train.momentum=2"], "momentum must lie in [0, 1)"),
     (["train", "--set", "train.momentum=-1"], "momentum must lie in [0, 1)"),
     (["train", "--set", "train.weight_decay=-1"], "weight_decay must be nonnegative"),
+    (["propagate", "--set", "unfold.rho=log:epz=0.3"], "takes no parameter 'epz'"),
+    (["propagate", "--set", "unfold.rho=identity:x=1"], "takes no parameter 'x'"),
+    (["verify", "--suite", "descent", "--trials", "0"], "--trials must be at least 1"),
+    (["verify", "--suite", "descent", "--trials", "-3"], "--trials must be at least 1"),
+    (["bench", "--sizes", "0:8:8:2"], "n, avg_degree and d must be at least 1"),
+    (["bench", "--sizes", "100:0:8:2"], "n, avg_degree and d must be at least 1"),
+    (["bench", "--sizes", "100:8:0:2"], "n, avg_degree and d must be at least 1"),
+    (["bench", "--sizes", "100:8:4:-1"], "K at least 0"),
 ])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
-    code = run_cli([*args, "--dataset", fixture_dir, "--out", str(tmp_path / "o")])
+    # verify and bench read no dataset, so they take no --dataset flag
+    dataset = ["--dataset", fixture_dir] if args[0] not in ("verify", "bench") else []
+    code = run_cli([*args, *dataset, "--out", str(tmp_path / "o")])
     assert code == 2
     assert message in capsys.readouterr().err
 

@@ -285,3 +285,12 @@ class TestConfigStrings:
             rho_from_config("huber:delta=1")
         with pytest.raises(ValueError):
             phi_from_config("l0")
+
+    @pytest.mark.parametrize("parse, text, name", [
+        (rho_from_config, "log:epz=0.3", "epz"),
+        (rho_from_config, "identity:x=1", "x"),
+        (rho_from_config, "truncated_lp:big_t=3", "big_t"),
+        (phi_from_config, "relu:kappa=1", "kappa")])
+    def test_unknown_parameter_name_rejected(self, parse, text, name):
+        with pytest.raises(ValueError, match=f"takes no parameter '{name}'"):
+            parse(text)

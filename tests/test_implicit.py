@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from unfoldgnn import _kernels
 from unfoldgnn.energy import from_symmetric_pair, phi_relu, phi_soft_threshold, phi_zero
 from unfoldgnn.graph import LaplacianKind, build_graph, propagation_matrix, spectral_norm
 from unfoldgnn.implicit import (
@@ -209,6 +210,20 @@ class TestImplicitBackward:
         message = f"no fixed point within 3 iterations (residual {last:.3e})"
         with pytest.raises(FixedPointDivergence, match=re.escape(message)):
             implicit_backward(g, w, fx, out.y, up, FixedPointConfig(tol=1e-14, max_iters=3))
+
+    def test_adjoint_counts_dense_flops_per_iteration(self):
+        rng = np.random.default_rng(19)
+        g = random_graph(rng, 9)
+        p_op = propagation_matrix(g, SELF)
+        w = contraction_weight(rng, 3, p_op.toarray())
+        fx = rng.normal(size=(9, 3))
+        out = fixed_point_solve(g, w, fx)
+        n, d = fx.shape
+        per_iteration = 2 * p_op.nnz * d + 2 * n * d * d
+        before = _kernels.op_counter()["dense"]
+        implicit_backward(g, w, fx, out.y, rng.normal(size=(n, d)))
+        counted = _kernels.op_counter()["dense"] - before
+        assert counted > 0 and counted % per_iteration == 0
 
     @pytest.mark.parametrize("sigma", [None, phi_relu()])
     def test_matches_finite_differences(self, sigma):

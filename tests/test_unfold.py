@@ -26,6 +26,8 @@ from unfoldgnn.unfold import (
     sandwich_schedule,
     step_size_bound,
     trace_to_csv,
+    unroll,
+    unroll_backward,
     verify_descent,
 )
 
@@ -439,6 +441,16 @@ class TestVariants:
         p_hat = propagation_matrix(g, LaplacianKind.SELF_LOOP_SYM).toarray()
         got = phi_relu().prox(preconditioned_step(g, z0, z0, alpha=1.0, lam=1.0), 1.0)
         np.testing.assert_allclose(got, np.maximum(p_hat @ z0, 0.0), atol=1e-12)
+
+    def test_preconditioned_has_no_backward(self):
+        rng = np.random.default_rng(23)
+        g = random_graph(rng, 7)
+        fx = rng.normal(size=(7, 2))
+        spec = EnergySpec(kind=COMB)
+        layers = list(unroll(spec, g, fx, PropagationConfig(steps=2, alpha=0.1,
+                                                             variant="preconditioned")))
+        with pytest.raises(ValueError, match="no backward for the 'preconditioned' variant"):
+            unroll_backward(spec, g, fx, layers, np.ones_like(fx), "preconditioned", False)
 
     def test_normalized_lambda_zero_returns_start(self):
         rng = np.random.default_rng(21)
