@@ -302,12 +302,15 @@ def cmd_fixedpoint(args):
     solve_flops = _kernels.op_counter()["dense"] - dense0
     out = out_dir(args)
     with open(os.path.join(out, "fixedpoint.csv"), "w") as fh:
-        fh.write("# schema: fixedpoint-summary v1\n")
-        fh.write("iterations,residual,contraction_estimate,solve_flops,seconds\n")
-        fh.write(f"{result.iterations},{result.residual},"
-                 f"{result.contraction_estimate},{solve_flops},{elapsed}\n")
+        fh.write("# schema: fixedpoint-summary v2\n")
+        fh.write("iterations,residual,contraction_estimate,contraction,error_bound,"
+                 "solve_flops,seconds\n")
+        fh.write(f"{result.iterations},{result.residual},{result.contraction_estimate},"
+                 f"{result.contraction},{result.error_bound},{solve_flops},{elapsed}\n")
     print(f"iterations={result.iterations} residual={result.residual:.3e} "
           f"contraction={result.contraction_estimate:.3f} "
+          f"certified_contraction={result.contraction:.3f} "
+          f"error_bound={result.error_bound:.3e} "
           f"solve_flops={solve_flops} seconds={elapsed:.4f}")
     return 0
 

@@ -5,8 +5,13 @@ point, which exists whenever ``||Wp||_2 ||P||_2 < 1`` and sigma is
 non-expansive.  The backward pass never stores the iterates: it solves
 the transposed fixed-point system for the adjoint state and reads both
 gradients off it.  One Picard loop serves the solve and its adjoint, so
-both stop, and fail, the same way.  The linear symmetric model (EIGNN)
-is the identity-sigma case with a weight derived from F.
+both stop, and fail, the same way.  Both start from zeros unless the
+caller passes a start (``y0``, ``v0``); training passes the previous
+epochs' solutions, and uniqueness makes the start immaterial to the
+answer.  Each solve reports the certified contraction factor
+c = ||Wp||_2 ||P||_2 and the error bound c / (1 - c) * residual it
+implies.  The linear symmetric model (EIGNN) is the identity-sigma case
+with a weight derived from F.
 """
 
 from dataclasses import dataclass
@@ -49,9 +54,16 @@ class FixedPointConfig:
 
 @dataclass
 class FixedPointResult:
+    """contraction is the certified factor c = ||Wp||_2 ||P||_2 (sigma is
+    1-Lipschitz), and error_bound = c / (1 - c) * residual bounds the
+    distance from y to the fixed point (inf when c >= 1).
+    contraction_estimate is the median ratio of the last residuals."""
+
     y: np.ndarray
     iterations: int
     residual: float
+    contraction: float
+    error_bound: float
     contraction_estimate: float
     residual_trace: np.ndarray
 
@@ -103,17 +115,30 @@ def _picard(step, x0, cfg):
     )
 
 
+def _start(x0, like, name, like_name):
+    """x0 as a float array, zeros when None; a shape other than like's
+    raises ValueError."""
+    if x0 is None:
+        return np.zeros_like(like)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != like.shape:
+        raise ValueError(f"{name} has shape {x0.shape}, but {like_name} has shape "
+                         f"{like.shape}")
+    return x0
+
+
 def fixed_point_solve(g, w_p, fx, cfg=FixedPointConfig(), y0=None):
     """Iterate the implicit update until the step norm drops below tol.
 
-    Starts from zeros (the reproducible default; uniqueness makes the
-    choice immaterial) unless y0 overrides it, which the uniqueness
-    checks use.  Raises FixedPointDivergence when max_iters is
-    exhausted."""
+    Starts from zeros unless y0 overrides it; training starts each epoch
+    from the previous epochs' solutions, and the uniqueness checks from
+    random points.  Uniqueness makes the start immaterial to the answer.
+    A y0 whose shape differs from fx's raises ValueError.  Raises
+    FixedPointDivergence when max_iters is exhausted."""
     p_op = propagation_matrix(g, cfg.kind)
     fx = np.asarray(fx, dtype=float)
     w_p = np.asarray(w_p, dtype=float)
-    y0 = np.zeros_like(fx) if y0 is None else np.array(y0, dtype=float)
+    y0 = _start(y0, fx, "y0", "fx")
     flops = 2 * p_op.nnz * fx.shape[1] + 2 * fx.size * w_p.shape[0]
 
     def step(y):
@@ -123,17 +148,24 @@ def fixed_point_solve(g, w_p, fx, cfg=FixedPointConfig(), y0=None):
     y, iterations, trace = _picard(step, y0, cfg)
     # every residual before the last is above tol > 0, so each ratio is defined
     ratios = trace[1:] / trace[:-1]
-    contraction = float(np.median(ratios[-10:])) if ratios.size else 0.0
-    return FixedPointResult(y=y, iterations=iterations, residual=trace[-1],
-                            contraction_estimate=contraction, residual_trace=trace)
+    estimate = float(np.median(ratios[-10:])) if ratios.size else 0.0
+    c = spectral_norm(w_p) * g.operators(cfg.kind).propagation_norm
+    bound = c / (1.0 - c) * trace[-1] if c < 1.0 else np.inf
+    return FixedPointResult(y=y, iterations=iterations, residual=trace[-1], contraction=c,
+                            error_bound=bound, contraction_estimate=estimate,
+                            residual_trace=trace)
 
 
-def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig()):
+def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=None):
     """Gradients of a loss at the fixed point wrt Wp and f(X).
 
     Solves the transposed contraction V = G + P.T (D * V) Wp.T, where D
     is the activation derivative at the converged pre-activations, then
-    grad_f = D * V and grad_Wp = (P Y*).T (D * V).
+    grad_f = D * V and grad_Wp = (P Y*).T (D * V).  As 0 <= D <= 1, the
+    map contracts by the forward's certified factor.  Like
+    :func:`fixed_point_solve`, the solve starts from zeros unless v0
+    overrides it; a v0 whose shape differs from upstream's raises
+    ValueError.
     """
     p_op = propagation_matrix(g, cfg.kind)
     w_p = np.asarray(w_p, dtype=float)
@@ -148,7 +180,7 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig()):
         _kernels.count_dense(flops)
         return upstream + p_t @ (d_sigma * v) @ w_p.T
 
-    v, _, _ = _picard(step, np.zeros_like(upstream), cfg)
+    v, _, _ = _picard(step, _start(v0, upstream, "v0", "upstream"), cfg)
     grad_fx = d_sigma * v
     return p_y.T @ grad_fx, grad_fx
 

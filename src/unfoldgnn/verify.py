@@ -104,7 +104,8 @@ def descent_suite(seed, trials, inject_failure=False):
 
 def convergence_suite(seed, trials, inject_failure=False):
     """Deep-propagation limit vs direct solve, and fixed-point
-    uniqueness plus geometric residual decay."""
+    uniqueness, geometric residual decay and a certified contraction
+    factor below one."""
     rng = np.random.default_rng(seed)
     records = []
     ok = True
@@ -133,10 +134,12 @@ def convergence_suite(seed, trials, inject_failure=False):
         a = fixed_point_solve(g, w, fx, cfg)
         b = fixed_point_solve(g, w, fx + 1e-9 * rng.normal(size=fx.shape), cfg)
         gap = float(np.linalg.norm(a.y - b.y))
-        good = gap < 1e-7 and a.contraction_estimate <= 0.95
+        good = gap < 1e-7 and a.contraction_estimate <= 0.95 and a.contraction < 1.0
         records.append({"suite": "convergence", "check": "fixed-point", "trial": t,
                         "iterations": a.iterations, "uniqueness_gap": gap,
-                        "contraction": a.contraction_estimate, "ok": good, "seed": seed})
+                        "contraction": a.contraction_estimate,
+                        "certified_contraction": a.contraction, "error_bound": a.error_bound,
+                        "ok": good, "seed": seed})
         ok = ok and good
     return ok, records
 

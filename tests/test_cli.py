@@ -161,6 +161,20 @@ class TestFixedPoint:
         assert "iterations=" in stdout and "contraction=" in stdout
         assert os.path.exists(os.path.join(out, "fixedpoint.csv"))
 
+    def test_summary_carries_certified_error(self, fixture_dir, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        code = run_cli(["fixedpoint", "--dataset", fixture_dir, "--out", out,
+                        "--set", "implicit.sigma=relu", "--set", "implicit.margin=0.8"])
+        assert code == 0
+        assert "certified_contraction=0.800 error_bound=" in capsys.readouterr().out
+        with open(os.path.join(out, "fixedpoint.csv")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "# schema: fixedpoint-summary v2"
+        row = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
+        c = row["contraction"]
+        assert c == pytest.approx(0.8)
+        assert row["error_bound"] == pytest.approx(c / (1 - c) * row["residual"])
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["descent", "equivalence"])
@@ -179,6 +193,18 @@ class TestVerify:
                         "--out", str(tmp_path / "o")])
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_fixed_point_records_carry_certified_error(self, tmp_path):
+        report = str(tmp_path / "report.jsonl")
+        code = run_cli(["verify", "--suite", "convergence", "--trials", "3",
+                        "--report", report, "--out", str(tmp_path / "o")])
+        assert code == 0
+        with open(report) as fh:
+            records = [r for r in map(json.loads, fh) if r.get("check") == "fixed-point"]
+        assert len(records) == 3
+        for r in records:
+            assert 0 < r["certified_contraction"] <= 0.9 + 1e-12
+            assert 0 <= r["error_bound"] < 1e-8
 
     def test_report_is_json_lines(self, tmp_path):
         report = str(tmp_path / "report.jsonl")

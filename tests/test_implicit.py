@@ -133,6 +133,47 @@ class TestFixedPointSolve:
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
             FixedPointConfig(max_iters=max_iters)
 
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_certified_error_bound_holds(self, kind):
+        rng = np.random.default_rng(8)
+        g = random_graph(rng, 12)
+        p_dense = propagation_matrix(g, kind).toarray()
+        w = contraction_weight(rng, 3, p_dense, margin=0.9)
+        fx = rng.normal(size=(12, 3))
+        out = fixed_point_solve(g, w, fx, FixedPointConfig(sigma=phi_relu(), tol=1e-5, kind=kind))
+        c = spectral_norm(w) * spectral_norm(p_dense)
+        assert out.contraction == pytest.approx(c, rel=1e-12)
+        assert out.error_bound == pytest.approx(c / (1 - c) * out.residual, rel=1e-12)
+        tight = fixed_point_solve(g, w, fx, FixedPointConfig(sigma=phi_relu(), tol=1e-13,
+                                                             kind=kind))
+        assert np.linalg.norm(out.y - tight.y) <= out.error_bound
+
+    def test_error_bound_infinite_without_certified_contraction(self):
+        rng = np.random.default_rng(9)
+        g = random_graph(rng, 8)
+        fx = -1.0 - rng.random((8, 2))  # relu(fx) = 0 is the fixed point
+        out = fixed_point_solve(g, 1.5 * np.eye(2), fx, FixedPointConfig(sigma=phi_relu()))
+        assert out.contraction == pytest.approx(1.5)
+        assert out.iterations == 1 and out.residual == 0.0
+        assert out.error_bound == np.inf
+
+    def test_wrong_shaped_start_rejected(self):
+        rng = np.random.default_rng(10)
+        g = random_graph(rng, 6)
+        fx = rng.normal(size=(6, 2))
+        with pytest.raises(ValueError, match=re.escape(
+                "y0 has shape (6, 3), but fx has shape (6, 2)")):
+            fixed_point_solve(g, 0.1 * np.eye(2), fx, y0=np.zeros((6, 3)))
+
+    def test_non_finite_start_fails_at_first_iteration(self):
+        rng = np.random.default_rng(12)
+        g = random_graph(rng, 6)
+        fx = rng.normal(size=(6, 2))
+        y0 = np.zeros_like(fx)
+        y0[2, 0] = np.nan
+        with pytest.raises(FixedPointDivergence, match="non-finite residual at iteration 1$"):
+            fixed_point_solve(g, 0.1 * np.eye(2), fx, y0=y0)
+
 
 class TestUgnnIgnnEquivalence:
     @pytest.mark.parametrize("phi", [phi_zero(), phi_relu(), phi_soft_threshold(0.05)])
@@ -210,6 +251,51 @@ class TestImplicitBackward:
         message = f"no fixed point within 3 iterations (residual {last:.3e})"
         with pytest.raises(FixedPointDivergence, match=re.escape(message)):
             implicit_backward(g, w, fx, out.y, up, FixedPointConfig(tol=1e-14, max_iters=3))
+
+    def test_start_saves_iterations_not_accuracy(self):
+        rng = np.random.default_rng(20)
+        g = random_graph(rng, 10)
+        p_op = propagation_matrix(g, SELF)
+        w = contraction_weight(rng, 3, p_op.toarray(), margin=0.9)
+        fx = rng.normal(size=(10, 3))
+        cfg = FixedPointConfig(tol=1e-9)
+        out = fixed_point_solve(g, w, fx, cfg)
+        up = rng.normal(size=(10, 3))
+        per_iteration = 2 * p_op.nnz * 3 + 2 * 10 * 3 * 3
+
+        def adjoint(v0):
+            before = _kernels.op_counter()["dense"]
+            _, grad_fx = implicit_backward(g, w, fx, out.y, up, cfg, v0=v0)
+            return grad_fx, (_kernels.op_counter()["dense"] - before) // per_iteration
+
+        cold, cold_iterations = adjoint(None)
+        # identity sigma: D = 1, so grad_f is V itself; start near it
+        warm, warm_iterations = adjoint(cold + 1e-6 * rng.normal(size=cold.shape))
+        assert warm_iterations < cold_iterations
+        c = out.contraction
+        assert np.linalg.norm(warm - cold) <= c / (1 - c) * 2 * cfg.tol
+
+    def test_wrong_shaped_start_rejected(self):
+        rng = np.random.default_rng(21)
+        g = random_graph(rng, 6)
+        w = contraction_weight(rng, 2, propagation_matrix(g, SELF).toarray())
+        fx = rng.normal(size=(6, 2))
+        out = fixed_point_solve(g, w, fx)
+        with pytest.raises(ValueError, match=re.escape(
+                "v0 has shape (2, 6), but upstream has shape (6, 2)")):
+            implicit_backward(g, w, fx, out.y, rng.normal(size=(6, 2)),
+                              v0=np.zeros((2, 6)))
+
+    def test_non_finite_start_fails_at_first_iteration(self):
+        rng = np.random.default_rng(22)
+        g = random_graph(rng, 7)
+        w = contraction_weight(rng, 2, propagation_matrix(g, SELF).toarray())
+        fx = rng.normal(size=(7, 2))
+        out = fixed_point_solve(g, w, fx)
+        v0 = np.zeros((7, 2))
+        v0[4, 1] = np.nan
+        with pytest.raises(FixedPointDivergence, match="non-finite residual at iteration 1$"):
+            implicit_backward(g, w, fx, out.y, rng.normal(size=(7, 2)), v0=v0)
 
     def test_adjoint_counts_dense_flops_per_iteration(self):
         rng = np.random.default_rng(19)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from unfoldgnn import implicit
+from unfoldgnn import model as model_module
+from unfoldgnn.data import SbmSpec, sbm_generate
 from unfoldgnn.energy import (
     EnergySpec,
     from_symmetric_pair,
@@ -9,7 +12,7 @@ from unfoldgnn.energy import (
     rho_identity,
     rho_log,
 )
-from unfoldgnn.graph import LaplacianKind, build_graph, propagation_matrix
+from unfoldgnn.graph import LaplacianKind, build_graph, propagation_matrix, spectral_norm
 from unfoldgnn.implicit import (
     EignnSpec,
     FixedPointConfig,
@@ -435,6 +438,113 @@ class TestFixedPointBackendsMatchSolver:
             np.testing.assert_array_equal(grads["f_mat"], eignn_grad_f(spec, grad_w))
         elif train_w_p:
             np.testing.assert_array_equal(grads["w_p"], grad_w)
+
+
+def _copied(value):
+    return value.copy() if isinstance(value, np.ndarray) else value
+
+
+class TestWarmStartedTraining:
+    """train starts each epoch's solves from earlier epochs' solutions;
+    every other forward starts them from zeros."""
+
+    @pytest.fixture(scope="class")
+    def sbm(self):
+        return sbm_generate(SbmSpec(blocks=(60, 60), p_in=0.1, p_out=0.01, feature_dim=8,
+                                    separation=2.0))
+
+    @staticmethod
+    def _config(backend):
+        return ModelConfig(backend=backend, embed_dim=4, n_classes=2, kind=SELF,
+                           sigma=phi_relu() if backend == "implicit" else None)
+
+    @pytest.mark.parametrize("backend", ["implicit", "eignn"])
+    def test_warm_solves_agree_with_cold_in_fewer_iterations(self, backend, sbm,
+                                                              monkeypatch):
+        finished = []  # (iterations, last residual) of every Picard loop, in order
+        picard = implicit._picard
+
+        def recorded_picard(step, x0, cfg):
+            x, iterations, trace = picard(step, x0, cfg)
+            finished.append((iterations, trace[-1]))
+            return x, iterations, trace
+
+        calls = []
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                # copy now: train updates some parameters in place afterwards
+                args = tuple(_copied(a) for a in args)
+                kwargs = {k: _copied(v) for k, v in kwargs.items()}
+                out = fn(*args, **kwargs)
+                calls.append((fn, args, out, finished[-1]))
+                return out
+            return call
+
+        monkeypatch.setattr(implicit, "_picard", recorded_picard)
+        monkeypatch.setattr(model_module, "fixed_point_solve", recorded(fixed_point_solve))
+        monkeypatch.setattr(model_module, "implicit_backward", recorded(implicit_backward))
+        train(sbm.graph, sbm.x, sbm.labels, sbm.masks, self._config(backend),
+              TrainConfig(epochs=15, lr=0.1, seed=0))
+        assert len(calls) == 2 * 15 + 1  # each epoch's solve and adjoint, the final forward
+
+        warm_total = cold_total = 0
+        for fn, args, out, (iterations, residual) in calls:
+            cold = fn(*args)
+            cold_iterations, cold_residual = finished[-1]
+            warm_total += iterations
+            cold_total += cold_iterations
+            g, w_p = args[0], args[1]
+            c = spectral_norm(w_p) * g.operators(SELF).propagation_norm
+            if fn is fixed_point_solve:
+                warm_answer, cold_answer = out.y, cold.y
+                bound = out.error_bound + cold.error_bound
+            else:
+                # the adjoint map contracts by the forward's certified factor, and
+                # grad_f = D * V with 0 <= D <= 1
+                warm_answer, cold_answer = out[1], cold[1]
+                bound = c / (1.0 - c) * (residual + cold_residual)
+            # The bounds hold in exact arithmetic, and in this linear symmetric
+            # case (eignn) they are nearly attained.  Each step rounds by a few
+            # ulps of the iterate, and the contraction damps that within about
+            # 1 / (1 - c) steps.
+            size = np.linalg.norm(warm_answer) + np.linalg.norm(cold_answer)
+            rounding = 32 * np.finfo(float).eps * size / (1.0 - c)
+            assert np.linalg.norm(warm_answer - cold_answer) <= bound + rounding
+        assert warm_total < cold_total
+
+    @pytest.mark.parametrize("backend", ["implicit", "eignn"])
+    def test_final_evaluation_equals_fresh_forward(self, backend, sbm, monkeypatch):
+        seen = []
+        forward = Model.forward
+
+        def recorded_forward(self, *args, **kwargs):
+            out = forward(self, *args, **kwargs)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(Model, "forward", recorded_forward)
+        cfg = self._config(backend)
+        trained, _ = train(sbm.graph, sbm.x, sbm.labels, sbm.masks, cfg,
+                           TrainConfig(epochs=6, lr=0.1, seed=2))
+        monkeypatch.undo()
+        fresh = Model(sbm.x.shape[1], cfg, seed=2, g=sbm.graph)
+        fresh.params = {k: v.copy() for k, v in trained.params.items()}
+        logits, _ = fresh.forward(sbm.graph, sbm.x)
+        np.testing.assert_array_equal(seen[-1], logits)
+
+    def test_finite_difference_check_is_cold(self):
+        # the report as computed when every solve started from zeros
+        g, x, labels, rows = small_instance(47, n=10, d_in=3, c=2)
+        cfg = ModelConfig(backend="implicit", embed_dim=3, n_classes=2, sigma=phi_relu(),
+                          kind=SELF)
+        model = Model(x.shape[1], cfg, seed=5, g=g)
+        report = finite_difference_check(model, g, x, labels, rows)
+        assert report == {"max_rel_err": 6.109312243463395e-09,
+                          "per_tensor": {"w_x": 2.8696250974272816e-09,
+                                         "w_g": 3.958468348301557e-11,
+                                         "w_p": 6.109312243463395e-09},
+                          "ok": True, "base_loss": 0.6799702137559873}
 
 
 class TestTraining:
