@@ -3,9 +3,14 @@
 Subcommands: train, propagate, fixedpoint, verify, experiment, bench.
 Every numeric option lives in a flat dotted-key config space; values
 resolve as defaults < config file < --set overrides < dedicated flags.
-Config files are plain ``key=value`` lines with '#' comments.  Unknown
-keys are rejected (exit 2).  All commands honor --seed and write
-artifacts under --out (or $UNFOLD_ARTIFACTS, default ./artifacts).
+Config files are plain ``key=value`` lines with '#' comments.  All
+commands honor --seed and write artifacts under --out (or
+$UNFOLD_ARTIFACTS, default ./artifacts).
+
+train, propagate and fixedpoint resolve the dataset and every config
+before anything runs (:func:`resolve_run`): an unknown key, or a value
+that its parser or the class that owns it rejects, ``data.*`` keys
+included, exits 2 with that message.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or data
 error, 3 numerical divergence.
@@ -16,17 +21,17 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import _kernels
-from .data import DatasetError, PerturbSpec, SbmSpec, load_dataset, perturb_edges, sbm_generate
-from .energy import EnergySpec, phi_from_config, rho_from_config
-from .graph import GraphError, LaplacianKind
-from .implicit import FixedPointConfig, FixedPointDivergence, fixed_point_solve, project_weights
+from .data import PerturbSpec, SbmSpec, load_dataset, perturb_edges, sbm_generate
+from .energy import phi_from_config, rho_from_config
+from .graph import LaplacianKind
+from .implicit import FixedPointDivergence, fixed_point_solve, project_weights
 from .model import ModelConfig, TrainConfig, save_checkpoint, train
 from .unfold import (
-    PropagationConfig,
     PropagationDivergence,
     gamma_trace_to_csv,
     propagate,
@@ -35,6 +40,12 @@ from .unfold import (
 )
 from .verify import SUITES, run_suite
 from .experiments import EXPERIMENTS, run_experiment
+
+
+def _ints(text):
+    """Comma-separated integers, blanks skipped."""
+    return tuple(int(tok) for tok in text.split(",") if tok)
+
 
 # dotted config keys: name -> (parser, default, help)
 KEYS = {
@@ -45,7 +56,7 @@ KEYS = {
     "model.backend": (str, "unrolled", "unrolled | implicit | eignn"),
     "model.embed_dim": (int, 16, "embedding width d"),
     "model.predictor": (str, "linear", "linear | mlp"),
-    "model.hidden": (str, "", "comma-separated MLP hidden widths"),
+    "model.hidden": (_ints, "", "comma-separated MLP hidden widths"),
     "model.activation": (str, "tanh", "tanh | relu"),
     "model.dropout": (float, 0.0, "train-time dropout rate"),
     "model.pre_propagate": (int, 0, "apply the propagation operator to X once"),
@@ -67,7 +78,7 @@ KEYS = {
     "eignn.mu": (float, 0.5, "damping factor in [0,1)"),
     "eignn.eps_f": (float, 0.1, "norm regularizer for the weight rescaling"),
     "data.dir": (str, "", "dataset directory (edges.tsv, features.csv, ...)"),
-    "data.blocks": (str, "50,50", "community sizes for the generator"),
+    "data.blocks": (_ints, "50,50", "community sizes for the generator"),
     "data.p_in": (float, 0.2, "within-community edge probability"),
     "data.p_out": (float, 0.05, "cross-community edge probability"),
     "data.feature_dim": (int, 8, "feature dimension"),
@@ -77,10 +88,16 @@ KEYS = {
     "data.perturb_rate": (float, 0.0, "cross-class edge injection rate"),
 }
 
-KIND_NAMES = {
-    "combinatorial": LaplacianKind.COMBINATORIAL,
-    "sym_normalized": LaplacianKind.SYM_NORMALIZED,
-    "self_loop_sym": LaplacianKind.SELF_LOOP_SYM,
+# dedicated flags of train, propagate and fixedpoint: flag -> (key, help)
+FLAGS = {
+    "dataset": ("data.dir", "dataset directory"),
+    "backend": ("model.backend", "model backend"),
+    "K": ("unfold.steps", "propagation steps"),
+    "rho": ("unfold.rho", "edge penalty"),
+    "phi": ("unfold.phi", "node penalty"),
+    "lam": ("unfold.lam", "trade-off scalar"),
+    "lr": ("train.lr", "learning rate"),
+    "epochs": ("train.epochs", "training epochs"),
 }
 
 
@@ -103,51 +120,45 @@ def parse_config_file(path):
 
 
 def resolve_config(args):
-    """Merge defaults, config file, and --set overrides; reject unknown
-    keys; parse to the declared types."""
-    merged = {key: default for key, (_, default, _) in KEYS.items()}
+    """Merge defaults, config file, --set overrides and dedicated flags;
+    reject unknown keys; parse every key to its declared type."""
     raw = {}
-    if getattr(args, "config", None):
+    if args.config:
         raw.update(parse_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise CliError(f"--set expects key=value, got {item!r}")
         raw[key.strip()] = value.strip()
-    for key, value in raw.items():
+    for key in raw:
         if key not in KEYS:
             raise CliError(f"unknown config key {key!r}")
-        parser = KEYS[key][0]
+    # dedicated flags win over everything
+    for flag, (key, _) in FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            raw[key] = value
+    merged = {}
+    for key, (parser, default, _) in KEYS.items():
+        value = raw.get(key, default)
         try:
             merged[key] = parser(value)
         except ValueError:
             raise CliError(f"bad value for {key}: {value!r}")
-    # dedicated flags win over everything
-    flag_map = {
-        "dataset": "data.dir", "backend": "model.backend", "K": "unfold.steps",
-        "rho": "unfold.rho", "phi": "unfold.phi", "lam": "unfold.lam",
-        "lr": "train.lr", "epochs": "train.epochs",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[key] = KEYS[key][0](value)
     return merged
 
 
 def build_dataset(cfg, seed):
-    if cfg["data.dir"]:
-        ds = load_dataset(cfg["data.dir"])
-    else:
-        blocks = tuple(int(tok) for tok in cfg["data.blocks"].split(",") if tok)
-        ds = sbm_generate(SbmSpec(
-            blocks=blocks, p_in=cfg["data.p_in"], p_out=cfg["data.p_out"],
-            feature_dim=cfg["data.feature_dim"], separation=cfg["data.separation"],
-            train_frac=cfg["data.train_frac"], val_frac=cfg["data.val_frac"],
-            seed=seed))
-    if cfg["data.perturb_rate"] > 0:
-        ds, _ = perturb_edges(ds, PerturbSpec(rate=cfg["data.perturb_rate"],
-                                              seed=seed + 1))
+    """The run's dataset.  Both generator specs are built whatever the
+    source, so that a bad ``data.*`` value is rejected even under
+    data.dir; a perturbation rate of 0 changes nothing."""
+    sbm = SbmSpec(blocks=cfg["data.blocks"], p_in=cfg["data.p_in"], p_out=cfg["data.p_out"],
+                  feature_dim=cfg["data.feature_dim"], separation=cfg["data.separation"],
+                  train_frac=cfg["data.train_frac"], val_frac=cfg["data.val_frac"],
+                  seed=seed)
+    perturb = PerturbSpec(rate=cfg["data.perturb_rate"], seed=seed + 1)
+    ds = load_dataset(cfg["data.dir"]) if cfg["data.dir"] else sbm_generate(sbm)
+    ds, _ = perturb_edges(ds, perturb)
     return ds
 
 
@@ -173,40 +184,36 @@ def parse_alpha(text):
         raise CliError(f"bad step size {text!r}")
 
 
-def parse_kind(cfg):
-    kind = KIND_NAMES.get(cfg["unfold.kind"])
-    if kind is None:
-        raise CliError(f"unknown laplacian kind {cfg['unfold.kind']!r}")
-    return kind
-
-
-def parse_sigma(cfg):
-    text = cfg["implicit.sigma"]
+def parse_sigma(text):
     return None if text in ("zero", "identity", "") else phi_from_config(text)
 
 
-def build_model_config(cfg, n_classes):
-    kind = parse_kind(cfg)
-    hidden = tuple(int(tok) for tok in cfg["model.hidden"].split(",") if tok)
+def resolve_run(args):
+    """The dataset, ModelConfig and TrainConfig of a train, propagate or
+    fixedpoint run, all built before anything runs.  This is the one
+    place where a rejected value (a ValueError from a parser or from the
+    class that owns the value) becomes a CliError, exit code 2."""
     try:
-        return ModelConfig(
+        cfg = resolve_config(args)
+        ds = build_dataset(cfg, args.seed)
+        mcfg = ModelConfig(
             backend=cfg["model.backend"],
             embed_dim=cfg["model.embed_dim"],
-            n_classes=n_classes,
+            n_classes=int(ds.labels.max()) + 1,
             predictor=cfg["model.predictor"],
-            hidden=hidden,
+            hidden=cfg["model.hidden"],
             activation=cfg["model.activation"],
             dropout=cfg["model.dropout"],
             pre_propagate=bool(cfg["model.pre_propagate"]),
             steps=cfg["unfold.steps"],
             alpha=parse_alpha(cfg["unfold.alpha"]),
             lam=cfg["unfold.lam"],
-            kind=kind,
+            kind=LaplacianKind(cfg["unfold.kind"]),
             rho=rho_from_config(cfg["unfold.rho"]),
             phi=phi_from_config(cfg["unfold.phi"]),
             variant=cfg["unfold.variant"],
             attention_schedule=parse_schedule(cfg["unfold.attention"], cfg["unfold.steps"]),
-            sigma=parse_sigma(cfg),
+            sigma=parse_sigma(cfg["implicit.sigma"]),
             fp_tol=cfg["implicit.tol"],
             fp_max_iters=cfg["implicit.max_iters"],
             train_w_p=bool(cfg["implicit.train_w_p"]),
@@ -214,8 +221,12 @@ def build_model_config(cfg, n_classes):
             mu=cfg["eignn.mu"],
             eps_f=cfg["eignn.eps_f"],
         )
+        tcfg = TrainConfig(epochs=cfg["train.epochs"], lr=cfg["train.lr"],
+                           momentum=cfg["train.momentum"],
+                           weight_decay=cfg["train.weight_decay"], seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc))
+    return ds, mcfg, tcfg
 
 
 def out_dir(args):
@@ -229,16 +240,7 @@ def out_dir(args):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args):
-    cfg = resolve_config(args)
-    ds = build_dataset(cfg, args.seed)
-    n_classes = int(ds.labels.max()) + 1
-    mcfg = build_model_config(cfg, n_classes)
-    try:
-        tcfg = TrainConfig(epochs=cfg["train.epochs"], lr=cfg["train.lr"],
-                           momentum=cfg["train.momentum"],
-                           weight_decay=cfg["train.weight_decay"], seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    ds, mcfg, tcfg = resolve_run(args)
     model, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, mcfg, tcfg)
     out = out_dir(args)
     metrics.to_csv(os.path.join(out, "metrics.csv"))
@@ -252,22 +254,9 @@ def cmd_train(args):
 
 
 def cmd_propagate(args):
-    cfg = resolve_config(args)
-    ds = build_dataset(cfg, args.seed)
-    kind = parse_kind(cfg)
-    try:
-        spec = EnergySpec(rho=rho_from_config(cfg["unfold.rho"]),
-                          phi=phi_from_config(cfg["unfold.phi"]),
-                          lam=cfg["unfold.lam"], kind=kind)
-        pcfg = PropagationConfig(
-            steps=cfg["unfold.steps"],
-            alpha=parse_alpha(cfg["unfold.alpha"]),
-            variant=cfg["unfold.variant"],
-            attention_schedule=parse_schedule(cfg["unfold.attention"], cfg["unfold.steps"]),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
-    result = propagate(spec, ds.graph, ds.x, pcfg)
+    ds, mcfg, _ = resolve_run(args)
+    result = propagate(mcfg.energy_spec, ds.graph, ds.x,
+                       replace(mcfg.propagation, record_trace=True))
     out = out_dir(args)
     trace_to_csv(result, os.path.join(out, "trace.csv"))
     gamma_trace_to_csv(result, os.path.join(out, "gammas.csv"))
@@ -278,18 +267,11 @@ def cmd_propagate(args):
 
 
 def cmd_fixedpoint(args):
-    cfg = resolve_config(args)
-    ds = build_dataset(cfg, args.seed)
-    d = cfg["model.embed_dim"]
+    ds, mcfg, _ = resolve_run(args)
+    d = mcfg.embed_dim
     rng = np.random.default_rng(args.seed)
-    kind = parse_kind(cfg)
-    try:
-        fcfg = FixedPointConfig(sigma=parse_sigma(cfg), tol=cfg["implicit.tol"],
-                                max_iters=cfg["implicit.max_iters"], kind=kind)
-        w_p = project_weights(rng.normal(size=(d, d)) / np.sqrt(d), ds.graph.operators(kind),
-                              margin=cfg["implicit.margin"])
-    except ValueError as exc:
-        raise CliError(str(exc))
+    w_p = project_weights(rng.normal(size=(d, d)) / np.sqrt(d), ds.graph.operators(mcfg.kind),
+                          margin=mcfg.contraction_margin)
     if ds.x.shape[1] != d:
         w_in = rng.normal(size=(ds.x.shape[1], d)) / np.sqrt(ds.x.shape[1])
         fx = ds.x @ w_in
@@ -297,7 +279,7 @@ def cmd_fixedpoint(args):
         fx = ds.x
     dense0 = _kernels.op_counter()["dense"]
     start = time.perf_counter()
-    result = fixed_point_solve(ds.graph, w_p, fx, fcfg)
+    result = fixed_point_solve(ds.graph, w_p, fx, mcfg.fixed_point)
     elapsed = time.perf_counter() - start
     solve_flops = _kernels.op_counter()["dense"] - dense0
     out = out_dir(args)
@@ -374,8 +356,15 @@ def _jsonable(obj):
 
 # ---------------------------------------------------------------------------
 
+def _seed(text):
+    """argparse type of --seed: a nonnegative integer, as numpy's seeds are."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub, config_keys=True):
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_seed, default=0,
                      help="run seed; fully determines numeric outputs")
     sub.add_argument("--out", default=None,
                      help="artifacts directory (default $UNFOLD_ARTIFACTS or ./artifacts)")
@@ -383,17 +372,8 @@ def _add_common(sub, config_keys=True):
         sub.add_argument("--config", default=None, help="key=value config file")
         sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override one config key (repeatable)")
-
-
-def _add_model_flags(sub):
-    sub.add_argument("--dataset", help="dataset directory [key: data.dir]")
-    sub.add_argument("--backend", help="model backend [key: model.backend]")
-    sub.add_argument("--K", help="propagation steps [key: unfold.steps]")
-    sub.add_argument("--rho", help="edge penalty [key: unfold.rho]")
-    sub.add_argument("--phi", help="node penalty [key: unfold.phi]")
-    sub.add_argument("--lam", help="trade-off scalar [key: unfold.lam]")
-    sub.add_argument("--lr", help="learning rate [key: train.lr]")
-    sub.add_argument("--epochs", help="training epochs [key: train.epochs]")
+        for flag, (key, help_) in FLAGS.items():
+            sub.add_argument(f"--{flag}", help=f"{help_} [key: {key}]")
 
 
 def build_parser():
@@ -408,26 +388,14 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_train = subs.add_parser("train", help="train a node classifier",
-                              epilog=keys_doc,
+    for name, help_, fn in (
+            ("train", "train a node classifier", cmd_train),
+            ("propagate", "run unfolded propagation on features", cmd_propagate),
+            ("fixedpoint", "solve the implicit fixed point", cmd_fixedpoint)):
+        sub = subs.add_parser(name, help=help_, epilog=keys_doc,
                               formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p_train)
-    _add_model_flags(p_train)
-    p_train.set_defaults(fn=cmd_train)
-
-    p_prop = subs.add_parser("propagate", help="run unfolded propagation on features",
-                             epilog=keys_doc,
-                             formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p_prop)
-    _add_model_flags(p_prop)
-    p_prop.set_defaults(fn=cmd_propagate)
-
-    p_fp = subs.add_parser("fixedpoint", help="solve the implicit fixed point",
-                           epilog=keys_doc,
-                           formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p_fp)
-    _add_model_flags(p_fp)
-    p_fp.set_defaults(fn=cmd_fixedpoint)
+        _add_common(sub)
+        sub.set_defaults(fn=fn)
 
     p_verify = subs.add_parser("verify", help="run a verification suite")
     _add_common(p_verify, config_keys=False)
@@ -456,7 +424,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, DatasetError, GraphError, FileNotFoundError) as exc:
+    except (CliError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PropagationDivergence, FixedPointDivergence) as exc:

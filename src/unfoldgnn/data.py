@@ -154,8 +154,16 @@ class SbmSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.blocks:
+            raise ValueError("blocks must list at least one community size")
+        if min(self.blocks) < 1:
+            raise ValueError(f"block sizes must be at least 1, got {tuple(self.blocks)}")
         if not 0 <= self.p_in <= 1 or not 0 <= self.p_out <= 1:
             raise ValueError("edge probabilities must lie in [0, 1]")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be at least 1")
+        if self.train_frac < 0 or self.val_frac < 0:
+            raise ValueError("train and val fractions must be nonnegative")
         if self.train_frac + self.val_frac >= 1.0:
             raise ValueError("train and val fractions must leave room for test")
 

@@ -427,7 +427,7 @@ def edge_diagonal(spec, bview, y):
     degree-normalized.
     """
     if spec.simple:
-        vals = bview.raw_edge_sqnorm(y)
+        vals = bview.raw.edge_sqnorm(y)
     else:
         vals = bview.edge_quadform(y, spec.w_prop)
     if spec.rho.kind == "identity":

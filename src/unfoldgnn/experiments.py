@@ -17,30 +17,7 @@ from .graph import LaplacianKind, build_graph, propagation_matrix
 from .model import ModelConfig, TrainConfig, train
 from .unfold import PropagationConfig, closed_form_solution, propagate, unroll
 
-EXPERIMENTS = (
-    "closed-form-convergence",
-    "prop-depth-sweep",
-    "attention-robustness",
-    "label-recovery",
-    "bench-time",
-)
-
 SELF = LaplacianKind.SELF_LOOP_SYM
-
-
-def run_experiment(name, out_dir, seed=0, **overrides):
-    os.makedirs(out_dir, exist_ok=True)
-    if name == "closed-form-convergence":
-        return closed_form_convergence(out_dir, seed=seed, **overrides)
-    if name == "prop-depth-sweep":
-        return prop_depth_sweep(out_dir, seed=seed, **overrides)
-    if name == "attention-robustness":
-        return attention_robustness(out_dir, seed=seed, **overrides)
-    if name == "label-recovery":
-        return label_recovery(out_dir, seed=seed, **overrides)
-    if name == "bench-time":
-        return bench_time(out_dir, seed=seed, **overrides)
-    raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
 
 
 def _write_csv(path, schema, header, rows):
@@ -252,3 +229,21 @@ def bench_time(out_dir, seed=0, sizes=((2000, 8, 8, 8), (2000, 8, 8, 16),
     path = _write_csv(os.path.join(out_dir, "bench_time.csv"), "bench-time",
                       ["n", "m", "d", "K", "edge_flops", "dense_flops", "seconds"], rows)
     return {"rows": summary, "csv": [path]}
+
+
+# experiment name -> function(out_dir, seed=..., **overrides)
+_RUNNERS = {
+    "closed-form-convergence": closed_form_convergence,
+    "prop-depth-sweep": prop_depth_sweep,
+    "attention-robustness": attention_robustness,
+    "label-recovery": label_recovery,
+    "bench-time": bench_time,
+}
+EXPERIMENTS = tuple(_RUNNERS)
+
+
+def run_experiment(name, out_dir, seed=0, **overrides):
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    os.makedirs(out_dir, exist_ok=True)
+    return _RUNNERS[name](out_dir, seed=seed, **overrides)

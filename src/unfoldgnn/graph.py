@@ -34,6 +34,10 @@ class LaplacianKind(Enum):
     SYM_NORMALIZED = "sym_normalized"
     SELF_LOOP_SYM = "self_loop_sym"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown laplacian kind {value!r}")
+
 
 def _read_only(arr):
     arr.flags.writeable = False
@@ -152,8 +156,8 @@ class IncidenceView:
     SYM_NORMALIZED, isolated nodes get one extra unit row each so the
     factorization reproduces the e_i convention of the Laplacian; the
     energy and propagation code only ever consume the edge rows, through
-    the CSR matrices ``b`` (edge rows of B) and ``bt`` (their transpose),
-    and their unit-scaled counterparts ``b_raw`` and ``bt_raw``.
+    the CSR matrices ``b`` (edge rows of B) and ``bt`` (their transpose).
+    ``raw`` is the unit-scale view of the same edges.
     """
 
     kind: LaplacianKind
@@ -180,16 +184,19 @@ class IncidenceView:
     def bt(self):
         return _read_only_csr(self.b.T.tocsr())
 
-    @cached_property
-    def b_raw(self):
-        if self.kind is LaplacianKind.COMBINATORIAL:
-            return self.b
-        ones = np.ones(self.n_edge_rows)
-        return _edge_rows(self.n, self.eu, self.ev, ones, ones)
+    @property
+    def raw(self):
+        """The unit-scale view of the same edges (row k carries +1 at eu[k]
+        and -1 at ev[k]), whatever the kind: this view under COMBINATORIAL."""
+        # not cached on self there: a view that held itself would outlive its
+        # graph until the cyclic collector ran
+        return self if self.kind is LaplacianKind.COMBINATORIAL else self._unit_view
 
     @cached_property
-    def bt_raw(self):
-        return self.bt if self.b_raw is self.b else _read_only_csr(self.b_raw.T.tocsr())
+    def _unit_view(self):
+        ones = _read_only(np.ones(self.n_edge_rows))
+        return IncidenceView(LaplacianKind.COMBINATORIAL, self.n, self.eu, self.ev, ones, ones,
+                             _read_only(np.zeros(0, dtype=np.int64)))
 
     def matrix(self):
         """Materialize B as a sparse matrix (tests and small solves)."""
@@ -218,18 +225,6 @@ class IncidenceView:
 
     def edge_sqnorm(self, y):
         return _kernels.edge_sqnorm(y, self.b)
-
-    def raw_edge_sqnorm(self, y):
-        """Unscaled ||y_u - y_v||^2 per edge, whatever the kind."""
-        return _kernels.edge_sqnorm(y, self.b_raw)
-
-    def raw_apply(self, y):
-        """Unscaled endpoint differences y_u - y_v per edge."""
-        return _kernels.edge_diff(y, self.b_raw)
-
-    def raw_apply_t(self, e):
-        """Transpose of raw_apply (unit-scaled scatter)."""
-        return _kernels.edge_scatter(e, self.bt_raw)
 
     def edge_quadform(self, y, w):
         return _kernels.edge_quadform(y, w, self.b)

@@ -98,18 +98,21 @@ def _picard(step, x0, cfg):
     """Iterate ``x <- step(x)`` from x0 until ``||x_{k+1} - x_k|| <= cfg.tol``.
 
     Returns (x, iterations, residual_trace).  Raises FixedPointDivergence
-    at the first non-finite residual, or when max_iters is exhausted."""
+    at the first non-finite residual, or when max_iters is exhausted; a
+    non-finite start (nan or inf) fails at iteration 1."""
     x = x0
     trace = []
-    for it in range(1, cfg.max_iters + 1):
-        x_next = step(x)
-        resid = np.linalg.norm(x_next - x)
-        x = x_next
-        if not np.isfinite(resid):
-            raise FixedPointDivergence(f"non-finite residual at iteration {it}")
-        trace.append(resid)
-        if resid <= cfg.tol:
-            return x, it, np.asarray(trace)
+    # inf * 0 and inf - inf make NaNs silently; the residual check reports them
+    with np.errstate(invalid="ignore", over="ignore"):
+        for it in range(1, cfg.max_iters + 1):
+            x_next = step(x)
+            resid = np.linalg.norm(x_next - x)
+            x = x_next
+            if not np.isfinite(resid):
+                raise FixedPointDivergence(f"non-finite residual at iteration {it}")
+            trace.append(resid)
+            if resid <= cfg.tol:
+                return x, it, np.asarray(trace)
     raise FixedPointDivergence(
         f"no fixed point within {cfg.max_iters} iterations (residual {trace[-1]:.3e})"
     )

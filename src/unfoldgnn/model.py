@@ -21,7 +21,8 @@ through their generating embeddings, which is what the finite
 difference checks exercise.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -98,19 +99,36 @@ class ModelConfig:
             raise ValueError("eps_f must be positive")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must lie in [0, 1)")
-        # building the layer plan checks steps, alpha, variant and schedule
+        # each engine config is built here, once, so that a value it owns and
+        # rejects (lam; steps, alpha, variant, schedule) fails at construction
+        for name in ("energy_spec", "propagation", "fixed_point"):
+            getattr(self, name)
         if self.propagation.variant == "preconditioned":
             raise ValueError("variant must be 'plain' or 'normalized'")
         if self.variant == "normalized" and self.attention_grad == "full":
             raise ValueError("full attention differentiation is supported for "
                              "the plain variant only")
 
-    @property
+    @cached_property
+    def energy_spec(self):
+        """The energy the unrolled backend descends: ``energy`` when given,
+        else the simple-mode spec of rho, phi, lam and kind."""
+        if self.energy is not None:
+            return self.energy
+        return EnergySpec(rho=self.rho, phi=self.phi, lam=self.lam, kind=self.kind)
+
+    @cached_property
     def propagation(self):
         """The layer plan the unrolled backend runs."""
         return PropagationConfig(steps=self.steps, alpha=self.alpha, variant=self.variant,
                                  attention_schedule=self.attention_schedule,
                                  record_trace=False)
+
+    @cached_property
+    def fixed_point(self):
+        """The solve of the implicit backend; eignn runs it with sigma None."""
+        return FixedPointConfig(sigma=self.sigma, tol=self.fp_tol, max_iters=self.fp_max_iters,
+                                kind=self.kind)
 
 
 @dataclass(frozen=True)
@@ -238,26 +256,19 @@ class Model:
                 masks.append(None)
         return h, {"kind": "mlp", "inputs": inputs, "acts": acts, "masks": masks}
 
-    def _energy_spec(self):
-        cfg = self.cfg
-        if cfg.energy is not None:
-            return cfg.energy
-        return EnergySpec(rho=cfg.rho, phi=cfg.phi, lam=cfg.lam, kind=cfg.kind)
-
     def _propagate_forward(self, g, fx, warm=None):
         cfg = self.cfg
         if cfg.backend == "unrolled":
-            spec = self._energy_spec()
+            spec = cfg.energy_spec
             layers = list(unroll(spec, g, fx, cfg.propagation))
             return (layers[-1].y if layers else fx), {"kind": "unrolled", "spec": spec,
                                                        "layers": layers}
+        fp_cfg = cfg.fixed_point
         if cfg.backend == "eignn":
             spec = EignnSpec(f_mat=self.params["f_mat"], mu=cfg.mu, eps_f=cfg.eps_f)
-            w_p, sigma = spec.weight(), None
+            w_p, fp_cfg = spec.weight(), replace(fp_cfg, sigma=None)
         else:
-            spec, w_p, sigma = None, self.params["w_p"], cfg.sigma
-        fp_cfg = FixedPointConfig(sigma=sigma, tol=cfg.fp_tol, max_iters=cfg.fp_max_iters,
-                                  kind=cfg.kind)
+            spec, w_p = None, self.params["w_p"]
         y0 = None if warm is None else warm.start("forward")
         res = fixed_point_solve(g, w_p, fx, fp_cfg, y0=y0)
         if warm is not None:

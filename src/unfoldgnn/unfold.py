@@ -250,13 +250,16 @@ def reweighted_propagation_apply(g, y, gamma):
     """(D_g^-1/2 (A_g + I) D_g^-1/2) @ y with per-edge weights gamma and
     D_g the reweighted degrees plus the self loop.  Invariant to a
     common rescaling of gamma up to the self-loop term, which is what
-    keeps attention-driven propagation stable."""
-    eu, ev = g.edges[:, 0], g.edges[:, 1]
-    deg = np.bincount(eu, weights=gamma, minlength=g.n) \
-        + np.bincount(ev, weights=gamma, minlength=g.n)
-    s = 1.0 / np.sqrt(deg + 1.0)
-    out = _kernels.weighted_adj_apply(s[:, None] * y, gamma, eu, ev, g.n)
-    return s[:, None] * out + (s ** 2)[:, None] * y
+    keeps attention-driven propagation stable.
+
+    As A_g + I = D_g - L_g with L_g = B.T diag(gamma) B over the
+    unit-scale incidence B, this is y - s * (L_g (s * y)) with
+    s = D_g^-1/2, computed on the graph's cached incidence view."""
+    raw = incidence(g, LaplacianKind.SELF_LOOP_SYM).raw
+    deg = np.bincount(raw.eu, weights=gamma, minlength=g.n) \
+        + np.bincount(raw.ev, weights=gamma, minlength=g.n)
+    s = (1.0 / np.sqrt(deg + 1.0))[:, None]
+    return y - s * raw.weighted_laplacian_apply(s * y, gamma)
 
 
 def normalized_step(g, y, y0, alpha, lam, gamma=None):
@@ -383,7 +386,7 @@ def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
             # simple mode, the scaled-incidence quadratic form otherwise
             weights = d_gamma * spec.rho.grad2(edge_diagonal(spec, bview, y_k))
             if spec.simple:
-                d_y = d_y + 2.0 * bview.raw_apply_t(weights[:, None] * bview.raw_apply(y_k))
+                d_y = d_y + 2.0 * bview.raw.apply_t(weights[:, None] * bview.raw.apply(y_k))
             else:
                 d_y = d_y + bview.apply_t(weights[:, None] * e_y)
             d_gamma = 0.0

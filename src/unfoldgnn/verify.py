@@ -35,8 +35,6 @@ from .unfold import (
     verify_descent,
 )
 
-SUITES = ("descent", "convergence", "equivalence", "gradients")
-
 
 def _random_graph(rng, n, p=0.35):
     mask = np.triu(rng.random((n, n)) < p, k=1)
@@ -49,18 +47,6 @@ def _random_graph(rng, n, p=0.35):
 def _random_psd(rng, d, scale=1.0):
     a = rng.normal(size=(d, d))
     return scale * (a @ a.T / d + 0.05 * np.eye(d))
-
-
-def run_suite(name, seed=0, trials=None, inject_failure=False):
-    if name == "descent":
-        return descent_suite(seed, 40 if trials is None else trials, inject_failure)
-    if name == "convergence":
-        return convergence_suite(seed, 15 if trials is None else trials, inject_failure)
-    if name == "equivalence":
-        return equivalence_suite(seed, 20 if trials is None else trials, inject_failure)
-    if name == "gradients":
-        return gradients_suite(seed, 6 if trials is None else trials, inject_failure)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
 
 
 def descent_suite(seed, trials, inject_failure=False):
@@ -227,3 +213,20 @@ def gradients_suite(seed, trials, inject_failure=False):
                         "seed": seed})
         ok = ok and report["ok"]
     return ok, records
+
+
+# suite name -> (function(seed, trials, inject_failure), default trial count)
+_RUNNERS = {
+    "descent": (descent_suite, 40),
+    "convergence": (convergence_suite, 15),
+    "equivalence": (equivalence_suite, 20),
+    "gradients": (gradients_suite, 6),
+}
+SUITES = tuple(_RUNNERS)
+
+
+def run_suite(name, seed=0, trials=None, inject_failure=False):
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    suite, default_trials = _RUNNERS[name]
+    return suite(seed, default_trials if trials is None else trials, inject_failure)

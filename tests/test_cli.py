@@ -142,6 +142,23 @@ class TestPropagate:
     (["bench", "--sizes", "100:0:8:2"], "n, avg_degree and d must be at least 1"),
     (["bench", "--sizes", "100:8:0:2"], "n, avg_degree and d must be at least 1"),
     (["bench", "--sizes", "100:8:4:-1"], "K at least 0"),
+    (["train", "--lam", "-1"], "lam must be nonnegative"),
+    (["train", "--set", "data.p_in=2"], "edge probabilities must lie in [0, 1]"),
+    (["propagate", "--set", "data.p_in=2"], "edge probabilities must lie in [0, 1]"),
+    (["train", "--set", "data.train_frac=0.9"], "fractions must leave room for test"),
+    (["propagate", "--set", "data.train_frac=0.9"], "fractions must leave room for test"),
+    (["train", "--set", "data.blocks=a,b"], "bad value for data.blocks: 'a,b'"),
+    (["propagate", "--set", "data.blocks=a,b"], "bad value for data.blocks: 'a,b'"),
+    (["train", "--set", "model.hidden=a"], "bad value for model.hidden: 'a'"),
+    (["train", "--set", "data.blocks=0,0"], "block sizes must be at least 1"),
+    (["fixedpoint", "--set", "model.embed_dim=0"], "embed_dim must be at least 1"),
+    (["propagate", "--set", "data.blocks=0,0"], "block sizes must be at least 1"),
+    (["propagate", "--set", "data.feature_dim=0"], "feature_dim must be at least 1"),
+    (["propagate", "--set", "data.val_frac=-0.5"], "fractions must be nonnegative"),
+    (["propagate", "--set", "data.perturb_rate=-1"], "rate must be nonnegative"),
+    (["propagate", "--set", "unfold.variant=preconditioned"],
+     "variant must be 'plain' or 'normalized'"),
+    (["train", "--K", "x"], "bad value for unfold.steps: 'x'"),
 ])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
     # verify and bench read no dataset, so they take no --dataset flag
@@ -149,6 +166,14 @@ def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
     code = run_cli([*args, *dataset, "--out", str(tmp_path / "o")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "verify", "experiment", "bench"])
+def test_negative_seed_exits_two(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
 
 
 class TestFixedPoint:

@@ -114,6 +114,19 @@ class TestSbm:
             assert ds.masks["train"][ds.labels == cls].sum() >= 1
 
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(blocks=()), "blocks must list at least one community size"),
+        (dict(blocks=(10, 0)), "block sizes must be at least 1"),
+        (dict(feature_dim=0), "feature_dim must be at least 1"),
+        (dict(train_frac=-0.1), "fractions must be nonnegative"),
+        (dict(val_frac=-0.5), "fractions must be nonnegative"),
+        (dict(p_in=2.0), r"edge probabilities must lie in \[0, 1\]"),
+    ])
+    def test_bad_spec_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            SbmSpec(**overrides)
+
+
 class TestPerturb:
     def make(self, seed=0):
         return sbm_generate(SbmSpec(blocks=(25, 25), p_in=0.3, p_out=0.0, seed=seed))

@@ -257,6 +257,21 @@ class TestOperatorCache:
             if was_enabled:
                 gc.enable()
 
+    def test_dropped_incidence_views_are_freed_without_the_cyclic_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = random_graph(np.random.default_rng(13), 10)
+            views = [incidence(g, kind) for kind in ALL_KINDS]
+            for view in views:
+                view.bt, view.raw.bt
+            refs = [weakref.ref(view) for view in views + [view.raw for view in views]]
+            del g, view, views
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_equal_edge_lists_share_no_cache(self):
         pairs = [(0, 1), (1, 2), (2, 3)]
         g1, g2 = build_graph(4, pairs), build_graph(4, pairs)
@@ -272,9 +287,10 @@ class TestOperatorCache:
         kind = LaplacianKind.SYM_NORMALIZED
         view = incidence(g, kind)
         lap_before = laplacian(g, kind).toarray()
-        arrays = [g.edges, g.degrees, g.adjacency.data, view.eu, view.su, view.extra_rows]
+        arrays = [g.edges, g.degrees, g.adjacency.data, view.eu, view.su, view.extra_rows,
+                  view.raw.su, view.raw.extra_rows]
         for mat in (laplacian(g, kind), propagation_matrix(g, kind),
-                    view.b, view.bt, view.b_raw, view.bt_raw):
+                    view.b, view.bt, view.raw.b, view.raw.bt):
             arrays += [mat.data, mat.indices, mat.indptr]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -288,6 +304,11 @@ class TestOperatorCache:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown Laplacian kind"):
             laplacian(build_graph(2, [(0, 1)]), "combinatorial")
+
+    def test_kind_from_its_name(self):
+        assert LaplacianKind("sym_normalized") is LaplacianKind.SYM_NORMALIZED
+        with pytest.raises(ValueError, match="unknown laplacian kind 'bogus'"):
+            LaplacianKind("bogus")
 
 
 class TestSpectralNorm:

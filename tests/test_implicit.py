@@ -165,12 +165,13 @@ class TestFixedPointSolve:
                 "y0 has shape (6, 3), but fx has shape (6, 2)")):
             fixed_point_solve(g, 0.1 * np.eye(2), fx, y0=np.zeros((6, 3)))
 
-    def test_non_finite_start_fails_at_first_iteration(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_fails_at_first_iteration(self, bad):
         rng = np.random.default_rng(12)
         g = random_graph(rng, 6)
         fx = rng.normal(size=(6, 2))
         y0 = np.zeros_like(fx)
-        y0[2, 0] = np.nan
+        y0[2, 0] = bad
         with pytest.raises(FixedPointDivergence, match="non-finite residual at iteration 1$"):
             fixed_point_solve(g, 0.1 * np.eye(2), fx, y0=y0)
 
@@ -286,14 +287,15 @@ class TestImplicitBackward:
             implicit_backward(g, w, fx, out.y, rng.normal(size=(6, 2)),
                               v0=np.zeros((2, 6)))
 
-    def test_non_finite_start_fails_at_first_iteration(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_fails_at_first_iteration(self, bad):
         rng = np.random.default_rng(22)
         g = random_graph(rng, 7)
         w = contraction_weight(rng, 2, propagation_matrix(g, SELF).toarray())
         fx = rng.normal(size=(7, 2))
         out = fixed_point_solve(g, w, fx)
         v0 = np.zeros((7, 2))
-        v0[4, 1] = np.nan
+        v0[4, 1] = bad
         with pytest.raises(FixedPointDivergence, match="non-finite residual at iteration 1$"):
             implicit_backward(g, w, fx, out.y, rng.normal(size=(7, 2)), v0=v0)
 

@@ -73,22 +73,27 @@ def test_csr_products_match_edge_loop(kind, graph, d):
     diff = loop_diff(y, eu, ev, su, sv)
     raw_diff = loop_diff(y, eu, ev, ones, ones)
     np.testing.assert_allclose(view.apply(y), diff, rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(view.raw_apply(y), raw_diff, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(view.raw.apply(y), raw_diff, rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(view.apply_t(e), loop_scatter(e, eu, ev, su, sv, n),
                                rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(view.raw_apply_t(e), loop_scatter(e, eu, ev, ones, ones, n),
+    np.testing.assert_allclose(view.raw.apply_t(e), loop_scatter(e, eu, ev, ones, ones, n),
                                rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(
         view.weighted_laplacian_apply(y, gamma),
         loop_scatter(gamma[:, None] * diff, eu, ev, su, sv, n), rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(view.edge_sqnorm(y), (diff ** 2).sum(axis=1),
                                rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(view.raw_edge_sqnorm(y), (raw_diff ** 2).sum(axis=1),
+    np.testing.assert_allclose(view.raw.edge_sqnorm(y), (raw_diff ** 2).sum(axis=1),
                                rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(view.edge_quadform(y, w),
                                [row @ w @ row for row in diff], rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(_kernels.weighted_adj_apply(y, gamma, eu, ev, n),
                                loop_weighted_adj(y, gamma, eu, ev, n), rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(
+        view.raw.weighted_laplacian_apply(y, gamma),
+        loop_scatter(gamma[:, None] * raw_diff, eu, ev, ones, ones, n), rtol=1e-13, atol=1e-14)
+    assert (view.raw is view) == (kind is LaplacianKind.COMBINATORIAL)
+    assert view.raw.raw is view.raw
     for got in (view.apply(y), view.apply_t(e), view.weighted_laplacian_apply(y, gamma)):
         assert isinstance(got, np.ndarray)
 

@@ -93,6 +93,9 @@ class TestConfigValidation:
         (dict(hidden=(-2,)), "hidden widths must be at least 1"),
         (dict(backend="implicit", fp_max_iters=0), "fp_max_iters must be at least 1"),
         (dict(backend="eignn", fp_tol=0.0), "fp_tol must be positive"),
+        (dict(lam=-1.0), "lam must be nonnegative"),
+        (dict(steps=-1), "steps must be >= 0"),
+        (dict(variant="preconditioned"), "variant must be 'plain' or 'normalized'"),
     ])
     def test_bad_sizes_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):

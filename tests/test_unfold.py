@@ -23,6 +23,7 @@ from unfoldgnn.unfold import (
     normalized_step,
     preconditioned_step,
     propagate,
+    reweighted_propagation_apply,
     sandwich_schedule,
     step_size_bound,
     trace_to_csv,
@@ -520,6 +521,22 @@ class TestVariants:
         s = 1.0 / np.sqrt(deg)
         limit = (s[:, None] * adj * s[None, :]) @ y
         np.testing.assert_allclose(base, limit, atol=2e-3)
+
+
+    def test_reweighted_matches_dense_definition(self):
+        # D_g^-1/2 (A_g + I) D_g^-1/2 y, with D_g the reweighted degrees
+        # plus the self loop; node 9 is isolated
+        rng = np.random.default_rng(27)
+        g = build_graph(10, random_graph(rng, 9).edges)
+        y = rng.normal(size=(10, 3))
+        gamma = rng.random(g.m) + 0.1
+        adj = np.zeros((g.n, g.n))
+        for (u, v), w in zip(g.edges, gamma):
+            adj[u, v] = adj[v, u] = w
+        s = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
+        want = (s[:, None] * (adj + np.eye(g.n)) * s[None, :]) @ y
+        np.testing.assert_allclose(reweighted_propagation_apply(g, y, gamma), want,
+                                   rtol=1e-13, atol=1e-14)
 
 
 class TestTraceExport:
