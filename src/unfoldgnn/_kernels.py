@@ -1,13 +1,15 @@
 """Sparse products shared by the propagation engines.
 
 Every edge quantity is a product with the edge-row incidence matrix
-``B`` of a graph (row k for edge (u, v) carries +su at u and -sv at v)
-or with ``B.T``, both held as CSR by the graph's cached incidence view,
-so the graph modules never materialize dense n x n operators and never
-loop over edges in Python.
+``B`` of a graph (row k for edge (u, v) carries +su at u and -sv at v),
+with ``B.T``, or with a sparse n x n Laplacian ``L = B.T diag(gamma) B``
+assembled from them, all held as CSR, so the graph modules never
+materialize dense n x n operators and never loop over edges in Python.
 
 Operation counts are analytic: each call adds a fixed multiple of
-(edges x columns) to the counter, whatever the product's implementation.
+(edges x columns), or of nnz(L) x columns for a product with an
+assembled Laplacian, to the counter, whatever the product's
+implementation; an assembly adds a fixed multiple of the edges.
 """
 
 import numpy as np
@@ -47,6 +49,20 @@ def weighted_lap_apply(y, gamma, b, bt):
     e = b @ y
     e *= gamma[:, None]  # in place: a fresh m x d temporary costs more than the product
     return bt @ e
+
+
+def weighted_lap_assemble(gamma, b, bt):
+    """B.T @ diag(gamma) @ B as an n x n CSR matrix."""
+    _FLOPS["edge"] += 6 * b.shape[0]  # scale the 2 entries of each row, 4 products per row
+    scaled = sp.csr_matrix((b.data * np.repeat(gamma, np.diff(b.indptr)), b.indices, b.indptr),
+                           shape=b.shape)
+    return bt @ scaled
+
+
+def lap_apply(y, lap):
+    """lap @ y for an assembled sparse Laplacian."""
+    _FLOPS["edge"] += 2 * lap.nnz * y.shape[1]
+    return lap @ y
 
 
 def edge_sqnorm(y, b):

@@ -370,8 +370,8 @@ class EnergySpec:
 
     def __post_init__(self):
         if self.simple:
-            if self.lam < 0:
-                raise ValueError("lam must be nonnegative")
+            if not (self.lam >= 0 and math.isfinite(self.lam)):
+                raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         else:
             if self.w_fid is None or self.w_prop is None:
                 raise ValueError("general mode needs w_fid and w_prop")

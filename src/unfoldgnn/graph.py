@@ -223,6 +223,10 @@ class IncidenceView:
         """B.T @ diag(gamma) @ B @ y over the edge rows."""
         return _kernels.weighted_lap_apply(y, gamma, self.b, self.bt)
 
+    def weighted_laplacian(self, gamma):
+        """B.T @ diag(gamma) @ B over the edge rows, assembled as CSR."""
+        return _kernels.weighted_lap_assemble(gamma, self.b, self.bt)
+
     def edge_sqnorm(self, y):
         return _kernels.edge_sqnorm(y, self.b)
 

@@ -14,6 +14,7 @@ implies.  The linear symmetric model (EIGNN) is the identity-sigma case
 with a weight derived from F.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class FixedPointConfig:
     kind: LaplacianKind = LaplacianKind.SELF_LOOP_SYM
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

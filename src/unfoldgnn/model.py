@@ -103,8 +103,6 @@ class ModelConfig:
         # rejects (lam; steps, alpha, variant, schedule) fails at construction
         for name in ("energy_spec", "propagation", "fixed_point"):
             getattr(self, name)
-        if self.propagation.variant == "preconditioned":
-            raise ValueError("variant must be 'plain' or 'normalized'")
         if self.variant == "normalized" and self.attention_grad == "full":
             raise ValueError("full attention differentiation is supported for "
                              "the plain variant only")

@@ -17,6 +17,16 @@ are written in this module.  :func:`propagate` records the energy
 trace, residuals and Gamma snapshots from the forward loop; the
 unrolled model backend (``model.py``) keeps the records as its tape.
 
+Gamma is constant over a segment, from one refresh to the next, so the
+plain variant picks the segment's Laplacian L_Gamma = B.T diag(Gamma) B
+once, when the segment starts: the graph's cached Laplacian while Gamma
+is still ones, else L_Gamma assembled as CSR.  Every step of the
+segment is then one sparse product with it, and so is the step's
+transpose in the backward, since L_Gamma is symmetric.  A segment of a
+single forward step applies B.T (Gamma * (B Y)) factor by factor
+instead, since there an assembly would cost more than the one product
+it saves.
+
 Simple mode follows the scalar propagation convention
 ``U = Y - alpha [(lam * Lhat + I) Y - F]`` (the update whose first step
 reduces to a normalized-adjacency layer); its step direction is half
@@ -34,6 +44,7 @@ its steps are safe but can be shorter.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +83,7 @@ class PropagationConfig:
 
     steps: int = 16
     alpha: float | str = "auto"
-    variant: str = "plain"  # plain | preconditioned | normalized
+    variant: str = "plain"  # plain | normalized
     attention_schedule: tuple = ()
     record_trace: bool = True
     y0: np.ndarray | None = None
@@ -83,12 +94,11 @@ class PropagationConfig:
         if isinstance(self.alpha, str):
             if self.alpha not in ("auto", "auto_irls"):
                 raise ValueError("alpha must be positive or 'auto'/'auto_irls'")
-        elif self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.variant not in ("plain", "preconditioned", "normalized"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "preconditioned" and self.attention_schedule:
-            raise ValueError("the preconditioned variant does not take attention")
+        elif not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.variant not in ("plain", "normalized"):
+            raise ValueError(f"unknown variant {self.variant!r}: "
+                             "variant must be 'plain' or 'normalized'")
         if any(k < 0 or k >= self.steps for k in self.attention_schedule):
             raise ValueError("attention indices must lie in [0, steps)")
 
@@ -120,18 +130,40 @@ def gamma_update(spec, bview, y):
     return spec.rho.grad(edge_diagonal(spec, bview, y))
 
 
-def abridged_gradient_step(spec, bview, y, fx, gamma, alpha):
+def _lap_apply(bview, gamma, lap, y):
+    """L_Gamma @ y: one product with ``lap``, the segment's L_Gamma, or
+    B.T (gamma * (B y)) factor by factor where lap is None."""
+    if lap is None:
+        return bview.weighted_laplacian_apply(y, np.asarray(gamma, dtype=float))
+    return _kernels.lap_apply(y, lap)
+
+
+def _segment_laplacian(g, bview, gamma, unit, steps):
+    """The operator a Gamma segment of ``steps`` forward steps applies
+    (see the module docstring); ``unit`` says Gamma is still ones.  Under
+    SYM_NORMALIZED an isolated node's extra row of B puts a 1 on the
+    cached Laplacian's diagonal, which the edge rows do not carry."""
+    if steps < 2:
+        return None
+    if unit and not bview.extra_rows.size:
+        return laplacian(g, bview.kind)
+    return bview.weighted_laplacian(gamma)
+
+
+def abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap=None):
     """One gradient step on the smooth energy terms at fixed Gamma.
 
     Simple mode: U = Y - alpha [lam * Lhat Y + Y - F].
     General mode ("exact"):   U = Y - alpha [Lhat Y Wp_s + (Y-F) Wf_s].
     General mode ("literal"): U = Y - alpha [Lhat Y Wp_s + Y Wf_s - F].
+    Lhat = B.T diag(gamma) B, applied as ``lap`` when the segment
+    assembled it.
     """
     y = np.asarray(y, dtype=float)
     fx = np.asarray(fx, dtype=float)
     if y.shape != fx.shape:
         raise ValueError("Y and f(X) shapes differ")
-    lap_y = bview.weighted_laplacian_apply(y, np.asarray(gamma, dtype=float))
+    lap_y = _lap_apply(bview, gamma, lap, y)
     if spec.simple:
         return y - alpha * (spec.lam * lap_y + y - fx)
     n, d = y.shape
@@ -236,16 +268,6 @@ def closed_form_solution(g, fx, lam, kind, tol=1e-10):
     return y
 
 
-def preconditioned_step(g, z, z0, alpha, lam):
-    """Pre-prox point of the degree-rescaled recursion
-    Z <- prox[(1-a) Z + a*lam*(D~^-1/2 A D~^-1/2) Z + a*D~^-1 Z0]."""
-    p_hat = propagation_matrix(g, LaplacianKind.SELF_LOOP_SYM)
-    d_tilde_inv = 1.0 / (g.degrees + 1.0)
-    adj_part = p_hat @ z - d_tilde_inv[:, None] * z  # D~^-1/2 A D~^-1/2 Z
-    _kernels.count_dense(2 * p_hat.nnz * z.shape[1])
-    return (1.0 - alpha) * z + alpha * lam * adj_part + alpha * d_tilde_inv[:, None] * z0
-
-
 def reweighted_propagation_apply(g, y, gamma):
     """(D_g^-1/2 (A_g + I) D_g^-1/2) @ y with per-edge weights gamma and
     D_g the reweighted degrees plus the self loop.  Invariant to a
@@ -283,8 +305,11 @@ class Layer:
 
     ``gamma`` holds the edge weights the step used, or None where it
     used the unweighted operator (the normalized variant without
-    attention, and the preconditioned variant); ``gamma_step`` is the
-    step whose embedding generated them, -1 while they are still ones.
+    attention); ``gamma_step`` is the step whose embedding generated
+    them, -1 while they are still ones.  ``lap`` is the sparse
+    B.T diag(gamma) B that the plain variant's step applied, one object
+    shared by the layers of its segment, or None where the step applied
+    the factors (a one-step segment) or took the normalized step.
     """
 
     k: int
@@ -293,6 +318,7 @@ class Layer:
     alpha: float
     gamma: np.ndarray | None
     gamma_step: int
+    lap: sp.spmatrix | None
 
 
 def _start(fx, cfg):
@@ -323,17 +349,19 @@ def unroll(spec, g, fx, cfg):
     elif cfg.alpha != "auto_irls":
         fixed_alpha = float(cfg.alpha)
     schedule = set(cfg.attention_schedule)
+    starts = sorted(schedule | {0})
+    segment_end = dict(zip(starts, starts[1:] + [cfg.steps]))
+    lap = None
     for k in range(cfg.steps):
         if k in schedule:
             gamma = gamma_update(spec, bview, y)
             gamma_step = k
         alpha = irls_step_bound(spec, bview, gamma) if fixed_alpha is None else fixed_alpha
         if cfg.variant == "plain":
+            if k in segment_end:
+                lap = _segment_laplacian(g, bview, gamma, gamma_step < 0, segment_end[k] - k)
             used = gamma
-            u = abridged_gradient_step(spec, bview, y, fx, gamma, alpha)
-        elif cfg.variant == "preconditioned":
-            used = None
-            u = preconditioned_step(g, y, fx, alpha, spec.lam)
+            u = abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap)
         else:
             used = gamma if schedule else None
             u = normalized_step(g, y, fx, alpha, spec.lam, gamma=used)
@@ -341,7 +369,7 @@ def unroll(spec, g, fx, cfg):
         norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             raise PropagationDivergence(k, norm)
-        yield Layer(k, u, y, alpha, used, gamma_step)
+        yield Layer(k, u, y, alpha, used, gamma_step, lap)
 
 
 def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
@@ -349,12 +377,12 @@ def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
     back through the recorded ``layers`` of the plain or normalized
     variant and return d(loss)/d(f(X)).
 
-    Gamma is a constant of each step between refreshes.  full_attention
-    (plain variant) also chains d(loss)/d(Gamma), summed over the steps
-    of a segment, through rho' at the embedding that generated it.
+    Gamma is a constant of each step between refreshes, and each step's
+    transpose applies the symmetric operator its layer recorded.
+    full_attention (plain variant) also chains d(loss)/d(Gamma), summed
+    over the steps of a segment, through rho' at the embedding that
+    generated it.
     """
-    if variant not in ("plain", "normalized"):
-        raise ValueError(f"no backward for the {variant!r} variant")
     bview = incidence(g, spec.kind)
     d_fx = np.zeros_like(fx)
     d_gamma = 0.0
@@ -366,7 +394,7 @@ def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
             d_fx += alpha * d_u
             d_y = normalized_step(g, d_u, 0.0, alpha, spec.lam, gamma=gamma)
             continue
-        lap_du = bview.weighted_laplacian_apply(d_u, gamma)
+        lap_du = _lap_apply(bview, gamma, layer.lap, d_u)
         if spec.simple:
             d_fx += alpha * d_u
             d_y = (1.0 - alpha) * d_u - alpha * spec.lam * lap_du

@@ -108,6 +108,12 @@ class TestPropagate:
 @pytest.mark.parametrize("args, message", [
     (["train", "--K", "4", "--set", "unfold.attention=9"], "attention indices"),
     (["train", "--set", "unfold.alpha=-0.1"], "alpha must be positive"),
+    (["train", "--set", "unfold.alpha=nan"], "alpha must be positive and finite"),
+    (["train", "--set", "unfold.alpha=inf"], "alpha must be positive and finite"),
+    (["propagate", "--lam", "nan"], "lam must be nonnegative and finite"),
+    (["propagate", "--lam", "inf"], "lam must be nonnegative and finite"),
+    (["fixedpoint", "--set", "implicit.tol=nan"], "tol must be positive and finite"),
+    (["fixedpoint", "--set", "implicit.tol=inf"], "tol must be positive and finite"),
     (["train", "--set", "unfold.variant=bogus"], "unknown variant"),
     (["train", "--set", "implicit.sigma=bogus"], "unknown phi config"),
     (["propagate", "--set", "unfold.variant=bogus"], "unknown variant"),

@@ -267,6 +267,12 @@ class TestEnergyEval:
         np.testing.assert_allclose(spec.w_fid_sym(), np.eye(2) - w)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lam_rejected(lam):
+    with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+        EnergySpec(lam=lam)
+
+
 class TestConfigStrings:
     @pytest.mark.parametrize("rho", ALL_RHOS, ids=lambda r: r.kind)
     def test_rho_roundtrip(self, rho):

@@ -68,6 +68,12 @@ class TestProjectWeights:
         np.testing.assert_allclose(twice, once, atol=1e-14)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_non_finite_tol_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        FixedPointConfig(tol=tol)
+
+
 class TestFixedPointSolve:
     def test_zero_weight_converges_immediately(self):
         rng = np.random.default_rng(2)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from unfoldgnn import _kernels
+from unfoldgnn import unfold as unfold_module
 from unfoldgnn.energy import (
     EnergySpec,
     energy_eval,
@@ -13,6 +15,7 @@ from unfoldgnn.energy import (
     rho_truncated_quadratic,
 )
 from unfoldgnn.graph import LaplacianKind, build_graph, incidence, laplacian, propagation_matrix
+from unfoldgnn.model import Model, ModelConfig, softmax_cross_entropy
 from unfoldgnn.unfold import (
     PropagationConfig,
     PropagationDivergence,
@@ -21,7 +24,6 @@ from unfoldgnn.unfold import (
     gamma_update,
     irls_step_bound,
     normalized_step,
-    preconditioned_step,
     propagate,
     reweighted_propagation_apply,
     sandwich_schedule,
@@ -434,25 +436,13 @@ class TestUniqueness:
         assert np.linalg.norm(out1.y - out2.y) < 1e-7
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_non_finite_alpha_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        PropagationConfig(alpha=alpha)
+
+
 class TestVariants:
-    def test_preconditioned_single_step_is_gcn_layer(self):
-        rng = np.random.default_rng(20)
-        g = random_graph(rng, 9)
-        z0 = rng.normal(size=(9, 4))
-        p_hat = propagation_matrix(g, LaplacianKind.SELF_LOOP_SYM).toarray()
-        got = phi_relu().prox(preconditioned_step(g, z0, z0, alpha=1.0, lam=1.0), 1.0)
-        np.testing.assert_allclose(got, np.maximum(p_hat @ z0, 0.0), atol=1e-12)
-
-    def test_preconditioned_has_no_backward(self):
-        rng = np.random.default_rng(23)
-        g = random_graph(rng, 7)
-        fx = rng.normal(size=(7, 2))
-        spec = EnergySpec(kind=COMB)
-        layers = list(unroll(spec, g, fx, PropagationConfig(steps=2, alpha=0.1,
-                                                             variant="preconditioned")))
-        with pytest.raises(ValueError, match="no backward for the 'preconditioned' variant"):
-            unroll_backward(spec, g, fx, layers, np.ones_like(fx), "preconditioned", False)
-
     def test_normalized_lambda_zero_returns_start(self):
         rng = np.random.default_rng(21)
         g = random_graph(rng, 7)
@@ -487,10 +477,6 @@ class TestVariants:
         for _ in range(k):
             y = (1 - beta) * (a_hat @ y) + beta * fx
         np.testing.assert_allclose(out.y, y, atol=1e-12)
-
-    def test_attention_rejected_for_preconditioned(self):
-        with pytest.raises(ValueError):
-            PropagationConfig(steps=4, variant="preconditioned", attention_schedule=(1,))
 
     def test_reweighted_normalized_with_unit_gamma_matches_plain(self):
         rng = np.random.default_rng(25)
@@ -537,6 +523,108 @@ class TestVariants:
         want = (s[:, None] * (adj + np.eye(g.n)) * s[None, :]) @ y
         np.testing.assert_allclose(reweighted_propagation_apply(g, y, gamma), want,
                                    rtol=1e-13, atol=1e-14)
+
+
+class TestSegmentLaplacian:
+    """The plain variant applies B.T diag(gamma) B as one product per
+    step over a segment of at least two forward steps (the cached
+    Laplacian while gamma is ones, else an assembly) and factor by
+    factor over a one-step segment."""
+
+    # node 9 is isolated: an extra row of B under SYM_NORMALIZED
+    EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (1, 5), (6, 7),
+             (7, 8), (3, 8)]
+
+    @staticmethod
+    def spec(mode, kind, d):
+        rho = rho_log(eps=0.5)
+        if mode == "simple":
+            return EnergySpec(rho=rho, lam=1.3, kind=kind)
+        rng = np.random.default_rng(50)
+        return EnergySpec(rho=rho, kind=kind, simple=False, w_fid=random_psd(rng, d),
+                          w_prop=random_psd(rng, d, scale=0.5), gradient_mode=mode)
+
+    @staticmethod
+    def factored(monkeypatch):
+        """Make every segment apply B.T (gamma * (B y)) factor by factor."""
+        monkeypatch.setattr(unfold_module, "_segment_laplacian", lambda *args: None)
+
+    @pytest.mark.parametrize("schedule", [(), (0, 1, 5), (3, 4)])
+    @pytest.mark.parametrize("mode", ["simple", "exact", "literal"])
+    @pytest.mark.parametrize("kind", list(LaplacianKind), ids=lambda k: k.name)
+    def test_matches_factored_forward_and_backward(self, kind, mode, schedule, monkeypatch):
+        g = build_graph(10, self.EDGES)
+        d = 3
+        rng = np.random.default_rng(51)
+        fx = rng.normal(size=(g.n, d))
+        d_y = rng.normal(size=(g.n, d))
+        spec = self.spec(mode, kind, d)
+        cfg = PropagationConfig(steps=8, alpha=0.1, attention_schedule=schedule,
+                                record_trace=False)
+        layers = list(unroll(spec, g, fx, cfg))
+        grads = [unroll_backward(spec, g, fx, layers, d_y, "plain", full)
+                 for full in (False, True)]
+        starts = sorted({0, *schedule})
+        ends = dict(zip(starts, starts[1:] + [8]))
+        for k, layer in enumerate(layers):
+            start = max(s for s in starts if s <= k)
+            assert (layer.lap is None) == (ends[start] - start < 2)
+            assert layer.lap is layers[start].lap
+        cached = layers[0].lap is laplacian(g, kind)
+        assert cached == (0 not in schedule and kind is not LaplacianKind.SYM_NORMALIZED)
+
+        self.factored(monkeypatch)
+        want = list(unroll(spec, g, fx, cfg))
+        assert all(layer.lap is None for layer in want)
+        for got, ref in zip(layers, want):
+            assert got.gamma_step == ref.gamma_step
+            assert np.abs(got.y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+        for full, got in zip((False, True), grads):
+            ref = unroll_backward(spec, g, fx, want, d_y, "plain", full)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_every_step_schedule_counts_the_factored_product(self):
+        # robust-cold's plan: an attention refresh and an IRLS step at every
+        # layer, so every segment is one step long
+        rng = np.random.default_rng(52)
+        n, d, k = 60, 4, 8
+        g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+        spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), phi=phi_relu(),
+                          lam=1.0, kind=COMB)
+        cfg = PropagationConfig(steps=k, alpha="auto_irls", attention_schedule=tuple(range(k)),
+                                record_trace=False)
+        out = propagate(spec, g, rng.normal(size=(n, d)), cfg)
+        # per layer: the refresh's squared distances (4 m d) and the
+        # factored B.T (gamma * (B y)) (5 m d); no assembly
+        assert out.ops == {"edge": k * (4 + 5) * g.m * d, "dense": 0}
+
+    def test_sandwich_training_step_assembles_once_in_the_forward(self):
+        rng = np.random.default_rng(53)
+        n, d, k = 40, 3, 8
+        g = build_graph(n, [(i, (i + 1 + j) % n) for i in range(n) for j in range(3)])
+        kind = LaplacianKind.SELF_LOOP_SYM
+        nnz = n + 2 * g.m  # every node has an edge, and rho_log keeps gamma > 0
+        assert laplacian(g, kind).nnz == nnz
+        cfg = ModelConfig(backend="unrolled", embed_dim=d, n_classes=2, steps=k, alpha="auto",
+                          rho=rho_log(eps=0.5), kind=kind, attention_schedule=sandwich_schedule(k))
+        model = Model(5, cfg, seed=1)
+        x = rng.normal(size=(n, 5))
+        labels = rng.integers(0, 2, size=n)
+        before = _kernels.op_counter()["edge"]
+        logits, cache = model.forward(g, x)
+        forward = _kernels.op_counter()["edge"] - before
+        _, d_logits = softmax_cross_entropy(logits, labels, np.arange(n))
+        before = _kernels.op_counter()["edge"]
+        model.backward(cache, d_logits)
+        backward = _kernels.op_counter()["edge"] - before
+        layers = cache["prop"]["layers"]
+        assert layers[0].lap is laplacian(g, kind)
+        assert layers[-1].lap.nnz == nnz
+        # forward: one product per layer, plus at the refresh its squared
+        # distances (4 m d) and the one assembly (6 m)
+        assert forward == k * 2 * nnz * d + 4 * g.m * d + 6 * g.m
+        # backward: one product per layer with the operator its layer recorded
+        assert backward == k * 2 * nnz * d
 
 
 class TestTraceExport:
