@@ -184,10 +184,6 @@ def parse_alpha(text):
         raise CliError(f"bad step size {text!r}")
 
 
-def parse_sigma(text):
-    return None if text in ("zero", "identity", "") else phi_from_config(text)
-
-
 def resolve_run(args):
     """The dataset, ModelConfig and TrainConfig of a train, propagate or
     fixedpoint run, all built before anything runs.  This is the one
@@ -213,7 +209,7 @@ def resolve_run(args):
             phi=phi_from_config(cfg["unfold.phi"]),
             variant=cfg["unfold.variant"],
             attention_schedule=parse_schedule(cfg["unfold.attention"], cfg["unfold.steps"]),
-            sigma=parse_sigma(cfg["implicit.sigma"]),
+            sigma=phi_from_config(cfg["implicit.sigma"]),
             fp_tol=cfg["implicit.tol"],
             fp_max_iters=cfg["implicit.max_iters"],
             train_w_p=bool(cfg["implicit.train_w_p"]),

@@ -8,6 +8,7 @@ the homophily/heterophily regimes, and the edge perturbation injects
 cross-class edges as a stand-in for adversarial graph attacks.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -159,9 +160,14 @@ class SbmSpec:
         if min(self.blocks) < 1:
             raise ValueError(f"block sizes must be at least 1, got {tuple(self.blocks)}")
         if not 0 <= self.p_in <= 1 or not 0 <= self.p_out <= 1:
-            raise ValueError("edge probabilities must lie in [0, 1]")
+            raise ValueError(f"edge probabilities must lie in [0, 1], got p_in={self.p_in}, "
+                             f"p_out={self.p_out}")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be at least 1")
+        for name in ("separation", "train_frac", "val_frac"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.train_frac < 0 or self.val_frac < 0:
             raise ValueError("train and val fractions must be nonnegative")
         if self.train_frac + self.val_frac >= 1.0:
@@ -244,8 +250,8 @@ class PerturbSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
+        if not (self.rate >= 0 and math.isfinite(self.rate)):
+            raise ValueError(f"rate must be nonnegative and finite, got {self.rate}")
 
 
 def perturb_edges(ds, spec):

@@ -25,6 +25,8 @@ from .graph import LaplacianKind
 
 GAMMA_CAP_DEFAULT = 1e6
 _NEG_DIAG_TOL = 1e-12
+# a parameter's name in config strings, where it differs from the field's
+_CONFIG_NAMES = {"big_t": "T"}
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +55,13 @@ class Rho:
         if self.kind not in ("identity", "log", "truncated_quadratic",
                              "truncated_lp", "cosine", "absolute"):
             raise ValueError(f"unknown rho kind {self.kind!r}")
+        for name in ("eps", "tau", "p", "big_t", "gamma_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"rho parameter {_CONFIG_NAMES.get(name, name)} must be "
+                                 f"finite, got {value}")
+        if self.gamma_max <= 0:
+            raise ValueError(f"rho parameter gamma_max must be positive, got {self.gamma_max}")
         if self.kind == "log" and self.eps <= 0:
             raise ValueError("log penalty needs eps > 0")
         if self.kind == "truncated_quadratic" and self.tau < 0:
@@ -227,6 +236,8 @@ class Phi:
     def __post_init__(self):
         if self.kind not in ("zero", "relu", "soft_threshold"):
             raise ValueError(f"unknown phi kind {self.kind!r}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"phi parameter kappa must be finite, got {self.kappa}")
         if self.kind == "soft_threshold" and self.kappa < 0:
             raise ValueError("soft_threshold needs kappa >= 0")
 
@@ -235,7 +246,7 @@ class Phi:
             raise ValueError("prox step must be positive")
         u = np.asarray(u, dtype=float)
         if self.kind == "zero":
-            return u.copy()
+            return u
         if self.kind == "relu":
             return np.maximum(u, 0.0)
         return np.sign(u) * np.maximum(np.abs(u) - alpha * self.kappa, 0.0)
@@ -272,29 +283,11 @@ def phi_soft_threshold(kappa=1.0):
 
 
 # ---------------------------------------------------------------------------
-# config-string serialization ("rho=truncated_lp:p=0.1,tau=0.2,T=2")
+# config-string parsing ("rho=truncated_lp:p=0.1,tau=0.2,T=2")
 # ---------------------------------------------------------------------------
-
-def rho_to_config(rho):
-    if rho.kind == "log":
-        return f"log:eps={rho.eps:g}"
-    if rho.kind == "truncated_quadratic":
-        return f"truncated_quadratic:tau={rho.tau:g}"
-    if rho.kind == "truncated_lp":
-        return f"truncated_lp:p={rho.p:g},tau={rho.tau:g},T={rho.big_t:g}"
-    if rho.kind == "absolute" and rho.gamma_max != GAMMA_CAP_DEFAULT:
-        return f"absolute:gamma_max={rho.gamma_max:g}"
-    return rho.kind
-
 
 def rho_from_config(text):
     return _from_config("rho", _RHO_FACTORIES, text)
-
-
-def phi_to_config(phi):
-    if phi.kind == "soft_threshold":
-        return f"soft_threshold:kappa={phi.kappa:g}"
-    return phi.kind
 
 
 def phi_from_config(text):
@@ -305,19 +298,19 @@ _RHO_FACTORIES = {"identity": rho_identity, "log": rho_log,
                   "truncated_quadratic": rho_truncated_quadratic,
                   "truncated_lp": rho_truncated_lp, "cosine": rho_cosine,
                   "absolute": rho_absolute}
-_PHI_FACTORIES = {"zero": phi_zero, "none": phi_zero, "relu": phi_relu,
-                  "soft_threshold": phi_soft_threshold}
+_PHI_FACTORIES = {"zero": phi_zero, "none": phi_zero, "identity": phi_zero,
+                  "relu": phi_relu, "soft_threshold": phi_soft_threshold}
 
 
 def _from_config(what, factories, text):
     """Call the kind's factory with only the parameters the string names,
-    so the factory's defaults apply to the rest; the config name of
-    ``big_t`` is ``T``."""
+    so the factory's defaults apply to the rest; see ``_CONFIG_NAMES``
+    for the config names that differ from the parameters'."""
     head, _, args = text.partition(":")
     if head not in factories:
         raise ValueError(f"unknown {what} config {text!r}")
     factory = factories[head]
-    names = {"T" if p == "big_t" else p: p for p in inspect.signature(factory).parameters}
+    names = {_CONFIG_NAMES.get(p, p): p for p in inspect.signature(factory).parameters}
     kwargs = {}
     for key, value in _parse_kv(args).items():
         if key not in names:

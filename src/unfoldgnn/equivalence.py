@@ -23,13 +23,12 @@ fixed-point equation exactly; ``symmetry_defect`` reports the residual
 skew, which is zero exactly in the real-spectrum case.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .energy import Phi, from_symmetric_pair, phi_zero, rho_identity
+from .energy import Phi, from_symmetric_pair, rho_identity
 from .graph import LaplacianKind, propagation_matrix
 from .unfold import PropagationConfig, unroll
 
@@ -183,7 +182,7 @@ class GcnEmbedding:
     y0_padded_width: int
     block_slices: list
     residual: bool
-    sigma: Phi | None
+    sigma: Phi
 
     def pad_input(self, y0):
         """[Y0, 0, ..., 0] across the block widths."""
@@ -248,12 +247,11 @@ def gcn_oracle(p_op, layers, residual, sigma, y0):
     p_dense = _dense(p_op)
     y = np.asarray(y0, dtype=float)
     outs = [y]
-    act = (lambda z: z) if sigma is None else (lambda z: sigma.prox(z, 1.0))
     for w in layers:
         z = p_dense @ y @ np.asarray(w)
         if residual:
             z = z + y
-        y = act(z)
+        y = sigma.prox(z, 1.0)
         outs.append(y)
     return outs
 
@@ -265,7 +263,7 @@ def embedded_forward(emb, g, y0, steps, kind=LaplacianKind.SELF_LOOP_SYM):
     if emb.residual:
         w_f_sym = w_f_sym - emb.w_r_sym_block
     spec = from_symmetric_pair(emb.w_p_sym_block, w_f_sym, rho=rho_identity(),
-                               phi=emb.sigma or phi_zero(), kind=kind,
+                               phi=emb.sigma, kind=kind,
                                gradient_mode="literal")
     y = emb.pad_input(np.asarray(y0, dtype=float))
     cfg = PropagationConfig(steps=steps, alpha=1.0, y0=y, record_trace=False)
@@ -290,16 +288,3 @@ def verify_gcn_equivalence(emb, g, y0, steps, layers,
             first_bad = k
     return {"ok": first_bad is None, "first_mismatch_layer": first_bad,
             "per_layer_max_diff": per_layer}
-
-
-def report_to_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("# schema: equivalence-report v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        for key, value in report.items():
-            if isinstance(value, list):
-                for i, item in enumerate(value):
-                    writer.writerow([f"{key}[{i}]", item])
-            else:
-                writer.writerow([key, value])

@@ -15,12 +15,12 @@ with a weight derived from F.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .energy import Phi
+from .energy import Phi, phi_zero
 from .graph import GraphOperators, LaplacianKind, propagation_matrix, spectral_norm
 
 
@@ -30,10 +30,10 @@ class FixedPointDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """sigma: a Phi applied through its prox closed form (unit step), or
-    None for the identity activation."""
+    """sigma: a Phi applied through its prox closed form (unit step);
+    the default, phi_zero, is the identity activation."""
 
-    sigma: Phi | None = None
+    sigma: Phi = field(default_factory=phi_zero)
     tol: float = 1e-8
     max_iters: int = 5000
     kind: LaplacianKind = LaplacianKind.SELF_LOOP_SYM
@@ -43,14 +43,6 @@ class FixedPointConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-
-    def activate(self, z):
-        return z if self.sigma is None else self.sigma.prox(z, 1.0)
-
-    def activate_derivative(self, z):
-        if self.sigma is None:
-            return np.ones_like(z)
-        return self.sigma.prox_derivative(z, 1.0)
 
 
 @dataclass
@@ -147,7 +139,7 @@ def fixed_point_solve(g, w_p, fx, cfg=FixedPointConfig(), y0=None):
 
     def step(y):
         _kernels.count_dense(flops)
-        return cfg.activate(p_op @ y @ w_p + fx)
+        return cfg.sigma.prox(p_op @ y @ w_p + fx, 1.0)
 
     y, iterations, trace = _picard(step, y0, cfg)
     # every residual before the last is above tol > 0, so each ratio is defined
@@ -176,7 +168,7 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=N
     y_star = np.asarray(y_star, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
     p_y = p_op @ y_star
-    d_sigma = cfg.activate_derivative(p_y @ w_p + fx)
+    d_sigma = cfg.sigma.prox_derivative(p_y @ w_p + fx, 1.0)
     p_t = p_op.T
     flops = 2 * p_op.nnz * upstream.shape[1] + 2 * upstream.size * w_p.shape[0]
 
@@ -197,44 +189,41 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=N
 class EignnSpec:
     """Symmetric-weight linear implicit model.
 
-    The propagation weight is the rescaled Gram matrix
+    The propagation weight derived from F is the rescaled Gram matrix
     ``Wp_s = s^2 F.T F`` with ``s = (||F.T F|| + eps_f)^(-1/2)``, damped
     by ``mu`` in [0, 1), where ||.|| is the Frobenius norm.  It bounds
     the spectral norm from above, so the product norm is below one by
     construction.
     """
 
-    f_mat: np.ndarray
     mu: float = 0.5
     eps_f: float = 0.1
 
     def __post_init__(self):
-        if self.eps_f <= 0:
-            raise ValueError("eps_f must be positive")
+        if not (self.eps_f > 0 and math.isfinite(self.eps_f)):
+            raise ValueError(f"eps_f must be positive and finite, got {self.eps_f}")
         if not 0 <= self.mu < 1:
             raise ValueError("mu must lie in [0, 1)")
 
-    def gram(self):
-        return self.f_mat.T @ self.f_mat
+    def scale_sq(self, gram):
+        """s^2 for the Gram matrix F.T F."""
+        return 1.0 / (np.linalg.norm(gram, "fro") + self.eps_f)
 
-    def scale_sq(self):
-        return 1.0 / (np.linalg.norm(self.gram(), "fro") + self.eps_f)
-
-    def weight(self):
+    def weight(self, f_mat):
         """Effective propagation weight mu * s^2 * F.T F (symmetric PSD,
         spectral norm < 1)."""
-        return self.mu * self.scale_sq() * self.gram()
+        gram = f_mat.T @ f_mat
+        return self.mu * self.scale_sq(gram) * gram
 
 
-def eignn_grad_f(spec, grad_weight):
+def eignn_grad_f(spec, f_mat, grad_weight):
     """Chain a gradient wrt the effective weight back to F.
 
     Handles the norm factor: with M = F.T F and s^2 = 1/(||M|| + eps),
     d(mu s^2 M) couples through both M and ||M||.
     """
-    f_mat = spec.f_mat
-    m = spec.gram()
-    s_sq = spec.scale_sq()
+    m = f_mat.T @ f_mat
+    s_sq = spec.scale_sq(m)
     g_w = np.asarray(grad_weight, dtype=float)
     q = spec.mu * s_sq * g_w
     m_norm = np.linalg.norm(m, "fro")

@@ -11,8 +11,9 @@ hands them to the reverse loop :func:`unfold.unroll_backward`, which
 lives beside the steps it differentiates.
 The implicit and eignn backends share one path through
 :func:`implicit.fixed_point_solve` and its adjoint
-:func:`implicit.implicit_backward`: eignn is the identity-sigma case
-whose weight :class:`implicit.EignnSpec` derives from F.
+:func:`implicit.implicit_backward`: eignn is the identity-sigma
+(``phi_zero``) case whose weight :class:`implicit.EignnSpec` derives
+from F.
 
 Edge reweighting during unrolled training is treated as a constant
 within each backward pass by default (the majorize-then-minimize
@@ -21,7 +22,8 @@ through their generating embeddings, which is what the finite
 difference checks exercise.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +66,7 @@ class ModelConfig:
     attention_grad: str = "stop"  # stop | full
     energy: EnergySpec | None = None
     # implicit backend
-    sigma: Phi | None = None
+    sigma: Phi = field(default_factory=phi_zero)
     fp_tol: float = 1e-10
     fp_max_iters: int = 5000
     train_w_p: bool = True
@@ -87,22 +89,20 @@ class ModelConfig:
                 raise ValueError(f"{name} must be at least 1")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be at least 1, got {self.hidden}")
-        if self.fp_tol <= 0:
-            raise ValueError("fp_tol must be positive")
-        if self.fp_max_iters < 1:
-            raise ValueError("fp_max_iters must be at least 1")
         if not 0 < self.contraction_margin < 1:
             raise ValueError("contraction_margin must lie in (0, 1)")
-        if not 0 <= self.mu < 1:
-            raise ValueError("mu must lie in [0, 1)")
-        if self.eps_f <= 0:
-            raise ValueError("eps_f must be positive")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must lie in [0, 1)")
-        # each engine config is built here, once, so that a value it owns and
-        # rejects (lam; steps, alpha, variant, schedule) fails at construction
-        for name in ("energy_spec", "propagation", "fixed_point"):
+        # each engine config is built here, once, and is the only check of the
+        # values it owns (lam; steps, alpha, variant, schedule; mu, eps_f;
+        # fp_tol, fp_max_iters), so that a rejected one fails at construction
+        for name in ("energy_spec", "propagation", "eignn"):
             getattr(self, name)
+        try:
+            self.fixed_point
+        except ValueError as exc:
+            # FixedPointConfig names its tol and max_iters, fp_tol and fp_max_iters here
+            raise ValueError(f"fp_{exc}") from exc
         if self.variant == "normalized" and self.attention_grad == "full":
             raise ValueError("full attention differentiation is supported for "
                              "the plain variant only")
@@ -124,9 +124,16 @@ class ModelConfig:
 
     @cached_property
     def fixed_point(self):
-        """The solve of the implicit backend; eignn runs it with sigma None."""
-        return FixedPointConfig(sigma=self.sigma, tol=self.fp_tol, max_iters=self.fp_max_iters,
+        """The solve of the implicit and eignn backends; eignn's activation
+        is the identity, phi_zero, whatever sigma says."""
+        sigma = phi_zero() if self.backend == "eignn" else self.sigma
+        return FixedPointConfig(sigma=sigma, tol=self.fp_tol, max_iters=self.fp_max_iters,
                                 kind=self.kind)
+
+    @cached_property
+    def eignn(self):
+        """The weight rule of the eignn backend."""
+        return EignnSpec(mu=self.mu, eps_f=self.eps_f)
 
 
 @dataclass(frozen=True)
@@ -140,12 +147,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        if not (self.lr >= 0 and math.isfinite(self.lr)):
+            raise ValueError(f"lr must be nonnegative and finite, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ValueError(f"weight_decay must be nonnegative and finite, "
+                             f"got {self.weight_decay}")
 
 
 class _WarmStart:
@@ -261,18 +269,15 @@ class Model:
             layers = list(unroll(spec, g, fx, cfg.propagation))
             return (layers[-1].y if layers else fx), {"kind": "unrolled", "spec": spec,
                                                        "layers": layers}
-        fp_cfg = cfg.fixed_point
         if cfg.backend == "eignn":
-            spec = EignnSpec(f_mat=self.params["f_mat"], mu=cfg.mu, eps_f=cfg.eps_f)
-            w_p, fp_cfg = spec.weight(), replace(fp_cfg, sigma=None)
+            w_p = cfg.eignn.weight(self.params["f_mat"])
         else:
-            spec, w_p = None, self.params["w_p"]
+            w_p = self.params["w_p"]
         y0 = None if warm is None else warm.start("forward")
-        res = fixed_point_solve(g, w_p, fx, fp_cfg, y0=y0)
+        res = fixed_point_solve(g, w_p, fx, cfg.fixed_point, y0=y0)
         if warm is not None:
             warm.record("forward", res.y)
-        return res.y, {"kind": cfg.backend, "result": res, "spec": spec, "w_p": w_p,
-                       "fp_cfg": fp_cfg, "warm": warm}
+        return res.y, {"kind": cfg.backend, "result": res, "w_p": w_p, "warm": warm}
 
     # -- backward -----------------------------------------------------------
 
@@ -296,11 +301,11 @@ class Model:
         warm = prop["warm"]
         v0 = None if warm is None else warm.start("adjoint")
         grad_w, grad_fx = implicit_backward(g, prop["w_p"], fx, prop["result"].y, d_y,
-                                            prop["fp_cfg"], v0=v0)
+                                            self.cfg.fixed_point, v0=v0)
         if warm is not None:
             warm.record("adjoint", grad_fx)
         if prop["kind"] == "eignn":
-            grads["f_mat"] = eignn_grad_f(prop["spec"], grad_w)
+            grads["f_mat"] = eignn_grad_f(self.cfg.eignn, self.params["f_mat"], grad_w)
         elif self.cfg.train_w_p:
             grads["w_p"] = grad_w
         return grad_fx
@@ -360,15 +365,6 @@ def accuracy(logits, labels, mask):
     return float(np.mean(predict(logits[rows]) == labels[rows]))
 
 
-def confusion_counts(logits, labels, mask, n_classes):
-    rows = np.flatnonzero(mask)
-    pred = predict(logits[rows])
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(labels[rows], pred):
-        counts[t, p] += 1
-    return counts
-
-
 @dataclass
 class Metrics:
     loss: np.ndarray
@@ -378,7 +374,6 @@ class Metrics:
     best_val_epoch: int
     best_val_acc: float
     test_acc_at_best: float
-    confusion: np.ndarray
     diverged: bool = False
 
     def to_csv(self, path):
@@ -448,7 +443,6 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
     if best[2] is not None:
         model.params = best[2]
     logits, _ = model.forward(g, x)
-    confusion = confusion_counts(logits, labels, masks["test"], model_cfg.n_classes)
     return model, Metrics(
         loss=np.array(hist["loss"]),
         acc_train=np.array(hist["train"]),
@@ -457,7 +451,6 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
         best_val_epoch=best[1],
         best_val_acc=best[0],
         test_acc_at_best=accuracy(logits, labels, masks["test"]),
-        confusion=confusion,
         diverged=diverged,
     )
 
@@ -493,15 +486,20 @@ def finite_difference_check(model, g, x, labels, train_rows, delta=1e-5,
 
 
 def min_preactivation_margin(model, g, x):
-    """Smallest |pre-prox| magnitude across unrolled steps; finite
-    difference checks need this away from the kinks."""
+    """Smallest distance of a pre-prox entry from a kink of its layer's
+    prox across unrolled steps: relu's kink is at 0, soft_threshold's at
+    |u| = alpha * kappa.  Finite difference checks need this away from
+    the kinks."""
     _, cache = model.forward(g, x)
     prop = cache["prop"]
     if prop["kind"] != "unrolled" or not prop["layers"]:
         return np.inf
-    if prop["spec"].phi.kind == "zero":
+    phi = prop["spec"].phi
+    if phi.kind == "zero":
         return np.inf
-    return min(float(np.abs(layer.u).min()) for layer in prop["layers"])
+    kink = phi.kappa if phi.kind == "soft_threshold" else 0.0
+    return min(float(np.abs(np.abs(layer.u) - kink * layer.alpha).min())
+               for layer in prop["layers"])
 
 
 # ---------------------------------------------------------------------------

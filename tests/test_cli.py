@@ -1,9 +1,11 @@
+import inspect
 import json
 import os
 
 import pytest
 
-from unfoldgnn.cli import main
+from unfoldgnn.cli import KEYS, main
+from unfoldgnn.energy import _CONFIG_NAMES, _PHI_FACTORIES, _RHO_FACTORIES
 from unfoldgnn.data import SbmSpec, save_dataset, sbm_generate
 
 
@@ -172,6 +174,57 @@ def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
     code = run_cli([*args, *dataset, "--out", str(tmp_path / "o")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+# the values probed with `train` on the generated SBM that once ran on, or
+# failed later as divergence or with a traceback
+PROBES = [
+    ("eignn.eps_f=inf", "eps_f must be positive and finite, got inf"),
+    ("unfold.phi=soft_threshold:kappa=inf", "phi parameter kappa must be finite, got inf"),
+    ("unfold.rho=truncated_quadratic:tau=nan", "rho parameter tau must be finite, got nan"),
+    ("train.lr=nan", "lr must be nonnegative and finite, got nan"),
+    ("train.weight_decay=nan", "weight_decay must be nonnegative and finite, got nan"),
+    ("unfold.rho=log:eps=nan", "rho parameter eps must be finite, got nan"),
+    ("data.perturb_rate=inf", "rate must be nonnegative and finite, got inf"),
+    ("unfold.rho=absolute:gamma_max=-1", "rho parameter gamma_max must be positive, got -1.0"),
+]
+
+# where the class that owns a key's value names it otherwise than the key
+OWNER_NAMES = {"data.perturb_rate": "rate"}
+
+
+def _non_finite_rows():
+    """nan and inf for every float key, for unfold.alpha and for every
+    parameter of every rho and phi kind, each with what the rejecting
+    message must name: the owner's name of the setting."""
+    rows = []
+    for key, (parser, _, _) in KEYS.items():
+        if parser is float or key == "unfold.alpha":
+            name = OWNER_NAMES.get(key, key.rpartition(".")[2])
+            rows += [(f"{key}={value}", name) for value in ("nan", "inf")]
+    for key, what, factories in (("unfold.rho", "rho", _RHO_FACTORIES),
+                                 ("unfold.phi", "phi", _PHI_FACTORIES),
+                                 ("implicit.sigma", "phi", _PHI_FACTORIES)):
+        for kind, factory in factories.items():
+            for param in inspect.signature(factory).parameters:
+                name = _CONFIG_NAMES.get(param, param)
+                rows += [(f"{key}={kind}:{name}={value}",
+                          f"{what} parameter {name} must be finite, got {value}")
+                         for value in ("nan", "inf")]
+    return rows
+
+
+NON_FINITE_ROWS = PROBES + _non_finite_rows()
+
+
+@pytest.mark.parametrize("setting, message", NON_FINITE_ROWS,
+                         ids=[setting for setting, _ in NON_FINITE_ROWS])
+def test_rejected_values_exit_two_with_the_owners_message(setting, message, tmp_path,
+                                                          capsys):
+    code = run_cli(["train", "--set", setting, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err and "bad value for" not in err
 
 
 @pytest.mark.parametrize("command", ["train", "verify", "experiment", "bench"])

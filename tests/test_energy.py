@@ -12,14 +12,12 @@ from unfoldgnn.energy import (
     phi_from_config,
     phi_relu,
     phi_soft_threshold,
-    phi_to_config,
     phi_zero,
     rho_absolute,
     rho_cosine,
     rho_from_config,
     rho_identity,
     rho_log,
-    rho_to_config,
     rho_truncated_lp,
     rho_truncated_quadratic,
 )
@@ -178,6 +176,11 @@ class TestProx:
         a, b = np.sort(rng.normal(size=(2, 500)), axis=0)
         assert (phi.prox(b) >= phi.prox(a) - 1e-12).all()
 
+    def test_zero_returns_its_float_input(self):
+        # the identity activation of every eignn Picard step: no copy
+        u = np.array([1.0, -2.0, 0.3])
+        assert phi_zero().prox(u) is u
+
     def test_prox_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             phi_zero().prox(np.zeros(2), alpha=0.0)
@@ -273,18 +276,41 @@ def test_non_finite_lam_rejected(lam):
         EnergySpec(lam=lam)
 
 
+@pytest.mark.parametrize("gamma_max", [0.0, -1.0])
+def test_nonpositive_gamma_max_rejected(gamma_max):
+    with pytest.raises(ValueError, match="rho parameter gamma_max must be positive"):
+        rho_absolute(gamma_max=gamma_max)
+
+
+# one config string per kind, with every parameter the kind takes
+RHO_STRINGS = [
+    ("identity", rho_identity()),
+    ("log:eps=0.5", rho_log(eps=0.5)),
+    ("truncated_quadratic:tau=1.5", rho_truncated_quadratic(tau=1.5)),
+    ("truncated_lp:p=0.1,tau=0.2,T=2", rho_truncated_lp(p=0.1, tau=0.2, big_t=2.0)),
+    ("cosine", rho_cosine()),
+    ("absolute:gamma_max=100", rho_absolute(gamma_max=100.0)),
+]
+PHI_STRINGS = [
+    ("zero", phi_zero()), ("none", phi_zero()), ("identity", phi_zero()),
+    ("relu", phi_relu()), ("soft_threshold:kappa=2", phi_soft_threshold(2.0)),
+]
+
+
 class TestConfigStrings:
-    @pytest.mark.parametrize("rho", ALL_RHOS, ids=lambda r: r.kind)
-    def test_rho_roundtrip(self, rho):
-        assert rho_from_config(rho_to_config(rho)) == rho
+    @pytest.mark.parametrize("text, rho", RHO_STRINGS,
+                             ids=[text.partition(":")[0] for text, _ in RHO_STRINGS])
+    def test_rho_string(self, text, rho):
+        assert rho_from_config(text) == rho
 
     def test_rho_example_string(self):
         rho = rho_from_config("truncated_lp:p=0.1,tau=0.2,T=2")
         assert (rho.p, rho.tau, rho.big_t) == (0.1, 0.2, 2.0)
 
-    @pytest.mark.parametrize("phi", [phi_zero(), phi_relu(), phi_soft_threshold(2.0)])
-    def test_phi_roundtrip(self, phi):
-        assert phi_from_config(phi_to_config(phi)) == phi
+    @pytest.mark.parametrize("text, phi", PHI_STRINGS,
+                             ids=[text.partition(":")[0] for text, _ in PHI_STRINGS])
+    def test_phi_string(self, text, phi):
+        assert phi_from_config(text) == phi
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):

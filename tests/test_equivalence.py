@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from unfoldgnn.energy import phi_relu, phi_soft_threshold
+from unfoldgnn.energy import phi_relu, phi_soft_threshold, phi_zero
 from unfoldgnn.equivalence import (
     ConstructionError,
     embed_gcn,
     embedded_forward,
     gcn_oracle,
     linear_fixed_point,
-    report_to_csv,
     symmetrize_linear,
     verify_gcn_equivalence,
     verify_linear_equivalence,
@@ -145,7 +144,7 @@ class TestEmbedGcn:
         direct = np.maximum(p_dense @ y0 @ w1, 0.0)
         np.testing.assert_allclose(emb.extract(iterates[1], 1), direct, atol=1e-12)
 
-    @pytest.mark.parametrize("sigma", [phi_relu(), None, phi_soft_threshold(0.1)])
+    @pytest.mark.parametrize("sigma", [phi_relu(), phi_zero(), phi_soft_threshold(0.1)])
     def test_three_layer_stack_exact(self, sigma):
         rng = np.random.default_rng(7)
         g = random_graph(rng, 9)
@@ -190,13 +189,13 @@ class TestEmbedGcn:
         rng = np.random.default_rng(11)
         layers = [rng.normal(size=(3, 4)), rng.normal(size=(4, 4))]
         with pytest.raises(ConstructionError, match="equal layer widths"):
-            embed_gcn(layers, residual=True, sigma=None)
+            embed_gcn(layers, residual=True, sigma=phi_zero())
 
     def test_block_weight_symmetric_and_parameter_budget(self):
         rng = np.random.default_rng(12)
         widths = [3, 2, 4]
         layers = [rng.normal(size=(widths[i], widths[i + 1])) for i in range(2)]
-        emb = embed_gcn(layers, residual=False, sigma=None)
+        emb = embed_gcn(layers, residual=False, sigma=phi_zero())
         np.testing.assert_allclose(emb.w_p_sym_block, emb.w_p_sym_block.T, atol=0)
         assert emb.parameter_count() == 3 * 2 + 2 * 4
 
@@ -209,19 +208,6 @@ class TestEmbedGcn:
                           y0=rng.normal(size=(5, 2)))
         manual = np.maximum(p_dense @ outs[0] @ w + outs[0], 0.0)
         np.testing.assert_allclose(outs[1], manual)
-
-
-def test_report_csv(tmp_path):
-    rng = np.random.default_rng(14)
-    g = random_graph(rng, 6)
-    layers = [0.5 * rng.normal(size=(2, 2))]
-    emb = embed_gcn(layers, residual=False, sigma=None)
-    report = verify_gcn_equivalence(emb, g, rng.normal(size=(6, 2)), steps=1, layers=layers)
-    path = tmp_path / "report.csv"
-    report_to_csv(report, path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# schema: equivalence-report")
-    assert any(line.startswith("per_layer_max_diff[1]") for line in text)
 
 
 def test_linear_fixed_point_oracle_self_consistent():

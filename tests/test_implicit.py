@@ -319,7 +319,7 @@ class TestImplicitBackward:
         counted = _kernels.op_counter()["dense"] - before
         assert counted > 0 and counted % per_iteration == 0
 
-    @pytest.mark.parametrize("sigma", [None, phi_relu()])
+    @pytest.mark.parametrize("sigma", [phi_zero(), phi_relu()])
     def test_matches_finite_differences(self, sigma):
         rng = np.random.default_rng(11)
         g = random_graph(rng, 6)
@@ -359,39 +359,40 @@ class TestEignn:
         rng = np.random.default_rng(12)
         g = random_graph(rng, 7)
         fx = rng.normal(size=(7, 2))
-        spec = EignnSpec(f_mat=np.zeros((2, 2)), mu=0.9, eps_f=0.1)
-        np.testing.assert_allclose(fixed_point_solve(g, spec.weight(), fx).y, fx)
+        spec = EignnSpec(mu=0.9, eps_f=0.1)
+        np.testing.assert_allclose(fixed_point_solve(g, spec.weight(np.zeros((2, 2))), fx).y, fx)
 
     def test_identity_f_scaling_and_dense_solve(self):
         rng = np.random.default_rng(13)
         g = random_graph(rng, 9)
-        spec = EignnSpec(f_mat=np.eye(2), mu=0.8, eps_f=0.1)
-        s_sq = spec.scale_sq()
+        spec = EignnSpec(mu=0.8, eps_f=0.1)
+        s_sq = spec.scale_sq(np.eye(2))
         assert s_sq == pytest.approx(1.0 / (np.sqrt(2.0) + 0.1))
         fx = rng.normal(size=(9, 2))
-        got = fixed_point_solve(g, spec.weight(), fx, FixedPointConfig(tol=1e-12)).y
+        w_p = spec.weight(np.eye(2))
+        got = fixed_point_solve(g, w_p, fx, FixedPointConfig(tol=1e-12)).y
         p_dense = propagation_matrix(g, SELF).toarray()
-        expected = dense_linear_fixed_point(p_dense, spec.weight(), fx)
+        expected = dense_linear_fixed_point(p_dense, w_p, fx)
         assert np.linalg.norm(got - expected) < 1e-8
 
     def test_weight_is_contraction_by_construction(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             f = rng.normal(size=(4, 4)) * rng.uniform(0.1, 10)
-            spec = EignnSpec(f_mat=f, mu=0.95, eps_f=1e-3)
-            assert spectral_norm(spec.weight()) < 1.0
+            spec = EignnSpec(mu=0.95, eps_f=1e-3)
+            assert spectral_norm(spec.weight(f)) < 1.0
 
     def test_matches_unfolded_minimizer(self):
         rng = np.random.default_rng(15)
         g = random_graph(rng, 10)
         f = rng.normal(size=(3, 3))
-        spec = EignnSpec(f_mat=f, mu=0.7, eps_f=0.2)
+        spec = EignnSpec(mu=0.7, eps_f=0.2)
         fx = rng.normal(size=(10, 3))
-        w_eff = spec.weight()
+        w_eff = spec.weight(f)
         espec = from_symmetric_pair(w_eff, np.eye(3) - w_eff, kind=SELF,
                                     gradient_mode="literal")
         ugnn = propagate(espec, g, fx, PropagationConfig(steps=400, alpha=1.0))
-        got = fixed_point_solve(g, spec.weight(), fx, FixedPointConfig(tol=1e-12)).y
+        got = fixed_point_solve(g, w_eff, fx, FixedPointConfig(tol=1e-12)).y
         assert np.linalg.norm(got - ugnn.y) < 1e-6
 
     def test_grad_f_matches_finite_differences(self):
@@ -401,15 +402,14 @@ class TestEignn:
         fx = rng.normal(size=(6, 2))
         up = rng.normal(size=(6, 2))
         cfg = FixedPointConfig(tol=1e-13)
+        spec = EignnSpec(mu=0.6, eps_f=0.1)
 
         def loss(f_mat):
-            spec = EignnSpec(f_mat=f_mat, mu=0.6, eps_f=0.1)
-            return float(np.sum(up * fixed_point_solve(g, spec.weight(), fx, cfg).y))
+            return float(np.sum(up * fixed_point_solve(g, spec.weight(f_mat), fx, cfg).y))
 
-        spec = EignnSpec(f_mat=f, mu=0.6, eps_f=0.1)
-        y_star = fixed_point_solve(g, spec.weight(), fx, cfg).y
-        grad_w, _ = implicit_backward(g, spec.weight(), fx, y_star, up, cfg)
-        grad_f = eignn_grad_f(spec, grad_w)
+        y_star = fixed_point_solve(g, spec.weight(f), fx, cfg).y
+        grad_w, _ = implicit_backward(g, spec.weight(f), fx, y_star, up, cfg)
+        grad_f = eignn_grad_f(spec, f, grad_w)
         h = 1e-6
         for idx in [(0, 0), (0, 1), (1, 1)]:
             fp, fm = f.copy(), f.copy()

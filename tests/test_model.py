@@ -8,6 +8,7 @@ from unfoldgnn.energy import (
     EnergySpec,
     from_symmetric_pair,
     phi_relu,
+    phi_soft_threshold,
     phi_zero,
     rho_identity,
     rho_log,
@@ -96,10 +97,21 @@ class TestConfigValidation:
         (dict(lam=-1.0), "lam must be nonnegative"),
         (dict(steps=-1), "steps must be >= 0"),
         (dict(variant="preconditioned"), "variant must be 'plain' or 'normalized'"),
+        (dict(fp_tol=float("nan")), "fp_tol must be positive and finite, got nan"),
+        (dict(eps_f=float("inf")), "eps_f must be positive and finite, got inf"),
+        (dict(mu=float("nan")), r"mu must lie in \[0, 1\)"),
     ])
     def test_bad_sizes_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             ModelConfig(**overrides)
+
+    def test_engine_configs_built_once_at_construction(self):
+        cfg = ModelConfig(backend="eignn", mu=0.7, eps_f=0.2, sigma=phi_relu())
+        assert cfg.eignn == EignnSpec(mu=0.7, eps_f=0.2)
+        assert cfg.eignn is cfg.eignn and cfg.fixed_point is cfg.fixed_point
+        # eignn's activation is the identity whatever sigma says
+        assert cfg.fixed_point.sigma == phi_zero()
+        assert ModelConfig(backend="implicit").fixed_point.sigma == phi_zero()
 
 
 class TestLossAndHead:
@@ -193,6 +205,28 @@ class TestForward:
         )
 
 
+class TestPreactivationMargin:
+    def test_soft_threshold_margin_is_distance_to_its_kink(self):
+        # K=1, lam=0 and Y0 = f(X): the pre-prox point is u = f(X) = X
+        alpha, kappa = 0.5, 1.0
+        g = build_graph(3, [(0, 1), (1, 2)])
+        x = np.array([[alpha * kappa + 5e-8, -2.0], [1.5, 2.0], [-1.5, 3.0]])
+        cfg = ModelConfig(steps=1, alpha=alpha, lam=0.0, embed_dim=2, n_classes=2,
+                          phi=phi_soft_threshold(kappa), kind=SELF)
+        model = Model(2, cfg, seed=0)
+        model.params["w_x"] = np.eye(2)
+        assert min_preactivation_margin(model, g, x) < 1e-3
+
+    def test_relu_margin_is_smallest_magnitude(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        x = np.array([[0.25, -2.0], [1.5, 2.0], [-1.5, 3.0]])
+        cfg = ModelConfig(steps=1, alpha=0.5, lam=0.0, embed_dim=2, n_classes=2,
+                          phi=phi_relu(), kind=SELF)
+        model = Model(2, cfg, seed=0)
+        model.params["w_x"] = np.eye(2)
+        assert min_preactivation_margin(model, g, x) == 0.25
+
+
 class TestGradients:
     @pytest.mark.parametrize("phi_kind", ["zero", "relu"])
     def test_unrolled_linear_predictor(self, phi_kind):
@@ -240,7 +274,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("sigma_kind", ["identity", "relu"])
     def test_implicit_backend(self, sigma_kind):
-        sigma = None if sigma_kind == "identity" else phi_relu()
+        sigma = phi_zero() if sigma_kind == "identity" else phi_relu()
         g, x, labels, rows = small_instance(30, n=8, d_in=3, c=2)
         cfg = ModelConfig(backend="implicit", embed_dim=3, n_classes=2,
                           sigma=sigma, fp_tol=1e-12, kind=SELF)
@@ -415,7 +449,7 @@ class TestFixedPointBackendsMatchSolver:
         ("eignn", "identity", True), ("eignn", "relu", True)])
     def test_forward_and_gradients_equal_direct_calls(self, backend, sigma_kind, train_w_p):
         g, x, labels, rows = small_instance(43, n=12, d_in=4, c=3)
-        sigma = phi_relu() if sigma_kind == "relu" else None
+        sigma = phi_relu() if sigma_kind == "relu" else phi_zero()
         cfg = ModelConfig(backend=backend, embed_dim=3, n_classes=3, sigma=sigma,
                           train_w_p=train_w_p, mu=0.7, eps_f=0.2, kind=SELF)
         model = Model(x.shape[1], cfg, seed=8, g=g)
@@ -423,8 +457,8 @@ class TestFixedPointBackendsMatchSolver:
 
         fx = x @ model.params["w_x"]
         if backend == "eignn":  # identity activation, whatever cfg.sigma says
-            spec = EignnSpec(f_mat=model.params["f_mat"], mu=cfg.mu, eps_f=cfg.eps_f)
-            w_p, sigma = spec.weight(), None
+            spec = EignnSpec(mu=cfg.mu, eps_f=cfg.eps_f)
+            w_p, sigma = spec.weight(model.params["f_mat"]), phi_zero()
         else:
             w_p = model.params["w_p"]
         fp_cfg = FixedPointConfig(sigma=sigma, tol=cfg.fp_tol, max_iters=cfg.fp_max_iters,
@@ -438,7 +472,8 @@ class TestFixedPointBackendsMatchSolver:
         np.testing.assert_array_equal(grads["w_g"], d_logits.T @ y)
         np.testing.assert_array_equal(grads["w_x"], x.T @ grad_fx)
         if backend == "eignn":
-            np.testing.assert_array_equal(grads["f_mat"], eignn_grad_f(spec, grad_w))
+            np.testing.assert_array_equal(grads["f_mat"],
+                                          eignn_grad_f(spec, model.params["f_mat"], grad_w))
         elif train_w_p:
             np.testing.assert_array_equal(grads["w_p"], grad_w)
 
@@ -459,7 +494,7 @@ class TestWarmStartedTraining:
     @staticmethod
     def _config(backend):
         return ModelConfig(backend=backend, embed_dim=4, n_classes=2, kind=SELF,
-                           sigma=phi_relu() if backend == "implicit" else None)
+                           sigma=phi_relu() if backend == "implicit" else phi_zero())
 
     @pytest.mark.parametrize("backend", ["implicit", "eignn"])
     def test_warm_solves_agree_with_cold_in_fewer_iterations(self, backend, sbm,
