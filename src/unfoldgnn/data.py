@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_graph, homophily_ratio, read_edge_list
+from .graph import Graph, GraphError, build_graph, edge_keys, homophily_ratio, read_edge_list
 
 
 class DatasetError(ValueError):
@@ -173,15 +173,6 @@ class SbmSpec:
         if self.train_frac + self.val_frac >= 1.0:
             raise ValueError("train and val fractions must leave room for test")
 
-    def expected_homophily(self):
-        sizes = np.asarray(self.blocks, dtype=float)
-        within = self.p_in * np.sum(sizes * (sizes - 1) / 2)
-        total_cross = (sizes.sum() ** 2 - np.sum(sizes ** 2)) / 2
-        cross = self.p_out * total_cross
-        if within + cross == 0:
-            return float("nan")
-        return within / (within + cross)
-
 
 # Upper-triangle pairs drawn per block of rows in sbm_generate.  Blocks of
 # 8 MB arrays also lift glibc's dynamic mmap threshold that far, so the
@@ -322,8 +313,8 @@ def edge_indices(graph, pairs):
     n = graph.n
     pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
     pairs = pairs[(pairs[:, 0] >= 0) & (pairs[:, 1] < n)]
-    keys = graph.edges[:, 0] * n + graph.edges[:, 1]
-    query = pairs[:, 0] * n + pairs[:, 1]
+    keys = edge_keys(n, graph.edges[:, 0], graph.edges[:, 1])
+    query = edge_keys(n, pairs[:, 0], pairs[:, 1])
     idx = np.searchsorted(keys, query)
     found = idx < keys.size
     found[found] = keys[idx[found]] == query[found]

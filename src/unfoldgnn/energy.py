@@ -203,24 +203,6 @@ def rho_absolute(gamma_max=GAMMA_CAP_DEFAULT):
     return Rho("absolute", gamma_max=gamma_max)
 
 
-def check_concavity(rho, grid):
-    """Scan grad >= 0 and non-increasing over a grid of z^2 values.
-
-    Returns a dict with ``ok`` plus the offending grid points, which is
-    how the menu documents where e.g. the cosine penalty stops being a
-    valid attention generator.
-    """
-    grid = np.sort(np.asarray(grid, dtype=float))
-    g = rho.grad(grid)
-    neg = grid[g < -1e-12]
-    rising = grid[1:][np.diff(g) > 1e-12]
-    return {
-        "ok": neg.size == 0 and rising.size == 0,
-        "negative_gradient_at": neg,
-        "increasing_gradient_at": rising,
-    }
-
-
 # ---------------------------------------------------------------------------
 # phi: node penalties through their proximal operators
 # ---------------------------------------------------------------------------
@@ -430,17 +412,21 @@ def edge_diagonal(spec, bview, y):
     return np.maximum(vals, 0.0)
 
 
-def energy_eval(spec, bview, y, fx):
-    """Evaluate the three energy terms at Y given base predictions fx."""
+def energy_eval(spec, bview, y, fx, diagonal=None):
+    """Evaluate the three energy terms at Y given base predictions fx;
+    ``diagonal``, if given, is :func:`edge_diagonal` at this Y, already
+    computed by the caller."""
     y = np.asarray(y, dtype=float)
     fx = np.asarray(fx, dtype=float)
     if y.shape != fx.shape:
         raise ValueError("Y and f(X) shapes differ")
+    if diagonal is None:
+        diagonal = edge_diagonal(spec, bview, y)
     r = y - fx
     if spec.simple:
         fid = float(np.sum(r * r))
-        smooth = float(spec.lam * np.sum(spec.rho.value(edge_diagonal(spec, bview, y))))
+        smooth = float(spec.lam * np.sum(spec.rho.value(diagonal)))
     else:
         fid = float(np.einsum("ij,jk,ik->", r, spec.w_fid, r))
-        smooth = float(np.sum(spec.rho.value(edge_diagonal(spec, bview, y))))
+        smooth = float(np.sum(spec.rho.value(diagonal)))
     return EnergyValue(fid, smooth, spec.phi.value(y))

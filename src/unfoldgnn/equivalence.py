@@ -48,10 +48,6 @@ class SymmetricRepresentation:
     jitter: float
     symmetry_defect: float
 
-    @property
-    def d_prime(self):
-        return self.w_p_sym.shape[0]
-
 
 def _dense(p_op):
     return p_op.toarray() if sp.issparse(p_op) else np.asarray(p_op, dtype=float)
@@ -194,15 +190,6 @@ class GcnEmbedding:
     def extract(self, y, k):
         """Select block k (the extraction transform applied to Y)."""
         return y[:, self.block_slices[k]]
-
-    def parameter_count(self):
-        """Distinct nonzero parameters: each layer block is stored once
-        (its transpose is tied), plus the identity blocks if residual."""
-        upper = np.triu(self.w_p_sym_block)
-        count = int(np.count_nonzero(upper))
-        if self.residual:
-            count += int(np.count_nonzero(np.triu(self.w_r_sym_block)))
-        return count
 
 
 def embed_gcn(layers, residual, sigma, g=None):

@@ -1,16 +1,19 @@
 """Sparse undirected graphs and the operators derived from them.
 
 A :class:`Graph` stores a deduplicated, canonically ordered edge list
-plus a CSR adjacency view.  Everything downstream (degrees, Laplacians,
-incidence factorizations, propagation operators, their spectral norms)
-is derived from the graph alone, so each is built on first use and
-cached on the graph: degrees on the graph itself, the rest in one
-:class:`GraphOperators` bundle per Laplacian kind.  Nothing is built by
-:func:`build_graph`.  Graphs compare and hash by identity, so two graphs
-built from equal edge lists share no cache.  An operator bundle keeps
-the graph's arrays but no reference back to the graph, so a graph that
-is dropped is freed at once, with its operators, not at the next run of
-the cyclic garbage collector.
+plus a CSR adjacency view.  :func:`build_graph` sorts and deduplicates
+the pairs as int64 keys lo * n + hi in O(m log m), so a graph has at
+most 3_037_000_499 nodes, the largest n with n * n in int64.
+Everything downstream (degrees, Laplacians, incidence factorizations,
+propagation operators, their spectral norms) is derived from the graph
+alone, so each is built on first use and cached on the graph: degrees
+on the graph itself, the rest in one :class:`GraphOperators` bundle per
+Laplacian kind.  Nothing is built by :func:`build_graph`.  Graphs
+compare and hash by identity, so two graphs built from equal edge lists
+share no cache.  An operator bundle keeps the graph's arrays but no
+reference back to the graph, so a graph that is dropped is freed at
+once, with its operators, not at the next run of the cyclic garbage
+collector.
 
 Graphs are immutable and safe to share across threads.  Every cached
 array is read-only, so a caller cannot change what later calls see.  The
@@ -18,6 +21,7 @@ caches take no lock: a concurrent first access may compute an entry
 twice, with the same result, and one of the two copies is kept.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -247,8 +251,24 @@ class GraphError(ValueError):
     pass
 
 
+# the largest node count whose edge keys lo * n + hi fit in int64
+MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
+
+
+def edge_keys(n, lo, hi):
+    """The int64 key lo * n + hi of each pair with 0 <= lo, hi < n.  The
+    keys sort exactly like the (lo, hi) rows, and divmod(key, n) gives
+    the pair back.  Raises GraphError, before any array is made, when
+    n * n would overflow int64 (n > MAX_NODES = 3_037_000_499)."""
+    if n > MAX_NODES:
+        raise GraphError(f"node count {n} exceeds {MAX_NODES}: its edge keys would overflow int64")
+    return lo * n + hi
+
+
 def build_graph(n, edge_pairs, self_loops="strip", duplicates="dedup"):
-    """Validate an edge list and build the canonical Graph.
+    """Validate an edge list and build the canonical Graph, in
+    O(m log m): the canonical pairs are sorted and deduplicated as their
+    int64 :func:`edge_keys`, so n may not exceed MAX_NODES.
 
     self_loops: "strip" drops (u, u) pairs, "error" rejects them.
     duplicates: "dedup" collapses repeats, "error" rejects them.
@@ -267,23 +287,18 @@ def build_graph(n, edge_pairs, self_loops="strip", duplicates="dedup"):
         pairs = pairs[~loops]
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    pairs = np.stack([lo, hi], axis=1)
-    if pairs.shape[0]:
-        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-        if duplicates == "error" and (counts > 1).any():
-            u, v = uniq[counts > 1][0]
-            raise GraphError(f"duplicate edge ({u}, {v})")
-        pairs = uniq
-    adj = sp.csr_matrix((n, n))
-    if pairs.shape[0]:
-        ones = np.ones(pairs.shape[0])
-        adj = sp.csr_matrix(
-            (np.concatenate([ones, ones]),
-             (np.concatenate([pairs[:, 0], pairs[:, 1]]),
-              np.concatenate([pairs[:, 1], pairs[:, 0]]))),
-            shape=(n, n),
-        )
-    return Graph(n=n, edges=_read_only(pairs), adjacency=_read_only_csr(adj))
+    # with return_counts np.unique sorts; without it, numpy 2.4 takes a path
+    # about 15x slower on int64 keys
+    keys, counts = np.unique(edge_keys(n, lo, hi), return_counts=True)
+    if duplicates == "error" and (counts > 1).any():
+        u, v = divmod(int(keys[counts > 1][0]), n)
+        raise GraphError(f"duplicate edge ({u}, {v})")
+    lo, hi = np.divmod(keys, n)
+    ones = np.ones(keys.shape[0])
+    adj = sp.csr_matrix((np.concatenate([ones, ones]),
+                         (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n))
+    return Graph(n=n, edges=_read_only(np.stack([lo, hi], axis=1)),
+                 adjacency=_read_only_csr(adj))
 
 
 def read_edge_list(path, n=None):

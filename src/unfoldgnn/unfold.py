@@ -16,6 +16,9 @@ records and returns the gradient wrt f(X), so each step and its adjoint
 are written in this module.  :func:`propagate` records the energy
 trace, residuals and Gamma snapshots from the forward loop; the
 unrolled model backend (``model.py``) keeps the records as its tape.
+A layer that refreshes Gamma keeps the edge diagonal it computed, so
+the energy trace and the attention backward read it instead of
+computing it again.
 
 Gamma is constant over a segment, from one refresh to the next, so the
 plain variant picks the segment's Laplacian L_Gamma = B.T diag(Gamma) B
@@ -123,11 +126,6 @@ class PropagationResult:
     gamma_trace: dict
     alphas: np.ndarray
     ops: dict
-
-
-def gamma_update(spec, bview, y):
-    """Fresh edge weights: rho' at the current per-edge diagonal."""
-    return spec.rho.grad(edge_diagonal(spec, bview, y))
 
 
 def _lap_apply(bview, gamma, lap, y):
@@ -310,6 +308,8 @@ class Layer:
     B.T diag(gamma) B that the plain variant's step applied, one object
     shared by the layers of its segment, or None where the step applied
     the factors (a one-step segment) or took the normalized step.
+    ``diagonal`` is the edge diagonal of Y_k that step k refreshed gamma
+    from, and None at a step without a refresh.
     """
 
     k: int
@@ -319,6 +319,7 @@ class Layer:
     gamma: np.ndarray | None
     gamma_step: int
     lap: sp.spmatrix | None
+    diagonal: np.ndarray | None
 
 
 def _start(fx, cfg):
@@ -353,8 +354,10 @@ def unroll(spec, g, fx, cfg):
     segment_end = dict(zip(starts, starts[1:] + [cfg.steps]))
     lap = None
     for k in range(cfg.steps):
+        diagonal = None
         if k in schedule:
-            gamma = gamma_update(spec, bview, y)
+            diagonal = edge_diagonal(spec, bview, y)
+            gamma = spec.rho.grad(diagonal)
             gamma_step = k
         alpha = irls_step_bound(spec, bview, gamma) if fixed_alpha is None else fixed_alpha
         if cfg.variant == "plain":
@@ -369,7 +372,7 @@ def unroll(spec, g, fx, cfg):
         norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             raise PropagationDivergence(k, norm)
-        yield Layer(k, u, y, alpha, used, gamma_step, lap)
+        yield Layer(k, u, y, alpha, used, gamma_step, lap, diagonal)
 
 
 def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
@@ -410,9 +413,10 @@ def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
         scale = spec.lam if spec.simple else 1.0
         d_gamma = d_gamma + -alpha * scale * np.einsum("ij,ij->i", bview.apply(d_u), e_y)
         if k == r:
-            # gamma = rho'(edge_diagonal(Y_r)): raw endpoint distances in
-            # simple mode, the scaled-incidence quadratic form otherwise
-            weights = d_gamma * spec.rho.grad2(edge_diagonal(spec, bview, y_k))
+            # gamma = rho'(edge_diagonal(Y_r)), which the layer kept: raw
+            # endpoint distances in simple mode, the scaled-incidence
+            # quadratic form otherwise
+            weights = d_gamma * spec.rho.grad2(layer.diagonal)
             if spec.simple:
                 d_y = d_y + 2.0 * bview.raw.apply_t(weights[:, None] * bview.raw.apply(y_k))
             else:
@@ -424,27 +428,31 @@ def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
 def propagate(spec, g, fx, cfg):
     """Run the configured number of layers from Y0 = f(X) (or cfg.y0).
 
-    Records the energy after every step, per-step residuals, and Gamma
-    snapshots at refresh steps.  Raises PropagationDivergence when the
-    iterate norm passes the guard.
+    Records the energy at Y0 and after every step, per-step residuals,
+    and Gamma snapshots at refresh steps.  The energy of Y_k is taken
+    once layer k is known: a layer that refreshed Gamma carries the edge
+    diagonal of Y_k, which the energy reuses.  Raises
+    PropagationDivergence when the iterate norm passes the guard.
     """
     fx = np.asarray(fx, dtype=float)
     bview = incidence(g, spec.kind)
     y = _start(fx, cfg)
     ops0 = _kernels.op_counter()
-    trace = [energy_eval(spec, bview, y, fx)] if cfg.record_trace else []
+    trace = []
     residuals = np.zeros(cfg.steps)
     alphas = np.zeros(cfg.steps)
     gamma_trace = {}
     for layer in unroll(spec, g, fx, cfg):
         k = layer.k
+        if cfg.record_trace:
+            trace.append(energy_eval(spec, bview, y, fx, layer.diagonal))
         if layer.gamma_step == k:
             gamma_trace[k] = layer.gamma
         alphas[k] = layer.alpha
         residuals[k] = np.linalg.norm(layer.y - y)
         y = layer.y
-        if cfg.record_trace:
-            trace.append(energy_eval(spec, bview, y, fx))
+    if cfg.record_trace:
+        trace.append(energy_eval(spec, bview, y, fx))
     ops1 = _kernels.op_counter()
     ops = {k: ops1[k] - ops0[k] for k in ops1}
     return PropagationResult(y=y, trace=trace, residuals=residuals,

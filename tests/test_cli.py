@@ -1,9 +1,11 @@
+import dataclasses
 import inspect
 import json
 import os
 
 import pytest
 
+from unfoldgnn import cli
 from unfoldgnn.cli import KEYS, main
 from unfoldgnn.energy import _CONFIG_NAMES, _PHI_FACTORIES, _RHO_FACTORIES
 from unfoldgnn.data import SbmSpec, save_dataset, sbm_generate
@@ -334,3 +336,34 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "unfold.steps" in text and "train.lr" in text
         assert "[key: unfold.steps]" in text
+
+
+# the CLI defaults that differ from their class's on purpose (the comment
+# beside cli.KEYS says why): key -> (class, field, class default)
+DIFFERING_DEFAULTS = {
+    "train.lr": ("TrainConfig", "lr", 0.05),
+    "implicit.tol": ("ModelConfig", "fp_tol", 1e-10),
+    "data.p_in": ("SbmSpec", "p_in", 0.1),
+    "data.p_out": ("SbmSpec", "p_out", 0.02),
+    "data.perturb_rate": ("PerturbSpec", "rate", 0.2),
+}
+
+
+def test_cli_defaults_agree_with_their_classes_but_the_listed(monkeypatch):
+    # resolve a bare train run, catching the generator specs on their way
+    specs = []
+    for name in ("sbm_generate", "perturb_edges"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: specs.append(a[-1]) or real(*a))
+    _, mcfg, tcfg = cli.resolve_run(cli.build_parser().parse_args(["train"]))
+    differ = {}
+    for obj in (mcfg, tcfg, *specs):
+        default = type(obj)()
+        for f in dataclasses.fields(obj):
+            got, want = getattr(obj, f.name), getattr(default, f.name)
+            # --seed and the data's labels, not keys, set seed and n_classes
+            if f.init and f.name not in ("seed", "n_classes") and got != want:
+                differ[type(obj).__name__, f.name] = (got, want)
+    assert [type(spec).__name__ for spec in specs] == ["SbmSpec", "PerturbSpec"]
+    assert differ == {(cls, name): (KEYS[key][1], want)
+                      for key, (cls, name, want) in DIFFERING_DEFAULTS.items()}

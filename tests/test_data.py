@@ -97,7 +97,10 @@ class TestSbm:
             sbm_generate(SbmSpec(blocks=(300, 300), p_in=0.05, p_out=0.01, seed=s)).homophily()
             for s in range(5)
         ])
-        assert realized == pytest.approx(spec.expected_homophily(), abs=0.03)
+        sizes = np.asarray(spec.blocks, dtype=float)
+        within = spec.p_in * np.sum(sizes * (sizes - 1) / 2)
+        cross = spec.p_out * (sizes.sum() ** 2 - np.sum(sizes ** 2)) / 2
+        assert realized == pytest.approx(within / (within + cross), abs=0.03)
 
     def test_seed_determinism(self):
         a = sbm_generate(SbmSpec(blocks=(30, 30), seed=7))

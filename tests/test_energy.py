@@ -5,7 +5,6 @@ import pytest
 
 from unfoldgnn.energy import (
     EnergySpec,
-    check_concavity,
     edge_diagonal,
     energy_eval,
     from_symmetric_pair,
@@ -122,6 +121,20 @@ class TestRhoGradients:
         rho = rho_truncated_lp(p=0.1, tau=0.2, big_t=2.0)
         zsq = np.linspace(0, 30, 300)
         assert rho.grad(zsq).max() == pytest.approx(rho._tau_bar ** (0.1 - 2))
+
+
+def check_concavity(rho, grid):
+    """Scan grad >= 0 and non-increasing over a grid of z^2 values: the
+    concavity in z^2 that makes rho' a majorizer's weight, on which the
+    descent guarantee rests.  Returns ``ok`` plus the offending grid
+    points, which is where e.g. the cosine penalty stops being a valid
+    attention generator."""
+    grid = np.sort(np.asarray(grid, dtype=float))
+    g = rho.grad(grid)
+    neg = grid[g < -1e-12]
+    rising = grid[1:][np.diff(g) > 1e-12]
+    return {"ok": neg.size == 0 and rising.size == 0, "negative_gradient_at": neg,
+            "increasing_gradient_at": rising}
 
 
 class TestConcavityCheck:

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from unfoldgnn import implicit, unfold
 from unfoldgnn.data import SbmSpec, sbm_generate
 from unfoldgnn.energy import rho_truncated_lp
 from unfoldgnn.graph import (
+    MAX_NODES,
     GraphError,
     LaplacianKind,
     build_graph,
+    edge_keys,
     homophily_ratio,
     incidence,
     laplacian,
@@ -67,6 +70,73 @@ class TestBuildGraph:
     def test_adjacency_symmetric(self):
         g = random_graph(np.random.default_rng(0), 20)
         assert (g.adjacency != g.adjacency.T).nnz == 0
+
+
+def build_graph_on_rows(n, edge_pairs, duplicates="dedup"):
+    """Reference: the canonical pairs deduplicated as (lo, hi) rows with
+    np.unique(axis=0), then the same symmetric CSR adjacency."""
+    pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pairs = np.stack([pairs.min(axis=1), pairs.max(axis=1)], axis=1)
+    if pairs.shape[0]:
+        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+        if duplicates == "error" and (counts > 1).any():
+            u, v = uniq[counts > 1][0]
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        pairs = uniq
+    adj = sp.csr_matrix((n, n))
+    if pairs.shape[0]:
+        ones = np.ones(pairs.shape[0])
+        adj = sp.csr_matrix((np.concatenate([ones, ones]),
+                             (np.concatenate([pairs[:, 0], pairs[:, 1]]),
+                              np.concatenate([pairs[:, 1], pairs[:, 0]]))), shape=(n, n))
+    return pairs, adj
+
+
+class TestEdgeKeys:
+    """build_graph sorts and deduplicates the pairs as int64 keys."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 5000])
+    @pytest.mark.parametrize("draw", range(4))
+    def test_matches_deduplication_on_rows(self, n, draw):
+        # draws of 4n pairs over n nodes with both orientations, self-loops
+        # and, on the small graphs, many repeats; draw 3 repeats whole rows
+        rng = np.random.default_rng([n, draw])
+        pairs = rng.integers(0, n, size=(4 * n, 2))
+        if draw == 3:
+            pairs = np.concatenate([pairs, pairs[::-1, ::-1], np.stack([pairs[:, 0]] * 2, axis=1)])
+        g = build_graph(n, pairs)
+        want_edges, want_adj = build_graph_on_rows(n, pairs)
+        assert g.edges.dtype == want_edges.dtype
+        np.testing.assert_array_equal(g.edges, want_edges)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(g.adjacency, name), getattr(want_adj, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        messages = []
+        for build in (build_graph, build_graph_on_rows):
+            with pytest.raises(GraphError) if n > 1 else nullcontext() as caught:
+                build(n, pairs, duplicates="error")
+            messages.append(caught and str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_keys_sort_like_rows_up_to_the_bound(self):
+        n = MAX_NODES
+        lo = np.array([0, 0, 1, n - 2, n - 1], dtype=np.int64)
+        hi = np.array([1, n - 1, 0, n - 1, n - 1], dtype=np.int64)
+        keys = edge_keys(n, lo, hi)
+        assert int(keys[-1]) == n * n - 1 <= np.iinfo(np.int64).max
+        assert (np.diff(keys) > 0).all()
+        np.testing.assert_array_equal(np.stack(np.divmod(keys, n)), [lo, hi])
+
+    def test_node_count_beyond_the_bound_rejected_before_any_allocation(self):
+        # an adjacency with 2**32 rows would need a 32 GB indptr: the key
+        # check must fire first
+        assert MAX_NODES == 3_037_000_499
+        with pytest.raises(GraphError, match="overflow int64"):
+            build_graph(2 ** 32, [(0, 1)])
+        with pytest.raises(GraphError, match="overflow int64"):
+            edge_keys(MAX_NODES + 1, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
 
 
 class TestLaplacian:

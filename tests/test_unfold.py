@@ -5,6 +5,7 @@ from unfoldgnn import _kernels
 from unfoldgnn import unfold as unfold_module
 from unfoldgnn.energy import (
     EnergySpec,
+    edge_diagonal,
     energy_eval,
     from_symmetric_pair,
     phi_relu,
@@ -21,7 +22,6 @@ from unfoldgnn.unfold import (
     PropagationDivergence,
     abridged_gradient_step,
     closed_form_solution,
-    gamma_update,
     irls_step_bound,
     normalized_step,
     propagate,
@@ -43,6 +43,11 @@ def random_graph(rng, n, p=0.3):
     if pairs.shape[0] == 0:
         pairs = np.array([[0, 1]])
     return build_graph(n, pairs)
+
+
+def gamma_update(spec, bview, y):
+    """The edge weights a refresh at Y computes: rho' at its edge diagonal."""
+    return spec.rho.grad(edge_diagonal(spec, bview, y))
 
 
 def random_psd(rng, d, scale=1.0):
@@ -625,6 +630,76 @@ class TestSegmentLaplacian:
         assert forward == k * 2 * nnz * d + 4 * g.m * d + 6 * g.m
         # backward: one product per layer with the operator its layer recorded
         assert backward == k * 2 * nnz * d
+
+
+class TestRefreshDiagonal:
+    """A refresh keeps the edge diagonal it computed on its layer; the
+    energy trace and the attention backward read it there."""
+
+    @staticmethod
+    def every_step(k):
+        rng = np.random.default_rng(52)
+        n, d = 60, 4
+        g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+        spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), phi=phi_relu(),
+                          lam=1.0, kind=COMB)
+        return g, spec, rng.normal(size=(n, d)), tuple(range(k))
+
+    def test_every_step_trace_counts_one_diagonal_per_refresh(self):
+        k = 8
+        g, spec, fx, schedule = self.every_step(k)
+        m, d = g.m, fx.shape[1]
+        cfg = PropagationConfig(steps=k, alpha="auto_irls", attention_schedule=schedule)
+        out = propagate(spec, g, fx, cfg)
+        assert len(out.trace) == k + 1
+        # per layer the refresh's squared distances (4 m d), which the trace
+        # reads for the energy of the layer's input, and the factored
+        # B.T (gamma * (B y)) (5 m d); the trace computes only the last
+        # embedding's own (4 m d)
+        assert out.ops == {"edge": k * (4 + 5) * m * d + 4 * m * d, "dense": 0}
+
+    @pytest.mark.parametrize("schedule", ["every", "sandwich", "none"])
+    @pytest.mark.parametrize("mode", ["simple", "general"])
+    def test_trace_equals_energy_at_every_iterate(self, mode, schedule):
+        k = 6
+        g, spec, fx, every = self.every_step(k)
+        if mode == "general":
+            rng = np.random.default_rng(54)
+            d = fx.shape[1]
+            spec = EnergySpec(rho=rho_log(eps=0.5), kind=COMB, simple=False,
+                              w_fid=random_psd(rng, d), w_prop=random_psd(rng, d, scale=0.5))
+        sched = {"every": every, "sandwich": sandwich_schedule(k), "none": ()}[schedule]
+        cfg = PropagationConfig(steps=k, alpha=0.05, attention_schedule=sched)
+        out = propagate(spec, g, fx, cfg)
+        layers = list(unroll(spec, g, fx, cfg))
+        bview = incidence(g, COMB)
+        ys = [fx] + [layer.y for layer in layers]
+        assert out.trace == [energy_eval(spec, bview, y, fx) for y in ys]
+        for layer, y in zip(layers, ys):
+            if layer.k in sched:
+                assert layer.diagonal.tobytes() == edge_diagonal(spec, bview, y).tobytes()
+            else:
+                assert layer.diagonal is None
+
+    def test_full_attention_backward_reads_the_stored_diagonal(self, monkeypatch):
+        k = 8
+        g, spec, fx, schedule = self.every_step(k)
+        m, d = g.m, fx.shape[1]
+        cfg = PropagationConfig(steps=k, alpha=0.1, attention_schedule=schedule,
+                                record_trace=False)
+        layers = list(unroll(spec, g, fx, cfg))
+        d_y = np.random.default_rng(55).normal(size=fx.shape)
+
+        def recomputed(*args):
+            raise AssertionError("the backward computed an edge diagonal again")
+
+        monkeypatch.setattr(unfold_module, "edge_diagonal", recomputed)
+        before = _kernels.op_counter()["edge"]
+        unroll_backward(spec, g, fx, layers, d_y, "plain", True)
+        # per layer: the factored transpose (5 m d), B d_u and B y_k
+        # (2 m d each), and at its refresh B.T of the weighted raw
+        # differences (2 m d each way); no squared distances
+        assert _kernels.op_counter()["edge"] - before == k * (5 + 2 + 2 + 2 + 2) * m * d
 
 
 class TestTraceExport:
