@@ -5,6 +5,9 @@ Every edge quantity is a product with the edge-row incidence matrix
 with ``B.T``, or with a sparse n x n Laplacian ``L = B.T diag(gamma) B``
 assembled from them, all held as CSR, so the graph modules never
 materialize dense n x n operators and never loop over edges in Python.
+The per-edge kernels take the incidence rows ``e = B @ y`` from
+:func:`edge_diff`, so callers that need several of them at one ``y``
+compute the product once.
 
 Operation counts are analytic: each call adds a fixed multiple of
 (edges x columns), or of nnz(L) x columns for a product with an
@@ -43,11 +46,11 @@ def edge_scatter(e, bt):
     return bt @ e
 
 
-def weighted_lap_apply(y, gamma, b, bt):
-    """B.T @ diag(gamma) @ B @ y."""
-    _FLOPS["edge"] += 5 * b.shape[0] * y.shape[1]
-    e = b @ y
-    e *= gamma[:, None]  # in place: a fresh m x d temporary costs more than the product
+def weighted_lap_apply(e, gamma, bt):
+    """B.T @ diag(gamma) @ e for the incidence rows e = B @ y, which it
+    scales in place: a fresh m x d temporary costs more than the product."""
+    _FLOPS["edge"] += 3 * e.shape[0] * e.shape[1]
+    e *= gamma[:, None]
     return bt @ e
 
 
@@ -65,17 +68,15 @@ def lap_apply(y, lap):
     return lap @ y
 
 
-def edge_sqnorm(y, b):
-    """Per-edge squared norm of the incidence difference."""
-    _FLOPS["edge"] += 4 * b.shape[0] * y.shape[1]
-    e = b @ y
+def edge_sqnorm(e):
+    """Per-edge squared norm of the incidence rows e = B @ y."""
+    _FLOPS["edge"] += 2 * e.shape[0] * e.shape[1]
     return np.einsum("ij,ij->i", e, e)
 
 
-def edge_quadform(y, w, b):
-    """Per-edge quadratic form z_e @ w @ z_e.T of the incidence rows."""
-    _FLOPS["edge"] += b.shape[0] * y.shape[1] * (2 * y.shape[1] + 3)
-    e = b @ y
+def edge_quadform(e, w):
+    """Per-edge quadratic form z_e @ w @ z_e.T of the incidence rows e = B @ y."""
+    _FLOPS["edge"] += e.shape[0] * e.shape[1] * (2 * e.shape[1] + 1)
     return np.einsum("ij,jk,ik->i", e, w, e)
 
 

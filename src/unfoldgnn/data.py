@@ -174,37 +174,45 @@ class SbmSpec:
             raise ValueError("train and val fractions must leave room for test")
 
 
-# Upper-triangle pairs drawn per block of rows in sbm_generate.  Blocks of
-# 8 MB arrays also lift glibc's dynamic mmap threshold that far, so the
-# few-MB temporaries of training on the graph reuse the heap; at 1 << 19
-# every unrolled epoch on a 24k-edge graph page-faulted them anew.
+# Upper-triangle pairs drawn per block of rows in sbm_generate: one block of
+# draws (8 MB) is the generator's only O(n^2)-sized array, so it costs
+# O(n^2) draws and comparisons, plus O(m log n) to map the candidates back
+# to pairs, in memory one block plus O(n + m).  Freeing an 8 MB block also
+# lifts glibc's dynamic mmap threshold that far, so the few-MB temporaries
+# of training on the graph reuse the heap; at 1 << 19 every unrolled epoch
+# on a 24k-edge graph page-faulted them anew.
 _SBM_BLOCK_PAIRS = 1 << 20
 
 
 def sbm_generate(spec):
     """Draw the block model.  Every pair u < v takes one uniform draw, in
-    row-major order, so the cost is O(n^2) draws; they are made in row
-    blocks of about ``_SBM_BLOCK_PAIRS`` pairs (at least one row), which
-    bounds memory by O(n + m) plus one block.  Consecutive
-    ``Generator.random`` calls continue one stream, so the graph does not
-    depend on the block size."""
+    row-major order, made in row blocks of about ``_SBM_BLOCK_PAIRS``
+    pairs (at least one row); consecutive ``Generator.random`` calls
+    continue one stream, so the graph does not depend on the block size.
+
+    Each draw is compared once, with max(p_in, p_out).  Only the draws
+    below it are mapped back to their pair (u, v), by rank, and kept if
+    also below their pair's own probability.  The cost is O(n^2) draws
+    and comparisons plus O(m log n) for the candidates; the memory is one
+    block of draws plus O(n + m)."""
     rng = np.random.default_rng(spec.seed)
     sizes = np.asarray(spec.blocks, dtype=int)
     n = int(sizes.sum())
     labels = np.repeat(np.arange(sizes.size), sizes)
     # pairs before row i: sum_{r < i} (n - 1 - r)
     row_start = np.arange(n + 1) * (2 * n - 1 - np.arange(n + 1)) // 2
+    p_max = max(spec.p_in, spec.p_out)
     pairs, lo = [np.zeros((0, 2), dtype=np.int64)], 0
     while lo < n - 1:
         hi = int(np.searchsorted(row_start, row_start[lo] + _SBM_BLOCK_PAIRS, side="right")) - 1
         hi = min(max(hi, lo + 1), n - 1)
-        rows = np.arange(lo, hi)
-        counts = n - 1 - rows
-        iu = np.repeat(rows, counts)
-        ju = np.arange(row_start[lo], row_start[hi]) - np.repeat(row_start[rows] - rows - 1,
-                                                                  counts)
-        probs = np.where(labels[iu] == labels[ju], spec.p_in, spec.p_out)
-        keep = rng.random(iu.size) < probs
+        r = rng.random(row_start[hi] - row_start[lo])
+        cand = np.flatnonzero(r < p_max)
+        r = r[cand]
+        cand += row_start[lo]
+        iu = np.searchsorted(row_start, cand, side="right") - 1
+        ju = cand - row_start[iu] + iu + 1
+        keep = r < np.where(labels[iu] == labels[ju], spec.p_in, spec.p_out)
         pairs.append(np.stack([iu[keep], ju[keep]], axis=1))
         lo = hi
     graph = build_graph(n, np.concatenate(pairs))

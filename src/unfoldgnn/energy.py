@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .graph import LaplacianKind
 
 GAMMA_CAP_DEFAULT = 1e6
@@ -388,9 +389,11 @@ class EnergyValue:
         return self.fidelity + self.smoothness + self.phi_term
 
 
-def edge_diagonal(spec, bview, y):
+def edge_diagonal(spec, bview, y, rows=None):
     """Per-edge rho arguments: squared distances in simple mode, the
-    w_prop quadratic form otherwise.
+    w_prop quadratic form otherwise.  ``rows``, if given, is B @ y over
+    the incidence this reads (``bview.raw`` in simple mode, ``bview``
+    otherwise), already computed by the caller.
 
     With identity rho the quadratic form may legitimately be negative
     (indefinite w_prop) and is passed through untouched.  Nonlinear rho
@@ -401,10 +404,12 @@ def edge_diagonal(spec, bview, y):
     attention formula), even when the propagation operator itself is
     degree-normalized.
     """
+    if rows is None:
+        rows = (bview.raw if spec.simple else bview).apply(y)
     if spec.simple:
-        vals = bview.raw.edge_sqnorm(y)
+        vals = _kernels.edge_sqnorm(rows)
     else:
-        vals = bview.edge_quadform(y, spec.w_prop)
+        vals = _kernels.edge_quadform(rows, spec.w_prop)
     if spec.rho.kind == "identity":
         return vals
     if (vals < -_NEG_DIAG_TOL).any():

@@ -225,17 +225,11 @@ class IncidenceView:
 
     def weighted_laplacian_apply(self, y, gamma):
         """B.T @ diag(gamma) @ B @ y over the edge rows."""
-        return _kernels.weighted_lap_apply(y, gamma, self.b, self.bt)
+        return _kernels.weighted_lap_apply(self.apply(y), gamma, self.bt)
 
     def weighted_laplacian(self, gamma):
         """B.T @ diag(gamma) @ B over the edge rows, assembled as CSR."""
         return _kernels.weighted_lap_assemble(gamma, self.b, self.bt)
-
-    def edge_sqnorm(self, y):
-        return _kernels.edge_sqnorm(y, self.b)
-
-    def edge_quadform(self, y, w):
-        return _kernels.edge_quadform(y, w, self.b)
 
 
 def _edge_rows(n, eu, ev, su, sv):

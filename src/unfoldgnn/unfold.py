@@ -28,7 +28,10 @@ segment is then one sparse product with it, and so is the step's
 transpose in the backward, since L_Gamma is symmetric.  A segment of a
 single forward step applies B.T (Gamma * (B Y)) factor by factor
 instead, since there an assembly would cost more than the one product
-it saves.
+it saves.  Where that step also refreshes Gamma, and the edge diagonal
+reads the same incidence (any kind in general mode; COMBINATORIAL in
+simple mode, whose diagonal reads the unit-scale incidence), B Y is
+computed once for both.
 
 Simple mode follows the scalar propagation convention
 ``U = Y - alpha [(lam * Lhat + I) Y - F]`` (the update whose first step
@@ -128,12 +131,15 @@ class PropagationResult:
     ops: dict
 
 
-def _lap_apply(bview, gamma, lap, y):
+def _lap_apply(bview, gamma, lap, y, rows=None):
     """L_Gamma @ y: one product with ``lap``, the segment's L_Gamma, or
-    B.T (gamma * (B y)) factor by factor where lap is None."""
-    if lap is None:
-        return bview.weighted_laplacian_apply(y, np.asarray(gamma, dtype=float))
-    return _kernels.lap_apply(y, lap)
+    B.T (gamma * (B y)) factor by factor where lap is None, starting from
+    ``rows`` = B y when the caller has it (and scaling it in place)."""
+    if lap is not None:
+        return _kernels.lap_apply(y, lap)
+    if rows is None:
+        rows = bview.apply(y)
+    return _kernels.weighted_lap_apply(rows, np.asarray(gamma, dtype=float), bview.bt)
 
 
 def _segment_laplacian(g, bview, gamma, unit, steps):
@@ -148,20 +154,20 @@ def _segment_laplacian(g, bview, gamma, unit, steps):
     return bview.weighted_laplacian(gamma)
 
 
-def abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap=None):
+def abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap=None, rows=None):
     """One gradient step on the smooth energy terms at fixed Gamma.
 
     Simple mode: U = Y - alpha [lam * Lhat Y + Y - F].
     General mode ("exact"):   U = Y - alpha [Lhat Y Wp_s + (Y-F) Wf_s].
     General mode ("literal"): U = Y - alpha [Lhat Y Wp_s + Y Wf_s - F].
     Lhat = B.T diag(gamma) B, applied as ``lap`` when the segment
-    assembled it.
+    assembled it, else factor by factor from ``rows`` = B Y if given.
     """
     y = np.asarray(y, dtype=float)
     fx = np.asarray(fx, dtype=float)
     if y.shape != fx.shape:
         raise ValueError("Y and f(X) shapes differ")
-    lap_y = _lap_apply(bview, gamma, lap, y)
+    lap_y = _lap_apply(bview, gamma, lap, y, rows)
     if spec.simple:
         return y - alpha * (spec.lam * lap_y + y - fx)
     n, d = y.shape
@@ -352,11 +358,15 @@ def unroll(spec, g, fx, cfg):
     schedule = set(cfg.attention_schedule)
     starts = sorted(schedule | {0})
     segment_end = dict(zip(starts, starts[1:] + [cfg.steps]))
+    # whether a refresh's diagonal and a factored step read one incidence
+    share_rows = cfg.variant == "plain" and (bview.raw is bview or not spec.simple)
     lap = None
     for k in range(cfg.steps):
-        diagonal = None
+        diagonal = rows = None
         if k in schedule:
-            diagonal = edge_diagonal(spec, bview, y)
+            if share_rows and segment_end[k] - k < 2:
+                rows = bview.apply(y)
+            diagonal = edge_diagonal(spec, bview, y, rows)
             gamma = spec.rho.grad(diagonal)
             gamma_step = k
         alpha = irls_step_bound(spec, bview, gamma) if fixed_alpha is None else fixed_alpha
@@ -364,7 +374,7 @@ def unroll(spec, g, fx, cfg):
             if k in segment_end:
                 lap = _segment_laplacian(g, bview, gamma, gamma_step < 0, segment_end[k] - k)
             used = gamma
-            u = abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap)
+            u = abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap, rows)
         else:
             used = gamma if schedule else None
             u = normalized_step(g, y, fx, alpha, spec.lam, gamma=used)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -293,6 +294,9 @@ SBM_LAYOUTS = [
     dict(blocks=(20, 20), p_in=0.0, p_out=1.0),
     dict(blocks=(20, 20), p_in=1.0, p_out=0.0),
     dict(blocks=(15, 10, 5), p_in=0.0, p_out=0.0),
+    # heterophilous: the candidate threshold is p_out, so the same-block
+    # candidates drawn between p_in and p_out must be dropped
+    dict(blocks=(9, 14, 5), p_in=0.1, p_out=0.45),
 ]
 
 
@@ -304,6 +308,22 @@ class TestGeneratorParity:
         for seed in (0, 1, 11):
             spec = SbmSpec(**layout, feature_dim=3, seed=seed)
             assert_same_dataset(sbm_generate(spec), reference_sbm_generate(spec))
+
+    def test_benchmark_size_sbm_matches_pinned_digests(self):
+        # train-sbm's graph before perturbation (n = 4000, 8M pairs), where
+        # the all-pairs reference is too costly; digests taken from the
+        # all-pairs generator's output
+        ds = sbm_generate(SbmSpec(blocks=(2000, 2000), p_in=0.004, p_out=0.001,
+                                  feature_dim=16, separation=2.0))
+        masks = np.stack([ds.masks[name] for name in ("train", "val", "test")])
+        assert ds.graph.edges.shape == (20047, 2) and ds.graph.edges.dtype == np.int64
+        digests = {name: hashlib.sha256(arr.tobytes()).hexdigest()
+                   for name, arr in (("edges", ds.graph.edges), ("x", ds.x), ("masks", masks))}
+        assert digests == {
+            "edges": "0c2ecf6f3b01c4a838d37ed14265dac43d83eadf3a8493c809a2e31a8ed636d2",
+            "x": "59579cf7612d861a94db997b0e21b19ced6a1e17f2dba4d0ee00435e0d0b6820",
+            "masks": "0c1ca7e5997a0bbcec49f1b51905434e626670b9a3d92f6cb3fdf7a968888b12",
+        }
 
     @pytest.mark.parametrize("remove_intra", [False, True])
     @pytest.mark.parametrize("rate", [0.05, 0.2, 0.7])
@@ -388,5 +408,6 @@ class TestGeneratorMemory:
 
     def test_sbm_generate_bounded_at_n_10000(self):
         spec = SbmSpec(blocks=(5000, 5000), p_in=0.002, p_out=0.0005, feature_dim=4)
-        # triu_indices alone would take 800 MB
-        assert self.traced_peak(sbm_generate, spec) < 64 * 2 ** 20
+        # triu_indices alone would take 800 MB; one block of draws is 8 MB, and
+        # per-pair index arrays for a whole block beside it would pass 32 MB
+        assert self.traced_peak(sbm_generate, spec) < 32 * 2 ** 20

@@ -81,11 +81,11 @@ def test_csr_products_match_edge_loop(kind, graph, d):
     np.testing.assert_allclose(
         view.weighted_laplacian_apply(y, gamma),
         loop_scatter(gamma[:, None] * diff, eu, ev, su, sv, n), rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(view.edge_sqnorm(y), (diff ** 2).sum(axis=1),
+    np.testing.assert_allclose(_kernels.edge_sqnorm(view.apply(y)), (diff ** 2).sum(axis=1),
                                rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(view.raw.edge_sqnorm(y), (raw_diff ** 2).sum(axis=1),
-                               rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(view.edge_quadform(y, w),
+    np.testing.assert_allclose(_kernels.edge_sqnorm(view.raw.apply(y)),
+                               (raw_diff ** 2).sum(axis=1), rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(_kernels.edge_quadform(view.apply(y), w),
                                [row @ w @ row for row in diff], rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(_kernels.weighted_adj_apply(y, gamma, eu, ev, n),
                                loop_weighted_adj(y, gamma, eu, ev, n), rtol=1e-13, atol=1e-14)
@@ -104,8 +104,8 @@ def test_quadform_reduces_to_sqnorm_for_identity_weight():
     view = incidence(g, LaplacianKind.SELF_LOOP_SYM)
     y = rng.normal(size=(10, 3))
     np.testing.assert_allclose(
-        _kernels.edge_quadform(y, np.eye(3), view.b),
-        _kernels.edge_sqnorm(y, view.b),
+        _kernels.edge_quadform(view.apply(y), np.eye(3)),
+        _kernels.edge_sqnorm(view.apply(y)),
         atol=1e-12,
     )
 
@@ -118,10 +118,10 @@ def test_op_counter_scales_linearly_in_edges():
     y = rng.normal(size=(30, 5))
     view = incidence(g, LaplacianKind.COMBINATORIAL)
     before = _kernels.op_counter()["edge"]
-    _kernels.weighted_lap_apply(y, rng.random(g.m), view.b, view.bt)
+    view.weighted_laplacian_apply(y, rng.random(g.m))
     single = _kernels.op_counter()["edge"] - before
     view2 = incidence(g2, LaplacianKind.COMBINATORIAL)
     before = _kernels.op_counter()["edge"]
-    _kernels.weighted_lap_apply(y, rng.random(g2.m), view2.b, view2.bt)
+    view2.weighted_laplacian_apply(y, rng.random(g2.m))
     double = _kernels.op_counter()["edge"] - before
     assert double == 2 * single

@@ -599,9 +599,9 @@ class TestSegmentLaplacian:
         cfg = PropagationConfig(steps=k, alpha="auto_irls", attention_schedule=tuple(range(k)),
                                 record_trace=False)
         out = propagate(spec, g, rng.normal(size=(n, d)), cfg)
-        # per layer: the refresh's squared distances (4 m d) and the
-        # factored B.T (gamma * (B y)) (5 m d); no assembly
-        assert out.ops == {"edge": k * (4 + 5) * g.m * d, "dense": 0}
+        # per layer: B y once (2 m d), the refresh's squared distances of its
+        # rows (2 m d) and B.T (gamma * rows) (3 m d); no assembly
+        assert out.ops == {"edge": k * (2 + 2 + 3) * g.m * d, "dense": 0}
 
     def test_sandwich_training_step_assembles_once_in_the_forward(self):
         rng = np.random.default_rng(53)
@@ -652,11 +652,11 @@ class TestRefreshDiagonal:
         cfg = PropagationConfig(steps=k, alpha="auto_irls", attention_schedule=schedule)
         out = propagate(spec, g, fx, cfg)
         assert len(out.trace) == k + 1
-        # per layer the refresh's squared distances (4 m d), which the trace
-        # reads for the energy of the layer's input, and the factored
-        # B.T (gamma * (B y)) (5 m d); the trace computes only the last
-        # embedding's own (4 m d)
-        assert out.ops == {"edge": k * (4 + 5) * m * d + 4 * m * d, "dense": 0}
+        # per layer B y once (2 m d), the refresh's squared distances of its
+        # rows (2 m d), which the trace reads for the energy of the layer's
+        # input, and B.T (gamma * rows) (3 m d); the trace computes only the
+        # last embedding's own (4 m d)
+        assert out.ops == {"edge": k * (2 + 2 + 3) * m * d + 4 * m * d, "dense": 0}
 
     @pytest.mark.parametrize("schedule", ["every", "sandwich", "none"])
     @pytest.mark.parametrize("mode", ["simple", "general"])
@@ -700,6 +700,44 @@ class TestRefreshDiagonal:
         # (2 m d each), and at its refresh B.T of the weighted raw
         # differences (2 m d each way); no squared distances
         assert _kernels.op_counter()["edge"] - before == k * (5 + 2 + 2 + 2 + 2) * m * d
+
+    @pytest.mark.parametrize("schedule", [(0, 1, 2, 3, 4, 5), (0, 1, 4)])
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    @pytest.mark.parametrize("mode", ["simple", "general"])
+    def test_refresh_shares_b_y_with_a_one_step_segment(self, mode, kind, schedule, monkeypatch):
+        # the diagonal reads the raw incidence in simple mode and the
+        # kind's otherwise; the step always reads the kind's, and only a
+        # one-step segment (here starting at 0 and, if every step
+        # refreshes, at each step) takes it factor by factor
+        k = 6
+        g, spec, fx, _ = self.every_step(k)
+        m, d = g.m, fx.shape[1]
+        if mode == "general":
+            rng = np.random.default_rng(56)
+            spec = EnergySpec(rho=rho_log(eps=0.5), kind=kind, simple=False,
+                              w_fid=random_psd(rng, d), w_prop=random_psd(rng, d, scale=0.5))
+        else:
+            spec = EnergySpec(rho=spec.rho, phi=spec.phi, lam=spec.lam, kind=kind)
+        cfg = PropagationConfig(steps=k, alpha="auto_irls", attention_schedule=schedule,
+                                record_trace=False)
+
+        def run():
+            before = _kernels.op_counter()["edge"]
+            layers = list(unroll(spec, g, fx, cfg))
+            return layers, _kernels.op_counter()["edge"] - before
+
+        got, shared_ops = run()
+        monkeypatch.setattr(unfold_module, "edge_diagonal",
+                            lambda spec, bview, y, rows=None: edge_diagonal(spec, bview, y))
+        want, separate_ops = run()
+        for a, b in zip(got, want):
+            for name in ("u", "y", "gamma", "diagonal"):
+                x, ref = getattr(a, name), getattr(b, name)
+                assert (x is None and ref is None) or x.tobytes() == ref.tobytes()
+            assert a.alpha == b.alpha
+        one_step = sum(s + 1 in schedule or s + 1 == k for s in schedule)
+        shared = mode == "general" or kind is COMB
+        assert separate_ops - shared_ops == (one_step * 2 * m * d if shared else 0)
 
 
 class TestTraceExport:
