@@ -26,6 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _kernels
+from .artifacts import write_csv
 from .data import PerturbSpec, SbmSpec, load_dataset, perturb_edges, sbm_generate
 from .energy import phi_from_config, rho_from_config
 from .graph import LaplacianKind
@@ -293,12 +294,11 @@ def cmd_fixedpoint(args):
     elapsed = time.perf_counter() - start
     solve_flops = _kernels.op_counter()["dense"] - dense0
     out = out_dir(args)
-    with open(os.path.join(out, "fixedpoint.csv"), "w") as fh:
-        fh.write("# schema: fixedpoint-summary v2\n")
-        fh.write("iterations,residual,contraction_estimate,contraction,error_bound,"
-                 "solve_flops,seconds\n")
-        fh.write(f"{result.iterations},{result.residual},{result.contraction_estimate},"
-                 f"{result.contraction},{result.error_bound},{solve_flops},{elapsed}\n")
+    write_csv(os.path.join(out, "fixedpoint.csv"), "fixedpoint-summary v2",
+              ["iterations", "residual", "contraction_estimate", "contraction", "error_bound",
+               "solve_flops", "seconds"],
+              [[result.iterations, result.residual, result.contraction_estimate,
+                result.contraction, result.error_bound, solve_flops, elapsed]])
     print(f"iterations={result.iterations} residual={result.residual:.3e} "
           f"contraction={result.contraction_estimate:.3f} "
           f"certified_contraction={result.contraction:.3f} "

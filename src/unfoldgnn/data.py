@@ -245,7 +245,6 @@ def stratified_masks(labels, train_frac, val_frac, rng):
 @dataclass(frozen=True)
 class PerturbSpec:
     rate: float = 0.2
-    remove_intra: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -254,10 +253,9 @@ class PerturbSpec:
 
 
 def perturb_edges(ds, spec):
-    """Add rate*m cross-class edges (optionally also remove that many
-    intra-class edges).  Returns (dataset, added_pairs); the result
-    stays a simple graph, and homophily strictly drops whenever edges
-    are added.
+    """Add rate*m cross-class edges.  Returns (dataset, added_pairs);
+    the result stays a simple graph, and homophily strictly drops
+    whenever edges are added.
 
     The added edges are a uniform sample of the cross-class non-edges
     u < v, indexed in row-major order.  Picked indices are mapped to
@@ -302,15 +300,7 @@ def perturb_edges(ds, spec):
         sel = labels[u] == c
         v[sel] = other[col[sel]]
     added = np.stack([u, v], axis=1).astype(np.int64)
-    edges = g.edges
-    if spec.remove_intra:
-        intra_idx = np.flatnonzero(labels[edges[:, 0]] == labels[edges[:, 1]])
-        n_remove = min(n_add, intra_idx.size)
-        keep = np.ones(edges.shape[0], dtype=bool)
-        keep[rng.choice(intra_idx, size=n_remove, replace=False)] = False
-        edges = edges[keep]
-    new_edges = np.vstack([edges, added])
-    new_graph = build_graph(g.n, new_edges)
+    new_graph = build_graph(g.n, np.vstack([g.edges, added]))
     out = make_dataset(new_graph, ds.x, ds.labels, ds.masks)
     return out, added
 

@@ -33,6 +33,10 @@ from .graph import LaplacianKind, propagation_matrix
 from .unfold import PropagationConfig, unroll
 
 
+# both constructions are stated for the implicit model's propagation matrix
+KIND = LaplacianKind.SELF_LOOP_SYM
+
+
 class ConstructionError(RuntimeError):
     pass
 
@@ -89,8 +93,7 @@ def _jittered_eig(w_p, eps, rng, max_tries=8, cond_limit=1e10):
     raise ConstructionError(f"no well-conditioned eigenbasis within jitter {scale:.1e}")
 
 
-def symmetrize_linear(w_p, g, w_x, x, eps=1e-8, seed=0,
-                      kind=LaplacianKind.SELF_LOOP_SYM):
+def symmetrize_linear(w_p, g, w_x, x, eps=1e-8, seed=0):
     """Build the symmetric representation of the fixed point of Wp.
 
     The spectrum of the (jittered) weight is split into its real part
@@ -103,7 +106,7 @@ def symmetrize_linear(w_p, g, w_x, x, eps=1e-8, seed=0,
     w_p = np.asarray(w_p, dtype=float)
     x = np.asarray(x, dtype=float)
     w_x = np.asarray(w_x, dtype=float)
-    p_op = propagation_matrix(g, kind)
+    p_op = propagation_matrix(g, KIND)
     rng = np.random.default_rng(seed)
     fx = x @ w_x
 
@@ -145,11 +148,10 @@ def symmetrize_linear(w_p, g, w_x, x, eps=1e-8, seed=0,
     )
 
 
-def verify_linear_equivalence(rep, g, x, w_p=None, w_x=None,
-                              kind=LaplacianKind.SELF_LOOP_SYM):
+def verify_linear_equivalence(rep, g, x, w_p=None, w_x=None):
     """Residual of the represented fixed-point equation plus the drift
     of the perturbed fixed point from the original one."""
-    p_op = propagation_matrix(g, kind)
+    p_op = propagation_matrix(g, KIND)
     x = np.asarray(x, dtype=float)
     yt = rep.y_embedded
     residual = float(np.linalg.norm(yt - (_dense(p_op) @ yt @ rep.w_p_sym + x @ rep.w_x_tilde)))
@@ -192,7 +194,7 @@ class GcnEmbedding:
         return y[:, self.block_slices[k]]
 
 
-def embed_gcn(layers, residual, sigma, g=None):
+def embed_gcn(layers, residual, sigma):
     """Pack layer weights W^(1..K) into the anti-bidiagonal symmetric
     block weight; with residual connections all widths must match and
     an identity-block companion is added."""
@@ -243,29 +245,28 @@ def gcn_oracle(p_op, layers, residual, sigma, y0):
     return outs
 
 
-def embedded_forward(emb, g, y0, steps, kind=LaplacianKind.SELF_LOOP_SYM):
+def embedded_forward(emb, g, y0, steps):
     """Run the embedding through the generic unfolded engine (unit step,
     identity attention, zero base prediction) and return the iterates."""
     w_f_sym = np.eye(emb.y0_padded_width) - emb.w_p_sym_block
     if emb.residual:
         w_f_sym = w_f_sym - emb.w_r_sym_block
     spec = from_symmetric_pair(emb.w_p_sym_block, w_f_sym, rho=rho_identity(),
-                               phi=emb.sigma, kind=kind,
+                               phi=emb.sigma, kind=KIND,
                                gradient_mode="literal")
     y = emb.pad_input(np.asarray(y0, dtype=float))
     cfg = PropagationConfig(steps=steps, alpha=1.0, y0=y, record_trace=False)
     return [y] + [layer.y for layer in unroll(spec, g, np.zeros_like(y), cfg)]
 
 
-def verify_gcn_equivalence(emb, g, y0, steps, layers,
-                           kind=LaplacianKind.SELF_LOOP_SYM):
+def verify_gcn_equivalence(emb, g, y0, steps, layers):
     """Compare block k of the embedded iterate k against the direct
     stack for every layer; reports the first mismatching layer."""
     if steps > len(layers):
         raise ConstructionError("cannot verify more steps than layers")
-    p_op = propagation_matrix(g, kind)
+    p_op = propagation_matrix(g, KIND)
     direct = gcn_oracle(p_op, layers[:steps], emb.residual, emb.sigma, y0)
-    embedded = embedded_forward(emb, g, y0, steps, kind=kind)
+    embedded = embedded_forward(emb, g, y0, steps)
     per_layer = []
     first_bad = None
     for k in range(steps + 1):

@@ -5,12 +5,12 @@ artifacts directory and returns a summary dict that the test suite and
 the verification command assert against.
 """
 
-import csv
 import os
 import time
 
 import numpy as np
 
+from .artifacts import write_csv
 from .data import PerturbSpec, SbmSpec, edge_indices, perturb_edges, sbm_generate
 from .energy import EnergySpec, rho_identity, rho_truncated_lp
 from .graph import LaplacianKind, build_graph, propagation_matrix
@@ -18,16 +18,6 @@ from .model import ModelConfig, TrainConfig, train
 from .unfold import PropagationConfig, closed_form_solution, propagate, unroll
 
 SELF = LaplacianKind.SELF_LOOP_SYM
-
-
-def _write_csv(path, schema, header, rows):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {schema} v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +44,8 @@ def closed_form_convergence(out_dir, seed=0, n=50, d=8, lam=1.0, steps=500):
             rows.append([k, np.linalg.norm(y - target) / tnorm])
     elapsed = time.perf_counter() - start
     final_rel = float(np.linalg.norm(y - target) / tnorm)
-    path = _write_csv(os.path.join(out_dir, "closed_form_convergence.csv"),
-                      "closed-form-convergence", ["step", "rel_error"], rows)
+    path = write_csv(os.path.join(out_dir, "closed_form_convergence.csv"),
+                     "closed-form-convergence v1", ["step", "rel_error"], rows)
     return {"final_rel_error": final_rel, "seconds": elapsed, "csv": [path]}
 
 
@@ -106,9 +96,9 @@ def prop_depth_sweep(out_dir, seed=0, n_per_block=50, depths=(1, 2, 4, 8, 16, 32
         rows.append([k, pure_spread, pure_acc, rel, ugnn_spread, ugnn_acc])
         summary[k] = {"pure_spread_rel": pure_spread, "ugnn_rel_error": rel,
                       "ugnn_spread_rel": ugnn_spread}
-    path = _write_csv(os.path.join(out_dir, "prop_depth_sweep.csv"), "prop-depth-sweep",
-                      ["K", "pure_spread_rel", "pure_test_acc",
-                       "ugnn_rel_error", "ugnn_spread_rel", "ugnn_test_acc"], rows)
+    path = write_csv(os.path.join(out_dir, "prop_depth_sweep.csv"), "prop-depth-sweep v1",
+                     ["K", "pure_spread_rel", "pure_test_acc",
+                      "ugnn_rel_error", "ugnn_spread_rel", "ugnn_test_acc"], rows)
     deepest = max(depths)
     summary["deepest"] = summary[deepest]
     summary["csv"] = [path]
@@ -157,10 +147,10 @@ def attention_robustness(out_dir, seed=0, n_per_block=100, p_in=0.1, rate=0.2,
         rows.append([tag, metrics.test_acc_at_best, mean_clean, mean_spur])
         summary[tag] = {"test_acc": metrics.test_acc_at_best,
                         "gamma_clean": mean_clean, "gamma_spurious": mean_spur}
-    path = _write_csv(os.path.join(out_dir, "attention_robustness.csv"),
-                      "attention-robustness",
-                      ["model", "test_acc", "mean_gamma_intra", "mean_gamma_spurious"],
-                      rows)
+    path = write_csv(os.path.join(out_dir, "attention_robustness.csv"),
+                     "attention-robustness v1",
+                     ["model", "test_acc", "mean_gamma_intra", "mean_gamma_spurious"],
+                     rows)
     summary["csv"] = [path]
     return summary
 
@@ -195,8 +185,8 @@ def label_recovery(out_dir, seed=0, n_per_block=60, gen_epochs=150, rec_epochs=1
                                TrainConfig(epochs=rec_epochs, lr=0.3, seed=seed + 1))
             rows.append([gen_tag, rec_tag, metrics.test_acc_at_best])
             summary[(gen_tag, rec_tag)] = metrics.test_acc_at_best
-    path = _write_csv(os.path.join(out_dir, "label_recovery.csv"), "label-recovery",
-                      ["generator", "recovery", "test_acc"], rows)
+    path = write_csv(os.path.join(out_dir, "label_recovery.csv"), "label-recovery v1",
+                     ["generator", "recovery", "test_acc"], rows)
     return {"accuracies": summary, "csv": [path]}
 
 
@@ -204,9 +194,11 @@ def label_recovery(out_dir, seed=0, n_per_block=60, gen_epochs=150, rec_epochs=1
 
 def bench_time(out_dir, seed=0, sizes=((2000, 8, 8, 8), (2000, 8, 8, 16),
                                        (4000, 8, 8, 8)), repeats=3):
-    """Operation counts and wall time per (n, avg_degree, d, K)."""
-    rows = []
-    summary = {}
+    """Operation counts and wall time per (n, avg_degree, d, K).  Every
+    graph is built first; each repeat round then times every size, so a
+    slow spell on the machine slows all sizes alike."""
+    spec = EnergySpec(lam=1.0, kind=SELF)
+    cases = []
     for n, deg, d, k in sizes:
         rng = np.random.default_rng(seed)
         m_target = n * deg // 2
@@ -215,19 +207,20 @@ def bench_time(out_dir, seed=0, sizes=((2000, 8, 8, 8), (2000, 8, 8, 16),
         keep = iu != jv
         g = build_graph(n, np.stack([iu[keep], jv[keep]], axis=1)[:m_target])
         fx = rng.normal(size=(n, d))
-        spec = EnergySpec(lam=1.0, kind=SELF)
-        cfg = PropagationConfig(steps=k, alpha=0.1, record_trace=False)
-        best = np.inf
-        ops = None
-        for _ in range(repeats):
+        cases.append((g, fx, PropagationConfig(steps=k, alpha=0.1, record_trace=False)))
+    best = [np.inf] * len(cases)
+    ops = [None] * len(cases)
+    for _ in range(repeats):
+        for i, (g, fx, cfg) in enumerate(cases):
             start = time.perf_counter()
             out = propagate(spec, g, fx, cfg)
-            best = min(best, time.perf_counter() - start)
-            ops = out.ops
-        rows.append([n, g.m, d, k, ops["edge"], ops["dense"], best])
-        summary[(n, g.m, d, k)] = {"edge_flops": ops["edge"], "seconds": best}
-    path = _write_csv(os.path.join(out_dir, "bench_time.csv"), "bench-time",
-                      ["n", "m", "d", "K", "edge_flops", "dense_flops", "seconds"], rows)
+            best[i] = min(best[i], time.perf_counter() - start)
+            ops[i] = out.ops
+    rows = [[g.n, g.m, fx.shape[1], cfg.steps, op["edge"], op["dense"], seconds]
+            for (g, fx, cfg), op, seconds in zip(cases, ops, best)]
+    summary = {tuple(row[:4]): {"edge_flops": row[4], "seconds": row[6]} for row in rows}
+    path = write_csv(os.path.join(out_dir, "bench_time.csv"), "bench-time v1",
+                     ["n", "m", "d", "K", "edge_flops", "dense_flops", "seconds"], rows)
     return {"rows": summary, "csv": [path]}
 
 

@@ -176,10 +176,6 @@ class IncidenceView:
     def n_edge_rows(self):
         return self.eu.shape[0]
 
-    @property
-    def rows(self):
-        return self.n_edge_rows + self.extra_rows.shape[0]
-
     @cached_property
     def b(self):
         return _edge_rows(self.n, self.eu, self.ev, self.su, self.sv)
@@ -259,13 +255,11 @@ def edge_keys(n, lo, hi):
     return lo * n + hi
 
 
-def build_graph(n, edge_pairs, self_loops="strip", duplicates="dedup"):
+def build_graph(n, edge_pairs):
     """Validate an edge list and build the canonical Graph, in
-    O(m log m): the canonical pairs are sorted and deduplicated as their
-    int64 :func:`edge_keys`, so n may not exceed MAX_NODES.
-
-    self_loops: "strip" drops (u, u) pairs, "error" rejects them.
-    duplicates: "dedup" collapses repeats, "error" rejects them.
+    O(m log m): self-loops (u, u) are dropped, and the canonical pairs
+    are sorted and deduplicated as their int64 :func:`edge_keys`, so n
+    may not exceed MAX_NODES.
     """
     if n < 0:
         raise GraphError("node count must be nonnegative")
@@ -275,18 +269,12 @@ def build_graph(n, edge_pairs, self_loops="strip", duplicates="dedup"):
         raise GraphError(f"edge ({bad[0]}, {bad[1]}) out of range for n={n}")
     loops = pairs[:, 0] == pairs[:, 1]
     if loops.any():
-        if self_loops == "error":
-            u = pairs[loops][0, 0]
-            raise GraphError(f"self-loop at node {u}")
         pairs = pairs[~loops]
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     # with return_counts np.unique sorts; without it, numpy 2.4 takes a path
     # about 15x slower on int64 keys
-    keys, counts = np.unique(edge_keys(n, lo, hi), return_counts=True)
-    if duplicates == "error" and (counts > 1).any():
-        u, v = divmod(int(keys[counts > 1][0]), n)
-        raise GraphError(f"duplicate edge ({u}, {v})")
+    keys, _ = np.unique(edge_keys(n, lo, hi), return_counts=True)
     lo, hi = np.divmod(keys, n)
     ones = np.ones(keys.shape[0])
     adj = sp.csr_matrix((np.concatenate([ones, ones]),

@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .artifacts import write_csv
 from .energy import EnergySpec, Phi, Rho, phi_zero, rho_identity
 from .energy import edge_diagonal  # noqa: F401  patched by perfbench/tracing.py
 from .graph import LaplacianKind, propagation_matrix
@@ -377,12 +378,9 @@ class Metrics:
     diverged: bool = False
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("# schema: train-metrics v1\n")
-            fh.write("epoch,loss,acc_train,acc_val,acc_test\n")
-            for e in range(self.loss.size):
-                fh.write(f"{e},{self.loss[e]},{self.acc_train[e]},"
-                         f"{self.acc_val[e]},{self.acc_test[e]}\n")
+        write_csv(path, "train-metrics v1", ["epoch", "loss", "acc_train", "acc_val", "acc_test"],
+                  zip(range(self.loss.size), self.loss, self.acc_train, self.acc_val,
+                      self.acc_test))
 
 
 def loss_and_grads(model, g, x, labels, train_rows, train_mode=False, dropout_rng=None,

@@ -49,7 +49,6 @@ degrees instead: it never falls below the norm and may exceed it, so
 its steps are safe but can be shorter.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -58,6 +57,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _kernels
+from .artifacts import write_csv
 from .energy import edge_diagonal, energy_eval
 from .graph import LaplacianKind, incidence, laplacian, propagation_matrix, spectral_norm
 
@@ -65,6 +65,7 @@ DIVERGENCE_LIMIT = 1e12
 # A Lanczos ||L|| can land a few ulps below the exact norm; this slack keeps
 # the auto step at or below the step the exact norm gives.
 _NORM_SLACK = 1e-12
+CLOSED_FORM_TOL = 1e-10
 
 
 class PropagationDivergence(RuntimeError):
@@ -200,36 +201,17 @@ def _weighted_lap_norm_bound(bview, gamma):
 
 
 def step_size_bound(spec, g):
-    """(alpha_max_convex, alpha_max_general) for the configured energy.
-
-    alpha_max_general is safe for every shipped concave rho and any prox
-    in the menu: it caps the weighted-Laplacian curvature by the largest
-    attainable attention weight.  alpha_max_convex is the wider
-    2/curvature range valid for the quadratic (identity-rho) energy;
-    for robust penalties it falls back to the general bound.
-    """
-    ops = g.operators(spec.kind)
-    lap_norm = ops.laplacian_norm * (1.0 + _NORM_SLACK)
+    """The fixed step that alpha="auto" takes, safe for every shipped
+    concave rho and any prox in the menu: one over the curvature, with
+    the weighted Laplacian's norm capped by the largest attainable
+    attention weight rho'_max."""
+    lap_norm = g.operators(spec.kind).laplacian_norm * (1.0 + _NORM_SLACK)
     gcap = spec.rho.grad_max()
     if spec.simple:
-        general = 1.0 / (1.0 + spec.lam * gcap * lap_norm)
-        if spec.rho.kind == "identity":
-            return 2.0 / (1.0 + spec.lam * lap_norm), general
-        return general, general
-    wf = spec.w_fid_sym()
-    wp = spec.w_prop_sym()
-    nf = spectral_norm(wf)
-    npr = spectral_norm(wp)
-    eye = np.eye(wf.shape[0])
-    if np.allclose(wf, eye - wp, atol=1e-12):
-        # fixed-point pairing: curvature of I - P (x) Wp_s
-        curvature = 1.0 + npr * ops.propagation_norm
-    else:
-        curvature = nf + lap_norm * npr
-    general = 1.0 / (nf + gcap * lap_norm * npr)
-    if spec.rho.kind == "identity":
-        return 2.0 / curvature, general
-    return general, general
+        return 1.0 / (1.0 + spec.lam * gcap * lap_norm)
+    nf = spectral_norm(spec.w_fid_sym())
+    npr = spectral_norm(spec.w_prop_sym())
+    return 1.0 / (nf + gcap * lap_norm * npr)
 
 
 def irls_step_bound(spec, bview, gamma):
@@ -250,8 +232,9 @@ def irls_step_bound(spec, bview, gamma):
     return 1.0 / (nf + lhat_bound * npr)
 
 
-def closed_form_solution(g, fx, lam, kind, tol=1e-10):
-    """Solve (I + lam * L) Y = F directly; the infinite-depth limit."""
+def closed_form_solution(g, fx, lam, kind):
+    """Solve (I + lam * L) Y = F directly, to a relative residual of
+    CLOSED_FORM_TOL; the infinite-depth limit."""
     fx = np.asarray(fx, dtype=float)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -262,13 +245,13 @@ def closed_form_solution(g, fx, lam, kind, tol=1e-10):
     else:
         y = np.empty_like(fx)
         for j in range(fx.shape[1]):
-            col, info = spla.cg(a, fx[:, j], rtol=tol, atol=0.0, maxiter=20 * g.n)
+            col, info = spla.cg(a, fx[:, j], rtol=CLOSED_FORM_TOL, atol=0.0, maxiter=20 * g.n)
             if info != 0:
                 raise SolveError(f"conjugate gradient failed on column {j} (info={info})")
             y[:, j] = col
     resid = np.linalg.norm(a @ y - fx)
-    if resid > tol * max(1.0, np.linalg.norm(fx)):
-        raise SolveError(f"linear solve residual {resid:.2e} above {tol:.0e}")
+    if resid > CLOSED_FORM_TOL * max(1.0, np.linalg.norm(fx)):
+        raise SolveError(f"linear solve residual {resid:.2e} above {CLOSED_FORM_TOL:.0e}")
     return y
 
 
@@ -339,8 +322,13 @@ def unroll(spec, g, fx, cfg):
     """Run cfg's layers from Y0 (cfg.y0, or f(X)), yielding one
     :class:`Layer` per step.
 
-    Raises PropagationDivergence when the iterate norm passes the guard.
+    Raises PropagationDivergence when the iterate norm passes the guard,
+    and ValueError for the normalized variant on a general-mode energy,
+    whose weights that variant's step does not read.
     """
+    if cfg.variant == "normalized" and not spec.simple:
+        raise ValueError("the normalized variant steps the simple-mode energy; "
+                         "a general-mode spec's W_f and W_p would be ignored")
     fx = np.asarray(fx, dtype=float)
     bview = incidence(g, spec.kind)
     y = _start(fx, cfg)
@@ -349,7 +337,7 @@ def unroll(spec, g, fx, cfg):
     fixed_alpha = None  # auto_irls: sized from the current Gamma at every step
     if cfg.alpha == "auto":
         if cfg.variant == "plain":
-            fixed_alpha = step_size_bound(spec, g)[1]
+            fixed_alpha = step_size_bound(spec, g)
         else:
             # convex-combination step of the rescaled recursions
             fixed_alpha = 1.0 / (1.0 + spec.lam)
@@ -493,20 +481,14 @@ def verify_descent(result, slack=1e-9):
 
 
 def trace_to_csv(result, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("# schema: propagation-trace v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "fidelity", "smoothness", "phi", "total", "residual"])
-        for k, ev in enumerate(result.trace):
-            resid = result.residuals[k - 1] if k > 0 else 0.0
-            writer.writerow([k, ev.fidelity, ev.smoothness, ev.phi_term, ev.total, resid])
+    write_csv(path, "propagation-trace v1",
+              ["step", "fidelity", "smoothness", "phi", "total", "residual"],
+              ([k, ev.fidelity, ev.smoothness, ev.phi_term, ev.total,
+                result.residuals[k - 1] if k > 0 else 0.0]
+               for k, ev in enumerate(result.trace)))
 
 
 def gamma_trace_to_csv(result, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("# schema: gamma-trace v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "edge", "gamma"])
-        for step in sorted(result.gamma_trace):
-            for e, val in enumerate(result.gamma_trace[step]):
-                writer.writerow([step, e, val])
+    write_csv(path, "gamma-trace v1", ["step", "edge", "gamma"],
+              ([step, e, val] for step in sorted(result.gamma_trace)
+               for e, val in enumerate(result.gamma_trace[step])))

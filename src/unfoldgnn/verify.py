@@ -44,9 +44,9 @@ def _random_graph(rng, n, p=0.35):
     return build_graph(n, pairs)
 
 
-def _random_psd(rng, d, scale=1.0):
+def _random_psd(rng, d):
     a = rng.normal(size=(d, d))
-    return scale * (a @ a.T / d + 0.05 * np.eye(d))
+    return a @ a.T / d + 0.05 * np.eye(d)
 
 
 def descent_suite(seed, trials, inject_failure=False):
@@ -68,7 +68,7 @@ def descent_suite(seed, trials, inject_failure=False):
             w_prop=_random_psd(rng, d),
         )
         fx = rng.normal(size=(n, d))
-        alpha = step_size_bound(spec, g)[1]
+        alpha = step_size_bound(spec, g)
         if inject_failure:
             alpha *= 25.0
         steps = 25

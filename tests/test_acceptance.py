@@ -114,7 +114,7 @@ def test_02_energy_descent_safe_step():
             w_prop=random_psd(rng, d),
         )
         fx = rng.normal(size=(n, d))
-        alpha = step_size_bound(spec, g)[1]
+        alpha = step_size_bound(spec, g)
         out = propagate(spec, g, fx, PropagationConfig(
             steps=25, alpha=alpha, attention_schedule=tuple(range(25))))
         report = verify_descent(out, slack=1e-9)

@@ -178,12 +178,6 @@ class TestPerturb:
         with pytest.raises(DatasetError, match="cross-class non-edges"):
             perturb_edges(ds, PerturbSpec(rate=0.5))
 
-    def test_remove_intra_flag(self):
-        ds = self.make()
-        m = ds.graph.m
-        out, added = perturb_edges(ds, PerturbSpec(rate=0.1, remove_intra=True, seed=3))
-        assert out.graph.m == m  # added == removed
-
     def test_graph_stays_simple(self):
         ds = self.make()
         out, _ = perturb_edges(ds, PerturbSpec(rate=0.3, seed=4))
@@ -252,13 +246,7 @@ def reference_perturb_edges(ds, spec):
             f"only {len(candidates)} cross-class non-edges available, need {n_add}")
     picked = rng.choice(len(candidates), size=n_add, replace=False)
     added = np.asarray([candidates[i] for i in picked], dtype=np.int64)
-    edges = g.edges
-    if spec.remove_intra:
-        intra_idx = np.flatnonzero(labels[edges[:, 0]] == labels[edges[:, 1]])
-        n_remove = min(n_add, intra_idx.size)
-        drop = set(rng.choice(intra_idx, size=n_remove, replace=False).tolist())
-        edges = edges[[i for i in range(edges.shape[0]) if i not in drop]]
-    new_edges = np.vstack([edges, added])
+    new_edges = np.vstack([g.edges, added])
     new_graph = build_graph(g.n, new_edges)
     out = make_dataset(new_graph, ds.x, labels, ds.masks)
     return out, added
@@ -325,24 +313,21 @@ class TestGeneratorParity:
             "masks": "0c1ca7e5997a0bbcec49f1b51905434e626670b9a3d92f6cb3fdf7a968888b12",
         }
 
-    @pytest.mark.parametrize("remove_intra", [False, True])
     @pytest.mark.parametrize("rate", [0.05, 0.2, 0.7])
     @pytest.mark.parametrize("layout", SBM_LAYOUTS[:5])
-    def test_perturb_matches_candidate_list(self, layout, rate, remove_intra):
+    def test_perturb_matches_candidate_list(self, layout, rate):
         for seed in (0, 3, 12):
             ds = sbm_generate(SbmSpec(**layout, feature_dim=3, seed=seed))
-            assert_same_perturbation(
-                ds, PerturbSpec(rate=rate, remove_intra=remove_intra, seed=seed + 1))
+            assert_same_perturbation(ds, PerturbSpec(rate=rate, seed=seed + 1))
 
-    @pytest.mark.parametrize("remove_intra", [False, True])
-    def test_perturb_parity_with_non_contiguous_labels(self, remove_intra):
+    def test_perturb_parity_with_non_contiguous_labels(self):
         rng = np.random.default_rng(4)
         n = 60
         labels = rng.choice([2, 5, 9], size=n)
         pairs = rng.integers(0, n, size=(150, 2))
         ds = make_dataset(build_graph(n, pairs), rng.normal(size=(n, 2)), labels,
                           stratified_masks(labels, 0.2, 0.2, rng))
-        assert_same_perturbation(ds, PerturbSpec(rate=0.4, remove_intra=remove_intra, seed=8))
+        assert_same_perturbation(ds, PerturbSpec(rate=0.4, seed=8))
 
     def test_perturb_parity_when_most_cross_pairs_exist(self):
         # all but 5 of the 8*9 cross pairs are already edges

@@ -5,11 +5,16 @@ incidence scales from the degrees, so it checks both the graph's cached
 incidence matrices and the products built on them.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from unfoldgnn import _kernels
+from unfoldgnn.energy import EnergySpec, rho_log
 from unfoldgnn.graph import LaplacianKind, build_graph, incidence
+from unfoldgnn.unfold import PropagationConfig, propagate
 
 
 def loop_diff(y, eu, ev, su, sv):
@@ -125,3 +130,52 @@ def test_op_counter_scales_linearly_in_edges():
     view2.weighted_laplacian_apply(y, rng.random(g2.m))
     double = _kernels.op_counter()["edge"] - before
     assert double == 2 * single
+
+
+def run_in_threads(fn, count):
+    """fn() in ``count`` threads released together, with the interpreter
+    switching threads often; their results in order."""
+    results = [None] * count
+    start = threading.Barrier(count)
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = fn()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None for r in results)
+    return results
+
+
+def counted_propagate():
+    rng = np.random.default_rng(3)
+    g = build_graph(2000, rng.integers(0, 2000, size=(8000, 2)))
+    fx = rng.normal(size=(2000, 4))
+    spec = EnergySpec(rho=rho_log(eps=0.5), lam=1.5)
+    cfg = PropagationConfig(steps=40, alpha="auto_irls", attention_schedule=tuple(range(40)))
+    return lambda: propagate(spec, g, fx, cfg).ops
+
+
+def test_op_counter_ignores_other_threads():
+    run = counted_propagate()
+    before = _kernels.op_counter()
+    ops = run_in_threads(run, 1)[0]
+    assert ops["edge"] > 0
+    assert _kernels.op_counter() == before
+
+
+def test_concurrent_propagates_each_count_their_own_ops():
+    run = counted_propagate()
+    single = run()
+    for ops in run_in_threads(run, 3):
+        assert ops == single

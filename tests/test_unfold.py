@@ -174,9 +174,7 @@ class TestStepSizeBound:
     def test_two_node_path_reweighted_bound(self):
         g = build_graph(2, [(0, 1)])
         spec = EnergySpec(lam=1.0)
-        convex, general = step_size_bound(spec, g)
-        assert general == pytest.approx(1.0 / 3.0, rel=1e-6)
-        assert convex == pytest.approx(2.0 / 3.0, rel=1e-6)
+        assert step_size_bound(spec, g) == pytest.approx(1.0 / 3.0, rel=1e-6)
         alpha = irls_step_bound(spec, incidence(g, COMB), np.ones(1))
         assert alpha == pytest.approx(1.0 / 3.0, rel=1e-6)
 
@@ -239,25 +237,39 @@ class TestStepSizeBound:
             g = random_graph(rng, n, p=6.0 / n)
             exact = np.abs(np.linalg.eigvalsh(laplacian(g, kind).toarray())).max()
             safe = 1.0 / (1.0 + spec.lam * spec.rho.grad_max() * exact)
-            assert step_size_bound(spec, g)[1] <= safe
+            assert step_size_bound(spec, g) <= safe
 
-    def test_fixed_point_pairing_admits_unit_step(self):
+    def test_fixed_point_pairing_descends_at_unit_step(self):
+        # W_f = I - W_p: the energy's Hessian is I - P (x) W_p, whose norm is
+        # at most 1 + ||W_p|| ||P|| < 2, so the unit step is inside 2 / curvature
         rng = np.random.default_rng(6)
-        g = random_graph(rng, 10)
-        w = random_psd(rng, 3, scale=0.2)
-        w /= max(1.0, 2.5 * np.linalg.svd(w, compute_uv=False)[0])
-        spec = from_symmetric_pair(w, np.eye(3) - w, kind=LaplacianKind.SELF_LOOP_SYM)
-        convex, _ = step_size_bound(spec, g)
-        assert convex > 1.0
+        for trial in range(6):
+            g = random_graph(rng, 10)
+            w = random_psd(rng, 3, scale=0.2)
+            w /= max(1.0, 2.5 * np.linalg.svd(w, compute_uv=False)[0])
+            spec = from_symmetric_pair(w, np.eye(3) - w, kind=LaplacianKind.SELF_LOOP_SYM,
+                                       gradient_mode="exact")
+            fx = rng.normal(size=(g.n, 3))
+            out = propagate(spec, g, fx, PropagationConfig(
+                steps=40, alpha=1.0, y0=rng.normal(size=(g.n, 3))))
+            report = verify_descent(out, slack=1e-12)
+            assert report["ok"], f"trial {trial}: {report}"
 
-    def test_zero_propagation_weight(self):
+    def test_zero_propagation_weight_step_boundary(self):
+        # with W_p = 0 the energy is the fidelity term alone, whose curvature
+        # is lambda_max(W_f + W_f.T): the step 2 / curvature is the boundary
         rng = np.random.default_rng(7)
         g = random_graph(rng, 6)
         w_fid = random_psd(rng, 2)
         spec = EnergySpec(simple=False, w_fid=w_fid, w_prop=np.zeros((2, 2)))
-        convex, _ = step_size_bound(spec, g)
-        top = np.linalg.eigvalsh(w_fid + w_fid.T).max()
-        assert convex == pytest.approx(2.0 / top, rel=1e-6)
+        boundary = 2.0 / np.linalg.eigvalsh(w_fid + w_fid.T).max()
+        fx = rng.normal(size=(6, 2))
+        y0 = rng.normal(size=(6, 2))
+        below, above = (propagate(spec, g, fx, PropagationConfig(
+            steps=300, alpha=scale * boundary, y0=y0)) for scale in (0.99, 1.01))
+        assert verify_descent(below, slack=0.0)["ok"]
+        assert not verify_descent(above, slack=1e-9)["ok"]
+        assert above.trace[-1].total > above.trace[0].total
 
 
 class TestClosedForm:
@@ -376,7 +388,7 @@ class TestDescent:
                 w_prop=random_psd(rng, d),
             )
             fx = rng.normal(size=(n, d))
-            _, alpha = step_size_bound(spec, g)
+            alpha = step_size_bound(spec, g)
             cfg = PropagationConfig(steps=25, alpha=alpha,
                                     attention_schedule=tuple(range(25)))
             report = verify_descent(propagate(spec, g, fx, cfg), slack=1e-9)
@@ -399,7 +411,7 @@ class TestDescent:
         g = random_graph(rng, 12, p=0.5)
         spec = EnergySpec(lam=4.0)
         fx = rng.normal(size=(12, 2))
-        _, alpha = step_size_bound(spec, g)
+        alpha = step_size_bound(spec, g)
         out = propagate(spec, g, fx, PropagationConfig(steps=12, alpha=10 * alpha))
         assert not verify_descent(out, slack=1e-9)["ok"]
 
@@ -482,6 +494,20 @@ class TestVariants:
         for _ in range(k):
             y = (1 - beta) * (a_hat @ y) + beta * fx
         np.testing.assert_allclose(out.y, y, atol=1e-12)
+
+    def test_normalized_rejects_general_mode_energy(self):
+        # the normalized step reads lam only, so two general-mode specs with
+        # different weights would take the same steps
+        rng = np.random.default_rng(24)
+        g = random_graph(rng, 8)
+        fx = rng.normal(size=(8, 2))
+        spec = EnergySpec(simple=False, w_fid=random_psd(rng, 2), w_prop=random_psd(rng, 2),
+                          kind=LaplacianKind.SELF_LOOP_SYM)
+        cfg = PropagationConfig(steps=3, alpha=0.2, variant="normalized")
+        with pytest.raises(ValueError, match="normalized variant"):
+            propagate(spec, g, fx, cfg)
+        with pytest.raises(ValueError, match="normalized variant"):
+            next(unroll(spec, g, fx, cfg))
 
     def test_reweighted_normalized_with_unit_gamma_matches_plain(self):
         rng = np.random.default_rng(25)
