@@ -178,6 +178,13 @@ class TestPerturb:
         with pytest.raises(DatasetError, match="cross-class non-edges"):
             perturb_edges(ds, PerturbSpec(rate=0.5))
 
+    def test_original_edges_kept(self):
+        ds = self.make()
+        out, added = perturb_edges(ds, PerturbSpec(rate=0.1, seed=3))
+        kept = edge_indices(out.graph, ds.graph.edges)
+        assert kept.size == ds.graph.m
+        assert out.graph.m == ds.graph.m + added.shape[0]
+
     def test_graph_stays_simple(self):
         ds = self.make()
         out, _ = perturb_edges(ds, PerturbSpec(rate=0.3, seed=4))
@@ -265,6 +272,15 @@ def assert_same_perturbation(ds, spec):
     assert_same_dataset(got, want)
 
 
+def renumber_nodes(ds, perm):
+    """The same dataset with node perm[i] renamed i."""
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.size)
+    graph = build_graph(ds.n, inverse[ds.graph.edges])
+    masks = {name: mask[perm] for name, mask in ds.masks.items()}
+    return make_dataset(graph, ds.x[perm], ds.labels[perm], masks)
+
+
 def assert_same_dataset(got, want):
     assert got.n == want.n
     np.testing.assert_array_equal(got.graph.edges, want.graph.edges)
@@ -313,21 +329,27 @@ class TestGeneratorParity:
             "masks": "0c1ca7e5997a0bbcec49f1b51905434e626670b9a3d92f6cb3fdf7a968888b12",
         }
 
+    @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("rate", [0.05, 0.2, 0.7])
     @pytest.mark.parametrize("layout", SBM_LAYOUTS[:5])
-    def test_perturb_matches_candidate_list(self, layout, rate):
+    def test_perturb_matches_candidate_list(self, layout, rate, shuffled):
+        # shuffled: the nodes renumbered, so the classes interleave instead
+        # of forming the block generator's contiguous runs
         for seed in (0, 3, 12):
             ds = sbm_generate(SbmSpec(**layout, feature_dim=3, seed=seed))
+            if shuffled:
+                ds = renumber_nodes(ds, np.random.default_rng(seed).permutation(ds.n))
             assert_same_perturbation(ds, PerturbSpec(rate=rate, seed=seed + 1))
 
-    def test_perturb_parity_with_non_contiguous_labels(self):
+    @pytest.mark.parametrize("rate", [0.4, 2.0])
+    def test_perturb_parity_with_non_contiguous_labels(self, rate):
         rng = np.random.default_rng(4)
         n = 60
         labels = rng.choice([2, 5, 9], size=n)
         pairs = rng.integers(0, n, size=(150, 2))
         ds = make_dataset(build_graph(n, pairs), rng.normal(size=(n, 2)), labels,
                           stratified_masks(labels, 0.2, 0.2, rng))
-        assert_same_perturbation(ds, PerturbSpec(rate=0.4, seed=8))
+        assert_same_perturbation(ds, PerturbSpec(rate=rate, seed=8))
 
     def test_perturb_parity_when_most_cross_pairs_exist(self):
         # all but 5 of the 8*9 cross pairs are already edges

@@ -58,6 +58,18 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 0), (0, 1)])
         assert g.m == 1
 
+    def test_only_self_loops_give_empty_graph(self):
+        g = build_graph(3, [(0, 0), (2, 2)])
+        assert g.m == 0
+        assert g.edges.shape == (0, 2)
+        assert g.adjacency.nnz == 0
+
+    def test_duplicates_keep_unit_weights(self):
+        g = build_graph(3, [(2, 1), (1, 2), (0, 0), (1, 2), (0, 2), (2, 0)])
+        assert g.edges.tolist() == [[0, 2], [1, 2]]
+        assert g.adjacency.data.tolist() == [1.0] * 4
+        assert g.degrees.tolist() == [1, 1, 2]
+
     def test_adjacency_symmetric(self):
         g = random_graph(np.random.default_rng(0), 20)
         assert (g.adjacency != g.adjacency.T).nnz == 0
