@@ -83,44 +83,47 @@ class Rho:
         return self.big_t ** (2.0 - self.p)
 
     def value(self, zsq):
-        zsq = np.asarray(zsq, dtype=float)
-        if self.kind == "identity":
-            # linear: defined on all of R (indefinite quadratic forms)
-            return zsq
-        if (zsq < -_NEG_DIAG_TOL).any():
-            raise ValueError("rho argument must be nonnegative")
-        zsq = np.maximum(zsq, 0.0)
-        if self.kind == "log":
-            return np.log(zsq + self.eps)
-        if self.kind == "truncated_quadratic":
-            return np.minimum(zsq, self.tau ** 2)
-        if self.kind == "truncated_lp":
-            return self._lp_value(zsq)
-        if self.kind == "cosine":
-            return zsq - zsq ** 2 / 8.0
-        # absolute
-        return np.sqrt(zsq)
+        return self._evaluate(zsq, value=True, grad=False)[0]
 
     def grad(self, zsq):
         """d rho(z^2) / d z^2, the per-edge attention weight."""
+        return self._evaluate(zsq, value=False, grad=True)[1]
+
+    def value_and_grad(self, zsq):
+        """(rho(z^2), d rho(z^2) / d z^2) from one pass over ``zsq``, each
+        bitwise what :meth:`value` and :meth:`grad` return: an attention
+        refresh takes the weights and the edge-penalty sum of the energy
+        from one square root and one set of piece masks."""
+        return self._evaluate(zsq, value=True, grad=True)
+
+    def _evaluate(self, zsq, value, grad):
+        """rho and rho' at zsq, each computed only where asked for (else
+        None); the one statement of the formulas."""
         zsq = np.asarray(zsq, dtype=float)
         if self.kind == "identity":
-            return np.ones_like(zsq)
+            # linear: defined on all of R (indefinite quadratic forms)
+            return zsq, np.ones_like(zsq) if grad else None
         if (zsq < -_NEG_DIAG_TOL).any():
             raise ValueError("rho argument must be nonnegative")
         zsq = np.maximum(zsq, 0.0)
         if self.kind == "log":
-            return 1.0 / (zsq + self.eps)
+            shifted = zsq + self.eps
+            return np.log(shifted) if value else None, 1.0 / shifted if grad else None
         if self.kind == "truncated_quadratic":
-            return (zsq < self.tau ** 2).astype(float)
+            cap = self.tau ** 2
+            return (np.minimum(zsq, cap) if value else None,
+                    (zsq < cap).astype(float) if grad else None)
         if self.kind == "truncated_lp":
-            return self._lp_grad(zsq)
+            return self._lp(zsq, value, grad)
         if self.kind == "cosine":
-            return 1.0 - zsq / 4.0
+            return zsq - zsq ** 2 / 8.0 if value else None, 1.0 - zsq / 4.0 if grad else None
+        # absolute: the weight 1 / (2 z), capped at gamma_max (its value at z = 0)
         z = np.sqrt(zsq)
-        with np.errstate(divide="ignore"):
-            g = np.where(z > 0, 0.5 / np.maximum(z, 1e-300), np.inf)
-        return np.minimum(g, self.gamma_max)
+        weight = None
+        if grad:
+            weight = np.minimum(np.where(z > 0, 0.5 / np.maximum(z, 1e-300), np.inf),
+                                self.gamma_max)
+        return z if value else None, weight
 
     def grad2(self, zsq):
         """Second derivative wrt z^2 (one-sided at breakpoints)."""
@@ -159,25 +162,25 @@ class Rho:
             return 1.0
         return self.gamma_max
 
-    def _lp_value(self, zsq):
+    def _lp(self, zsq, value, grad):
+        """truncated_lp's three pieces: quadratic below tau_bar, z^p up to
+        T_bar, constant beyond."""
         z = np.sqrt(zsq)
         tb, t_big = self._tau_bar, self._t_bar
-        rho0 = (2.0 - self.p) / self.p * tb ** self.p
-        out = tb ** (self.p - 2.0) * zsq
         mid = (z >= tb) & (z <= t_big)
-        out = np.asarray(out, dtype=float)
-        out[mid] = 2.0 / self.p * z[mid] ** self.p - rho0
-        out[z > t_big] = 2.0 / self.p * t_big ** self.p - rho0
-        return out
-
-    def _lp_grad(self, zsq):
-        z = np.sqrt(zsq)
-        tb, t_big = self._tau_bar, self._t_bar
-        out = np.full_like(z, tb ** (self.p - 2.0))
-        mid = (z >= tb) & (z <= t_big)
-        out[mid] = z[mid] ** (self.p - 2.0)
-        out[z > t_big] = 0.0
-        return out
+        far = z > t_big
+        z_mid = z[mid]
+        val = weight = None
+        if value:
+            rho0 = (2.0 - self.p) / self.p * tb ** self.p
+            val = np.asarray(tb ** (self.p - 2.0) * zsq, dtype=float)
+            val[mid] = 2.0 / self.p * z_mid ** self.p - rho0
+            val[far] = 2.0 / self.p * t_big ** self.p - rho0
+        if grad:
+            weight = np.full_like(z, tb ** (self.p - 2.0))
+            weight[mid] = z_mid ** (self.p - 2.0)
+            weight[far] = 0.0
+        return val, weight
 
 
 def rho_identity():
@@ -417,21 +420,22 @@ def edge_diagonal(spec, bview, y, rows=None):
     return np.maximum(vals, 0.0)
 
 
-def energy_eval(spec, bview, y, fx, diagonal=None):
+def energy_eval(spec, bview, y, fx, penalty=None):
     """Evaluate the three energy terms at Y given base predictions fx;
-    ``diagonal``, if given, is :func:`edge_diagonal` at this Y, already
-    computed by the caller."""
+    ``penalty``, if given, is the edge-penalty sum, rho summed over
+    :func:`edge_diagonal` at this Y, already computed by the caller."""
     y = np.asarray(y, dtype=float)
     fx = np.asarray(fx, dtype=float)
     if y.shape != fx.shape:
         raise ValueError("Y and f(X) shapes differ")
-    if diagonal is None:
-        diagonal = edge_diagonal(spec, bview, y)
+    if penalty is None:
+        penalty = np.sum(spec.rho.value(edge_diagonal(spec, bview, y)))
     r = y - fx
     if spec.simple:
-        fid = float(np.sum(r * r))
-        smooth = float(spec.lam * np.sum(spec.rho.value(diagonal)))
+        r *= r
+        fid = float(np.sum(r))
+        smooth = float(spec.lam * penalty)
     else:
         fid = float(np.einsum("ij,jk,ik->", r, spec.w_fid, r))
-        smooth = float(np.sum(spec.rho.value(diagonal)))
+        smooth = float(penalty)
     return EnergyValue(fid, smooth, spec.phi.value(y))

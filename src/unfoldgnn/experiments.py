@@ -195,8 +195,10 @@ def label_recovery(out_dir, seed=0, n_per_block=60, gen_epochs=150, rec_epochs=1
 def bench_time(out_dir, seed=0, sizes=((2000, 8, 8, 8), (2000, 8, 8, 16),
                                        (4000, 8, 8, 8)), repeats=3):
     """Operation counts and wall time per (n, avg_degree, d, K).  Every
-    graph is built first; each repeat round then times every size, so a
-    slow spell on the machine slows all sizes alike."""
+    graph is built first and propagated once untimed, which builds its
+    operators; each repeat round then times every size, so a slow spell
+    on the machine slows all sizes alike, and each size reports its
+    median over the rounds."""
     spec = EnergySpec(lam=1.0, kind=SELF)
     cases = []
     for n, deg, d, k in sizes:
@@ -208,16 +210,16 @@ def bench_time(out_dir, seed=0, sizes=((2000, 8, 8, 8), (2000, 8, 8, 16),
         g = build_graph(n, np.stack([iu[keep], jv[keep]], axis=1)[:m_target])
         fx = rng.normal(size=(n, d))
         cases.append((g, fx, PropagationConfig(steps=k, alpha=0.1, record_trace=False)))
-    best = [np.inf] * len(cases)
-    ops = [None] * len(cases)
+    ops = [propagate(spec, g, fx, cfg).ops for g, fx, cfg in cases]
+    times = [[] for _ in cases]
     for _ in range(repeats):
         for i, (g, fx, cfg) in enumerate(cases):
             start = time.perf_counter()
-            out = propagate(spec, g, fx, cfg)
-            best[i] = min(best[i], time.perf_counter() - start)
-            ops[i] = out.ops
+            propagate(spec, g, fx, cfg)
+            times[i].append(time.perf_counter() - start)
+    medians = [float(np.median(t)) for t in times]
     rows = [[g.n, g.m, fx.shape[1], cfg.steps, op["edge"], op["dense"], seconds]
-            for (g, fx, cfg), op, seconds in zip(cases, ops, best)]
+            for (g, fx, cfg), op, seconds in zip(cases, ops, medians)]
     summary = {tuple(row[:4]): {"edge_flops": row[4], "seconds": row[6]} for row in rows}
     path = write_csv(os.path.join(out_dir, "bench_time.csv"), "bench-time v1",
                      ["n", "m", "d", "K", "edge_flops", "dense_flops", "seconds"], rows)

@@ -1,16 +1,18 @@
 """Sparse undirected graphs and the operators derived from them.
 
-A :class:`Graph` stores a deduplicated, canonically ordered edge list
-plus a CSR adjacency view.  :func:`build_graph` sorts and deduplicates
-the pairs as int64 keys lo * n + hi in O(m log m), so a graph has at
-most 3_037_000_499 nodes, the largest n with n * n in int64.
-Everything downstream (degrees, Laplacians, incidence factorizations,
-propagation operators, their spectral norms) is derived from the graph
-alone, so each is built on first use and cached on the graph: degrees
-on the graph itself, the rest in one :class:`GraphOperators` bundle per
-Laplacian kind.  Nothing is built by :func:`build_graph`.  Graphs
-compare and hash by identity, so two graphs built from equal edge lists
-share no cache.  An operator bundle keeps the graph's arrays but no
+A :class:`Graph` stores a deduplicated, canonically ordered edge list.
+:func:`build_graph` sorts and deduplicates the pairs as int64 keys
+lo * n + hi in O(m log m), so a graph has at most 3_037_000_499 nodes,
+the largest n with n * n in int64, and builds nothing beyond the edges.
+Everything downstream (degrees, the CSR adjacency, Laplacians, incidence
+factorizations, propagation operators, their spectral norms) is derived
+from the edges alone, so each is built on first use and cached: the
+degrees and the adjacency once per graph, the rest in one
+:class:`GraphOperators` bundle per Laplacian kind.  The degrees are
+counted from the edges, so only a Laplacian, a propagation matrix or a
+caller that reads ``adjacency`` builds the adjacency.  Graphs compare
+and hash by identity, so two graphs built from equal edge lists share
+no cache.  An operator bundle shares the graph's arrays but keeps no
 reference back to the graph, so a graph that is dropped is freed at
 once, with its operators, not at the next run of the cyclic garbage
 collector.
@@ -54,27 +56,57 @@ def _read_only_csr(mat):
     return mat
 
 
+class _GraphArrays:
+    """A graph's node count and edges, with the degrees and the adjacency
+    built from them on first read.  The graph and its operator bundles
+    share one, so each is built once per graph, and it refers to neither."""
+
+    def __init__(self, n, edges):
+        self.n, self.edges = n, edges
+
+    @cached_property
+    def degrees(self):
+        """The adjacency's row sums, counted from the edges: exact in float64."""
+        return _read_only(np.bincount(self.edges.ravel(), minlength=self.n).astype(float))
+
+    @cached_property
+    def adjacency(self):
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
+        ones = np.ones(lo.shape[0])
+        adj = sp.csr_matrix((np.concatenate([ones, ones]),
+                             (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+                            shape=(self.n, self.n))
+        return _read_only_csr(adj)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph with unit edge weights.
 
     ``edges`` is an (m, 2) int array with u < v per row, sorted
     lexicographically and deduplicated.  ``adjacency`` is the symmetric
-    CSR matrix implied by it.
+    CSR matrix implied by it, built on first read.
     """
 
     n: int
     edges: np.ndarray
-    adjacency: sp.csr_matrix = field(repr=False)
+    _arrays: _GraphArrays = field(init=False, repr=False)
     _operators: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_arrays", _GraphArrays(self.n, self.edges))
 
     @property
     def m(self):
         return self.edges.shape[0]
 
-    @cached_property
+    @property
     def degrees(self):
-        return _read_only(np.asarray(self.adjacency.sum(axis=1)).ravel())
+        return self._arrays.degrees
+
+    @property
+    def adjacency(self):
+        return self._arrays.adjacency
 
     def operators(self, kind):
         """The cached operator bundle of this graph under ``kind``."""
@@ -82,7 +114,7 @@ class Graph:
         if ops is None:
             if not isinstance(kind, LaplacianKind):
                 raise ValueError(f"unknown Laplacian kind {kind}")
-            ops = self._operators.setdefault(kind, GraphOperators(self, kind))
+            ops = self._operators.setdefault(kind, GraphOperators(self._arrays, kind))
         return ops
 
 
@@ -90,33 +122,33 @@ class GraphOperators:
     """The operators of one graph under one Laplacian kind, each built on
     first use and kept: the incidence view (with its CSR ``B`` and
     ``B.T``), the Laplacian, the propagation matrix and their spectral
-    norms.  The bundle keeps the graph's arrays, not the graph, so the
+    norms.  The bundle shares the graph's arrays, not the graph, so the
     two form no reference cycle."""
 
-    def __init__(self, g, kind):
-        self.n, self.edges, self.adjacency = g.n, g.edges, g.adjacency
-        self.degrees = g.degrees
+    def __init__(self, arrays, kind):
+        self.n, self.edges = arrays.n, arrays.edges
+        self._arrays = arrays
         self.kind = kind
 
     @cached_property
     def incidence(self):
-        kind, d = self.kind, self.degrees
+        kind = self.kind
         eu, ev = self.edges[:, 0], self.edges[:, 1]
         extra = np.zeros(0, dtype=np.int64)
         if kind is LaplacianKind.COMBINATORIAL:
             s = np.ones(self.n)
         elif kind is LaplacianKind.SYM_NORMALIZED:
-            s = _inv_sqrt(d)
-            extra = np.flatnonzero(d == 0)
+            s = _inv_sqrt(self._arrays.degrees)
+            extra = np.flatnonzero(self._arrays.degrees == 0)
         else:
             # self-loop mass keeps D~^{-1/2}(D - A)D~^{-1/2} = I - D~^{-1/2}A~D~^{-1/2}
-            s = _inv_sqrt(d + 1.0)
+            s = _inv_sqrt(self._arrays.degrees + 1.0)
         return IncidenceView(kind, self.n, eu, ev, _read_only(s[eu]), _read_only(s[ev]),
                              _read_only(extra))
 
     @cached_property
     def laplacian(self):
-        kind, d, adj = self.kind, self.degrees, self.adjacency
+        kind, d, adj = self.kind, self._arrays.degrees, self._arrays.adjacency
         eye = sp.identity(self.n, format="csr")
         if kind is LaplacianKind.COMBINATORIAL:
             lap = sp.diags(d) - adj
@@ -259,7 +291,8 @@ def build_graph(n, edge_pairs):
     """Validate an edge list and build the canonical Graph, in
     O(m log m): self-loops (u, u) are dropped, and the canonical pairs
     are sorted and deduplicated as their int64 :func:`edge_keys`, so n
-    may not exceed MAX_NODES.
+    may not exceed MAX_NODES.  Only the edges are built; the adjacency
+    and every operator wait for their first read.
     """
     if n < 0:
         raise GraphError("node count must be nonnegative")
@@ -275,12 +308,7 @@ def build_graph(n, edge_pairs):
     # with return_counts np.unique sorts; without it, numpy 2.4 takes a path
     # about 15x slower on int64 keys
     keys, _ = np.unique(edge_keys(n, lo, hi), return_counts=True)
-    lo, hi = np.divmod(keys, n)
-    ones = np.ones(keys.shape[0])
-    adj = sp.csr_matrix((np.concatenate([ones, ones]),
-                         (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n))
-    return Graph(n=n, edges=_read_only(np.stack([lo, hi], axis=1)),
-                 adjacency=_read_only_csr(adj))
+    return Graph(n=n, edges=_read_only(np.stack(np.divmod(keys, n), axis=1)))
 
 
 def read_edge_list(path, n=None):

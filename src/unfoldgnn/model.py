@@ -41,7 +41,8 @@ from .implicit import (
     implicit_backward,
     project_weights,
 )
-from .unfold import PropagationConfig, PropagationDivergence, unroll, unroll_backward
+from .unfold import (PropagationConfig, PropagationDivergence, check_variant, unroll,
+                     unroll_backward)
 from .unfold import irls_step_bound, step_size_bound  # noqa: F401  patched by perfbench/tracing.py
 
 
@@ -104,6 +105,7 @@ class ModelConfig:
         except ValueError as exc:
             # FixedPointConfig names its tol and max_iters, fp_tol and fp_max_iters here
             raise ValueError(f"fp_{exc}") from exc
+        check_variant(self.energy_spec, self.propagation)
         if self.variant == "normalized" and self.attention_grad == "full":
             raise ValueError("full attention differentiation is supported for "
                              "the plain variant only")

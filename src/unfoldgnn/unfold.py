@@ -16,9 +16,10 @@ records and returns the gradient wrt f(X), so each step and its adjoint
 are written in this module.  :func:`propagate` records the energy
 trace, residuals and Gamma snapshots from the forward loop; the
 unrolled model backend (``model.py``) keeps the records as its tape.
-A layer that refreshes Gamma keeps the edge diagonal it computed, so
-the energy trace and the attention backward read it instead of
-computing it again.
+A layer that refreshes Gamma keeps the edge diagonal it computed and
+the edge-penalty sum, taken in the same pass of rho as Gamma, so the
+energy trace reads the sum and the attention backward the diagonal
+instead of computing either again.
 
 Gamma is constant over a segment, from one refresh to the next, so the
 plain variant picks the segment's Laplacian L_Gamma = B.T diag(Gamma) B
@@ -170,7 +171,13 @@ def abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap=None, rows=None
         raise ValueError("Y and f(X) shapes differ")
     lap_y = _lap_apply(bview, gamma, lap, y, rows)
     if spec.simple:
-        return y - alpha * (spec.lam * lap_y + y - fx)
+        # y - alpha * (lam * lap_y + y - fx), each operation in that order,
+        # on the product this step allocated
+        lap_y *= spec.lam
+        lap_y += y
+        lap_y -= fx
+        lap_y *= alpha
+        return np.subtract(y, lap_y, out=lap_y)
     n, d = y.shape
     _kernels.count_dense(4 * n * d * d)
     if spec.gradient_mode == "exact":
@@ -197,6 +204,8 @@ def _weighted_lap_norm_bound(bview, gamma):
     w = np.abs(gamma)  # rho'(z^2) can be negative (cosine rho)
     d = np.bincount(bview.eu, weights=w, minlength=bview.n) \
         + np.bincount(bview.ev, weights=w, minlength=bview.n)
+    if bview.raw is bview:  # unit scales: s_i^2 d(i) is d(i)
+        return float(np.max(d[bview.eu] + d[bview.ev]))
     return float(np.max(bview.su ** 2 * d[bview.eu] + bview.sv ** 2 * d[bview.ev]))
 
 
@@ -298,7 +307,9 @@ class Layer:
     shared by the layers of its segment, or None where the step applied
     the factors (a one-step segment) or took the normalized step.
     ``diagonal`` is the edge diagonal of Y_k that step k refreshed gamma
-    from, and None at a step without a refresh.
+    from, and ``penalty`` the edge-penalty sum of the energy at Y_k, rho
+    summed over that diagonal, taken in the same pass over it as gamma;
+    both are None at a step without a refresh.
     """
 
     k: int
@@ -309,6 +320,7 @@ class Layer:
     gamma_step: int
     lap: sp.spmatrix | None
     diagonal: np.ndarray | None
+    penalty: float | None
 
 
 def _start(fx, cfg):
@@ -318,17 +330,33 @@ def _start(fx, cfg):
     return y
 
 
+def check_variant(spec, cfg):
+    """Raise ValueError where cfg's variant cannot step spec's energy: the
+    normalized step reads lam alone and always propagates with the
+    SELF_LOOP_SYM operator, and cosine rho's weights, negative past
+    z^2 = 4, can take its reweighted degrees below zero."""
+    if cfg.variant != "normalized":
+        return
+    if not spec.simple:
+        raise ValueError("the normalized variant steps the simple-mode energy; "
+                         "a general-mode spec's W_f and W_p would be ignored")
+    if spec.kind is not LaplacianKind.SELF_LOOP_SYM:
+        raise ValueError("the normalized variant steps the self_loop_sym energy; "
+                         f"kind {spec.kind.value} would be ignored")
+    if spec.rho.kind == "cosine" and cfg.attention_schedule:
+        raise ValueError("the normalized variant cannot reweight with cosine rho, whose "
+                         "weights turn negative past z^2 = 4")
+
+
 def unroll(spec, g, fx, cfg):
     """Run cfg's layers from Y0 (cfg.y0, or f(X)), yielding one
     :class:`Layer` per step.
 
     Raises PropagationDivergence when the iterate norm passes the guard,
-    and ValueError for the normalized variant on a general-mode energy,
-    whose weights that variant's step does not read.
+    and ValueError, before the first step, where :func:`check_variant`
+    rejects the variant for this energy.
     """
-    if cfg.variant == "normalized" and not spec.simple:
-        raise ValueError("the normalized variant steps the simple-mode energy; "
-                         "a general-mode spec's W_f and W_p would be ignored")
+    check_variant(spec, cfg)
     fx = np.asarray(fx, dtype=float)
     bview = incidence(g, spec.kind)
     y = _start(fx, cfg)
@@ -350,12 +378,13 @@ def unroll(spec, g, fx, cfg):
     share_rows = cfg.variant == "plain" and (bview.raw is bview or not spec.simple)
     lap = None
     for k in range(cfg.steps):
-        diagonal = rows = None
+        diagonal = rows = penalty = None
         if k in schedule:
             if share_rows and segment_end[k] - k < 2:
                 rows = bview.apply(y)
             diagonal = edge_diagonal(spec, bview, y, rows)
-            gamma = spec.rho.grad(diagonal)
+            values, gamma = spec.rho.value_and_grad(diagonal)
+            penalty = np.sum(values)
             gamma_step = k
         alpha = irls_step_bound(spec, bview, gamma) if fixed_alpha is None else fixed_alpha
         if cfg.variant == "plain":
@@ -370,7 +399,7 @@ def unroll(spec, g, fx, cfg):
         norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             raise PropagationDivergence(k, norm)
-        yield Layer(k, u, y, alpha, used, gamma_step, lap, diagonal)
+        yield Layer(k, u, y, alpha, used, gamma_step, lap, diagonal, penalty)
 
 
 def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
@@ -428,8 +457,8 @@ def propagate(spec, g, fx, cfg):
 
     Records the energy at Y0 and after every step, per-step residuals,
     and Gamma snapshots at refresh steps.  The energy of Y_k is taken
-    once layer k is known: a layer that refreshed Gamma carries the edge
-    diagonal of Y_k, which the energy reuses.  Raises
+    once layer k is known: a layer that refreshed Gamma carries the
+    edge-penalty sum at Y_k, which the energy reuses.  Raises
     PropagationDivergence when the iterate norm passes the guard.
     """
     fx = np.asarray(fx, dtype=float)
@@ -443,7 +472,7 @@ def propagate(spec, g, fx, cfg):
     for layer in unroll(spec, g, fx, cfg):
         k = layer.k
         if cfg.record_trace:
-            trace.append(energy_eval(spec, bview, y, fx, layer.diagonal))
+            trace.append(energy_eval(spec, bview, y, fx, layer.penalty))
         if layer.gamma_step == k:
             gamma_trace[k] = layer.gamma
         alphas[k] = layer.alpha

@@ -168,6 +168,10 @@ class TestPropagate:
     (["propagate", "--set", "data.perturb_rate=-1"], "rate must be nonnegative"),
     (["propagate", "--set", "unfold.variant=preconditioned"],
      "variant must be 'plain' or 'normalized'"),
+    (["propagate", "--set", "unfold.variant=normalized", "--set", "unfold.kind=combinatorial"],
+     "the normalized variant steps the self_loop_sym energy"),
+    (["train", "--set", "unfold.variant=normalized", "--set", "unfold.rho=cosine",
+      "--set", "unfold.attention=0"], "cannot reweight with cosine rho"),
     (["train", "--K", "x"], "bad value for unfold.steps: 'x'"),
 ])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):

@@ -123,6 +123,48 @@ class TestRhoGradients:
         assert rho.grad(zsq).max() == pytest.approx(rho._tau_bar ** (0.1 - 2))
 
 
+class TestRhoValueAndGrad:
+    """The refresh's one pass over the edge diagonal gives bitwise what
+    value and grad give one at a time."""
+
+    @staticmethod
+    def grid(rho):
+        # 0, each kind's breakpoints exactly, the rounding negatives the
+        # guard clamps, and draws across and far beyond the pieces
+        rng = np.random.default_rng(57)
+        points = [0.0, -1e-13, 5e-324, 1e-300, rho.tau ** 2, 4.0,
+                  rho._tau_bar ** 2, rho._t_bar ** 2]
+        return np.concatenate([points, rng.uniform(0.0, 3.0, 200), rng.uniform(0.0, 50.0, 50)])
+
+    @pytest.mark.parametrize("rho", ALL_RHOS + [rho_absolute(gamma_max=100.0)],
+                             ids=lambda r: r.kind)
+    def test_matches_value_and_grad_bitwise(self, rho):
+        zsq = self.grid(rho)
+        value, grad = rho.value_and_grad(zsq)
+        for got, want in ((value, rho.value(zsq)), (grad, rho.grad(zsq))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rho", ALL_RHOS, ids=lambda r: r.kind)
+    def test_scalar_argument(self, rho):
+        for zsq in (0.0, rho._tau_bar ** 2, rho._t_bar ** 2, 0.7):
+            value, grad = rho.value_and_grad(zsq)
+            assert np.asarray(value).tobytes() == np.asarray(rho.value(zsq)).tobytes()
+            assert np.asarray(grad).tobytes() == np.asarray(rho.grad(zsq)).tobytes()
+
+    @pytest.mark.parametrize("rho", ALL_RHOS[1:], ids=lambda r: r.kind)
+    def test_negative_argument_rejected(self, rho):
+        zsq = np.array([1.0, -1e-9])
+        for evaluate in (rho.value_and_grad, rho.value, rho.grad):
+            with pytest.raises(ValueError, match="nonnegative"):
+                evaluate(zsq)
+
+    def test_identity_passes_negatives_through(self):
+        zsq = np.array([-2.0, 0.0, 3.0])
+        value, grad = rho_identity().value_and_grad(zsq)
+        assert value.tolist() == zsq.tolist() and grad.tolist() == [1.0] * 3
+
+
 def check_concavity(rho, grid):
     """Scan grad >= 0 and non-increasing over a grid of z^2 values: the
     concavity in z^2 that makes rho' a majorizer's weight, on which the

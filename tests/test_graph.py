@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from unfoldgnn import graph as graph_module
 from unfoldgnn import implicit, unfold
 from unfoldgnn.data import SbmSpec, sbm_generate
-from unfoldgnn.energy import rho_truncated_lp
+from unfoldgnn.energy import EnergySpec, phi_relu, rho_truncated_lp
 from unfoldgnn.graph import (
     MAX_NODES,
     GraphError,
@@ -24,7 +24,7 @@ from unfoldgnn.graph import (
     write_edge_list,
 )
 from unfoldgnn.model import ModelConfig, TrainConfig, train
-from unfoldgnn.unfold import sandwich_schedule
+from unfoldgnn.unfold import PropagationConfig, propagate, sandwich_schedule
 
 ALL_KINDS = list(LaplacianKind)
 
@@ -267,9 +267,41 @@ class TestOperatorCache:
 
     def test_build_graph_builds_no_operator(self):
         g = build_graph(4, [(0, 1), (1, 2)])
-        assert "degrees" not in vars(g) and g._operators == {}
+        assert vars(g._arrays).keys() == {"n", "edges"} and g._operators == {}
         incidence(g, LaplacianKind.COMBINATORIAL)
         assert list(g._operators) == [LaplacianKind.COMBINATORIAL]
+
+    def test_combinatorial_propagate_builds_no_adjacency(self):
+        # the robust propagation of a cold graph: a refresh and an IRLS
+        # step at every layer, and the energy trace
+        rng = np.random.default_rng(14)
+        g = build_graph(50, rng.integers(0, 50, size=(200, 2)))
+        spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), phi=phi_relu(),
+                          kind=LaplacianKind.COMBINATORIAL)
+        propagate(spec, g, rng.normal(size=(50, 3)), PropagationConfig(
+            steps=4, alpha="auto_irls", attention_schedule=(0, 1, 2, 3)))
+        assert "adjacency" not in vars(g._arrays)
+
+    def test_adjacency_is_built_once_on_first_read(self):
+        g = random_graph(np.random.default_rng(15), 12)
+        laplacian(g, LaplacianKind.SELF_LOOP_SYM)
+        adj = vars(g._arrays)["adjacency"]
+        assert g.adjacency is adj
+        laplacian(g, LaplacianKind.COMBINATORIAL)
+        assert g.adjacency is adj
+
+    @pytest.mark.parametrize("n, pairs", [
+        (0, []), (1, []), (5, []), (6, [(0, 1), (1, 2), (4, 1)]),
+        (40, np.random.default_rng(16).integers(0, 40, size=(120, 2)))])
+    def test_degrees_are_the_adjacency_row_sums_bitwise(self, n, pairs):
+        # counted from the edges, on graphs whose adjacency is not built
+        # yet, with isolated nodes and none at all
+        g = build_graph(n, pairs)
+        degrees = g.degrees
+        assert "adjacency" not in vars(g._arrays)
+        want = np.asarray(g.adjacency.sum(axis=1)).ravel()
+        assert degrees.dtype == want.dtype and degrees.shape == want.shape == (n,)
+        assert degrees.tobytes() == want.tobytes()
 
     def test_each_operator_is_built_once(self):
         g = random_graph(np.random.default_rng(11), 12)

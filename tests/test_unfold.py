@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from unfoldgnn import _kernels
 from unfoldgnn import unfold as unfold_module
 from unfoldgnn.energy import (
     EnergySpec,
+    Rho,
     edge_diagonal,
     energy_eval,
     from_symmetric_pair,
     phi_relu,
     phi_zero,
+    rho_cosine,
     rho_identity,
     rho_log,
     rho_truncated_lp,
@@ -509,6 +513,38 @@ class TestVariants:
         with pytest.raises(ValueError, match="normalized variant"):
             next(unroll(spec, g, fx, cfg))
 
+    @pytest.mark.parametrize("kind", [COMB, LaplacianKind.SYM_NORMALIZED])
+    def test_normalized_rejects_kinds_other_than_self_loop_sym(self, kind):
+        # the normalized step always propagates with the self-loop operator,
+        # so every kind would take the same steps while its own energy rose
+        rng = np.random.default_rng(27)
+        g = random_graph(rng, 8)
+        fx = rng.normal(size=(8, 2))
+        cfg = PropagationConfig(steps=3, alpha=0.2, variant="normalized")
+        spec = EnergySpec(lam=1.0, kind=kind)
+        with pytest.raises(ValueError, match="self_loop_sym"):
+            propagate(spec, g, fx, cfg)
+        with pytest.raises(ValueError, match="self_loop_sym"):
+            next(unroll(spec, g, fx, cfg))
+        with pytest.raises(ValueError, match="self_loop_sym"):
+            ModelConfig(variant="normalized", kind=kind)
+
+    def test_normalized_rejects_cosine_reweighting(self):
+        # on a 4-cycle with distance 5 across every edge the cosine weights
+        # are 1 - 25/4 < 0, and so are the reweighted degrees plus the self
+        # loop, whose inverse square root is nan
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        fx = np.array([[0.0], [5.0], [0.0], [5.0]])
+        spec = EnergySpec(rho=rho_cosine(), lam=1.0, kind=LaplacianKind.SELF_LOOP_SYM)
+        cfg = PropagationConfig(steps=4, alpha=0.5, variant="normalized", attention_schedule=(0,))
+        with pytest.raises(ValueError, match="cosine"):
+            propagate(spec, g, fx, cfg)
+        with pytest.raises(ValueError, match="cosine"):
+            ModelConfig(variant="normalized", rho=rho_cosine(), steps=4, attention_schedule=(0,))
+        # without a refresh the weights stay ones
+        unweighted = PropagationConfig(steps=4, alpha=0.5, variant="normalized")
+        assert np.isfinite(propagate(spec, g, fx, unweighted).y).all()
+
     def test_reweighted_normalized_with_unit_gamma_matches_plain(self):
         rng = np.random.default_rng(25)
         g = random_graph(rng, 9)
@@ -707,6 +743,23 @@ class TestRefreshDiagonal:
             else:
                 assert layer.diagonal is None
 
+    def test_one_rho_pass_per_refresh(self, monkeypatch):
+        k = 8
+        g, spec, fx, schedule = self.every_step(k)
+        calls = []
+        evaluate = Rho._evaluate
+
+        def counting(rho, zsq, value, grad):
+            calls.append((value, grad))
+            return evaluate(rho, zsq, value, grad)
+
+        monkeypatch.setattr(Rho, "_evaluate", counting)
+        propagate(spec, g, fx, PropagationConfig(steps=k, alpha="auto_irls",
+                                                 attention_schedule=schedule))
+        # each refresh takes gamma and the trace's penalty sum together; the
+        # trace evaluates rho itself only at the last embedding
+        assert calls == [(True, True)] * k + [(True, False)]
+
     def test_full_attention_backward_reads_the_stored_diagonal(self, monkeypatch):
         k = 8
         g, spec, fx, schedule = self.every_step(k)
@@ -764,6 +817,63 @@ class TestRefreshDiagonal:
         one_step = sum(s + 1 in schedule or s + 1 == k for s in schedule)
         shared = mode == "general" or kind is COMB
         assert separate_ops - shared_ops == (one_step * 2 * m * d if shared else 0)
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr, dtype=float)
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    """Every bit of a robust propagation and of its full-attention
+    backward on a seeded 300-node graph: a refresh and an IRLS step at
+    every layer, and the energy trace.  A change to the layer arithmetic
+    must leave these digests as they are."""
+
+    PROPAGATE = {
+        COMB: "08f0fe2e31fbc7bf828c574015b5a7aea5e965361e58e05831751d54e84823ac",
+        LaplacianKind.SYM_NORMALIZED:
+            "f49a1b0be3cc636c5e2ae6eb771541b80afc56bb4ba7f616f3b8a14df039fc3a",
+        LaplacianKind.SELF_LOOP_SYM:
+            "83b77d76acd22449ee6b049523226a4a170d02b3408f3049880a18d91e166d3f",
+    }
+    BACKWARD = {
+        COMB: "a4729b15cbdc2f6c5a08e17811d9945289fe3bd716e666989bda6ff097f3ac9a",
+        LaplacianKind.SYM_NORMALIZED:
+            "a53dea69771f208dfa0c586c8668c3219003ca9ffe51aa44ea20696b8ff0868e",
+        LaplacianKind.SELF_LOOP_SYM:
+            "f7623cfda3fd24129ee7896da628a28f45ece55b181ce54decde87cf07f669af",
+    }
+
+    @staticmethod
+    def instance(kind):
+        rng = np.random.default_rng(58)
+        n, d, k = 300, 4, 8
+        g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+        spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), phi=phi_relu(),
+                          lam=1.0, kind=kind)
+        cfg = PropagationConfig(steps=k, alpha="auto_irls", attention_schedule=tuple(range(k)))
+        return g, spec, rng.normal(size=(n, d)), cfg, rng.normal(size=(n, d))
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_propagate(self, kind):
+        g, spec, fx, cfg, _ = self.instance(kind)
+        out = propagate(spec, g, fx, cfg)
+        terms = [[ev.fidelity, ev.smoothness, ev.phi_term] for ev in out.trace]
+        gammas = [out.gamma_trace[step] for step in sorted(out.gamma_trace)]
+        assert sorted(out.gamma_trace) == list(range(cfg.steps))
+        assert _digest([out.y, terms, out.alphas, out.residuals, *gammas]) == self.PROPAGATE[kind]
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_full_attention_backward(self, kind):
+        g, spec, fx, cfg, d_y = self.instance(kind)
+        layers = list(unroll(spec, g, fx, cfg))
+        d_fx = unroll_backward(spec, g, fx, layers, d_y, "plain", True)
+        assert _digest([d_fx]) == self.BACKWARD[kind]
 
 
 class TestTraceExport:
