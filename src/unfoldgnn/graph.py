@@ -134,17 +134,14 @@ class GraphOperators:
     def incidence(self):
         kind = self.kind
         eu, ev = self.edges[:, 0], self.edges[:, 1]
-        extra = np.zeros(0, dtype=np.int64)
         if kind is LaplacianKind.COMBINATORIAL:
             s = np.ones(self.n)
         elif kind is LaplacianKind.SYM_NORMALIZED:
             s = _inv_sqrt(self._arrays.degrees)
-            extra = np.flatnonzero(self._arrays.degrees == 0)
         else:
             # self-loop mass keeps D~^{-1/2}(D - A)D~^{-1/2} = I - D~^{-1/2}A~D~^{-1/2}
             s = _inv_sqrt(self._arrays.degrees + 1.0)
-        return IncidenceView(kind, self.n, eu, ev, _read_only(s[eu]), _read_only(s[ev]),
-                             _read_only(extra))
+        return IncidenceView(kind, self.n, eu, ev, _read_only(s[eu]), _read_only(s[ev]))
 
     @cached_property
     def laplacian(self):
@@ -154,7 +151,7 @@ class GraphOperators:
             lap = sp.diags(d) - adj
         elif kind is LaplacianKind.SYM_NORMALIZED:
             s = _inv_sqrt(d)
-            lap = eye - sp.diags(s) @ adj @ sp.diags(s)
+            lap = sp.diags((d > 0).astype(float)) - sp.diags(s) @ adj @ sp.diags(s)
         else:
             s = _inv_sqrt(d + 1.0)
             lap = eye - sp.diags(s) @ (adj + eye) @ sp.diags(s)
@@ -171,29 +168,24 @@ class GraphOperators:
 
     @cached_property
     def propagation_norm(self):
-        """||P||, exactly 1 under the normalized kinds: P is symmetric with
-        spectrum in [-1, 1], and D~^{1/2} 1 on any component with an edge
-        is an eigenvector at 1.  Under SYM_NORMALIZED an isolated node has
-        a zero row, so P = 0 when m = 0; under SELF_LOOP_SYM it keeps
-        P_ii = 1."""
+        """||P||, exactly 1 under the normalized kinds when n > 0: P is
+        symmetric with spectrum in [-1, 1], D^{1/2} 1 (D~^{1/2} 1 under
+        SELF_LOOP_SYM) on any component with an edge is an eigenvector at
+        1, and an isolated node's row of P is e_i."""
         if self.kind is LaplacianKind.COMBINATORIAL:
             return spectral_norm(self.propagation)
-        if self.kind is LaplacianKind.SYM_NORMALIZED:
-            return 1.0 if self.edges.shape[0] else 0.0
         return 1.0 if self.n else 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class IncidenceView:
-    """Edge-row factorization B with B.T @ B equal to a chosen Laplacian.
+    """Edge-row factorization B with B.T @ B equal to the Laplacian of
+    its kind.
 
-    The first ``n_edge_rows`` rows correspond to graph edges: row k for
-    edge (u, v) carries +scale at u and -scale at v.  Under
-    SYM_NORMALIZED, isolated nodes get one extra unit row each so the
-    factorization reproduces the e_i convention of the Laplacian; the
-    energy and propagation code only ever consume the edge rows, through
-    the CSR matrices ``b`` (edge rows of B) and ``bt`` (their transpose).
-    ``raw`` is the unit-scale view of the same edges.
+    Row k, for edge (u, v), carries +su[k] at u and -sv[k] at v; B has one
+    row per edge and none else, so an isolated node's row and column of
+    B.T @ B are zero under every kind.  ``b`` is B as CSR and ``bt`` its
+    transpose.  ``raw`` is the unit-scale view of the same edges.
     """
 
     kind: LaplacianKind
@@ -202,7 +194,6 @@ class IncidenceView:
     ev: np.ndarray
     su: np.ndarray
     sv: np.ndarray
-    extra_rows: np.ndarray
 
     @property
     def n_edge_rows(self):
@@ -227,21 +218,7 @@ class IncidenceView:
     @cached_property
     def _unit_view(self):
         ones = _read_only(np.ones(self.n_edge_rows))
-        return IncidenceView(LaplacianKind.COMBINATORIAL, self.n, self.eu, self.ev, ones, ones,
-                             _read_only(np.zeros(0, dtype=np.int64)))
-
-    def matrix(self):
-        """Materialize B as a sparse matrix (tests and small solves)."""
-        m = self.n_edge_rows
-        q = self.extra_rows.shape[0]
-        rows = np.concatenate([np.arange(m), np.arange(m)])
-        cols = np.concatenate([self.eu, self.ev])
-        vals = np.concatenate([self.su, -self.sv])
-        if q:
-            rows = np.concatenate([rows, m + np.arange(q)])
-            cols = np.concatenate([cols, self.extra_rows])
-            vals = np.concatenate([vals, np.ones(q)])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(m + q, self.n))
+        return IncidenceView(LaplacianKind.COMBINATORIAL, self.n, self.eu, self.ev, ones, ones)
 
     def apply(self, y):
         """B @ y restricted to the edge rows."""
@@ -339,7 +316,7 @@ def write_edge_list(g, path):
 
 
 def _inv_sqrt(deg):
-    # zero-degree entries map to 0 (isolated-node convention)
+    # zero-degree entries map to 0, so an isolated node's edge-row scale is 0
     out = np.zeros_like(deg, dtype=float)
     nz = deg > 0
     out[nz] = 1.0 / np.sqrt(deg[nz])
@@ -348,19 +325,22 @@ def _inv_sqrt(deg):
 
 def laplacian(g, kind):
     """Selected Laplacian as sparse CSR (symmetric, PSD), cached and
-    read-only.
+    read-only; under every kind it equals B.T @ B over the edge rows of
+    incidence(g, kind), so an isolated node's row and column are zero.
 
-    COMBINATORIAL: D - A.  SYM_NORMALIZED: I - D^{-1/2} A D^{-1/2},
-    with the row of an isolated node set to e_i.  SELF_LOOP_SYM uses
-    A + I and its degrees.
+    COMBINATORIAL: D - A.  SYM_NORMALIZED: I - D^{-1/2} A D^{-1/2}, with
+    the identity's entry dropped at an isolated node (L_ii = 1 only where
+    d_i > 0, as in Chung's normalized Laplacian).  SELF_LOOP_SYM:
+    I - D~^{-1/2} (A + I) D~^{-1/2} with D~ = D + I.
     """
     return g.operators(kind).laplacian
 
 
 def propagation_matrix(g, kind):
-    """I minus the selected Laplacian (so P row of an isolated node is 0
-    under SYM_NORMALIZED, and D~^{-1/2} A~ D~^{-1/2} under SELF_LOOP_SYM);
-    cached and read-only."""
+    """I minus the selected Laplacian, cached and read-only: an isolated
+    node's row is e_i under every kind, and the rest is
+    D^{-1/2} A D^{-1/2} under SYM_NORMALIZED and D~^{-1/2} (A + I) D~^{-1/2}
+    under SELF_LOOP_SYM."""
     return g.operators(kind).propagation
 
 

@@ -146,12 +146,11 @@ def _lap_apply(bview, gamma, lap, y, rows=None):
 
 def _segment_laplacian(g, bview, gamma, unit, steps):
     """The operator a Gamma segment of ``steps`` forward steps applies
-    (see the module docstring); ``unit`` says Gamma is still ones.  Under
-    SYM_NORMALIZED an isolated node's extra row of B puts a 1 on the
-    cached Laplacian's diagonal, which the edge rows do not carry."""
+    (see the module docstring); ``unit`` says Gamma is still ones, where
+    B.T B is the graph's cached Laplacian under every kind."""
     if steps < 2:
         return None
-    if unit and not bview.extra_rows.size:
+    if unit:
         return laplacian(g, bview.kind)
     return bview.weighted_laplacian(gamma)
 
@@ -243,7 +242,12 @@ def irls_step_bound(spec, bview, gamma):
 
 def closed_form_solution(g, fx, lam, kind):
     """Solve (I + lam * L) Y = F directly, to a relative residual of
-    CLOSED_FORM_TOL; the infinite-depth limit."""
+    CLOSED_FORM_TOL; the infinite-depth limit.
+
+    Up to 4096 nodes a sparse LU solve; above, conjugate gradients per
+    column, since I + lam * L is SPD and LU fills in badly on a random
+    graph: at n=5000, m=12k (2 cores, scipy 1.17.1) spsolve took 4.7 s
+    and CG 5 ms for two columns."""
     fx = np.asarray(fx, dtype=float)
     if lam < 0:
         raise ValueError("lam must be nonnegative")

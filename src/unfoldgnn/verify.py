@@ -89,9 +89,9 @@ def descent_suite(seed, trials, inject_failure=False):
 
 
 def convergence_suite(seed, trials, inject_failure=False):
-    """Deep-propagation limit vs direct solve, and fixed-point
-    uniqueness, geometric residual decay and a certified contraction
-    factor below one."""
+    """Deep-propagation limit vs direct solve, under Laplacian kind
+    t % 3 in trial t, and fixed-point uniqueness, geometric residual
+    decay and a certified contraction factor below one."""
     rng = np.random.default_rng(seed)
     records = []
     ok = True
@@ -101,7 +101,7 @@ def convergence_suite(seed, trials, inject_failure=False):
         g = _random_graph(rng, n, p=0.25)
         fx = rng.normal(size=(n, d))
         lam = float(rng.uniform(0.2, 2.0))
-        spec = EnergySpec(lam=lam, kind=LaplacianKind.COMBINATORIAL)
+        spec = EnergySpec(lam=lam, kind=list(LaplacianKind)[t % 3])
         out = propagate(spec, g, fx, PropagationConfig(steps=500, alpha="auto",
                                                        record_trace=False))
         target = closed_form_solution(g, fx, lam, spec.kind)
@@ -110,8 +110,8 @@ def convergence_suite(seed, trials, inject_failure=False):
             rel += 1.0
         good = rel < 1e-6
         records.append({"suite": "convergence", "check": "closed-form", "trial": t,
-                        "n": n, "d": d, "lam": lam, "rel_error": rel, "ok": good,
-                        "seed": seed})
+                        "kind": spec.kind.value, "n": n, "d": d, "lam": lam,
+                        "rel_error": rel, "ok": good, "seed": seed})
         ok = ok and good
 
         w = project_weights(rng.normal(size=(d, d)), g.operators(LaplacianKind.SELF_LOOP_SYM),

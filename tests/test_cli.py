@@ -296,6 +296,18 @@ class TestVerify:
             assert 0 < r["certified_contraction"] <= 0.9 + 1e-12
             assert 0 <= r["error_bound"] < 1e-8
 
+    def test_closed_form_records_cycle_the_kinds(self, tmp_path):
+        # seed 10's second trial draws a graph with an isolated node
+        report = str(tmp_path / "report.jsonl")
+        code = run_cli(["verify", "--suite", "convergence", "--seed", "10", "--trials", "3",
+                        "--report", report, "--out", str(tmp_path / "o")])
+        assert code == 0
+        with open(report) as fh:
+            records = [r for r in map(json.loads, fh) if r.get("check") == "closed-form"]
+        assert [r["kind"] for r in records] == ["combinatorial", "sym_normalized",
+                                                "self_loop_sym"]
+        assert all(r["rel_error"] < 1e-6 for r in records)
+
     def test_report_is_json_lines(self, tmp_path):
         report = str(tmp_path / "report.jsonl")
         run_cli(["verify", "--suite", "convergence", "--trials", "2",

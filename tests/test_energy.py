@@ -248,7 +248,7 @@ class TestEnergyEval:
         y = np.array([[1.0], [2.0], [0.5]])
         spec = EnergySpec(lam=1.0)
         ev = energy_eval(spec, bview, y, y)
-        lap = (bview.matrix().T @ bview.matrix()).toarray()
+        lap = (bview.b.T @ bview.b).toarray()
         assert ev.fidelity == 0.0
         assert ev.total == pytest.approx(np.trace(y.T @ lap @ y))
 
@@ -275,7 +275,7 @@ class TestEnergyEval:
         fx = rng.normal(size=(12, 3))
         lam = 0.7
         ev = energy_eval(EnergySpec(lam=lam), bview, y, fx)
-        lap = (bview.matrix().T @ bview.matrix()).toarray()
+        lap = (bview.b.T @ bview.b).toarray()
         dense = np.linalg.norm(y - fx) ** 2 + lam * np.trace(y.T @ lap @ y)
         assert ev.total == pytest.approx(dense, rel=1e-10)
 
@@ -292,7 +292,7 @@ class TestEnergyEval:
         y = rng.normal(size=(6, d))
         fx = rng.normal(size=(6, d))
         ev = energy_eval(spec, bview, y, fx)
-        bmat = bview.matrix().toarray()
+        bmat = bview.b.toarray()
         diag = np.diag(bmat @ y @ w_prop @ y.T @ bmat.T)
         expected = np.trace((y - fx) @ w_fid @ (y - fx).T) + diag.sum()
         assert ev.total == pytest.approx(expected, rel=1e-10)

@@ -165,24 +165,25 @@ class TestLaplacian:
 
     def test_isolated_node_conventions(self):
         g = build_graph(3, [(0, 1)])  # node 2 isolated
-        lap = laplacian(g, LaplacianKind.SYM_NORMALIZED).toarray()
-        np.testing.assert_allclose(lap[2], [0, 0, 1])
-        prop = propagation_matrix(g, LaplacianKind.SYM_NORMALIZED).toarray()
-        np.testing.assert_allclose(prop[2], 0, atol=1e-14)
+        for kind in ALL_KINDS:
+            lap = laplacian(g, kind).toarray()
+            np.testing.assert_array_equal(lap[2], 0)
+            np.testing.assert_array_equal(lap[:, 2], 0)
+            prop = propagation_matrix(g, kind).toarray()
+            np.testing.assert_array_equal(prop[2], [0, 0, 1])
 
 
 class TestIncidence:
     def test_path_sign_convention(self):
         g = build_graph(2, [(0, 1)])
-        b = incidence(g, LaplacianKind.COMBINATORIAL).matrix().toarray()
+        b = incidence(g, LaplacianKind.COMBINATORIAL).b.toarray()
         np.testing.assert_allclose(b, [[1, -1]])
 
     def test_empty_edge_set(self):
         g = build_graph(3, [])
         view = incidence(g, LaplacianKind.COMBINATORIAL)
         assert view.n_edge_rows == 0
-        assert view.extra_rows.size == 0
-        btb = (view.matrix().T @ view.matrix()).toarray()
+        btb = (view.b.T @ view.b).toarray()
         np.testing.assert_allclose(btb, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -190,14 +191,14 @@ class TestIncidence:
         rng = np.random.default_rng(3)
         for n in (4, 12, 30):
             g = random_graph(rng, n, p=0.25)
-            b = incidence(g, kind).matrix()
+            b = incidence(g, kind).b
             lap = laplacian(g, kind).toarray()
             np.testing.assert_allclose((b.T @ b).toarray(), lap, atol=1e-12)
 
     def test_btb_matches_laplacian_with_isolated_node(self):
         g = build_graph(4, [(0, 1), (1, 2)])
         for kind in ALL_KINDS:
-            b = incidence(g, kind).matrix()
+            b = incidence(g, kind).b
             np.testing.assert_allclose(
                 (b.T @ b).toarray(), laplacian(g, kind).toarray(), atol=1e-12
             )
@@ -207,7 +208,7 @@ class TestIncidence:
         g = random_graph(rng, 12, p=0.3)
         y = rng.normal(size=(12, 3))
         view = incidence(g, LaplacianKind.SELF_LOOP_SYM)
-        b = view.matrix().toarray()[: view.n_edge_rows]
+        b = view.b.toarray()
         np.testing.assert_allclose(view.apply(y), b @ y, atol=1e-12)
         e = rng.normal(size=(view.n_edge_rows, 3))
         np.testing.assert_allclose(view.apply_t(e), b.T @ e, atol=1e-12)
@@ -383,8 +384,7 @@ class TestOperatorCache:
         kind = LaplacianKind.SYM_NORMALIZED
         view = incidence(g, kind)
         lap_before = laplacian(g, kind).toarray()
-        arrays = [g.edges, g.degrees, g.adjacency.data, view.eu, view.su, view.extra_rows,
-                  view.raw.su, view.raw.extra_rows]
+        arrays = [g.edges, g.degrees, g.adjacency.data, view.eu, view.su, view.raw.su]
         for mat in (laplacian(g, kind), propagation_matrix(g, kind),
                     view.b, view.bt, view.raw.b, view.raw.bt):
             arrays += [mat.data, mat.indices, mat.indptr]
@@ -448,6 +448,12 @@ class TestSpectralNorm:
                              (ops.propagation_norm, ops.propagation)):
                 exact = np.abs(np.linalg.eigvalsh(mat.toarray())).max()
                 assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_edgeless_graph_propagates_by_the_identity(self, kind):
+        ops = build_graph(5, []).operators(kind)
+        assert ops.propagation_norm == pytest.approx(1.0, rel=1e-12)
+        assert ops.laplacian_norm == 0.0
 
 
 class TestHomophily:

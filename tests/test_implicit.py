@@ -104,6 +104,19 @@ class TestFixedPointSolve:
         recon = np.maximum(p_op @ out.y @ w + fx, 0.0)
         assert np.linalg.norm(out.y - recon) <= 2 * cfg.tol
 
+    @pytest.mark.parametrize("kind", list(LaplacianKind), ids=lambda k: k.name)
+    def test_isolated_node_keeps_its_own_row(self, kind):
+        # P_ii = 1 at an isolated node i under every kind, so its row of
+        # the fixed point solves y_i = sigma(y_i Wp + f_i) on its own
+        rng = np.random.default_rng(6)
+        g = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (5, 6)])  # 7 isolated
+        w = contraction_weight(rng, 3, g.operators(kind), margin=0.7)
+        fx = rng.normal(size=(8, 3))
+        cfg = FixedPointConfig(sigma=phi_relu(), tol=1e-12, kind=kind)
+        y = fixed_point_solve(g, w, fx, cfg).y
+        np.testing.assert_allclose(y[7], np.maximum(y[7] @ w + fx[7], 0.0), rtol=0, atol=1e-11)
+        assert np.abs(y[7] - np.maximum(fx[7], 0.0)).max() > 1e-3
+
     def test_unique_limit_from_different_starts(self):
         # uniqueness probe: restart from the first solve's endpoint + noise
         rng = np.random.default_rng(5)

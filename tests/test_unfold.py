@@ -20,6 +20,7 @@ from unfoldgnn.energy import (
     rho_truncated_quadratic,
 )
 from unfoldgnn.graph import LaplacianKind, build_graph, incidence, laplacian, propagation_matrix
+from unfoldgnn.implicit import FixedPointConfig, fixed_point_solve, project_weights
 from unfoldgnn.model import Model, ModelConfig, softmax_cross_entropy
 from unfoldgnn.unfold import (
     PropagationConfig,
@@ -121,7 +122,7 @@ class TestAbridgedStep:
         lam, alpha = 1.3, 0.15
         spec = EnergySpec(rho=rho_log(eps=1.0), lam=lam)
         gamma = gamma_update(spec, incidence(g, COMB), y)
-        bmat = incidence(g, COMB).matrix().toarray()
+        bmat = incidence(g, COMB).b.toarray()
         lhat = bmat.T @ np.diag(gamma) @ bmat
         dhat = np.eye(8) + lam * np.diag(np.diag(lhat))
         phat = np.diag(np.diag(lhat)) - lhat
@@ -184,7 +185,7 @@ class TestStepSizeBound:
 
     @staticmethod
     def exact_weighted_lap_norm(g, kind, gamma):
-        b = incidence(g, kind).matrix().toarray()[:g.m]  # edge rows only
+        b = incidence(g, kind).b.toarray()
         return np.abs(np.linalg.eigvalsh(b.T @ (gamma[:, None] * b))).max() if g.m else 0.0
 
     @pytest.mark.parametrize("kind", list(LaplacianKind))
@@ -366,6 +367,32 @@ class TestPropagate:
         assert sandwich_schedule(16) == (8,)
         assert sandwich_schedule(16, refresh_at_start=True) == (0, 8)
         assert sandwich_schedule(0) == ()
+
+    @staticmethod
+    def with_isolated_nodes(rng, n, isolated):
+        """A random graph on n nodes and ``isolated`` more without an edge,
+        relabelled so that the isolated nodes fall among the others."""
+        perm = rng.permutation(n + isolated)
+        return build_graph(n + isolated, perm[random_graph(rng, n, p=0.25).edges])
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind), ids=lambda k: k.name)
+    def test_deep_limit_is_the_closed_form_with_isolated_nodes(self, kind):
+        # the step and the closed form read one Laplacian, whose isolated
+        # rows are zero, so an isolated node's limit is its f(X) row
+        rng = np.random.default_rng(59)
+        repro = (build_graph(3, [(0, 1)]), np.array([[1.0], [0.0], [1.0]]), 1.0)
+        cases = [repro]
+        for _ in range(4):
+            g = self.with_isolated_nodes(rng, int(rng.integers(10, 30)), 3)
+            cases.append((g, rng.normal(size=(g.n, 2)), float(rng.uniform(0.2, 2.0))))
+        for g, fx, lam in cases:
+            assert (g.degrees == 0).any()
+            out = propagate(EnergySpec(lam=lam, kind=kind), g, fx,
+                            PropagationConfig(steps=3000, alpha="auto", record_trace=False))
+            target = closed_form_solution(g, fx, lam, kind)
+            assert np.linalg.norm(out.y - target) <= 1e-10 * np.linalg.norm(target)
+            isolated = g.degrees == 0
+            np.testing.assert_allclose(target[isolated], fx[isolated], rtol=1e-12)
 
     def test_edgeless_graph_pulls_toward_base_prediction(self):
         g = build_graph(4, [])
@@ -598,7 +625,7 @@ class TestSegmentLaplacian:
     Laplacian while gamma is ones, else an assembly) and factor by
     factor over a one-step segment."""
 
-    # node 9 is isolated: an extra row of B under SYM_NORMALIZED
+    # node 9 is isolated
     EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (1, 5), (6, 7),
              (7, 8), (3, 8)]
 
@@ -638,7 +665,7 @@ class TestSegmentLaplacian:
             assert (layer.lap is None) == (ends[start] - start < 2)
             assert layer.lap is layers[start].lap
         cached = layers[0].lap is laplacian(g, kind)
-        assert cached == (0 not in schedule and kind is not LaplacianKind.SYM_NORMALIZED)
+        assert cached == (0 not in schedule)
 
         self.factored(monkeypatch)
         want = list(unroll(spec, g, fx, cfg))
@@ -874,6 +901,56 @@ class TestPinnedOutputs:
         layers = list(unroll(spec, g, fx, cfg))
         d_fx = unroll_backward(spec, g, fx, layers, d_y, "plain", True)
         assert _digest([d_fx]) == self.BACKWARD[kind]
+
+
+class TestPinnedCachedOperators:
+    """Every bit of the outputs that read a graph's cached operators, on
+    a seeded 300-node graph without an isolated node: an ``alpha="auto"``
+    propagation whose first sandwich segment applies the cached Laplacian
+    and whose step reads its norm, and a relu fixed-point solve, which
+    reads P and its norm.  A change to how the operators are built must
+    leave these digests as they are."""
+
+    PROPAGATE = {
+        COMB: "e8fbe1e2041751e4975f589a10ef3d8c628cf3a1dcac6f3a1e97d36bb0ae779a",
+        LaplacianKind.SYM_NORMALIZED:
+            "1e281cd5a2d3c9e8f6bbd163b4a362b25fedc540eff64a9019521a2a5df1cf88",
+        LaplacianKind.SELF_LOOP_SYM:
+            "289116ab4148c492b6f68b4181af33b1a4c27b767637dbe66766969aab9f456b",
+    }
+    FIXED_POINT = {
+        COMB: "019e7a941b416dcfbe42bd42afaf4e0aedf5667c18b2b5944a66de69ef1663b0",
+        LaplacianKind.SYM_NORMALIZED:
+            "45f1b9169b4a996c23c7336bf891b3bdf8aa9cd3abfd5d88f2a2f88f512c1d66",
+        LaplacianKind.SELF_LOOP_SYM:
+            "0f59d1f251f6d0c5bb8857be8d03190cb15f23232cc727ffa24bf75a6903a6b6",
+    }
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(59)
+        n = 300
+        g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+        assert g.degrees.min() > 0
+        return g, rng.normal(size=(n, 4)), rng
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind), ids=lambda k: k.name)
+    def test_auto_step_sandwich_propagate(self, kind):
+        g, fx, _ = self.instance()
+        spec = EnergySpec(rho=rho_log(eps=0.5), phi=phi_relu(), lam=1.3, kind=kind)
+        out = propagate(spec, g, fx, PropagationConfig(
+            steps=16, alpha="auto", attention_schedule=sandwich_schedule(16)))
+        terms = [[ev.fidelity, ev.smoothness, ev.phi_term] for ev in out.trace]
+        assert _digest([out.y, terms, out.alphas, out.residuals]) == self.PROPAGATE[kind]
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind), ids=lambda k: k.name)
+    def test_relu_fixed_point_solve(self, kind):
+        g, fx, rng = self.instance()
+        w = project_weights(rng.normal(size=(4, 4)), g.operators(kind), margin=0.9)
+        res = fixed_point_solve(g, w, fx, FixedPointConfig(sigma=phi_relu(), tol=1e-10,
+                                                           kind=kind))
+        got = _digest([res.y, res.residual_trace, [res.contraction, res.error_bound]])
+        assert got == self.FIXED_POINT[kind]
 
 
 class TestTraceExport:
