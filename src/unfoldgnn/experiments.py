@@ -140,8 +140,7 @@ def attention_robustness(out_dir, seed=0, n_per_block=100, p_in=0.1, rate=0.2,
         model, metrics = train(g, ds.x, ds.labels, ds.masks, cfg,
                                TrainConfig(epochs=epochs, lr=lr, seed=seed))
         _, cache = model.forward(g, ds.x)
-        layers = cache["prop"]["layers"]
-        gamma = layers[-1].gamma if layers and layers[-1].gamma_step >= 0 else np.ones(g.m)
+        gamma = cache["prop"]["layers"][-1].gamma
         mean_clean = float(gamma[intra].mean())
         mean_spur = float(gamma[spurious].mean()) if spurious.size else float("nan")
         rows.append([tag, metrics.test_acc_at_best, mean_clean, mean_spur])

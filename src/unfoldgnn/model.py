@@ -299,7 +299,7 @@ class Model:
         g = cache["g"]
         fx = cache["fx"]
         if prop["kind"] == "unrolled":
-            return unroll_backward(prop["spec"], g, fx, prop["layers"], d_y, self.cfg.variant,
+            return unroll_backward(prop["spec"], g, fx, prop["layers"], d_y,
                                    self.cfg.attention_grad == "full")
         warm = prop["warm"]
         v0 = None if warm is None else warm.start("adjoint")

@@ -9,21 +9,22 @@ majorize-then-minimize structure that the step-size bounds below make
 safe.
 
 :func:`unroll` is the one layer loop: it picks the step size, refreshes
-Gamma on the schedule, takes the configured variant's step, applies the
-prox, guards against divergence, and yields one :class:`Layer` per
-step.  :func:`unroll_backward` is its reverse: it runs back over those
-records and returns the gradient wrt f(X), so each step and its adjoint
-are written in this module.  :func:`propagate` records the energy
-trace, residuals and Gamma snapshots from the forward loop; the
-unrolled model backend (``model.py``) keeps the records as its tape.
-A layer that refreshes Gamma keeps the edge diagonal it computed and
-the edge-penalty sum, taken in the same pass of rho as Gamma, so the
-energy trace reads the sum and the attention backward the diagonal
-instead of computing either again.
+Gamma on the schedule, takes the gradient step, applies the prox,
+guards against divergence, and yields one :class:`Layer` per step.
+:func:`unroll_backward` is its reverse: it runs back over those records
+and returns the gradient wrt f(X), so each step and its adjoint are
+written in this module.  :func:`propagate` records the energy trace,
+residuals and Gamma snapshots from the forward loop; the unrolled model
+backend (``model.py``) keeps the records as its tape.  A layer that
+refreshes Gamma keeps the edge diagonal it computed and the
+edge-penalty sum, taken in the same pass of rho as Gamma, so the energy
+trace reads the sum and the attention backward the diagonal instead of
+computing either again.
 
-Gamma is constant over a segment, from one refresh to the next, so the
-plain variant picks the segment's Laplacian L_Gamma = B.T diag(Gamma) B
-once, when the segment starts: the graph's cached Laplacian while Gamma
+Gamma is constant over a segment, from one refresh to the next, so each
+segment's Laplacian is picked once, when the segment starts, and the
+two variants differ only in that pick.  The plain variant applies
+L_Gamma = B.T diag(Gamma) B: the graph's cached Laplacian while Gamma
 is still ones, else L_Gamma assembled as CSR.  Every step of the
 segment is then one sparse product with it, and so is the step's
 transpose in the backward, since L_Gamma is symmetric.  A segment of a
@@ -32,7 +33,10 @@ instead, since there an assembly would cost more than the one product
 it saves.  Where that step also refreshes Gamma, and the edge diagonal
 reads the same incidence (any kind in general mode; COMBINATORIAL in
 simple mode, whose diagonal reads the unit-scale incidence), B Y is
-computed once for both.
+computed once for both.  The normalized variant applies the
+SELF_LOOP_SYM Laplacian renormalized by Gamma (:func:`normalized_step`)
+instead, assembled at every refresh, even for a one-step segment, so
+each of its layers carries the operator its backward applies.
 
 Simple mode follows the scalar propagation convention
 ``U = Y - alpha [(lam * Lhat + I) Y - F]`` (the update whose first step
@@ -60,7 +64,8 @@ import scipy.sparse.linalg as spla
 from . import _kernels
 from .artifacts import write_csv
 from .energy import edge_diagonal, energy_eval
-from .graph import LaplacianKind, incidence, laplacian, propagation_matrix, spectral_norm
+from .graph import IncidenceView, LaplacianKind, incidence, laplacian, spectral_norm
+from .graph import propagation_matrix  # noqa: F401  patched by perfbench/tracing.py
 
 DIVERGENCE_LIMIT = 1e12
 # A Lanczos ||L|| can land a few ulps below the exact norm; this slack keeps
@@ -144,10 +149,13 @@ def _lap_apply(bview, gamma, lap, y, rows=None):
     return _kernels.weighted_lap_apply(rows, np.asarray(gamma, dtype=float), bview.bt)
 
 
-def _segment_laplacian(g, bview, gamma, unit, steps):
+def _segment_laplacian(g, bview, gamma, unit, steps, normalized):
     """The operator a Gamma segment of ``steps`` forward steps applies
-    (see the module docstring); ``unit`` says Gamma is still ones, where
-    B.T B is the graph's cached Laplacian under every kind."""
+    under the plain or the ``normalized`` variant (see the module
+    docstring); ``unit`` says Gamma is still ones, where B.T B is the
+    graph's cached Laplacian under every kind."""
+    if normalized:
+        return laplacian(g, bview.kind) if unit else normalized_step(g, gamma)
     if steps < 2:
         return None
     if unit:
@@ -161,8 +169,8 @@ def abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap=None, rows=None
     Simple mode: U = Y - alpha [lam * Lhat Y + Y - F].
     General mode ("exact"):   U = Y - alpha [Lhat Y Wp_s + (Y-F) Wf_s].
     General mode ("literal"): U = Y - alpha [Lhat Y Wp_s + Y Wf_s - F].
-    Lhat = B.T diag(gamma) B, applied as ``lap`` when the segment
-    assembled it, else factor by factor from ``rows`` = B Y if given.
+    Lhat is ``lap``, the segment's Laplacian, when it has one, else
+    B.T diag(gamma) B applied factor by factor from ``rows`` = B Y if given.
     """
     y = np.asarray(y, dtype=float)
     fx = np.asarray(fx, dtype=float)
@@ -241,75 +249,58 @@ def irls_step_bound(spec, bview, gamma):
 
 
 def closed_form_solution(g, fx, lam, kind):
-    """Solve (I + lam * L) Y = F directly, to a relative residual of
+    """Solve (I + lam * L) Y = F to a relative residual of
     CLOSED_FORM_TOL; the infinite-depth limit.
 
-    Up to 4096 nodes a sparse LU solve; above, conjugate gradients per
-    column, since I + lam * L is SPD and LU fills in badly on a random
-    graph: at n=5000, m=12k (2 cores, scipy 1.17.1) spsolve took 4.7 s
-    and CG 5 ms for two columns."""
+    Conjugate gradients per column, since I + lam * L is SPD for
+    lam >= 0; a sparse LU fills in badly on a random graph: at n=4000,
+    m=12k (2 cores, scipy 1.17.1) spsolve took 3.6-3.9 s and CG 4-10 ms
+    for two columns, and at n=50 both took about 1 ms."""
     fx = np.asarray(fx, dtype=float)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    a = (sp.identity(g.n, format="csr") + lam * laplacian(g, kind)).tocsc()
-    if g.n <= 4096:
-        y = spla.spsolve(a, fx)
-        y = y.reshape(fx.shape)
-    else:
-        y = np.empty_like(fx)
-        for j in range(fx.shape[1]):
-            col, info = spla.cg(a, fx[:, j], rtol=CLOSED_FORM_TOL, atol=0.0, maxiter=20 * g.n)
-            if info != 0:
-                raise SolveError(f"conjugate gradient failed on column {j} (info={info})")
-            y[:, j] = col
+    a = sp.identity(g.n, format="csr") + lam * laplacian(g, kind)
+    y = np.empty_like(fx)
+    for j in range(fx.shape[1]):
+        col, info = spla.cg(a, fx[:, j], rtol=CLOSED_FORM_TOL, atol=0.0, maxiter=20 * g.n)
+        if info != 0:
+            raise SolveError(f"conjugate gradient failed on column {j} (info={info})")
+        y[:, j] = col
     resid = np.linalg.norm(a @ y - fx)
     if resid > CLOSED_FORM_TOL * max(1.0, np.linalg.norm(fx)):
         raise SolveError(f"linear solve residual {resid:.2e} above {CLOSED_FORM_TOL:.0e}")
     return y
 
 
-def reweighted_propagation_apply(g, y, gamma):
-    """(D_g^-1/2 (A_g + I) D_g^-1/2) @ y with per-edge weights gamma and
-    D_g the reweighted degrees plus the self loop.  Invariant to a
-    common rescaling of gamma up to the self-loop term, which is what
-    keeps attention-driven propagation stable.
-
-    As A_g + I = D_g - L_g with L_g = B.T diag(gamma) B over the
-    unit-scale incidence B, this is y - s * (L_g (s * y)) with
-    s = D_g^-1/2, computed on the graph's cached incidence view."""
+def normalized_step(g, gamma):
+    """The Laplacian the normalized variant steps with at edge weights
+    gamma, assembled as CSR: I - S (A_g + I) S with A_g the reweighted
+    adjacency and S = (D_g + I)^-1/2, D_g its degrees.  That is
+    S B.T diag(gamma) B S over the unit-scale incidence B, so it is
+    B.T diag(gamma) B on the edge rows scaled by s at each endpoint, and
+    at gamma = 1 the SELF_LOOP_SYM Laplacian.  The simple-mode step on it
+    is the recursion U = (1-a-a*lam) Y + a*lam (I - L) Y + a*F, and a
+    common rescaling of gamma only moves the self loop's share."""
     raw = incidence(g, LaplacianKind.SELF_LOOP_SYM).raw
     deg = np.bincount(raw.eu, weights=gamma, minlength=g.n) \
         + np.bincount(raw.ev, weights=gamma, minlength=g.n)
-    s = (1.0 / np.sqrt(deg + 1.0))[:, None]
-    return y - s * raw.weighted_laplacian_apply(s * y, gamma)
-
-
-def normalized_step(g, y, y0, alpha, lam, gamma=None):
-    """Pre-prox point of the self-loop-normalized recursion
-    Y <- prox[(1-a-a*lam) Y + a*lam*(D~^-1/2 A~ D~^-1/2) Y + a*Y0],
-    with the adjacency optionally reweighted by per-edge gamma.  The
-    operator is symmetric, so with y0 = 0 this is also the step's
-    transpose applied to an upstream gradient."""
-    if gamma is None:
-        p_hat = propagation_matrix(g, LaplacianKind.SELF_LOOP_SYM)
-        _kernels.count_dense(2 * p_hat.nnz * y.shape[1])
-        prop = p_hat @ y
-    else:
-        prop = reweighted_propagation_apply(g, y, gamma)
-    return (1.0 - alpha - alpha * lam) * y + alpha * lam * prop + alpha * y0
+    s = 1.0 / np.sqrt(deg + 1.0)
+    view = IncidenceView(LaplacianKind.SELF_LOOP_SYM, g.n, raw.eu, raw.ev, s[raw.eu], s[raw.ev])
+    return view.weighted_laplacian(gamma)
 
 
 @dataclass(frozen=True)
 class Layer:
     """One unrolled layer: step k took Y_k to ``y = prox(u, alpha)``.
 
-    ``gamma`` holds the edge weights the step used, or None where it
-    used the unweighted operator (the normalized variant without
-    attention); ``gamma_step`` is the step whose embedding generated
-    them, -1 while they are still ones.  ``lap`` is the sparse
-    B.T diag(gamma) B that the plain variant's step applied, one object
-    shared by the layers of its segment, or None where the step applied
-    the factors (a one-step segment) or took the normalized step.
+    ``gamma`` holds the edge weights the step used, ones before the
+    first refresh; ``gamma_step`` is the step whose embedding generated
+    them, -1 while they are still ones.  ``lap`` is the sparse Laplacian
+    the step applied, one object shared by the layers of its segment:
+    B.T diag(gamma) B under the plain variant, or None where that step
+    applied the factors (a one-step segment), and the renormalized
+    Laplacian of :func:`normalized_step` under the normalized variant,
+    where it is never None.
     ``diagonal`` is the edge diagonal of Y_k that step k refreshed gamma
     from, and ``penalty`` the edge-penalty sum of the energy at Y_k, rho
     summed over that diagonal, taken in the same pass over it as gamma;
@@ -320,7 +311,7 @@ class Layer:
     u: np.ndarray
     y: np.ndarray
     alpha: float
-    gamma: np.ndarray | None
+    gamma: np.ndarray
     gamma_step: int
     lap: sp.spmatrix | None
     diagonal: np.ndarray | None
@@ -336,9 +327,10 @@ def _start(fx, cfg):
 
 def check_variant(spec, cfg):
     """Raise ValueError where cfg's variant cannot step spec's energy: the
-    normalized step reads lam alone and always propagates with the
-    SELF_LOOP_SYM operator, and cosine rho's weights, negative past
-    z^2 = 4, can take its reweighted degrees below zero."""
+    normalized variant takes the simple-mode step, which reads lam alone,
+    on a renormalization of the SELF_LOOP_SYM Laplacian, and cosine rho's
+    weights, negative past z^2 = 4, can take its reweighted degrees
+    below zero."""
     if cfg.variant != "normalized":
         return
     if not spec.simple:
@@ -366,20 +358,19 @@ def unroll(spec, g, fx, cfg):
     y = _start(fx, cfg)
     gamma = np.ones(bview.n_edge_rows)
     gamma_step = -1
+    normalized = cfg.variant == "normalized"
     fixed_alpha = None  # auto_irls: sized from the current Gamma at every step
     if cfg.alpha == "auto":
-        if cfg.variant == "plain":
-            fixed_alpha = step_size_bound(spec, g)
-        else:
-            # convex-combination step of the rescaled recursions
-            fixed_alpha = 1.0 / (1.0 + spec.lam)
+        # the normalized variant takes the convex-combination step of the
+        # rescaled recursion
+        fixed_alpha = 1.0 / (1.0 + spec.lam) if normalized else step_size_bound(spec, g)
     elif cfg.alpha != "auto_irls":
         fixed_alpha = float(cfg.alpha)
     schedule = set(cfg.attention_schedule)
     starts = sorted(schedule | {0})
     segment_end = dict(zip(starts, starts[1:] + [cfg.steps]))
     # whether a refresh's diagonal and a factored step read one incidence
-    share_rows = cfg.variant == "plain" and (bview.raw is bview or not spec.simple)
+    share_rows = bview.raw is bview or not spec.simple
     lap = None
     for k in range(cfg.steps):
         diagonal = rows = penalty = None
@@ -391,31 +382,28 @@ def unroll(spec, g, fx, cfg):
             penalty = np.sum(values)
             gamma_step = k
         alpha = irls_step_bound(spec, bview, gamma) if fixed_alpha is None else fixed_alpha
-        if cfg.variant == "plain":
-            if k in segment_end:
-                lap = _segment_laplacian(g, bview, gamma, gamma_step < 0, segment_end[k] - k)
-            used = gamma
-            u = abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap, rows)
-        else:
-            used = gamma if schedule else None
-            u = normalized_step(g, y, fx, alpha, spec.lam, gamma=used)
+        if k in segment_end:
+            lap = _segment_laplacian(g, bview, gamma, gamma_step < 0, segment_end[k] - k,
+                                     normalized)
+        u = abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap, rows)
         y = spec.phi.prox(u, alpha)
         norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             raise PropagationDivergence(k, norm)
-        yield Layer(k, u, y, alpha, used, gamma_step, lap, diagonal, penalty)
+        yield Layer(k, u, y, alpha, gamma, gamma_step, lap, diagonal, penalty)
 
 
-def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
+def unroll_backward(spec, g, fx, layers, d_y, full_attention):
     """Reverse of :func:`unroll` started from Y0 = f(X): pull d(loss)/d(Y_K)
-    back through the recorded ``layers`` of the plain or normalized
-    variant and return d(loss)/d(f(X)).
+    back through the recorded ``layers`` and return d(loss)/d(f(X)).
 
     Gamma is a constant of each step between refreshes, and each step's
-    transpose applies the symmetric operator its layer recorded.
-    full_attention (plain variant) also chains d(loss)/d(Gamma), summed
-    over the steps of a segment, through rho' at the embedding that
-    generated it.
+    transpose applies the symmetric operator its layer recorded, so both
+    variants take the same reverse step.  full_attention also chains
+    d(loss)/d(Gamma), summed over the steps of a segment, through rho' at
+    the embedding that generated it; it holds for B.T diag(Gamma) B, the
+    plain variant's operator, and ModelConfig rejects it for the
+    normalized one.
     """
     bview = incidence(g, spec.kind)
     d_fx = np.zeros_like(fx)
@@ -424,10 +412,6 @@ def unroll_backward(spec, g, fx, layers, d_y, variant, full_attention):
         layer = layers[k]
         alpha, gamma, r = layer.alpha, layer.gamma, layer.gamma_step
         d_u = spec.phi.prox_derivative(layer.u, alpha) * d_y
-        if variant == "normalized":
-            d_fx += alpha * d_u
-            d_y = normalized_step(g, d_u, 0.0, alpha, spec.lam, gamma=gamma)
-            continue
         lap_du = _lap_apply(bview, gamma, layer.lap, d_u)
         if spec.simple:
             d_fx += alpha * d_u

@@ -46,6 +46,21 @@ def test_attention_robustness_smoke(tmp_path):
     assert len(text) == 2 + 2
 
 
+# the study's test accuracies at its defaults, (identity, truncated_lp)
+STUDY_ACCURACIES = {
+    0: (0.8157894736842105, 0.9276315789473685),
+    1: (0.9473684210526315, 0.9144736842105263),
+    2: (0.9210526315789473, 0.8947368421052632),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STUDY_ACCURACIES))
+def test_attention_robustness_accuracies_pinned(tmp_path, seed):
+    summary = run_experiment("attention-robustness", tmp_path, seed=seed)
+    got = (summary["identity"]["test_acc"], summary["truncated_lp"]["test_acc"])
+    assert got == STUDY_ACCURACIES[seed]
+
+
 def test_label_recovery_matrix(tmp_path):
     summary = run_experiment("label-recovery", tmp_path, seed=0,
                              n_per_block=20, gen_epochs=30, rec_epochs=30)

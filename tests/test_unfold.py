@@ -28,9 +28,7 @@ from unfoldgnn.unfold import (
     abridged_gradient_step,
     closed_form_solution,
     irls_step_bound,
-    normalized_step,
     propagate,
-    reweighted_propagation_apply,
     sandwich_schedule,
     step_size_bound,
     trace_to_csv,
@@ -48,6 +46,42 @@ def random_graph(rng, n, p=0.3):
     if pairs.shape[0] == 0:
         pairs = np.array([[0, 1]])
     return build_graph(n, pairs)
+
+
+# The normalized variant's step as its own recursion, kept as the
+# reference that unroll's plain step on the renormalized Laplacian
+# (unfold.normalized_step) must reproduce.
+
+
+def reweighted_propagation_apply(g, y, gamma):
+    """(D_g^-1/2 (A_g + I) D_g^-1/2) @ y with per-edge weights gamma and
+    D_g the reweighted degrees plus the self loop.  Invariant to a
+    common rescaling of gamma up to the self-loop term, which is what
+    keeps attention-driven propagation stable.
+
+    As A_g + I = D_g - L_g with L_g = B.T diag(gamma) B over the
+    unit-scale incidence B, this is y - s * (L_g (s * y)) with
+    s = D_g^-1/2, computed on the graph's cached incidence view."""
+    raw = incidence(g, LaplacianKind.SELF_LOOP_SYM).raw
+    deg = np.bincount(raw.eu, weights=gamma, minlength=g.n) \
+        + np.bincount(raw.ev, weights=gamma, minlength=g.n)
+    s = (1.0 / np.sqrt(deg + 1.0))[:, None]
+    return y - s * raw.weighted_laplacian_apply(s * y, gamma)
+
+
+def normalized_step(g, y, y0, alpha, lam, gamma=None):
+    """Pre-prox point of the self-loop-normalized recursion
+    Y <- prox[(1-a-a*lam) Y + a*lam*(D~^-1/2 A~ D~^-1/2) Y + a*Y0],
+    with the adjacency optionally reweighted by per-edge gamma.  The
+    operator is symmetric, so with y0 = 0 this is also the step's
+    transpose applied to an upstream gradient."""
+    if gamma is None:
+        p_hat = propagation_matrix(g, LaplacianKind.SELF_LOOP_SYM)
+        _kernels.count_dense(2 * p_hat.nnz * y.shape[1])
+        prop = p_hat @ y
+    else:
+        prop = reweighted_propagation_apply(g, y, gamma)
+    return (1.0 - alpha - alpha * lam) * y + alpha * lam * prop + alpha * y0
 
 
 def gamma_update(spec, bview, y):
@@ -572,6 +606,13 @@ class TestVariants:
         unweighted = PropagationConfig(steps=4, alpha=0.5, variant="normalized")
         assert np.isfinite(propagate(spec, g, fx, unweighted).y).all()
 
+    def test_normalized_rejects_full_attention_gradient(self):
+        # the Gamma gradient differentiates B.T diag(gamma) B, not the
+        # renormalized Laplacian the normalized variant steps with
+        with pytest.raises(ValueError, match="plain variant only"):
+            ModelConfig(variant="normalized", attention_grad="full")
+        assert ModelConfig(variant="plain", attention_grad="full").attention_grad == "full"
+
     def test_reweighted_normalized_with_unit_gamma_matches_plain(self):
         rng = np.random.default_rng(25)
         g = random_graph(rng, 9)
@@ -587,8 +628,6 @@ class TestVariants:
         g = random_graph(rng, 8)
         y = rng.normal(size=(8, 2))
         gamma = rng.random(g.m) + 0.5
-        from unfoldgnn.unfold import reweighted_propagation_apply
-
         base = reweighted_propagation_apply(g, y, 1000.0 * gamma)
         # with huge weights, the self loop washes out: compare against the
         # pure normalized weighted adjacency
@@ -617,6 +656,86 @@ class TestVariants:
         want = (s[:, None] * (adj + np.eye(g.n)) * s[None, :]) @ y
         np.testing.assert_allclose(reweighted_propagation_apply(g, y, gamma), want,
                                    rtol=1e-13, atol=1e-14)
+
+
+def reference_normalized_unroll(spec, g, fx, cfg, d_y):
+    """The last Y and d(loss)/d(f(X)) of the normalized variant taken as
+    the recursion :func:`normalized_step` above, forward and reverse."""
+    bview = incidence(g, spec.kind)
+    gamma = np.ones(g.m)
+    y = fx.copy()
+    tape = []
+    for k in range(cfg.steps):
+        if k in cfg.attention_schedule:
+            gamma = spec.rho.value_and_grad(edge_diagonal(spec, bview, y))[1]
+        if cfg.alpha == "auto":
+            alpha = 1.0 / (1.0 + spec.lam)
+        elif cfg.alpha == "auto_irls":
+            alpha = irls_step_bound(spec, bview, gamma)
+        else:
+            alpha = cfg.alpha
+        used = gamma if cfg.attention_schedule else None
+        u = normalized_step(g, y, fx, alpha, spec.lam, gamma=used)
+        tape.append((u, alpha, used))
+        y = spec.phi.prox(u, alpha)
+    d_fx = np.zeros_like(fx)
+    for u, alpha, used in reversed(tape):
+        d_u = spec.phi.prox_derivative(u, alpha) * d_y
+        d_fx += alpha * d_u
+        d_y = normalized_step(g, d_u, 0.0, alpha, spec.lam, gamma=used)
+    return y, d_fx + d_y
+
+
+class TestNormalizedIsThePlainStep:
+    """The normalized variant is the plain step on the SELF_LOOP_SYM
+    Laplacian renormalized by gamma (unfold.normalized_step)."""
+
+    SELF = LaplacianKind.SELF_LOOP_SYM
+
+    @staticmethod
+    def graph():
+        # nodes 12 and 13 are isolated
+        rng = np.random.default_rng(60)
+        return build_graph(14, random_graph(rng, 12, p=0.35).edges)
+
+    def test_renormalized_laplacian_matches_dense_definition(self):
+        g = self.graph()
+        gamma = np.random.default_rng(61).random(g.m) + 0.1
+        adj = np.zeros((g.n, g.n))
+        for (u, v), w in zip(g.edges, gamma):
+            adj[u, v] = adj[v, u] = w
+        s = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
+        want = np.eye(g.n) - s[:, None] * (adj + np.eye(g.n)) * s[None, :]
+        got = unfold_module.normalized_step(g, gamma).toarray()
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        unit = unfold_module.normalized_step(g, np.ones(g.m)).toarray()
+        np.testing.assert_allclose(unit, laplacian(g, self.SELF).toarray(), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("phi", [phi_zero(), phi_relu()], ids=["zero", "relu"])
+    @pytest.mark.parametrize("alpha", [0.3, "auto", "auto_irls"])
+    @pytest.mark.parametrize("schedule", [(), (0,), (3,), tuple(range(8)), (2, 5, 6)],
+                             ids=["none", "start", "mid", "every", "mixed"])
+    def test_forward_and_backward_match_the_recursion(self, schedule, alpha, phi):
+        g = self.graph()
+        rng = np.random.default_rng(62)
+        fx = rng.normal(size=(g.n, 3))
+        d_y = rng.normal(size=(g.n, 3))
+        spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), phi=phi,
+                          lam=1.5, kind=self.SELF)
+        cfg = PropagationConfig(steps=8, alpha=alpha, variant="normalized",
+                                attention_schedule=schedule, record_trace=False)
+        layers = list(unroll(spec, g, fx, cfg))
+        d_fx = unroll_backward(spec, g, fx, layers, d_y, False)
+        want_y, want_d_fx = reference_normalized_unroll(spec, g, fx, cfg, d_y)
+        assert np.abs(layers[-1].y - want_y).max() <= 1e-12 * np.abs(want_y).max()
+        assert np.abs(d_fx - want_d_fx).max() <= 1e-12 * np.abs(want_d_fx).max()
+        # every layer carries its operator: the cached Laplacian until the
+        # first refresh, then one assembly per refresh, one-step segments too
+        for layer in layers:
+            assert layer.gamma.shape == (g.m,)
+            assert layer.lap is not None
+            assert (layer.lap is laplacian(g, self.SELF)) == (layer.gamma_step < 0)
+            assert layer.lap is layers[max(layer.gamma_step, 0)].lap
 
 
 class TestSegmentLaplacian:
@@ -656,7 +775,7 @@ class TestSegmentLaplacian:
         cfg = PropagationConfig(steps=8, alpha=0.1, attention_schedule=schedule,
                                 record_trace=False)
         layers = list(unroll(spec, g, fx, cfg))
-        grads = [unroll_backward(spec, g, fx, layers, d_y, "plain", full)
+        grads = [unroll_backward(spec, g, fx, layers, d_y, full)
                  for full in (False, True)]
         starts = sorted({0, *schedule})
         ends = dict(zip(starts, starts[1:] + [8]))
@@ -674,7 +793,7 @@ class TestSegmentLaplacian:
             assert got.gamma_step == ref.gamma_step
             assert np.abs(got.y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
         for full, got in zip((False, True), grads):
-            ref = unroll_backward(spec, g, fx, want, d_y, "plain", full)
+            ref = unroll_backward(spec, g, fx, want, d_y, full)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_every_step_schedule_counts_the_factored_product(self):
@@ -801,7 +920,7 @@ class TestRefreshDiagonal:
 
         monkeypatch.setattr(unfold_module, "edge_diagonal", recomputed)
         before = _kernels.op_counter()["edge"]
-        unroll_backward(spec, g, fx, layers, d_y, "plain", True)
+        unroll_backward(spec, g, fx, layers, d_y, True)
         # per layer: the factored transpose (5 m d), B d_u and B y_k
         # (2 m d each), and at its refresh B.T of the weighted raw
         # differences (2 m d each way); no squared distances
@@ -899,7 +1018,7 @@ class TestPinnedOutputs:
     def test_full_attention_backward(self, kind):
         g, spec, fx, cfg, d_y = self.instance(kind)
         layers = list(unroll(spec, g, fx, cfg))
-        d_fx = unroll_backward(spec, g, fx, layers, d_y, "plain", True)
+        d_fx = unroll_backward(spec, g, fx, layers, d_y, True)
         assert _digest([d_fx]) == self.BACKWARD[kind]
 
 
