@@ -72,6 +72,14 @@ class Rho:
                 raise ValueError("truncated_lp needs 0 < p <= 2")
             if not 0 <= self.tau <= self.big_t:
                 raise ValueError("truncated_lp needs 0 <= tau <= T")
+            try:  # 0.0 ** -x raises, and so does a power past the float range
+                finite = all(map(math.isfinite, (self._tau_bar ** (self.p - 2.0), self._t_bar)))
+            except ArithmeticError:
+                finite = False
+            if not finite:
+                raise ValueError("truncated_lp needs its largest weight tau_bar^(p-2) and "
+                                 f"T_bar to be finite floats, got tau={self.tau}, p={self.p}, "
+                                 f"T={self.big_t}")
 
     # internal reparameterized thresholds for truncated_lp
     @property
@@ -83,86 +91,66 @@ class Rho:
         return self.big_t ** (2.0 - self.p)
 
     def value(self, zsq):
-        return self._evaluate(zsq, value=True, grad=False)[0]
+        return self._evaluate(zsq, True, False)[0]
 
     def grad(self, zsq):
         """d rho(z^2) / d z^2, the per-edge attention weight."""
-        return self._evaluate(zsq, value=False, grad=True)[1]
+        return self._evaluate(zsq, False, True)[1]
+
+    def grad2(self, zsq):
+        """d^2 rho(z^2) / d(z^2)^2, one-sided at breakpoints."""
+        return self._evaluate(zsq, False, False, grad2=True)[2]
 
     def value_and_grad(self, zsq):
         """(rho(z^2), d rho(z^2) / d z^2) from one pass over ``zsq``, each
         bitwise what :meth:`value` and :meth:`grad` return: an attention
         refresh takes the weights and the edge-penalty sum of the energy
         from one square root and one set of piece masks."""
-        return self._evaluate(zsq, value=True, grad=True)
+        return self._evaluate(zsq, True, True)[:2]
 
-    def _evaluate(self, zsq, value, grad):
-        """rho and rho' at zsq, each computed only where asked for (else
-        None); the one statement of the formulas."""
+    def grad_max(self):
+        """The largest weight rho' takes over [0, inf), its value at 0:
+        every kind is concave in z^2, so rho' never rises."""
+        return float(self.grad(0.0))
+
+    def _evaluate(self, zsq, value, grad, grad2=False):
+        """rho, rho' and rho'' at zsq, each computed only where asked for
+        (else None); the one statement of each kind's formulas and pieces."""
         zsq = np.asarray(zsq, dtype=float)
         if self.kind == "identity":
             # linear: defined on all of R (indefinite quadratic forms)
-            return zsq, np.ones_like(zsq) if grad else None
+            return (zsq, np.ones_like(zsq) if grad else None,
+                    np.zeros_like(zsq) if grad2 else None)
         if (zsq < -_NEG_DIAG_TOL).any():
             raise ValueError("rho argument must be nonnegative")
         zsq = np.maximum(zsq, 0.0)
         if self.kind == "log":
             shifted = zsq + self.eps
-            return np.log(shifted) if value else None, 1.0 / shifted if grad else None
+            return (np.log(shifted) if value else None, 1.0 / shifted if grad else None,
+                    -1.0 / shifted ** 2 if grad2 else None)
         if self.kind == "truncated_quadratic":
             cap = self.tau ** 2
             return (np.minimum(zsq, cap) if value else None,
-                    (zsq < cap).astype(float) if grad else None)
+                    (zsq < cap).astype(float) if grad else None,
+                    np.zeros_like(zsq) if grad2 else None)
         if self.kind == "truncated_lp":
-            return self._lp(zsq, value, grad)
+            return self._lp(zsq, value, grad, grad2)
         if self.kind == "cosine":
-            return zsq - zsq ** 2 / 8.0 if value else None, 1.0 - zsq / 4.0 if grad else None
+            return (zsq - zsq ** 2 / 8.0 if value else None, 1.0 - zsq / 4.0 if grad else None,
+                    np.full_like(zsq, -0.25) if grad2 else None)
         # absolute: the weight 1 / (2 z), capped at gamma_max (its value at z = 0)
         z = np.sqrt(zsq)
-        weight = None
+        weight = curvature = None
         if grad:
             weight = np.minimum(np.where(z > 0, 0.5 / np.maximum(z, 1e-300), np.inf),
                                 self.gamma_max)
-        return z if value else None, weight
+        if grad2:
+            curvature = np.zeros_like(z)
+            pos = z > 0
+            curvature[pos] = -0.25 * z[pos] ** -3.0
+        return z if value else None, weight, curvature
 
-    def grad2(self, zsq):
-        """Second derivative wrt z^2 (one-sided at breakpoints)."""
-        zsq = np.maximum(np.asarray(zsq, dtype=float), 0.0)
-        if self.kind == "identity":
-            return np.zeros_like(zsq)
-        if self.kind == "log":
-            return -1.0 / (zsq + self.eps) ** 2
-        if self.kind == "cosine":
-            return np.full_like(zsq, -0.25)
-        if self.kind == "truncated_quadratic":
-            return np.zeros_like(zsq)
-        if self.kind == "truncated_lp":
-            z = np.sqrt(zsq)
-            out = np.zeros_like(zsq)
-            mid = (z >= self._tau_bar) & (z <= self._t_bar)
-            zm = np.maximum(z[mid], 1e-300)
-            out[mid] = 0.5 * (self.p - 2.0) * zm ** (self.p - 4.0)
-            return out
-        out = np.zeros_like(zsq)
-        pos = zsq > 0
-        out[pos] = -0.25 * np.sqrt(zsq[pos]) ** -3.0
-        return out
-
-    def grad_max(self):
-        """Upper bound on grad over [0, inf): the step-size bounds use it."""
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "log":
-            return 1.0 / self.eps
-        if self.kind == "truncated_quadratic":
-            return 1.0
-        if self.kind == "truncated_lp":
-            return self._tau_bar ** (self.p - 2.0)
-        if self.kind == "cosine":
-            return 1.0
-        return self.gamma_max
-
-    def _lp(self, zsq, value, grad):
+    def _lp(self, zsq, value, grad, grad2):
         """truncated_lp's three pieces: quadratic below tau_bar, z^p up to
         T_bar, constant beyond."""
         z = np.sqrt(zsq)
@@ -170,7 +158,7 @@ class Rho:
         mid = (z >= tb) & (z <= t_big)
         far = z > t_big
         z_mid = z[mid]
-        val = weight = None
+        val = weight = curvature = None
         if value:
             rho0 = (2.0 - self.p) / self.p * tb ** self.p
             val = np.asarray(tb ** (self.p - 2.0) * zsq, dtype=float)
@@ -180,7 +168,10 @@ class Rho:
             weight = np.full_like(z, tb ** (self.p - 2.0))
             weight[mid] = z_mid ** (self.p - 2.0)
             weight[far] = 0.0
-        return val, weight
+        if grad2:
+            curvature = np.zeros_like(z)
+            curvature[mid] = 0.5 * (self.p - 2.0) * np.maximum(z_mid, 1e-300) ** (self.p - 4.0)
+        return val, weight, curvature
 
 
 def rho_identity():

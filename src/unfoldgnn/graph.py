@@ -228,10 +228,6 @@ class IncidenceView:
         """B.T @ e for edge-row inputs."""
         return _kernels.edge_scatter(e, self.bt)
 
-    def weighted_laplacian_apply(self, y, gamma):
-        """B.T @ diag(gamma) @ B @ y over the edge rows."""
-        return _kernels.weighted_lap_apply(self.apply(y), gamma, self.bt)
-
     def weighted_laplacian(self, gamma):
         """B.T @ diag(gamma) @ B over the edge rows, assembled as CSR."""
         return _kernels.weighted_lap_assemble(gamma, self.b, self.bt)
@@ -300,9 +296,14 @@ def read_edge_list(path, n=None):
             if len(parts) != 2:
                 raise GraphError(f"{path}:{lineno}: expected 'u<TAB>v', got {line!r}")
             try:
-                pairs.append((int(parts[0]), int(parts[1])))
+                pair = int(parts[0]), int(parts[1])
             except ValueError:
                 raise GraphError(f"{path}:{lineno}: non-integer endpoint in {line!r}")
+            if min(pair) < 0:
+                raise GraphError(f"{path}:{lineno}: negative endpoint in {line!r}")
+            if n is not None and max(pair) >= n:
+                raise GraphError(f"{path}:{lineno}: edge {pair} out of range for n={n}")
+            pairs.append(pair)
     if n is None:
         n = 1 + max((max(u, v) for u, v in pairs), default=-1)
     return build_graph(n, pairs)

@@ -219,10 +219,11 @@ def _weighted_lap_norm_bound(bview, gamma):
 def step_size_bound(spec, g):
     """The fixed step that alpha="auto" takes, safe for every shipped
     concave rho and any prox in the menu: one over the curvature, with
-    the weighted Laplacian's norm capped by the largest attainable
-    attention weight rho'_max."""
+    the weighted Laplacian's norm capped by the largest edge weight a
+    layer can apply, max(rho'(0), 1): Gamma is ones until the first
+    refresh, so a rho whose weights stay below 1 is not yet in force."""
     lap_norm = g.operators(spec.kind).laplacian_norm * (1.0 + _NORM_SLACK)
-    gcap = spec.rho.grad_max()
+    gcap = max(spec.rho.grad_max(), 1.0)
     if spec.simple:
         return 1.0 / (1.0 + spec.lam * gcap * lap_norm)
     nf = spectral_norm(spec.w_fid_sym())
@@ -448,6 +449,17 @@ def propagate(spec, g, fx, cfg):
     once layer k is known: a layer that refreshed Gamma carries the
     edge-penalty sum at Y_k, which the energy reuses.  Raises
     PropagationDivergence when the iterate norm passes the guard.
+
+    The recorded trace descends from the first refresh on, where each
+    segment steps on the majorizer of the recorded energy that its
+    refresh built.  Before that refresh Gamma is ones and the layers
+    descend the Gamma = 1 energy, so a rise there is not a fault: with
+    log rho (eps = 1), COMBINATORIAL and no schedule, the CLI's generated
+    dataset rises at step 12 (``first_violation`` 13 in
+    :func:`verify_descent`) although every step is safe.  (In simple
+    mode under the degree-normalized kinds rho reads raw distances while
+    the step applies the scaled incidence, so no refresh makes the
+    layers descend the recorded energy there.)
     """
     fx = np.asarray(fx, dtype=float)
     bview = incidence(g, spec.kind)
@@ -479,7 +491,9 @@ def verify_descent(result, slack=1e-9):
 
     An infinite total is tolerated only at step 0 (an infeasible start
     that the first prox repairs); any later non-finite or increasing
-    total is reported as the first violation.
+    total is reported as the first violation.  A rise before the first
+    refresh is reported too, though the layers there descend the
+    Gamma = 1 energy, not the recorded one (see :func:`propagate`).
     """
     totals = [ev.total for ev in result.trace]
     first = None

@@ -357,7 +357,10 @@ def test_12_complexity_accounting(tmp_path):
     assert abs(flop_ratio_k - 2.0) <= 0.05 * 2.0
     assert abs(flop_ratio_m - m_ratio) <= 0.05 * m_ratio
     wall_ratio_k = twice_k["seconds"] / base["seconds"]
-    assert 1.6 <= wall_ratio_k <= 2.4
+    assert 1.6 <= wall_ratio_k <= 2.4, (
+        f"median wall {twice_k['seconds']:.4f} s at K={keys[1][3]} over "
+        f"{base['seconds']:.4f} s at K={keys[0][3]}: ratio {wall_ratio_k:.3f}, "
+        f"load average {os.getloadavg()}")
     announce(12, "complexity accounting",
              f"flops x{flop_ratio_k:.3f} for 2x depth (wall x{wall_ratio_k:.2f}), "
              f"flops x{flop_ratio_m:.3f} for {m_ratio:.2f}x edges")

@@ -108,6 +108,14 @@ class TestPropagate:
         gammas = (tmp_path / "o" / "gammas.csv").read_text().splitlines()
         assert gammas[0].startswith("# schema: gamma-trace")
 
+    def test_auto_step_holds_for_weights_below_one(self, tmp_path, capsys):
+        # log:eps=4 weighs every edge at most 1/4, but Gamma is ones until a
+        # refresh; a step sized for 1/4 diverged at step 28 on the generated graph
+        code = run_cli(["propagate", "--K", "60", "--rho", "log:eps=4",
+                        "--set", "unfold.kind=combinatorial", "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert "final_energy=" in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("args, message", [
     (["train", "--K", "4", "--set", "unfold.attention=9"], "attention indices"),
@@ -173,6 +181,8 @@ class TestPropagate:
     (["train", "--set", "unfold.variant=normalized", "--set", "unfold.rho=cosine",
       "--set", "unfold.attention=0"], "cannot reweight with cosine rho"),
     (["train", "--K", "x"], "bad value for unfold.steps: 'x'"),
+    (["propagate", "--K", "4", "--rho", "truncated_lp:p=0.5,tau=0",
+      "--set", "unfold.attention=sandwich"], "largest weight tau_bar^(p-2) and T_bar"),
 ])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
     # verify and bench read no dataset, so they take no --dataset flag

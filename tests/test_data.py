@@ -64,6 +64,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="label -1 at node 2 is negative"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("edge, message", [
+        ("1\t5", r"edges\.tsv:3: edge \(1, 5\) out of range for n=3"),
+        ("-1\t2", r"edges\.tsv:3: negative endpoint"),
+    ])
+    def test_edge_endpoint_error_names_file_and_line(self, tmp_path, edge, message):
+        self.write_minimal(tmp_path)
+        (tmp_path / "edges.tsv").write_text(f"# comment\n0\t1\n{edge}\n")
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(tmp_path)
+
     def test_roundtrip(self, tmp_path):
         ds = sbm_generate(SbmSpec(blocks=(10, 10), p_in=0.4, p_out=0.1, seed=3))
         save_dataset(ds, tmp_path / "out")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unfoldgnn.energy import (
+    _RHO_FACTORIES,
     EnergySpec,
     edge_diagonal,
     energy_eval,
@@ -163,6 +164,88 @@ class TestRhoValueAndGrad:
         zsq = np.array([-2.0, 0.0, 3.0])
         value, grad = rho_identity().value_and_grad(zsq)
         assert value.tolist() == zsq.tolist() and grad.tolist() == [1.0] * 3
+
+
+def chain_grad2(rho, zsq):
+    """rho'' written out kind by kind, as Rho.grad2 was before it read
+    the pieces of Rho._evaluate."""
+    zsq = np.maximum(np.asarray(zsq, dtype=float), 0.0)
+    if rho.kind in ("identity", "truncated_quadratic"):
+        return np.zeros_like(zsq)
+    if rho.kind == "log":
+        return -1.0 / (zsq + rho.eps) ** 2
+    if rho.kind == "cosine":
+        return np.full_like(zsq, -0.25)
+    if rho.kind == "truncated_lp":
+        z = np.sqrt(zsq)
+        out = np.zeros_like(zsq)
+        mid = (z >= rho._tau_bar) & (z <= rho._t_bar)
+        zm = np.maximum(z[mid], 1e-300)
+        out[mid] = 0.5 * (rho.p - 2.0) * zm ** (rho.p - 4.0)
+        return out
+    out = np.zeros_like(zsq)
+    pos = zsq > 0
+    out[pos] = -0.25 * np.sqrt(zsq[pos]) ** -3.0
+    return out
+
+
+def chain_grad_max(rho):
+    """The bound on rho' written out kind by kind, as Rho.grad_max was
+    before it read rho'(0)."""
+    return {"identity": 1.0, "log": 1.0 / rho.eps, "truncated_quadratic": 1.0,
+            "truncated_lp": rho._tau_bar ** (rho.p - 2.0), "cosine": 1.0,
+            "absolute": rho.gamma_max}[rho.kind]
+
+
+class TestRhoCurvature:
+    """rho'' and the largest weight come from the pieces rho and rho' are
+    written with."""
+
+    def test_every_kind_has_a_case(self):
+        assert {rho.kind for rho in ALL_RHOS} == set(_RHO_FACTORIES)
+
+    @pytest.mark.parametrize("rho", ALL_RHOS, ids=lambda r: r.kind)
+    def test_matches_finite_differences_of_grad(self, rho):
+        # away from breakpoints of the piecewise variants and the absolute cap
+        pts = np.array([0.03, 0.21, 0.9, 1.7, 3.3])
+        h = 1e-7
+        fd = (rho.grad(pts + h) - rho.grad(pts - h)) / (2 * h)
+        np.testing.assert_allclose(rho.grad2(pts), fd, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("rho", ALL_RHOS + [rho_absolute(gamma_max=100.0)],
+                             ids=lambda r: r.kind)
+    def test_grad2_matches_the_kind_by_kind_chain_bitwise(self, rho):
+        zsq = TestRhoValueAndGrad.grid(rho)
+        with np.errstate(over="ignore"):  # z^-3 past the float range at 5e-324
+            got, want = rho.grad2(zsq), chain_grad2(rho, zsq)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rho", ALL_RHOS + [rho_absolute(gamma_max=100.0)],
+                             ids=lambda r: r.kind)
+    def test_grad_max_matches_the_kind_by_kind_chain(self, rho):
+        assert rho.grad_max() == chain_grad_max(rho)
+        assert rho.grad_max() == rho.grad(TestRhoValueAndGrad.grid(rho)).max()
+
+    def test_grad_max_is_the_weight_at_zero(self):
+        # a cutoff at 0 removes every edge, so no weight reaches 1 (the auto
+        # step still covers the unit weights a layer applies before a refresh)
+        assert rho_truncated_quadratic(tau=0.0).grad_max() == 0.0
+        assert rho_log(eps=4.0).grad_max() == 0.25
+
+    @pytest.mark.parametrize("p, tau, big_t", [(0.5, 0.0, 2.0), (0.1, 1e-300, 2.0),
+                                               (0.5, 1e-200, 2.0), (0.1, 0.2, 1e200)])
+    def test_truncated_lp_weight_must_be_a_finite_float(self, p, tau, big_t):
+        # tau_bar^(p-2) divides by zero, underflows to a zero base or
+        # overflows, or T_bar overflows
+        with pytest.raises(ValueError, match="to be finite floats"):
+            rho_truncated_lp(p=p, tau=tau, big_t=big_t)
+        with pytest.raises(ValueError, match="to be finite floats"):
+            rho_from_config(f"truncated_lp:p={p},tau={tau},T={big_t}")
+
+    def test_truncated_lp_zero_tau_at_p_two(self):
+        # tau_bar = tau^0 = 1 whatever tau, so the weight is finite
+        assert rho_truncated_lp(p=2.0, tau=0.0).grad_max() == 1.0
 
 
 def check_concavity(rho, grid):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from unfoldgnn import _kernels
 from unfoldgnn import graph as graph_module
 from unfoldgnn import implicit, unfold
 from unfoldgnn.data import SbmSpec, sbm_generate
@@ -213,9 +214,8 @@ class TestIncidence:
         e = rng.normal(size=(view.n_edge_rows, 3))
         np.testing.assert_allclose(view.apply_t(e), b.T @ e, atol=1e-12)
         gamma = rng.random(view.n_edge_rows)
-        np.testing.assert_allclose(
-            view.weighted_laplacian_apply(y, gamma), b.T @ (gamma[:, None] * (b @ y)), atol=1e-12
-        )
+        np.testing.assert_allclose(_kernels.weighted_lap_apply(view.apply(y), gamma, view.bt),
+                                   b.T @ (gamma[:, None] * (b @ y)), atol=1e-12)
 
 
 class TestPropagationMatrix:
@@ -500,3 +500,17 @@ class TestEdgeListFile:
         path.write_text("0\t1\nzap\n")
         with pytest.raises(GraphError, match=":2"):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("n", [None, 4])
+    def test_negative_endpoint_reports_number(self, tmp_path, n):
+        path = tmp_path / "edges.tsv"
+        path.write_text("0\t1\n# note\n2 -3\n")
+        with pytest.raises(GraphError, match=r"edges\.tsv:3: negative endpoint in '2 -3'"):
+            read_edge_list(path, n=n)
+
+    def test_endpoint_past_n_reports_number(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("0\t1\n1\t4\n")
+        with pytest.raises(GraphError, match=r"edges\.tsv:2: edge \(1, 4\) out of range for n=4"):
+            read_edge_list(path, n=4)
+        assert read_edge_list(path).n == 5  # without n the largest endpoint sets it

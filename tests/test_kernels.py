@@ -84,7 +84,7 @@ def test_csr_products_match_edge_loop(kind, graph, d):
     np.testing.assert_allclose(view.raw.apply_t(e), loop_scatter(e, eu, ev, ones, ones, n),
                                rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(
-        view.weighted_laplacian_apply(y, gamma),
+        _kernels.weighted_lap_apply(view.apply(y), gamma, view.bt),
         loop_scatter(gamma[:, None] * diff, eu, ev, su, sv, n), rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(_kernels.edge_sqnorm(view.apply(y)), (diff ** 2).sum(axis=1),
                                rtol=1e-13, atol=1e-14)
@@ -95,11 +95,12 @@ def test_csr_products_match_edge_loop(kind, graph, d):
     np.testing.assert_allclose(_kernels.weighted_adj_apply(y, gamma, eu, ev, n),
                                loop_weighted_adj(y, gamma, eu, ev, n), rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(
-        view.raw.weighted_laplacian_apply(y, gamma),
+        _kernels.weighted_lap_apply(view.raw.apply(y), gamma, view.raw.bt),
         loop_scatter(gamma[:, None] * raw_diff, eu, ev, ones, ones, n), rtol=1e-13, atol=1e-14)
     assert (view.raw is view) == (kind is LaplacianKind.COMBINATORIAL)
     assert view.raw.raw is view.raw
-    for got in (view.apply(y), view.apply_t(e), view.weighted_laplacian_apply(y, gamma)):
+    for got in (view.apply(y), view.apply_t(e),
+                _kernels.weighted_lap_apply(view.apply(y), gamma, view.bt)):
         assert isinstance(got, np.ndarray)
 
 
@@ -123,11 +124,11 @@ def test_op_counter_scales_linearly_in_edges():
     y = rng.normal(size=(30, 5))
     view = incidence(g, LaplacianKind.COMBINATORIAL)
     before = _kernels.op_counter()["edge"]
-    view.weighted_laplacian_apply(y, rng.random(g.m))
+    _kernels.weighted_lap_apply(view.apply(y), rng.random(g.m), view.bt)
     single = _kernels.op_counter()["edge"] - before
     view2 = incidence(g2, LaplacianKind.COMBINATORIAL)
     before = _kernels.op_counter()["edge"]
-    view2.weighted_laplacian_apply(y, rng.random(g2.m))
+    _kernels.weighted_lap_apply(view2.apply(y), rng.random(g2.m), view2.bt)
     double = _kernels.op_counter()["edge"] - before
     assert double == 2 * single
 

@@ -66,7 +66,7 @@ def reweighted_propagation_apply(g, y, gamma):
     deg = np.bincount(raw.eu, weights=gamma, minlength=g.n) \
         + np.bincount(raw.ev, weights=gamma, minlength=g.n)
     s = (1.0 / np.sqrt(deg + 1.0))[:, None]
-    return y - s * raw.weighted_laplacian_apply(s * y, gamma)
+    return y - s * _kernels.weighted_lap_apply(raw.apply(s * y), gamma, raw.bt)
 
 
 def normalized_step(g, y, y0, alpha, lam, gamma=None):
@@ -278,6 +278,31 @@ class TestStepSizeBound:
             safe = 1.0 / (1.0 + spec.lam * spec.rho.grad_max() * exact)
             assert step_size_bound(spec, g) <= safe
 
+    def test_auto_step_covers_unit_gamma_before_the_first_refresh(self):
+        # log with eps = 4 weighs every edge at most 1/4, but Gamma is ones
+        # until a refresh: a step sized for weights up to 1/4 diverged at
+        # step 29 here, with no refresh scheduled
+        rng = np.random.default_rng(0)
+        g = build_graph(200, rng.integers(0, 200, size=(1000, 2)))
+        spec = EnergySpec(rho=rho_log(eps=4.0), lam=1.0, kind=COMB)
+        exact = np.abs(np.linalg.eigvalsh(laplacian(g, COMB).toarray())).max()
+        alpha = step_size_bound(spec, g)
+        assert alpha == pytest.approx(1.0 / (1.0 + exact), rel=1e-10)
+        assert alpha <= 1.0 / (1.0 + exact)
+        fx = rng.normal(size=(g.n, 3))
+        out = propagate(spec, g, fx, PropagationConfig(steps=60))
+        np.testing.assert_allclose(out.y, closed_form_solution(g, fx, 1.0, COMB), atol=1e-4)
+
+    @pytest.mark.parametrize("rho", [rho_truncated_quadratic(tau=0.0), rho_log(eps=4.0),
+                                     rho_truncated_lp(p=0.5, tau=1.5, big_t=2.0)],
+                             ids=lambda r: r.kind)
+    def test_weights_below_one_take_the_unit_gamma_step(self, rho):
+        g = random_graph(np.random.default_rng(44), 30)
+        assert rho.grad_max() < 1.0
+        for kind in LaplacianKind:
+            unit = step_size_bound(EnergySpec(lam=1.5, kind=kind), g)
+            assert step_size_bound(EnergySpec(rho=rho, lam=1.5, kind=kind), g) == unit
+
     def test_fixed_point_pairing_descends_at_unit_step(self):
         # W_f = I - W_p: the energy's Hessian is I - P (x) W_p, whose norm is
         # at most 1 + ||W_p|| ||P|| < 2, so the unit step is inside 2 / curvature
@@ -470,6 +495,21 @@ class TestDescent:
                                     attention_schedule=tuple(range(30)))
             report = verify_descent(propagate(spec, g, fx, cfg), slack=1e-9)
             assert report["ok"], f"trial {trial}: {report}"
+
+    def test_rise_before_the_first_refresh_is_on_the_unit_weight_energy(self):
+        rng = np.random.default_rng(0)
+        g = build_graph(200, rng.integers(0, 200, size=(1000, 2)))
+        fx = rng.normal(size=(g.n, 3))
+        spec = EnergySpec(rho=rho_log(eps=1.0), lam=1.0, kind=COMB)
+        unrefreshed = propagate(spec, g, fx, PropagationConfig(steps=40))
+        assert not verify_descent(unrefreshed)["ok"]
+        # with Gamma at ones the layers are those of identity rho, whose
+        # recorded energy they descend
+        unit = propagate(EnergySpec(lam=1.0, kind=COMB), g, fx, PropagationConfig(steps=40))
+        assert unit.y.tobytes() == unrefreshed.y.tobytes()
+        assert verify_descent(unit)["ok"]
+        refreshed = propagate(spec, g, fx, PropagationConfig(steps=40, attention_schedule=(0, 20)))
+        assert verify_descent(refreshed)["ok"]
 
     def test_oversized_step_flagged(self):
         rng = np.random.default_rng(17)
