@@ -11,18 +11,19 @@ Two parameterizations of the energy are supported by
 * simple mode:  ||Y - F||_F^2 + lam * sum_e rho(||y_u - y_v||^2), the
   scalar-weighted form whose descent iterations reduce to the familiar
   propagation rules, and
-* general mode: tr[(Y-F).T Wf (Y-F)] + sum_e rho(q_e) with
-  q_e the per-edge quadratic form of Wp, plus the phi term in both.
+* general mode: tr[(Y-F).T Wf (Y-F)] ("exact"; "literal": tr[Y.T Wf Y] - <F, Y>)
+  + sum_e rho(q_e), q_e the per-edge quadratic form of Wp; plus the phi term in both.
 """
 
 import inspect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from .graph import LaplacianKind
+from .graph import LaplacianKind, spectral_norm
 
 GAMMA_CAP_DEFAULT = 1e6
 _NEG_DIAG_TOL = 1e-12
@@ -41,8 +42,8 @@ class Rho:
     kinds: identity, log (eps), truncated_quadratic (tau: threshold on
     z, value saturates at tau^2), truncated_lp (p, tau, T: user-facing
     parameters; the internal thresholds are tau_bar = tau^(2-p) and
-    T_bar = T^(2-p)), cosine (z^2 - z^4/8), absolute (|z|, gradient
-    capped at gamma_max near zero).
+    T_bar = T^(2-p)), cosine (z^2 - z^4/8, unbounded below), absolute
+    (|z|, gradient capped at gamma_max near zero, where rho'' is 0).
     """
 
     kind: str
@@ -141,13 +142,13 @@ class Rho:
         # absolute: the weight 1 / (2 z), capped at gamma_max (its value at z = 0)
         z = np.sqrt(zsq)
         weight = curvature = None
-        if grad:
-            weight = np.minimum(np.where(z > 0, 0.5 / np.maximum(z, 1e-300), np.inf),
-                                self.gamma_max)
-        if grad2:
-            curvature = np.zeros_like(z)
-            pos = z > 0
-            curvature[pos] = -0.25 * z[pos] ** -3.0
+        if grad or grad2:
+            inv = np.divide(0.5, z, out=np.full_like(z, np.inf), where=z > 0)
+            free = inv < self.gamma_max
+            weight = np.where(free, inv, self.gamma_max) if grad else None
+            if grad2:
+                curvature = np.zeros_like(z)
+                curvature[free] = -0.25 * z[free] ** -3.0
         return z if value else None, weight, curvature
 
     def _lp(self, zsq, value, grad, grad2):
@@ -191,6 +192,7 @@ def rho_truncated_lp(p=0.1, tau=0.2, big_t=2.0):
 
 
 def rho_cosine():
+    """z^2 - z^4/8, unbounded below: layers descending it can diverge at any step."""
     return Rho("cosine")
 
 
@@ -314,7 +316,7 @@ def _parse_kv(args):
 
 @dataclass(frozen=True)
 class EnergySpec:
-    """Full parameterization of the energy.
+    """Full parameterization of the energy, each mode's quantities stated once.
 
     simple=True reads only ``lam`` from the weight block (fidelity
     weight I, propagation weight lam * I, rho applied to raw squared
@@ -324,9 +326,9 @@ class EnergySpec:
 
     gradient_mode selects between the exact fidelity gradient
     ("exact": (Y-F)(Wf+Wf.T)) and the literal printed update
-    ("literal": Y(Wf+Wf.T) - F).  The literal form is what makes the
-    fixed-point correspondence with implicit models exact; descent
-    tests use the exact form.
+    ("literal": Y(Wf+Wf.T) - F, the gradient of the fidelity it records,
+    <Y Wf, Y> - <F, Y>).  The literal form is what makes the fixed-point
+    correspondence with implicit models exact.
     """
 
     rho: Rho = field(default_factory=rho_identity)
@@ -356,6 +358,77 @@ class EnergySpec:
     def w_prop_sym(self):
         return self.w_prop + self.w_prop.T
 
+    @cached_property
+    def _norms(self):
+        """(||Wf_s||, ||Wp_s||), taken once per spec; 1 and lam in simple mode."""
+        if self.simple:
+            return 1.0, self.lam
+        return spectral_norm(self.w_fid_sym()), spectral_norm(self.w_prop_sym())
+
+    def edge_view(self, bview):
+        """The incidence rho reads: the unit-scale one in simple mode, so rho
+        takes raw squared distances under every kind, whatever the step applies."""
+        return bview.raw if self.simple else bview
+
+    def edge_form(self, rows):
+        """rho's argument per edge from rows = B Y over :meth:`edge_view`."""
+        return _kernels.edge_sqnorm(rows) if self.simple else _kernels.edge_quadform(rows, self.w_prop)
+
+    def edge_form_t(self, bview, y, weights):
+        """sum_e weights_e d q_e / dY at Y, q being :meth:`edge_form` of Y's rows."""
+        view = self.edge_view(bview)
+        if self.simple:
+            return 2.0 * view.apply_t(weights[:, None] * view.apply(y))
+        return view.apply_t(weights[:, None] * view.apply(y @ self.w_prop_sym()))
+
+    def terms(self, y, fx, penalty):
+        """(fidelity, smoothness) at Y from its edge-penalty sum: what :meth:`step` descends."""
+        if not self.simple and self.gradient_mode == "literal":
+            return float(np.einsum("ij,jk,ik->", y, self.w_fid, y) - np.vdot(fx, y)), float(penalty)
+        r = y - fx
+        if self.simple:
+            r *= r
+            return float(np.sum(r)), float(self.lam * penalty)
+        return float(np.einsum("ij,jk,ik->", r, self.w_fid, r)), float(penalty)
+
+    def step(self, y, lap_y, fx, alpha):
+        """The abridged step U = Y - alpha G at fixed Gamma from lap_y = L_Gamma Y,
+        G = L Y Wp_s + (Y-F) Wf_s ("exact") or L Y Wp_s + Y Wf_s - F ("literal");
+        simple mode takes the literal G at the weights lam and 1 (half the
+        gradient of :meth:`terms`) in place on lap_y."""
+        if self.simple:
+            lap_y *= self.lam
+            lap_y += y
+            lap_y -= fx
+        else:
+            _kernels.count_dense(4 * y.size * y.shape[1])
+            w_fid = self.w_fid_sym()
+            fid = (y - fx) @ w_fid if self.gradient_mode == "exact" else y @ w_fid - fx
+            lap_y = lap_y @ self.w_prop_sym() + fid
+        lap_y *= alpha
+        return np.subtract(y, lap_y, out=lap_y)
+
+    def step_t(self, d_u, lap_du, alpha, d_fx):
+        """:meth:`step`'s transpose: d/dY of <d_u, U>, given lap_du = L_Gamma d_u;
+        adds d/dF to d_fx in place."""
+        if self.simple:
+            d_fx += alpha * d_u
+            return (1.0 - alpha) * d_u - alpha * self.lam * lap_du
+        w_fid = self.w_fid_sym()
+        d_fx += alpha * d_u @ w_fid if self.gradient_mode == "exact" else alpha * d_u
+        return d_u - alpha * (lap_du @ self.w_prop_sym() + d_u @ w_fid)
+
+    def step_gamma_t(self, bview, y, d_u, alpha):
+        """d<d_u, U>/d gamma_e at Y: -alpha <B d_u, B Y Wp_s>_e, Wp_s = lam in simple mode."""
+        if self.simple:
+            return -alpha * self.lam * np.einsum("ij,ij->i", bview.apply(d_u), bview.apply(y))
+        return -alpha * np.einsum("ij,ij->i", bview.apply(d_u), bview.apply(y @ self.w_prop_sym()))
+
+    def step_bound(self, lap_bound, weight_cap=1.0):
+        """1 / (||Wf_s|| + ||Wp_s|| c): safe where ||L_Gamma|| <= c = weight_cap lap_bound."""
+        fid, prop = self._norms
+        return 1.0 / (fid + prop * weight_cap * lap_bound)
+
 
 def from_symmetric_pair(w_prop_sym, w_fid_sym, rho=None, phi=None,
                         kind=LaplacianKind.COMBINATORIAL, gradient_mode="literal"):
@@ -384,26 +457,18 @@ class EnergyValue:
 
 
 def edge_diagonal(spec, bview, y, rows=None):
-    """Per-edge rho arguments: squared distances in simple mode, the
-    w_prop quadratic form otherwise.  ``rows``, if given, is B @ y over
-    the incidence this reads (``bview.raw`` in simple mode, ``bview``
-    otherwise), already computed by the caller.
+    """Per-edge rho arguments at Y, :meth:`EnergySpec.edge_form` over
+    :meth:`EnergySpec.edge_view`.  ``rows``, if given, is B @ y over
+    that incidence, already computed by the caller.
 
     With identity rho the quadratic form may legitimately be negative
     (indefinite w_prop) and is passed through untouched.  Nonlinear rho
     needs a nonnegative argument: small rounding negatives are clamped,
     anything below -1e-12 is an error (PSD w_prop rules it out).
-
-    Simple mode always feeds rho the raw squared distances (the
-    attention formula), even when the propagation operator itself is
-    degree-normalized.
     """
     if rows is None:
-        rows = (bview.raw if spec.simple else bview).apply(y)
-    if spec.simple:
-        vals = _kernels.edge_sqnorm(rows)
-    else:
-        vals = _kernels.edge_quadform(rows, spec.w_prop)
+        rows = spec.edge_view(bview).apply(y)
+    vals = spec.edge_form(rows)
     if spec.rho.kind == "identity":
         return vals
     if (vals < -_NEG_DIAG_TOL).any():
@@ -421,12 +486,4 @@ def energy_eval(spec, bview, y, fx, penalty=None):
         raise ValueError("Y and f(X) shapes differ")
     if penalty is None:
         penalty = np.sum(spec.rho.value(edge_diagonal(spec, bview, y)))
-    r = y - fx
-    if spec.simple:
-        r *= r
-        fid = float(np.sum(r))
-        smooth = float(spec.lam * penalty)
-    else:
-        fid = float(np.einsum("ij,jk,ik->", r, spec.w_fid, r))
-        smooth = float(penalty)
-    return EnergyValue(fid, smooth, spec.phi.value(y))
+    return EnergyValue(*spec.terms(y, fx, penalty), spec.phi.value(y))

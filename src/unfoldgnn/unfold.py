@@ -31,20 +31,20 @@ transpose in the backward, since L_Gamma is symmetric.  A segment of a
 single forward step applies B.T (Gamma * (B Y)) factor by factor
 instead, since there an assembly would cost more than the one product
 it saves.  Where that step also refreshes Gamma, and the edge diagonal
-reads the same incidence (any kind in general mode; COMBINATORIAL in
-simple mode, whose diagonal reads the unit-scale incidence), B Y is
-computed once for both.  The normalized variant applies the
-SELF_LOOP_SYM Laplacian renormalized by Gamma (:func:`normalized_step`)
-instead, assembled at every refresh, even for a one-step segment, so
-each of its layers carries the operator its backward applies.
+reads the same incidence (:meth:`EnergySpec.edge_view`: any kind in
+general mode, COMBINATORIAL in simple mode), B Y is computed once for
+both.  The normalized variant applies the SELF_LOOP_SYM Laplacian
+renormalized by Gamma (:func:`normalized_step`) instead, assembled at
+every refresh, even for a one-step segment, so each of its layers
+carries the operator its backward applies.
 
-Simple mode follows the scalar propagation convention
-``U = Y - alpha [(lam * Lhat + I) Y - F]`` (the update whose first step
-reduces to a normalized-adjacency layer); its step direction is half
-the exact gradient of the recorded energy, and the bounds returned by
-:func:`step_size_bound` / :func:`irls_step_bound` are stated for this
-convention.  General mode steps along the full gradient of the matrix
-energy.
+The step and everything else that depends on the energy's mode is
+read from :class:`energy.EnergySpec`.  Simple mode follows the scalar
+propagation convention ``U = Y - alpha [(lam * Lhat + I) Y - F]`` (the
+update whose first step reduces to a normalized-adjacency layer); its
+step direction is half the exact gradient of the recorded energy, and
+:func:`step_size_bound` / :func:`irls_step_bound` follow it.  General
+mode steps along the full gradient of the matrix energy.
 
 :func:`step_size_bound` takes ||L|| from a Lanczos solve, once per
 graph (the norm is cached with the graph's operators).
@@ -64,8 +64,8 @@ import scipy.sparse.linalg as spla
 from . import _kernels
 from .artifacts import write_csv
 from .energy import edge_diagonal, energy_eval
-from .graph import IncidenceView, LaplacianKind, incidence, laplacian, spectral_norm
-from .graph import propagation_matrix  # noqa: F401  patched by perfbench/tracing.py
+from .graph import IncidenceView, LaplacianKind, incidence, laplacian
+from .graph import propagation_matrix, spectral_norm  # noqa: F401  patched by perfbench/tracing.py
 
 DIVERGENCE_LIMIT = 1e12
 # A Lanczos ||L|| can land a few ulps below the exact norm; this slack keeps
@@ -163,37 +163,6 @@ def _segment_laplacian(g, bview, gamma, unit, steps, normalized):
     return bview.weighted_laplacian(gamma)
 
 
-def abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap=None, rows=None):
-    """One gradient step on the smooth energy terms at fixed Gamma.
-
-    Simple mode: U = Y - alpha [lam * Lhat Y + Y - F].
-    General mode ("exact"):   U = Y - alpha [Lhat Y Wp_s + (Y-F) Wf_s].
-    General mode ("literal"): U = Y - alpha [Lhat Y Wp_s + Y Wf_s - F].
-    Lhat is ``lap``, the segment's Laplacian, when it has one, else
-    B.T diag(gamma) B applied factor by factor from ``rows`` = B Y if given.
-    """
-    y = np.asarray(y, dtype=float)
-    fx = np.asarray(fx, dtype=float)
-    if y.shape != fx.shape:
-        raise ValueError("Y and f(X) shapes differ")
-    lap_y = _lap_apply(bview, gamma, lap, y, rows)
-    if spec.simple:
-        # y - alpha * (lam * lap_y + y - fx), each operation in that order,
-        # on the product this step allocated
-        lap_y *= spec.lam
-        lap_y += y
-        lap_y -= fx
-        lap_y *= alpha
-        return np.subtract(y, lap_y, out=lap_y)
-    n, d = y.shape
-    _kernels.count_dense(4 * n * d * d)
-    if spec.gradient_mode == "exact":
-        grad = lap_y @ spec.w_prop_sym() + (y - fx) @ spec.w_fid_sym()
-    else:
-        grad = lap_y @ spec.w_prop_sym() + y @ spec.w_fid_sym() - fx
-    return y - alpha * grad
-
-
 def _weighted_lap_norm_bound(bview, gamma):
     """Certified upper bound on ||B.T diag(gamma) B|| over the edge rows,
     in O(m): max over edges (u, v) of s_u^2 d(u) + s_v^2 d(v), where s is
@@ -218,35 +187,24 @@ def _weighted_lap_norm_bound(bview, gamma):
 
 def step_size_bound(spec, g):
     """The fixed step that alpha="auto" takes, safe for every shipped
-    concave rho and any prox in the menu: one over the curvature, with
-    the weighted Laplacian's norm capped by the largest edge weight a
-    layer can apply, max(rho'(0), 1): Gamma is ones until the first
-    refresh, so a rho whose weights stay below 1 is not yet in force."""
+    concave rho and any prox in the menu: :meth:`EnergySpec.step_bound`
+    at ||L|| with the weights capped by the largest edge weight a layer
+    can apply, max(rho'(0), 1): Gamma is ones until the first refresh,
+    so a rho whose weights stay below 1 is not yet in force."""
     lap_norm = g.operators(spec.kind).laplacian_norm * (1.0 + _NORM_SLACK)
-    gcap = max(spec.rho.grad_max(), 1.0)
-    if spec.simple:
-        return 1.0 / (1.0 + spec.lam * gcap * lap_norm)
-    nf = spectral_norm(spec.w_fid_sym())
-    npr = spectral_norm(spec.w_prop_sym())
-    return 1.0 / (nf + gcap * lap_norm * npr)
+    return spec.step_bound(lap_norm, max(spec.rho.grad_max(), 1.0))
 
 
 def irls_step_bound(spec, bview, gamma):
-    """Per-step safe size at the current Gamma: 1 / (1 + lam c) in simple
-    mode, and the matrix-weight analogue otherwise, where c is the
-    certified O(m) upper bound on ||B.T G B|| from
+    """Per-step safe size at the current Gamma, :meth:`EnergySpec.step_bound`
+    at c, the certified O(m) upper bound on ||B.T G B|| from
     :func:`_weighted_lap_norm_bound`.
 
     c is certified, not estimated, so the step is safe; c exceeding the
     exact norm (at most 2x for gamma >= 0, about 1.5x on sparse graphs)
     shortens the step.
     """
-    lhat_bound = _weighted_lap_norm_bound(bview, np.asarray(gamma, dtype=float))
-    if spec.simple:
-        return 1.0 / (1.0 + spec.lam * lhat_bound)
-    nf = spectral_norm(spec.w_fid_sym())
-    npr = spectral_norm(spec.w_prop_sym())
-    return 1.0 / (nf + lhat_bound * npr)
+    return spec.step_bound(_weighted_lap_norm_bound(bview, np.asarray(gamma, dtype=float)))
 
 
 def closed_form_solution(g, fx, lam, kind):
@@ -363,20 +321,19 @@ def unroll(spec, g, fx, cfg):
     fixed_alpha = None  # auto_irls: sized from the current Gamma at every step
     if cfg.alpha == "auto":
         # the normalized variant takes the convex-combination step of the
-        # rescaled recursion
-        fixed_alpha = 1.0 / (1.0 + spec.lam) if normalized else step_size_bound(spec, g)
+        # rescaled recursion, the curvature step at c = 1
+        fixed_alpha = spec.step_bound(1.0) if normalized else step_size_bound(spec, g)
     elif cfg.alpha != "auto_irls":
         fixed_alpha = float(cfg.alpha)
     schedule = set(cfg.attention_schedule)
     starts = sorted(schedule | {0})
     segment_end = dict(zip(starts, starts[1:] + [cfg.steps]))
-    # whether a refresh's diagonal and a factored step read one incidence
-    share_rows = bview.raw is bview or not spec.simple
     lap = None
     for k in range(cfg.steps):
         diagonal = rows = penalty = None
         if k in schedule:
-            if share_rows and segment_end[k] - k < 2:
+            # a factored step shares B y with a diagonal that reads its incidence
+            if segment_end[k] - k < 2 and spec.edge_view(bview) is bview:
                 rows = bview.apply(y)
             diagonal = edge_diagonal(spec, bview, y, rows)
             values, gamma = spec.rho.value_and_grad(diagonal)
@@ -386,7 +343,7 @@ def unroll(spec, g, fx, cfg):
         if k in segment_end:
             lap = _segment_laplacian(g, bview, gamma, gamma_step < 0, segment_end[k] - k,
                                      normalized)
-        u = abridged_gradient_step(spec, bview, y, fx, gamma, alpha, lap, rows)
+        u = spec.step(y, _lap_apply(bview, gamma, lap, y, rows), fx, alpha)
         y = spec.phi.prox(u, alpha)
         norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
@@ -413,30 +370,14 @@ def unroll_backward(spec, g, fx, layers, d_y, full_attention):
         layer = layers[k]
         alpha, gamma, r = layer.alpha, layer.gamma, layer.gamma_step
         d_u = spec.phi.prox_derivative(layer.u, alpha) * d_y
-        lap_du = _lap_apply(bview, gamma, layer.lap, d_u)
-        if spec.simple:
-            d_fx += alpha * d_u
-            d_y = (1.0 - alpha) * d_u - alpha * spec.lam * lap_du
-        else:
-            d_fx += alpha * d_u if spec.gradient_mode == "literal" else alpha * d_u @ spec.w_fid_sym()
-            d_y = d_u - alpha * (lap_du @ spec.w_prop_sym() + d_u @ spec.w_fid_sym())
+        d_y = spec.step_t(d_u, _lap_apply(bview, gamma, layer.lap, d_u), alpha, d_fx)
         if not full_attention or r < 0:
             continue
-        # dU/dgamma_e contracted with d_u: incidence rows of d_u against
-        # those of the state the step propagated
         y_k = layers[k - 1].y if k else fx
-        e_y = bview.apply(y_k if spec.simple else y_k @ spec.w_prop_sym())
-        scale = spec.lam if spec.simple else 1.0
-        d_gamma = d_gamma + -alpha * scale * np.einsum("ij,ij->i", bview.apply(d_u), e_y)
+        d_gamma = d_gamma + spec.step_gamma_t(bview, y_k, d_u, alpha)
         if k == r:
-            # gamma = rho'(edge_diagonal(Y_r)), which the layer kept: raw
-            # endpoint distances in simple mode, the scaled-incidence
-            # quadratic form otherwise
-            weights = d_gamma * spec.rho.grad2(layer.diagonal)
-            if spec.simple:
-                d_y = d_y + 2.0 * bview.raw.apply_t(weights[:, None] * bview.raw.apply(y_k))
-            else:
-                d_y = d_y + bview.apply_t(weights[:, None] * e_y)
+            # gamma = rho'(edge_diagonal(Y_r)), whose diagonal the layer kept
+            d_y = d_y + spec.edge_form_t(bview, y_k, d_gamma * spec.rho.grad2(layer.diagonal))
             d_gamma = 0.0
     return d_fx + d_y  # Y0 = f(X)
 
@@ -456,10 +397,10 @@ def propagate(spec, g, fx, cfg):
     descend the Gamma = 1 energy, so a rise there is not a fault: with
     log rho (eps = 1), COMBINATORIAL and no schedule, the CLI's generated
     dataset rises at step 12 (``first_violation`` 13 in
-    :func:`verify_descent`) although every step is safe.  (In simple
-    mode under the degree-normalized kinds rho reads raw distances while
-    the step applies the scaled incidence, so no refresh makes the
-    layers descend the recorded energy there.)
+    :func:`verify_descent`) although every step is safe.  In simple mode
+    under the degree-normalized kinds the trace is not the energy the
+    layers descend, for any rho, identity included: rho reads raw
+    distances (:meth:`EnergySpec.edge_view`), the step the scaled incidence.
     """
     fx = np.asarray(fx, dtype=float)
     bview = incidence(g, spec.kind)

@@ -50,7 +50,7 @@ def _random_psd(rng, d):
 
 
 def descent_suite(seed, trials, inject_failure=False):
-    """Safe-step energy monotonicity over random robust instances."""
+    """Safe-step energy monotonicity over random robust instances, exact and literal."""
     rng = np.random.default_rng(seed)
     menu = [rho_identity(), rho_log(eps=0.5), rho_truncated_quadratic(tau=1.0),
             rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0)]
@@ -66,6 +66,7 @@ def descent_suite(seed, trials, inject_failure=False):
             simple=False,
             w_fid=_random_psd(rng, d),
             w_prop=_random_psd(rng, d),
+            gradient_mode="literal" if t % 8 >= 4 else "exact",
         )
         fx = rng.normal(size=(n, d))
         alpha = step_size_bound(spec, g)
@@ -79,8 +80,8 @@ def descent_suite(seed, trials, inject_failure=False):
         except PropagationDivergence as exc:
             report = {"ok": False, "first_violation": exc.step,
                       "max_increase": float("inf")}
-        rec = {"suite": "descent", "trial": t, "n": n, "d": d,
-               "rho": spec.rho.kind, "phi": spec.phi.kind, "alpha": alpha,
+        rec = {"suite": "descent", "trial": t, "n": n, "d": d, "rho": spec.rho.kind,
+               "phi": spec.phi.kind, "mode": spec.gradient_mode, "alpha": alpha,
                "ok": report["ok"], "first_violation": report["first_violation"],
                "max_increase": report["max_increase"], "seed": seed}
         records.append(rec)

@@ -310,8 +310,8 @@ def test_09_oversmoothing_contrast():
              f"anchored spread ratio {anchored:.2f}")
 
 
-def test_10_attention_robustness(tmp_path):
-    summary = run_experiment("attention-robustness", str(tmp_path), seed=0)
+def test_10_attention_robustness(attention_robustness):
+    summary = attention_robustness(0)
     lp = summary["truncated_lp"]
     base = summary["identity"]
     ratio = lp["gamma_spurious"] / lp["gamma_clean"]

@@ -168,7 +168,8 @@ class TestRhoValueAndGrad:
 
 def chain_grad2(rho, zsq):
     """rho'' written out kind by kind, as Rho.grad2 was before it read
-    the pieces of Rho._evaluate."""
+    the pieces of Rho._evaluate, except that absolute's is 0 where its
+    weight is capped at gamma_max."""
     zsq = np.maximum(np.asarray(zsq, dtype=float), 0.0)
     if rho.kind in ("identity", "truncated_quadratic"):
         return np.zeros_like(zsq)
@@ -185,6 +186,7 @@ def chain_grad2(rho, zsq):
         return out
     out = np.zeros_like(zsq)
     pos = zsq > 0
+    pos[pos] = 0.5 / np.sqrt(zsq[pos]) < rho.gamma_max
     out[pos] = -0.25 * np.sqrt(zsq[pos]) ** -3.0
     return out
 

@@ -55,8 +55,8 @@ STUDY_ACCURACIES = {
 
 
 @pytest.mark.parametrize("seed", sorted(STUDY_ACCURACIES))
-def test_attention_robustness_accuracies_pinned(tmp_path, seed):
-    summary = run_experiment("attention-robustness", tmp_path, seed=seed)
+def test_attention_robustness_accuracies_pinned(attention_robustness, seed):
+    summary = attention_robustness(seed)
     got = (summary["identity"]["test_acc"], summary["truncated_lp"]["test_acc"])
     assert got == STUDY_ACCURACIES[seed]
 

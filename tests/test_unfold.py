@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unfoldgnn import _kernels
+from unfoldgnn import energy as energy_module
 from unfoldgnn import unfold as unfold_module
 from unfoldgnn.energy import (
     EnergySpec,
@@ -13,6 +14,7 @@ from unfoldgnn.energy import (
     from_symmetric_pair,
     phi_relu,
     phi_zero,
+    rho_absolute,
     rho_cosine,
     rho_identity,
     rho_log,
@@ -25,7 +27,6 @@ from unfoldgnn.model import Model, ModelConfig, softmax_cross_entropy
 from unfoldgnn.unfold import (
     PropagationConfig,
     PropagationDivergence,
-    abridged_gradient_step,
     closed_form_solution,
     irls_step_bound,
     propagate,
@@ -87,6 +88,12 @@ def normalized_step(g, y, y0, alpha, lam, gamma=None):
 def gamma_update(spec, bview, y):
     """The edge weights a refresh at Y computes: rho' at its edge diagonal."""
     return spec.rho.grad(edge_diagonal(spec, bview, y))
+
+
+def abridged_gradient_step(spec, bview, y, fx, gamma, alpha):
+    """The plain layer's step at edge weights gamma: EnergySpec.step on
+    L_Gamma Y, applied factor by factor."""
+    return spec.step(y, _kernels.weighted_lap_apply(bview.apply(y), gamma, bview.bt), fx, alpha)
 
 
 def random_psd(rng, d, scale=1.0):
@@ -207,6 +214,105 @@ class TestAbridgedStep:
         ue = abridged_gradient_step(exact, incidence(g, COMB), y, fx, np.ones(g.m), 1.0)
         ul = abridged_gradient_step(literal, incidence(g, COMB), y, fx, np.ones(g.m), 1.0)
         np.testing.assert_allclose(ul - ue, fx - fx @ (w_fid + w_fid.T), atol=1e-12)
+
+
+class TestRecordedEnergyIsDescended:
+    """The trace records the energy whose gradient the step follows: at a
+    refresh, Gamma makes the segment's majorizer touch the energy, so the
+    step direction is the energy's gradient there (half of it under simple
+    mode's convention)."""
+
+    @staticmethod
+    def spec(mode, kind, d):
+        rho = rho_log(eps=0.5)
+        if mode == "simple":
+            return EnergySpec(rho=rho, lam=1.3, kind=kind)
+        rng = np.random.default_rng(61)
+        return EnergySpec(rho=rho, kind=kind, simple=False, w_fid=random_psd(rng, d),
+                          w_prop=random_psd(rng, d, scale=0.5), gradient_mode=mode)
+
+    @pytest.mark.parametrize("mode, kind", [("simple", COMB)] + [
+        (mode, kind) for mode in ("exact", "literal") for kind in LaplacianKind],
+        ids=lambda x: getattr(x, "name", x))
+    def test_step_at_a_refresh_is_the_recorded_energys_gradient(self, mode, kind):
+        rng = np.random.default_rng(60)
+        n, d, alpha = 12, 3, 0.05
+        g = build_graph(n + 1, random_graph(rng, n, p=0.4).edges)  # node n is isolated
+        spec = self.spec(mode, kind, d)
+        fx = rng.normal(size=(g.n, d))
+        y0 = rng.normal(size=(g.n, d))
+        cfg = PropagationConfig(steps=1, alpha=alpha, attention_schedule=(0,), y0=y0)
+        direction = (y0 - next(unroll(spec, g, fx, cfg)).u) / alpha
+        bview = incidence(g, kind)
+
+        def smooth(y):
+            ev = energy_eval(spec, bview, y, fx)
+            return ev.fidelity + ev.smoothness
+
+        h = 1e-5
+        fd = np.zeros_like(y0)
+        for i in range(g.n):
+            for j in range(d):
+                yp, ym = y0.copy(), y0.copy()
+                yp[i, j] += h
+                ym[i, j] -= h
+                fd[i, j] = (smooth(yp) - smooth(ym)) / (2 * h)
+        scale = 0.5 if mode == "simple" else 1.0
+        np.testing.assert_allclose(direction, scale * fd, rtol=0, atol=1e-6)
+
+    def test_literal_trace_descends_at_the_auto_step(self):
+        # the literal step follows Y Wf_s - F: the trace used to record
+        # <(Y-F) Wf, Y-F>, which rose at 35 of these 40 steps
+        rng = np.random.default_rng(1)
+        n, d = 60, 3
+        g = build_graph(n, rng.integers(0, n, size=(200, 2)))
+        spec = EnergySpec(kind=COMB, simple=False, w_fid=random_psd(rng, d) + 0.1 * np.eye(d),
+                          w_prop=random_psd(rng, d), gradient_mode="literal")
+        fx = 3.0 * rng.normal(size=(n, d))
+        out = propagate(spec, g, fx, PropagationConfig(steps=40))
+        totals = [ev.total for ev in out.trace]
+        assert sum(b > a for a, b in zip(totals, totals[1:])) == 0
+        assert verify_descent(out, slack=0.0)["ok"]
+
+    def test_general_mode_takes_its_weight_norms_once(self, monkeypatch):
+        # auto_irls sizes every layer's step; the norms of Wf_s and Wp_s are
+        # the spec's, not the layer's
+        rng = np.random.default_rng(62)
+        g = random_graph(rng, 20)
+        fx = rng.normal(size=(g.n, 3))
+        spec = self.spec("exact", COMB, 3)
+        calls = []
+        norm = energy_module.spectral_norm
+        monkeypatch.setattr(energy_module, "spectral_norm",
+                            lambda mat: calls.append(mat) or norm(mat))
+        cfg = PropagationConfig(steps=6, alpha="auto_irls", attention_schedule=(0, 2, 4))
+        propagate(spec, g, fx, cfg)
+        propagate(spec, g, fx, cfg)
+        assert len(calls) == 2
+
+    def test_absolute_backward_through_a_capped_edge(self):
+        # edge (0, 1) is 1e-3 long, where absolute's weight 1 / (2 z) = 500
+        # is capped at gamma_max = 100, so rho'' is 0 there; reading -0.25 z^-3
+        # there, the backward gave [3.73, -3.73, 0.50] against [0.51, -0.51, 0.50]
+        g = build_graph(3, [(0, 1), (1, 2)])
+        fx = np.array([[0.0], [1e-3], [1.0]])
+        d_y = np.array([[1.0], [-1.0], [0.5]])
+        spec = EnergySpec(rho=rho_absolute(gamma_max=100.0), kind=COMB)
+        cfg = PropagationConfig(steps=3, alpha=0.001, attention_schedule=(0,), record_trace=False)
+        layers = list(unroll(spec, g, fx, cfg))
+        got = unroll_backward(spec, g, fx, layers, d_y, True)
+
+        def loss(f):
+            return float(np.sum(d_y * list(unroll(spec, g, f, cfg))[-1].y))
+
+        h = 1e-7
+        fd = np.zeros_like(fx)
+        for i in range(3):
+            fp, fm = fx.copy(), fx.copy()
+            fp[i, 0] += h
+            fm[i, 0] -= h
+            fd[i, 0] = (loss(fp) - loss(fm)) / (2 * h)
+        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
 
 
 class TestStepSizeBound:
