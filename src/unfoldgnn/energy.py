@@ -207,7 +207,9 @@ def rho_absolute(gamma_max=GAMMA_CAP_DEFAULT):
 @dataclass(frozen=True)
 class Phi:
     """Node-wise penalty; kinds: zero, relu (nonnegativity indicator),
-    soft_threshold (kappa)."""
+    soft_threshold (kappa).  The prox's derivative is read from its
+    output (:meth:`prox_mask`), so a reverse pass needs no pre-prox
+    point."""
 
     kind: str
     kappa: float = 1.0
@@ -230,14 +232,16 @@ class Phi:
             return np.maximum(u, 0.0)
         return np.sign(u) * np.maximum(np.abs(u) - alpha * self.kappa, 0.0)
 
-    def prox_derivative(self, u, alpha=1.0):
-        """Elementwise derivative of the prox at u (0 at kinks)."""
-        u = np.asarray(u, dtype=float)
+    def prox_mask(self, y):
+        """The prox's elementwise derivative, read from its output
+        y = prox(u, alpha): None for zero, whose derivative is 1, else the
+        boolean mask 1[y > 0] (relu) or 1[y != 0] (soft_threshold).  For
+        finite u that is bitwise the derivative at u, 0 at the kinks
+        (u <= 0; |u| <= alpha * kappa)."""
         if self.kind == "zero":
-            return np.ones_like(u)
-        if self.kind == "relu":
-            return (u > 0).astype(float)
-        return (np.abs(u) > alpha * self.kappa).astype(float)
+            return None
+        y = np.asarray(y)
+        return y > 0 if self.kind == "relu" else y != 0
 
     def value(self, y):
         """Penalty total over all entries; +inf on indicator violation."""

@@ -157,9 +157,11 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=N
 
     Solves the transposed contraction V = G + P.T (D * V) Wp.T, where D
     is the activation derivative at the converged pre-activations, then
-    grad_f = D * V and grad_Wp = (P Y*).T (D * V).  As 0 <= D <= 1, the
-    map contracts by the forward's certified factor.  Like
-    :func:`fixed_point_solve`, the solve starts from zeros unless v0
+    grad_f = D * V and grad_Wp = (P Y*).T (D * V).  D is read from
+    sigma's output there (:meth:`Phi.prox_mask`): a boolean mask, or
+    nothing for the identity, which then multiplies by nothing.  As
+    0 <= D <= 1, the map contracts by the forward's certified factor.
+    Like :func:`fixed_point_solve`, the solve starts from zeros unless v0
     overrides it; a v0 whose shape differs from upstream's raises
     ValueError.
     """
@@ -168,16 +170,21 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=N
     y_star = np.asarray(y_star, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
     p_y = p_op @ y_star
-    d_sigma = cfg.sigma.prox_derivative(p_y @ w_p + fx, 1.0)
+    d_sigma = None
+    if cfg.sigma.kind != "zero":
+        d_sigma = cfg.sigma.prox_mask(cfg.sigma.prox(p_y @ w_p + fx, 1.0))
     p_t = p_op.T
     flops = 2 * p_op.nnz * upstream.shape[1] + 2 * upstream.size * w_p.shape[0]
 
+    def chain(v):
+        return v if d_sigma is None else d_sigma * v
+
     def step(v):
         _kernels.count_dense(flops)
-        return upstream + p_t @ (d_sigma * v) @ w_p.T
+        return upstream + p_t @ chain(v) @ w_p.T
 
     v, _, _ = _picard(step, _start(v0, upstream, "v0", "upstream"), cfg)
-    grad_fx = d_sigma * v
+    grad_fx = chain(v)
     return p_y.T @ grad_fx, grad_fx
 
 

@@ -6,7 +6,8 @@ point, or the linear symmetric implicit special case), and a linear
 output head with softmax cross-entropy.  Backward passes are written by
 hand.  The unrolled backend runs ``unfold``'s layer loop
 (:func:`unfold.unroll`) under the :class:`unfold.PropagationConfig` its
-config builds, keeps the :class:`unfold.Layer` records as its tape, and
+config builds, keeps the :class:`unfold.Layer` records as its tape, each
+slimmed by :func:`unfold.tape_record` to what the reverse reads, and
 hands them to the reverse loop :func:`unfold.unroll_backward`, which
 lives beside the steps it differentiates.
 The implicit and eignn backends share one path through
@@ -41,8 +42,8 @@ from .implicit import (
     implicit_backward,
     project_weights,
 )
-from .unfold import (PropagationConfig, PropagationDivergence, check_variant, unroll,
-                     unroll_backward)
+from .unfold import (PropagationConfig, PropagationDivergence, check_config, tape_record,
+                     unroll, unroll_backward)
 from .unfold import irls_step_bound, step_size_bound  # noqa: F401  patched by perfbench/tracing.py
 
 
@@ -105,7 +106,7 @@ class ModelConfig:
         except ValueError as exc:
             # FixedPointConfig names its tol and max_iters, fp_tol and fp_max_iters here
             raise ValueError(f"fp_{exc}") from exc
-        check_variant(self.energy_spec, self.propagation)
+        check_config(self.energy_spec, self.propagation)
         if self.variant == "normalized" and self.attention_grad == "full":
             raise ValueError("full attention differentiation is supported for "
                              "the plain variant only")
@@ -176,7 +177,9 @@ class _WarmStart:
         past = self._past[system]
         if len(past) < 2:
             return past[-1] if past else None
-        return 2.0 * past[1] - past[0]
+        start = 2.0 * past[1]
+        start -= past[0]
+        return start
 
     def record(self, system, x):
         self._past[system] = self._past[system][-1:] + [x]
@@ -269,9 +272,12 @@ class Model:
         cfg = self.cfg
         if cfg.backend == "unrolled":
             spec = cfg.energy_spec
-            layers = list(unroll(spec, g, fx, cfg.propagation))
-            return (layers[-1].y if layers else fx), {"kind": "unrolled", "spec": spec,
-                                                       "layers": layers}
+            full = cfg.attention_grad == "full"
+            y, layers = fx, []
+            for layer in unroll(spec, g, fx, cfg.propagation):
+                y = layer.y
+                layers.append(tape_record(spec, layer, full))
+            return y, {"kind": "unrolled", "spec": spec, "layers": layers}
         if cfg.backend == "eignn":
             w_p = cfg.eignn.weight(self.params["f_mat"])
         else:
@@ -489,17 +495,16 @@ def min_preactivation_margin(model, g, x):
     """Smallest distance of a pre-prox entry from a kink of its layer's
     prox across unrolled steps: relu's kink is at 0, soft_threshold's at
     |u| = alpha * kappa.  Finite difference checks need this away from
-    the kinks."""
+    the kinks.  The tape keeps no pre-prox point, so the layers are run
+    again from the forward's f(X)."""
+    cfg = model.cfg
+    spec = cfg.energy_spec
+    if cfg.backend != "unrolled" or spec.phi.kind == "zero":
+        return np.inf
     _, cache = model.forward(g, x)
-    prop = cache["prop"]
-    if prop["kind"] != "unrolled" or not prop["layers"]:
-        return np.inf
-    phi = prop["spec"].phi
-    if phi.kind == "zero":
-        return np.inf
-    kink = phi.kappa if phi.kind == "soft_threshold" else 0.0
-    return min(float(np.abs(np.abs(layer.u) - kink * layer.alpha).min())
-               for layer in prop["layers"])
+    kink = spec.phi.kappa if spec.phi.kind == "soft_threshold" else 0.0
+    return min((float(np.abs(np.abs(layer.u) - kink * layer.alpha).min())
+                for layer in unroll(spec, g, cache["fx"], cfg.propagation)), default=np.inf)
 
 
 # ---------------------------------------------------------------------------

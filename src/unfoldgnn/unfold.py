@@ -15,7 +15,8 @@ guards against divergence, and yields one :class:`Layer` per step.
 and returns the gradient wrt f(X), so each step and its adjoint are
 written in this module.  :func:`propagate` records the energy trace,
 residuals and Gamma snapshots from the forward loop; the unrolled model
-backend (``model.py``) keeps the records as its tape.  A layer that
+backend (``model.py``) keeps the records as its tape, each slimmed by
+:func:`tape_record` to what the reverse reads.  A layer that
 refreshes Gamma keeps the edge diagonal it computed and the
 edge-penalty sum, taken in the same pass of rho as Gamma, so the energy
 trace reads the sum and the attention backward the diagonal instead of
@@ -55,7 +56,7 @@ its steps are safe but can be shorter.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -252,6 +253,10 @@ def normalized_step(g, gamma):
 class Layer:
     """One unrolled layer: step k took Y_k to ``y = prox(u, alpha)``.
 
+    :func:`unroll` yields every field; a tape kept for the reverse
+    (:func:`tape_record`) drops ``u``, and ``y`` where the reverse does
+    not read it, to None.
+
     ``gamma`` holds the edge weights the step used, ones before the
     first refresh; ``gamma_step`` is the step whose embedding generated
     them, -1 while they are still ones.  ``lap`` is the sparse Laplacian
@@ -284,23 +289,31 @@ def _start(fx, cfg):
     return y
 
 
-def check_variant(spec, cfg):
-    """Raise ValueError where cfg's variant cannot step spec's energy: the
-    normalized variant takes the simple-mode step, which reads lam alone,
-    on a renormalization of the SELF_LOOP_SYM Laplacian, and cosine rho's
-    weights, negative past z^2 = 4, can take its reweighted degrees
-    below zero."""
-    if cfg.variant != "normalized":
-        return
-    if not spec.simple:
-        raise ValueError("the normalized variant steps the simple-mode energy; "
-                         "a general-mode spec's W_f and W_p would be ignored")
-    if spec.kind is not LaplacianKind.SELF_LOOP_SYM:
-        raise ValueError("the normalized variant steps the self_loop_sym energy; "
-                         f"kind {spec.kind.value} would be ignored")
-    if spec.rho.kind == "cosine" and cfg.attention_schedule:
-        raise ValueError("the normalized variant cannot reweight with cosine rho, whose "
-                         "weights turn negative past z^2 = 4")
+def check_config(spec, cfg):
+    """Raise ValueError where cfg cannot step spec's energy.
+
+    The normalized variant takes the simple-mode step, which reads lam
+    alone, on a renormalization of the SELF_LOOP_SYM Laplacian, and
+    cosine rho's weights, negative past z^2 = 4, can take its reweighted
+    degrees below zero.  Under the plain variant, reweighting with
+    cosine rho takes a user-given alpha only: z^2 - z^4/8 is unbounded
+    below, so its energy has no minimum, and "auto" and "auto_irls",
+    which certify descent, diverge on it as descent proceeds."""
+    cosine = spec.rho.kind == "cosine" and bool(cfg.attention_schedule)
+    if cfg.variant == "normalized":
+        if not spec.simple:
+            raise ValueError("the normalized variant steps the simple-mode energy; "
+                             "a general-mode spec's W_f and W_p would be ignored")
+        if spec.kind is not LaplacianKind.SELF_LOOP_SYM:
+            raise ValueError("the normalized variant steps the self_loop_sym energy; "
+                             f"kind {spec.kind.value} would be ignored")
+        if cosine:
+            raise ValueError("the normalized variant cannot reweight with cosine rho, whose "
+                             "weights turn negative past z^2 = 4")
+    if cosine and isinstance(cfg.alpha, str):
+        raise ValueError(f"cosine rho is unbounded below, so alpha={cfg.alpha!r} cannot "
+                         "certify descent once it reweights: only a user-given alpha is "
+                         "accepted with cosine reweighting")
 
 
 def unroll(spec, g, fx, cfg):
@@ -308,10 +321,10 @@ def unroll(spec, g, fx, cfg):
     :class:`Layer` per step.
 
     Raises PropagationDivergence when the iterate norm passes the guard,
-    and ValueError, before the first step, where :func:`check_variant`
-    rejects the variant for this energy.
+    and ValueError, before the first step, where :func:`check_config`
+    rejects cfg for this energy.
     """
-    check_variant(spec, cfg)
+    check_config(spec, cfg)
     fx = np.asarray(fx, dtype=float)
     bview = incidence(g, spec.kind)
     y = _start(fx, cfg)
@@ -351,17 +364,30 @@ def unroll(spec, g, fx, cfg):
         yield Layer(k, u, y, alpha, gamma, gamma_step, lap, diagonal, penalty)
 
 
+def tape_record(spec, layer, full_attention):
+    """``layer`` as the reverse keeps it: alpha, Gamma, the segment
+    operator, the refresh diagonal and penalty, never u, and y only
+    where :func:`unroll_backward` reads it, for the prox derivative
+    (phi other than zero) or as the input of the Gamma gradient
+    (full_attention).  With phi zero and Gamma a constant of the
+    backward, the tape holds no n x d array per layer."""
+    keep_y = full_attention or spec.phi.kind != "zero"
+    return replace(layer, u=None, y=layer.y if keep_y else None)
+
+
 def unroll_backward(spec, g, fx, layers, d_y, full_attention):
     """Reverse of :func:`unroll` started from Y0 = f(X): pull d(loss)/d(Y_K)
     back through the recorded ``layers`` and return d(loss)/d(f(X)).
 
-    Gamma is a constant of each step between refreshes, and each step's
-    transpose applies the symmetric operator its layer recorded, so both
-    variants take the same reverse step.  full_attention also chains
-    d(loss)/d(Gamma), summed over the steps of a segment, through rho' at
-    the embedding that generated it; it holds for B.T diag(Gamma) B, the
-    plain variant's operator, and ModelConfig rejects it for the
-    normalized one.
+    ``layers`` may be the full records or their :func:`tape_record`s:
+    each prox derivative is :meth:`Phi.prox_mask` of the layer's output,
+    and u is never read.  Gamma is a constant of each step between
+    refreshes, and each step's transpose applies the symmetric operator
+    its layer recorded, so both variants take the same reverse step.
+    full_attention also chains d(loss)/d(Gamma), summed over the steps of
+    a segment, through rho' at the embedding that generated it; it holds
+    for B.T diag(Gamma) B, the plain variant's operator, and ModelConfig
+    rejects it for the normalized one.
     """
     bview = incidence(g, spec.kind)
     d_fx = np.zeros_like(fx)
@@ -369,7 +395,8 @@ def unroll_backward(spec, g, fx, layers, d_y, full_attention):
     for k in reversed(range(len(layers))):
         layer = layers[k]
         alpha, gamma, r = layer.alpha, layer.gamma, layer.gamma_step
-        d_u = spec.phi.prox_derivative(layer.u, alpha) * d_y
+        mask = spec.phi.prox_mask(layer.y)
+        d_u = d_y if mask is None else d_y * mask
         d_y = spec.step_t(d_u, _lap_apply(bview, gamma, layer.lap, d_u), alpha, d_fx)
         if not full_attention or r < 0:
             continue

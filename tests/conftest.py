@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+
 import pytest
 
 from unfoldgnn.experiments import run_experiment
@@ -19,3 +21,19 @@ def attention_robustness(tmp_path_factory):
         return studies[seed]
 
     return study
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args)``: the peak of the memory that tracemalloc
+    traces while ``fn(*args)`` runs, in bytes, counted from zero at the
+    call, so memory held before it does not count."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

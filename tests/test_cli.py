@@ -116,6 +116,18 @@ class TestPropagate:
         assert code == 0
         assert "final_energy=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("alpha", [[], ["--set", "unfold.alpha=auto_irls"]],
+                             ids=["auto", "auto_irls"])
+    def test_cosine_reweighting_takes_a_user_alpha_only(self, alpha, tmp_path, capsys):
+        # cosine rho is unbounded below: on the generated graph this plan ran
+        # into the divergence guard (exit 3) at step 15 under auto and 51 under
+        # auto_irls, with the recorded energy falling at every step
+        code = run_cli(["propagate", "--K", "60", "--rho", "cosine",
+                        "--set", "unfold.kind=combinatorial", "--set", "unfold.attention=0",
+                        *alpha, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "only a user-given alpha is accepted" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("args, message", [
     (["train", "--K", "4", "--set", "unfold.attention=9"], "attention indices"),

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,16 +403,7 @@ class TestGeneratorParity:
 class TestGeneratorMemory:
     """Peak traced allocation: the all-pairs versions need O(n^2)."""
 
-    @staticmethod
-    def traced_peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def test_perturb_edges_bounded_at_n_20000(self):
+    def test_perturb_edges_bounded_at_n_20000(self, traced_peak):
         n = 20000
         rng = np.random.default_rng(0)
         labels = np.repeat([0, 1], n // 2)
@@ -421,10 +411,10 @@ class TestGeneratorMemory:
         ds = make_dataset(g, np.zeros((n, 1)), labels,
                           stratified_masks(labels, 0.2, 0.2, rng))
         # listing the 10^8 cross-class pairs would take well over 1 GB
-        assert self.traced_peak(perturb_edges, ds, PerturbSpec(rate=0.2)) < 32 * 2 ** 20
+        assert traced_peak(perturb_edges, ds, PerturbSpec(rate=0.2)) < 32 * 2 ** 20
 
-    def test_sbm_generate_bounded_at_n_10000(self):
+    def test_sbm_generate_bounded_at_n_10000(self, traced_peak):
         spec = SbmSpec(blocks=(5000, 5000), p_in=0.002, p_out=0.0005, feature_dim=4)
-        # triu_indices alone would take 800 MB; one block of draws is 8 MB, and
-        # per-pair index arrays for a whole block beside it would pass 32 MB
-        assert self.traced_peak(sbm_generate, spec) < 32 * 2 ** 20
+        # triu_indices alone would take 800 MB and all 5e7 draws at once
+        # 400 MB; one block of draws is 1 MB
+        assert traced_peak(sbm_generate, spec) < 32 * 2 ** 20

@@ -439,6 +439,41 @@ class TestUnrolledBackwardIsJacobianTranspose:
                                    rtol=0.0, atol=1e-10)
 
 
+class TestUnrolledTapeMemory:
+    """The unrolled tape keeps no n x d array per layer where the reverse
+    reads none: phi zero with the attention weights held constant.  One
+    loss_and_grads on a sandwich schedule at K = 8 and K = 32, n = 2000,
+    d = 16, peak traced memory compared."""
+
+    N, D = 2000, 16
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        rng = np.random.default_rng(0)
+        n = self.N
+        g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+        return g, rng.normal(size=(n, 4)), rng.integers(0, 2, size=n), np.arange(0, n, 4)
+
+    @pytest.mark.parametrize("phi, grad, per_layer", [
+        (phi_zero(), "stop", 0), (phi_relu(), "stop", 1), (phi_zero(), "full", 1)],
+        ids=["zero-stop", "relu-stop", "zero-full"])
+    def test_peak_growth_per_layer(self, instance, traced_peak, phi, grad, per_layer):
+        g, x, labels, rows = instance
+        peaks = {}
+        for k in (8, 32):
+            cfg = ModelConfig(backend="unrolled", embed_dim=self.D, n_classes=2, steps=k,
+                              alpha="auto", rho=rho_log(eps=0.5), phi=phi,
+                              attention_schedule=sandwich_schedule(k), attention_grad=grad)
+            model = Model(x.shape[1], cfg, seed=0)
+            loss_and_grads(model, g, x, labels, rows)  # the graph's operators, built once
+            peaks[k] = traced_peak(loss_and_grads, model, g, x, labels, rows)
+        array = self.N * self.D * 8
+        growth = peaks[32] - peaks[8]
+        # relu keeps each layer's Y for its prox derivative, and full attention
+        # each layer's Y as the input of a Gamma gradient; neither keeps U
+        assert abs(growth - 24 * per_layer * array) <= array, growth / (24 * array)
+
+
 class TestFixedPointBackendsMatchSolver:
     """The implicit and eignn backends are the fixed-point solve and its
     adjoint, called with the backend's weight and activation."""

@@ -13,6 +13,7 @@ from unfoldgnn.energy import (
     energy_eval,
     from_symmetric_pair,
     phi_relu,
+    phi_soft_threshold,
     phi_zero,
     rho_absolute,
     rho_cosine,
@@ -32,6 +33,7 @@ from unfoldgnn.unfold import (
     propagate,
     sandwich_schedule,
     step_size_bound,
+    tape_record,
     trace_to_csv,
     unroll,
     unroll_backward,
@@ -99,6 +101,17 @@ def abridged_gradient_step(spec, bview, y, fx, gamma, alpha):
 def random_psd(rng, d, scale=1.0):
     a = rng.normal(size=(d, d))
     return scale * (a @ a.T / d + 0.05 * np.eye(d))
+
+
+def prox_derivative_at_u(phi, u, alpha):
+    """The prox's elementwise derivative at its input u (0 at the kinks),
+    as floats: the reference that Phi.prox_mask, read from the output,
+    must reproduce."""
+    if phi.kind == "zero":
+        return np.ones_like(u)
+    if phi.kind == "relu":
+        return (u > 0).astype(float)
+    return (np.abs(u) > alpha * phi.kappa).astype(float)
 
 
 # the Table-1 penalties: concave, non-decreasing, bounded gradient at 0
@@ -752,6 +765,22 @@ class TestVariants:
         unweighted = PropagationConfig(steps=4, alpha=0.5, variant="normalized")
         assert np.isfinite(propagate(spec, g, fx, unweighted).y).all()
 
+    def test_cosine_reweighting_takes_a_user_alpha_only(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        fx = np.array([[0.0], [0.5], [0.0], [0.5]])
+        spec = EnergySpec(rho=rho_cosine(), lam=1.0, kind=LaplacianKind.SELF_LOOP_SYM)
+        for alpha in ("auto", "auto_irls"):
+            cfg = PropagationConfig(steps=4, alpha=alpha, attention_schedule=(0,))
+            with pytest.raises(ValueError, match="only a user-given alpha"):
+                next(unroll(spec, g, fx, cfg))
+            with pytest.raises(ValueError, match="only a user-given alpha"):
+                ModelConfig(rho=rho_cosine(), steps=4, alpha=alpha, attention_schedule=(0,))
+            # without a refresh the weights stay ones
+            unweighted = PropagationConfig(steps=4, alpha=alpha)
+            assert np.isfinite(propagate(spec, g, fx, unweighted).y).all()
+        cfg = PropagationConfig(steps=4, alpha=0.3, attention_schedule=(0,))
+        assert np.isfinite(propagate(spec, g, fx, cfg).y).all()
+
     def test_normalized_rejects_full_attention_gradient(self):
         # the Gamma gradient differentiates B.T diag(gamma) B, not the
         # renormalized Laplacian the normalized variant steps with
@@ -826,7 +855,7 @@ def reference_normalized_unroll(spec, g, fx, cfg, d_y):
         y = spec.phi.prox(u, alpha)
     d_fx = np.zeros_like(fx)
     for u, alpha, used in reversed(tape):
-        d_u = spec.phi.prox_derivative(u, alpha) * d_y
+        d_u = prox_derivative_at_u(spec.phi, u, alpha) * d_y
         d_fx += alpha * d_u
         d_y = normalized_step(g, d_u, 0.0, alpha, spec.lam, gamma=used)
     return y, d_fx + d_y
@@ -1109,6 +1138,107 @@ class TestRefreshDiagonal:
         one_step = sum(s + 1 in schedule or s + 1 == k for s in schedule)
         shared = mode == "general" or kind is COMB
         assert separate_ops - shared_ops == (one_step * 2 * m * d if shared else 0)
+
+
+def reference_u_backward(spec, g, fx, layers, d_y, full_attention):
+    """unroll_backward as written on the pre-prox points: each layer's
+    prox derivative taken at its u, through a float array of ones for
+    phi zero."""
+    bview = incidence(g, spec.kind)
+    d_fx = np.zeros_like(fx)
+    d_gamma = 0.0
+    for k in reversed(range(len(layers))):
+        layer = layers[k]
+        alpha, gamma, r = layer.alpha, layer.gamma, layer.gamma_step
+        d_u = prox_derivative_at_u(spec.phi, layer.u, alpha) * d_y
+        lap_du = unfold_module._lap_apply(bview, gamma, layer.lap, d_u)
+        d_y = spec.step_t(d_u, lap_du, alpha, d_fx)
+        if not full_attention or r < 0:
+            continue
+        y_k = layers[k - 1].y if k else fx
+        d_gamma = d_gamma + spec.step_gamma_t(bview, y_k, d_u, alpha)
+        if k == r:
+            d_y = d_y + spec.edge_form_t(bview, y_k, d_gamma * spec.rho.grad2(layer.diagonal))
+            d_gamma = 0.0
+    return d_fx + d_y
+
+
+PHIS = [phi_zero(), phi_relu(), phi_soft_threshold(0.3)]
+
+
+class TestOutputFormReverse:
+    """The reverse reads each prox derivative from the layer's output, and
+    the model's tape keeps only what the reverse reads."""
+
+    @pytest.mark.parametrize("phi", [phi_zero(), phi_relu(), phi_soft_threshold(0.0),
+                                     phi_soft_threshold(0.7)],
+                             ids=["zero", "relu", "soft0", "soft"])
+    def test_prox_mask_is_the_derivative_at_u(self, phi):
+        alpha = 0.5
+        kink = alpha * phi.kappa if phi.kind == "soft_threshold" else 0.0
+        tiny = np.nextafter(0.0, 1.0)
+        u = np.concatenate([
+            [0.0, -0.0, tiny, -tiny, kink, -kink, np.nextafter(kink, np.inf),
+             np.nextafter(-kink, -np.inf), np.nextafter(kink, 0.0), 1e300, -1e300,
+             np.inf, -np.inf],
+            np.random.default_rng(70).normal(size=200)])
+        mask = phi.prox_mask(phi.prox(u, alpha))
+        want = prox_derivative_at_u(phi, u, alpha)
+        if phi.kind == "zero":
+            assert mask is None and (want == 1.0).all()
+        else:
+            assert mask.dtype == bool
+            assert mask.astype(float).tobytes() == want.tobytes()
+
+    # the normalized variant takes self_loop_sym and stopped attention only
+    PLANS = [(full, "plain", kind) for full in (False, True) for kind in LaplacianKind] \
+        + [(False, "normalized", LaplacianKind.SELF_LOOP_SYM)]
+
+    @pytest.mark.parametrize("alpha", [0.3, "auto_irls"])
+    @pytest.mark.parametrize("full, variant, kind", PLANS,
+                             ids=[f"{'full' if f else 'stop'}-{v}-{k.name}" for f, v, k in PLANS])
+    @pytest.mark.parametrize("phi", PHIS, ids=["zero", "relu", "soft"])
+    def test_matches_the_u_based_reverse_bitwise(self, phi, full, variant, kind, alpha):
+        rng = np.random.default_rng(71)
+        g = build_graph(12, random_graph(rng, 11, p=0.35).edges)  # node 11 is isolated
+        fx = rng.normal(size=(g.n, 3))
+        d_y = rng.normal(size=(g.n, 3))
+        d_y_in = d_y.copy()
+        spec = EnergySpec(rho=rho_log(eps=0.5), phi=phi, lam=1.2, kind=kind)
+        cfg = PropagationConfig(steps=7, alpha=alpha, variant=variant,
+                                attention_schedule=(0, 3, 4), record_trace=False)
+        layers = list(unroll(spec, g, fx, cfg))
+        if phi.kind != "zero":
+            assert any((layer.y == 0).any() for layer in layers)  # the mask is not all ones
+        tape = [tape_record(spec, layer, full) for layer in layers]
+        assert all(rec.u is None for rec in tape)
+        assert all((rec.y is None) == (phi.kind == "zero" and not full) for rec in tape)
+        want = reference_u_backward(spec, g, fx, layers, d_y, full)
+        for records in (tape, layers):
+            got = unroll_backward(spec, g, fx, records, d_y, full)
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(d_y, d_y_in)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["stop", "full"])
+    @pytest.mark.parametrize("phi", PHIS, ids=["zero", "relu", "soft"])
+    def test_model_tape_keeps_what_the_reverse_reads(self, phi, full):
+        rng = np.random.default_rng(72)
+        n, k = 30, 6
+        g = random_graph(rng, n, p=0.2)
+        cfg = ModelConfig(backend="unrolled", embed_dim=3, n_classes=2, steps=k, alpha="auto",
+                          rho=rho_log(eps=0.5), phi=phi, kind=COMB,
+                          attention_schedule=sandwich_schedule(k),
+                          attention_grad="full" if full else "stop")
+        model = Model(4, cfg, seed=3)
+        logits, cache = model.forward(g, rng.normal(size=(n, 4)))
+        layers = cache["prop"]["layers"]
+        assert len(layers) == k and all(layer.u is None for layer in layers)
+        if phi.kind == "zero" and not full:
+            assert all(layer.y is None for layer in layers)
+        else:
+            assert all(layer.y is not None for layer in layers)
+            assert layers[-1].y is cache["y"]
+        np.testing.assert_array_equal(logits, cache["y"] @ model.params["w_g"].T)
 
 
 def _digest(arrays):
