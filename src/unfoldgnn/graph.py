@@ -30,7 +30,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _kernels
 
@@ -362,10 +361,17 @@ def spectral_norm(mat):
     ``svds``, converged to machine precision, from a fixed seeded start
     vector so that repeated calls agree.  (A vector of ones would be
     zero after one product with the combinatorial Laplacian.)
+
+    ``scipy.sparse.linalg`` (ARPACK, SuperLU and scipy.linalg's LAPACK,
+    about 10 MB resident with scipy 1.17) is imported at the first
+    Lanczos solve, not with the package: ``alpha="auto"`` under the plain
+    variant and ||P|| under COMBINATORIAL load it, while the normalized
+    kinds' dense or exactly-1 norms and all-zero input never do.
     """
     if sp.issparse(mat) and min(mat.shape) >= 3:
         if not np.any(mat.data):
             return 0.0
+        import scipy.sparse.linalg as spla
         v0 = np.random.default_rng(0).standard_normal(min(mat.shape))
         return float(spla.svds(mat, k=1, v0=v0, return_singular_vectors=False)[0])
     dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)

@@ -276,7 +276,7 @@ class Model:
             y, layers = fx, []
             for layer in unroll(spec, g, fx, cfg.propagation):
                 y = layer.y
-                layers.append(tape_record(spec, layer, full))
+                layers.append(tape_record(spec, layer, full, cfg.propagation.attention_schedule))
             return y, {"kind": "unrolled", "spec": spec, "layers": layers}
         if cfg.backend == "eignn":
             w_p = cfg.eignn.weight(self.params["f_mat"])

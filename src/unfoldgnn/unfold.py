@@ -48,7 +48,8 @@ step direction is half the exact gradient of the recorded energy, and
 mode steps along the full gradient of the matrix energy.
 
 :func:`step_size_bound` takes ||L|| from a Lanczos solve, once per
-graph (the norm is cached with the graph's operators).
+graph (the norm is cached with the graph's operators), and checks the
+step against the certified O(m) bound below.
 :func:`irls_step_bound`, recomputed at every layer of ``auto_irls``,
 uses a certified O(m) upper bound on ||B.T G B|| from the weighted
 degrees instead: it never falls below the norm and may exceed it, so
@@ -60,7 +61,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _kernels
 from .artifacts import write_csv
@@ -191,9 +191,20 @@ def step_size_bound(spec, g):
     concave rho and any prox in the menu: :meth:`EnergySpec.step_bound`
     at ||L|| with the weights capped by the largest edge weight a layer
     can apply, max(rho'(0), 1): Gamma is ones until the first refresh,
-    so a rho whose weights stay below 1 is not yet in force."""
-    lap_norm = g.operators(spec.kind).laplacian_norm * (1.0 + _NORM_SLACK)
-    return spec.step_bound(lap_norm, max(spec.rho.grad_max(), 1.0))
+    so a rho whose weights stay below 1 is not yet in force.
+
+    ||L|| is theta, ARPACK's Ritz value, an estimate.  A proximal
+    gradient step with a convex prox descends at any step below 2 / Lip,
+    so the step at theta is kept only where it is below twice the step at
+    c, the certified O(m) upper bound on ||L|| of
+    :func:`_weighted_lap_norm_bound` at Gamma = 1; elsewhere the step at
+    c is taken.  Since c <= 2 ||L||, the step at a correct theta always
+    passes."""
+    bview = incidence(g, spec.kind)
+    cap = max(spec.rho.grad_max(), 1.0)
+    alpha = spec.step_bound(g.operators(spec.kind).laplacian_norm * (1.0 + _NORM_SLACK), cap)
+    certified = spec.step_bound(_weighted_lap_norm_bound(bview, np.ones(bview.n_edge_rows)), cap)
+    return alpha if alpha < 2.0 * certified else certified
 
 
 def irls_step_bound(spec, bview, gamma):
@@ -215,10 +226,14 @@ def closed_form_solution(g, fx, lam, kind):
     Conjugate gradients per column, since I + lam * L is SPD for
     lam >= 0; a sparse LU fills in badly on a random graph: at n=4000,
     m=12k (2 cores, scipy 1.17.1) spsolve took 3.6-3.9 s and CG 4-10 ms
-    for two columns, and at n=50 both took about 1 ms."""
+    for two columns, and at n=50 both took about 1 ms.  CG's module,
+    ``scipy.sparse.linalg``, is imported here on first use, so only the
+    closed-form checks and ``alpha="auto"``'s Lanczos norm
+    (:func:`graph.spectral_norm`) load it."""
     fx = np.asarray(fx, dtype=float)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    import scipy.sparse.linalg as spla
     a = sp.identity(g.n, format="csr") + lam * laplacian(g, kind)
     y = np.empty_like(fx)
     for j in range(fx.shape[1]):
@@ -254,8 +269,8 @@ class Layer:
     """One unrolled layer: step k took Y_k to ``y = prox(u, alpha)``.
 
     :func:`unroll` yields every field; a tape kept for the reverse
-    (:func:`tape_record`) drops ``u``, and ``y`` where the reverse does
-    not read it, to None.
+    (:func:`tape_record`) drops ``u``, and ``y`` and ``diagonal`` where
+    the reverse does not read them, to None.
 
     ``gamma`` holds the edge weights the step used, ones before the
     first refresh; ``gamma_step`` is the step whose embedding generated
@@ -364,15 +379,19 @@ def unroll(spec, g, fx, cfg):
         yield Layer(k, u, y, alpha, gamma, gamma_step, lap, diagonal, penalty)
 
 
-def tape_record(spec, layer, full_attention):
+def tape_record(spec, layer, full_attention, schedule):
     """``layer`` as the reverse keeps it: alpha, Gamma, the segment
-    operator, the refresh diagonal and penalty, never u, and y only
-    where :func:`unroll_backward` reads it, for the prox derivative
-    (phi other than zero) or as the input of the Gamma gradient
-    (full_attention).  With phi zero and Gamma a constant of the
-    backward, the tape holds no n x d array per layer."""
-    keep_y = full_attention or spec.phi.kind != "zero"
-    return replace(layer, u=None, y=layer.y if keep_y else None)
+    operator and the penalty, never u, and y and the refresh diagonal
+    only where :func:`unroll_backward` reads them.  It reads y for the
+    prox derivative (phi other than zero) and, under full_attention, as
+    the input of the next layer's Gamma gradient, which it takes from the
+    first refresh in ``schedule`` on; it reads the diagonal only under
+    full_attention.  With phi zero and Gamma a constant of the backward,
+    the tape holds no n x d array per layer."""
+    gamma_reads_y = full_attention and any(r <= layer.k + 1 for r in schedule)
+    keep_y = gamma_reads_y or spec.phi.kind != "zero"
+    return replace(layer, u=None, y=layer.y if keep_y else None,
+                   diagonal=layer.diagonal if full_attention else None)
 
 
 def unroll_backward(spec, g, fx, layers, d_y, full_attention):

@@ -1,10 +1,16 @@
 """Fixtures shared by the test modules."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from unfoldgnn.experiments import run_experiment
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +43,22 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def fresh_python():
+    """``fresh_python(code)``: run the snippet ``code`` in a new
+    interpreter with the package's ``src`` first on its path, and return
+    the JSON it prints on its last line of output.  A nonzero exit fails
+    the test with the child's stderr.  The pytest process has imported
+    every module the suite touches, so what a program loads can only be
+    seen in a new one."""
+    def run(code):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        if proc.returncode != 0:
+            pytest.fail(f"the snippet exited {proc.returncode}:\n{proc.stderr}")
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    return run

@@ -412,6 +412,38 @@ class TestStepSizeBound:
         out = propagate(spec, g, fx, PropagationConfig(steps=60))
         np.testing.assert_allclose(out.y, closed_form_solution(g, fx, 1.0, COMB), atol=1e-4)
 
+    @pytest.mark.parametrize("mode, kind", [("simple", COMB)] + [
+        ("exact", kind) for kind in LaplacianKind], ids=lambda x: getattr(x, "name", x))
+    def test_auto_step_falls_back_to_the_certified_bound(self, mode, kind):
+        # a Lanczos ||L|| ten times too small would step past 2 / Lip; the
+        # certified O(m) bound at Gamma = 1 catches it and sizes the step.
+        # Simple mode's trace is its energy under COMBINATORIAL only.
+        rng = np.random.default_rng(45)
+        g = random_graph(rng, 40, p=0.15)
+        rho = rho_log(eps=0.5)
+        if mode == "simple":
+            spec = EnergySpec(rho=rho, lam=1.5, kind=kind)
+        else:
+            spec = EnergySpec(rho=rho, kind=kind, simple=False, w_fid=random_psd(rng, 3),
+                              w_prop=random_psd(rng, 3, scale=0.5), gradient_mode=mode)
+        cap = max(rho.grad_max(), 1.0)
+        ops = g.operators(kind)
+        kept = step_size_bound(spec, g)
+        assert kept == spec.step_bound(ops.laplacian_norm * (1.0 + 1e-12), cap)
+        ops.__dict__["laplacian_norm"] = ops.laplacian_norm / 10.0  # the cached value
+        bview = incidence(g, kind)
+        certified = spec.step_bound(unfold_module._weighted_lap_norm_bound(bview, np.ones(g.m)),
+                                    cap)
+        wrong = spec.step_bound(ops.laplacian_norm * (1.0 + 1e-12), cap)
+        assert wrong >= 2.0 * certified
+        assert step_size_bound(spec, g) == certified < kept
+        fx = rng.normal(size=(g.n, 3))
+        # under COMBINATORIAL the wrong step is far enough past 2 / Lip to rise
+        for alpha, ok in [("auto", True)] + [(wrong, False)] * (kind is COMB):
+            cfg = PropagationConfig(steps=10, alpha=alpha, attention_schedule=(5,))
+            report = verify_descent(propagate(spec, g, fx, cfg))
+            assert report["ok"] == ok, report
+
     @pytest.mark.parametrize("rho", [rho_truncated_quadratic(tau=0.0), rho_log(eps=4.0),
                                      rho_truncated_lp(p=0.5, tau=1.5, big_t=2.0)],
                              ids=lambda r: r.kind)
@@ -1210,9 +1242,12 @@ class TestOutputFormReverse:
         layers = list(unroll(spec, g, fx, cfg))
         if phi.kind != "zero":
             assert any((layer.y == 0).any() for layer in layers)  # the mask is not all ones
-        tape = [tape_record(spec, layer, full) for layer in layers]
+        tape = [tape_record(spec, layer, full, cfg.attention_schedule) for layer in layers]
         assert all(rec.u is None for rec in tape)
+        # the first refresh is at step 0, so full attention reads every layer's y
         assert all((rec.y is None) == (phi.kind == "zero" and not full) for rec in tape)
+        assert all((rec.diagonal is None) == (not full or rec.gamma_step != rec.k)
+                   for rec in tape)
         want = reference_u_backward(spec, g, fx, layers, d_y, full)
         for records in (tape, layers):
             got = unroll_backward(spec, g, fx, records, d_y, full)
@@ -1233,11 +1268,18 @@ class TestOutputFormReverse:
         logits, cache = model.forward(g, rng.normal(size=(n, 4)))
         layers = cache["prop"]["layers"]
         assert len(layers) == k and all(layer.u is None for layer in layers)
-        if phi.kind == "zero" and not full:
-            assert all(layer.y is None for layer in layers)
+        r0 = min(sandwich_schedule(k))
+        if phi.kind != "zero":  # every layer's y, for its prox derivative
+            kept = range(k)
+        elif full:  # the y each Gamma gradient reads, from the layer before the first refresh
+            kept = range(r0 - 1, k)
         else:
-            assert all(layer.y is not None for layer in layers)
+            kept = ()
+        assert [layer.y is not None for layer in layers] == [j in kept for j in range(k)]
+        if kept:
             assert layers[-1].y is cache["y"]
+        assert [layer.diagonal is not None for layer in layers] == [full and j == r0
+                                                                   for j in range(k)]
         np.testing.assert_array_equal(logits, cache["y"] @ model.params["w_g"].T)
 
 
