@@ -120,9 +120,10 @@ class Graph:
 class GraphOperators:
     """The operators of one graph under one Laplacian kind, each built on
     first use and kept: the incidence view (with its CSR ``B`` and
-    ``B.T``), the Laplacian, the propagation matrix and their spectral
-    norms.  The bundle shares the graph's arrays, not the graph, so the
-    two form no reference cycle."""
+    ``B.T``), the Laplacian, the propagation matrix, their spectral norms
+    and the certified O(m) bound on the Laplacian's.  The bundle shares
+    the graph's arrays, not the graph, so the two form no reference
+    cycle."""
 
     def __init__(self, arrays, kind):
         self.n, self.edges = arrays.n, arrays.edges
@@ -166,14 +167,25 @@ class GraphOperators:
         return spectral_norm(self.laplacian)
 
     @cached_property
+    def laplacian_norm_bound(self):
+        """The certified O(m) upper bound on ||L|| of
+        :meth:`IncidenceView.norm_bound` at unit edge weights."""
+        return self.incidence.norm_bound(np.ones(self.incidence.n_edge_rows))
+
+    @cached_property
     def propagation_norm(self):
-        """||P||, exactly 1 under the normalized kinds when n > 0: P is
-        symmetric with spectrum in [-1, 1], D^{1/2} 1 (D~^{1/2} 1 under
-        SELF_LOOP_SYM) on any component with an edge is an eigenvector at
-        1, and an isolated node's row of P is e_i."""
+        """||P|| for P = I - L, read from ||L|| without a solve of its own
+        (0 when n = 0).  Under COMBINATORIAL the spectrum of L lies in
+        [0, ||L||] and holds both ends (L 1 = 0), so ||P|| is
+        max(1, ||L|| - 1), as exact as ||L||.  Under the normalized kinds
+        it is exactly 1: P is symmetric with spectrum in [-1, 1], D^{1/2} 1
+        (D~^{1/2} 1 under SELF_LOOP_SYM) on any component with an edge is
+        an eigenvector at 1, and an isolated node's row of P is e_i."""
+        if not self.n:
+            return 0.0
         if self.kind is LaplacianKind.COMBINATORIAL:
-            return spectral_norm(self.propagation)
-        return 1.0 if self.n else 0.0
+            return max(1.0, self.laplacian_norm - 1.0)
+        return 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,6 +242,27 @@ class IncidenceView:
     def weighted_laplacian(self, gamma):
         """B.T @ diag(gamma) @ B over the edge rows, assembled as CSR."""
         return _kernels.weighted_lap_assemble(gamma, self.b, self.bt)
+
+    def norm_bound(self, gamma):
+        """Certified upper bound on ||B.T diag(gamma) B|| over the edge rows,
+        in O(m): max over edges (u, v) of s_u^2 d(u) + s_v^2 d(v), where s is
+        the incidence scale and d(i) sums |gamma| over the edges at i.
+
+        ||B.T G B|| <= rho(|B|.T |G| |B|), whose nonzero spectrum is that of
+        the nonnegative |B| |B|.T |G|; row e of that matrix sums to the
+        expression above, and the largest row sum bounds the spectral
+        radius.  For gamma >= 0 it is at most twice the norm, since each
+        s_i^2 d(i) is a diagonal entry of B.T G B; it is exact on a single
+        edge and 1.2-1.9x the norm on the random graphs tried.
+        """
+        if self.n_edge_rows == 0:
+            return 0.0
+        w = np.abs(gamma)  # rho'(z^2) can be negative (cosine rho)
+        d = np.bincount(self.eu, weights=w, minlength=self.n) \
+            + np.bincount(self.ev, weights=w, minlength=self.n)
+        if self.raw is self:  # unit scales: s_i^2 d(i) is d(i)
+            return float(np.max(d[self.eu] + d[self.ev]))
+        return float(np.max(self.su ** 2 * d[self.eu] + self.sv ** 2 * d[self.ev]))
 
 
 def _edge_rows(n, eu, ev, su, sv):
@@ -356,26 +389,116 @@ def incidence(g, kind):
 def spectral_norm(mat):
     """Largest singular value of a dense array or sparse matrix.
 
-    Dense input, and sparse input with a side below 3, gets LAPACK's SVD
-    (exact).  Other sparse input gets ARPACK's Lanczos solve through
-    ``svds``, converged to machine precision, from a fixed seeded start
-    vector so that repeated calls agree.  (A vector of ones would be
-    zero after one product with the combinatorial Laplacian.)
-
-    ``scipy.sparse.linalg`` (ARPACK, SuperLU and scipy.linalg's LAPACK,
-    about 10 MB resident with scipy 1.17) is imported at the first
-    Lanczos solve, not with the package: ``alpha="auto"`` under the plain
-    variant and ||P|| under COMBINATORIAL load it, while the normalized
-    kinds' dense or exactly-1 norms and all-zero input never do.
+    Dense input, and sparse input with a side below 64, gets LAPACK's SVD
+    (exact).  Other sparse input gets :func:`_lanczos_norm`, a numpy
+    Lanczos solve in O(n) memory converged to machine precision, so no
+    norm loads ``scipy.sparse.linalg``.  Below 64 the recurrence exhausts
+    the space within a read and then adds a copy of the top Ritz value
+    every few steps, each with its own rounding, so its value creeps from
+    read to read (a 4-node matrix read 8 ulps off after 30 steps).
     """
-    if sp.issparse(mat) and min(mat.shape) >= 3:
+    if sp.issparse(mat) and min(mat.shape) >= 64:
         if not np.any(mat.data):
             return 0.0
-        import scipy.sparse.linalg as spla
-        v0 = np.random.default_rng(0).standard_normal(min(mat.shape))
-        return float(spla.svds(mat, k=1, v0=v0, return_singular_vectors=False)[0])
+        return _lanczos_norm(mat)
     dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
     return float(np.linalg.norm(dense, 2))
+
+
+# A Lanczos solve reads its top Ritz value every max(10, k // 16) steps,
+# and gives up past 10 steps per dimension of its Gram matrix (exact
+# arithmetic ends within one; random graphs took 20-300 steps, a path
+# about 0.8 per node)
+_LANCZOS_READ_EVERY = 10
+_LANCZOS_STEPS_PER_DIM = 10
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _lanczos_norm(mat):
+    """||mat|| for a nonzero sparse matrix: the square root of the top
+    eigenvalue of its Gram matrix on the shorter side (mat.T @ mat or
+    mat @ mat.T), by the plain three-term Lanczos recurrence from
+    ``default_rng(0)``'s normal vector, so repeated calls agree (a vector
+    of ones would be zero after one product with the combinatorial
+    Laplacian).
+
+    Only the current and previous Lanczos vectors are kept: O(n) memory,
+    no basis.  Without reorthogonalization they lose orthogonality in
+    finite precision, which only adds copies of converged Ritz values and
+    leaves the top one intact (Paige's analysis of the Lanczos process).
+    The top eigenvalue of the tridiagonal matrix is read by bisection
+    (:func:`_tridiagonal_top`) every max(10, k // 16) steps, so a long
+    solve overshoots its convergence by at most a sixteenth.  The solve stops when that value has moved by
+    at most four roundings since the last read (each copy of it carries
+    its own rounding) or when the recurrence breaks down (the Krylov space
+    is invariant, so the value is exact), and raises RuntimeError past its
+    step cap, as ARPACK does when it fails to converge.
+    """
+    a = mat if mat.shape[0] >= mat.shape[1] else mat.T
+    at = a.T
+    q = np.random.default_rng(0).standard_normal(a.shape[1])
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros_like(q)
+    alphas, betas2 = [], [0.0]
+    theta = reach = beta = alpha_max = 0.0
+    max_steps = _LANCZOS_STEPS_PER_DIM * q.size
+    read_at = _LANCZOS_READ_EVERY
+    for k in range(1, max_steps + 1):
+        w = at @ (a @ q)
+        w -= beta * q_prev
+        alpha = float(q @ w)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        alpha_max = max(alpha_max, alpha)
+        broke_down = beta <= _EPS * alpha_max
+        if broke_down or k == read_at:
+            # the first read brackets the top between 0 (the Gram matrix is
+            # PSD) and Gershgorin's bound; later ones guess from the last move
+            top = _tridiagonal_top(alphas, betas2, theta,
+                                   reach or alpha_max + 2.0 * math.sqrt(max(betas2)))
+            if broke_down or top - theta <= 4.0 * _EPS * top:
+                return math.sqrt(top)
+            theta, reach = top, 2.0 * (top - theta)
+            read_at = k + max(_LANCZOS_READ_EVERY, k // 16)
+        betas2.append(beta * beta)
+        w /= beta
+        q_prev, q = q, w
+    raise RuntimeError(f"Lanczos norm did not converge in {max_steps} steps")
+
+
+def _tridiagonal_top(alphas, betas2, lo, reach):
+    """The largest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal ``alphas`` and squared off-diagonal ``betas2[1:]``
+    (``betas2[0]`` is 0), to within adjacent floats, by bisection on
+    Sturm counts in O(k) time per count and O(1) memory beyond the
+    entries.  ``lo`` bounds the eigenvalue from below and ``lo + reach``
+    is a first guess at an upper bound (reach > 0 unless lo is the
+    eigenvalue); a guess still below it becomes the new lower bound, and
+    the bracket triples until its top end is above."""
+    hi = lo + reach
+    while _has_eigenvalue_above(alphas, betas2, hi):
+        lo, hi = hi, hi + 2.0 * (hi - lo)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _has_eigenvalue_above(alphas, betas2, mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _has_eigenvalue_above(alphas, betas2, x):
+    """Whether the tridiagonal matrix has an eigenvalue above x: by
+    Sylvester's law of inertia, whether a pivot of the LDL.T factorization
+    of T - x I is positive.  A zero pivot is taken as the smallest negative
+    normal float, as LAPACK's bisection does."""
+    d = 1.0
+    for a, b2 in zip(alphas, betas2):
+        d = a - x - b2 / (d or -_TINY)
+        if d > 0:
+            return True
+    return False
 
 
 def homophily_ratio(g, labels):

@@ -8,10 +8,11 @@ gradients off it.  One Picard loop serves the solve and its adjoint, so
 both stop, and fail, the same way.  Both start from zeros unless the
 caller passes a start (``y0``, ``v0``); training passes the previous
 epochs' solutions, and uniqueness makes the start immaterial to the
-answer.  Each solve reports the certified contraction factor
-c = ||Wp||_2 ||P||_2 and the error bound c / (1 - c) * residual it
-implies.  The linear symmetric model (EIGNN) is the identity-sigma case
-with a weight derived from F.
+answer.  Each solve reports the contraction factor c = ||Wp||_2 ||P||_2
+and the error bound c / (1 - c) * residual it implies (see
+:class:`FixedPointResult` for when c is certified).  The linear
+symmetric model (EIGNN) is the identity-sigma case with a weight derived
+from F.
 """
 
 import math
@@ -47,9 +48,12 @@ class FixedPointConfig:
 
 @dataclass
 class FixedPointResult:
-    """contraction is the certified factor c = ||Wp||_2 ||P||_2 (sigma is
+    """contraction is the factor c = ||Wp||_2 ||P||_2 (sigma is
     1-Lipschitz), and error_bound = c / (1 - c) * residual bounds the
-    distance from y to the fixed point (inf when c >= 1).
+    distance from y to the fixed point (inf when c >= 1).  c is certified
+    under the normalized kinds, where ||P|| is exactly 1; under
+    COMBINATORIAL ||P|| = max(1, ||L|| - 1) reads the Lanczos estimate of
+    ||L||, so c and the bound are estimates there.
     contraction_estimate is the median ratio of the last residuals."""
 
     y: np.ndarray

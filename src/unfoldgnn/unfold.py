@@ -49,7 +49,7 @@ mode steps along the full gradient of the matrix energy.
 
 :func:`step_size_bound` takes ||L|| from a Lanczos solve, once per
 graph (the norm is cached with the graph's operators), and checks the
-step against the certified O(m) bound below.
+step against a certified O(m) bound, cached beside it.
 :func:`irls_step_bound`, recomputed at every layer of ``auto_irls``,
 uses a certified O(m) upper bound on ||B.T G B|| from the weighted
 degrees instead: it never falls below the norm and may exceed it, so
@@ -69,8 +69,8 @@ from .graph import IncidenceView, LaplacianKind, incidence, laplacian
 from .graph import propagation_matrix, spectral_norm  # noqa: F401  patched by perfbench/tracing.py
 
 DIVERGENCE_LIMIT = 1e12
-# A Lanczos ||L|| can land a few ulps below the exact norm; this slack keeps
-# the auto step at or below the step the exact norm gives.
+# The Lanczos ||L|| is a Ritz value, which can land a few ulps below the
+# exact norm; this slack keeps the auto step at or below the exact norm's step.
 _NORM_SLACK = 1e-12
 CLOSED_FORM_TOL = 1e-10
 
@@ -164,28 +164,6 @@ def _segment_laplacian(g, bview, gamma, unit, steps, normalized):
     return bview.weighted_laplacian(gamma)
 
 
-def _weighted_lap_norm_bound(bview, gamma):
-    """Certified upper bound on ||B.T diag(gamma) B|| over the edge rows,
-    in O(m): max over edges (u, v) of s_u^2 d(u) + s_v^2 d(v), where s is
-    the incidence scale and d(i) sums |gamma| over the edges at i.
-
-    ||B.T G B|| <= rho(|B|.T |G| |B|), whose nonzero spectrum is that of
-    the nonnegative |B| |B|.T |G|; row e of that matrix sums to the
-    expression above, and the largest row sum bounds the spectral
-    radius.  For gamma >= 0 it is at most twice the norm, since each
-    s_i^2 d(i) is a diagonal entry of B.T G B; it is exact on a single
-    edge and 1.2-1.9x the norm on the random graphs tried.
-    """
-    if bview.n_edge_rows == 0:
-        return 0.0
-    w = np.abs(gamma)  # rho'(z^2) can be negative (cosine rho)
-    d = np.bincount(bview.eu, weights=w, minlength=bview.n) \
-        + np.bincount(bview.ev, weights=w, minlength=bview.n)
-    if bview.raw is bview:  # unit scales: s_i^2 d(i) is d(i)
-        return float(np.max(d[bview.eu] + d[bview.ev]))
-    return float(np.max(bview.su ** 2 * d[bview.eu] + bview.sv ** 2 * d[bview.ev]))
-
-
 def step_size_bound(spec, g):
     """The fixed step that alpha="auto" takes, safe for every shipped
     concave rho and any prox in the menu: :meth:`EnergySpec.step_bound`
@@ -193,30 +171,32 @@ def step_size_bound(spec, g):
     can apply, max(rho'(0), 1): Gamma is ones until the first refresh,
     so a rho whose weights stay below 1 is not yet in force.
 
-    ||L|| is theta, ARPACK's Ritz value, an estimate.  A proximal
-    gradient step with a convex prox descends at any step below 2 / Lip,
-    so the step at theta is kept only where it is below twice the step at
-    c, the certified O(m) upper bound on ||L|| of
-    :func:`_weighted_lap_norm_bound` at Gamma = 1; elsewhere the step at
-    c is taken.  Since c <= 2 ||L||, the step at a correct theta always
-    passes."""
-    bview = incidence(g, spec.kind)
+    ||L|| is theta, the top Ritz value of the Lanczos solve in
+    :func:`graph.spectral_norm`, an estimate.  A proximal gradient step
+    with a convex prox descends at any step below 2 / Lip, so the step at
+    theta is kept only where it is below twice the step at c, the
+    certified O(m) upper bound on ||L|| of
+    :meth:`graph.IncidenceView.norm_bound` at Gamma = 1; elsewhere the
+    step at c is taken.  Since c <= 2 ||L||, the step at a correct theta
+    always passes.  Both norms are computed once per graph and kind, with
+    its operators."""
+    ops = g.operators(spec.kind)
     cap = max(spec.rho.grad_max(), 1.0)
-    alpha = spec.step_bound(g.operators(spec.kind).laplacian_norm * (1.0 + _NORM_SLACK), cap)
-    certified = spec.step_bound(_weighted_lap_norm_bound(bview, np.ones(bview.n_edge_rows)), cap)
+    alpha = spec.step_bound(ops.laplacian_norm * (1.0 + _NORM_SLACK), cap)
+    certified = spec.step_bound(ops.laplacian_norm_bound, cap)
     return alpha if alpha < 2.0 * certified else certified
 
 
 def irls_step_bound(spec, bview, gamma):
     """Per-step safe size at the current Gamma, :meth:`EnergySpec.step_bound`
     at c, the certified O(m) upper bound on ||B.T G B|| from
-    :func:`_weighted_lap_norm_bound`.
+    :meth:`graph.IncidenceView.norm_bound`.
 
     c is certified, not estimated, so the step is safe; c exceeding the
     exact norm (at most 2x for gamma >= 0, about 1.5x on sparse graphs)
     shortens the step.
     """
-    return spec.step_bound(_weighted_lap_norm_bound(bview, np.asarray(gamma, dtype=float)))
+    return spec.step_bound(bview.norm_bound(np.asarray(gamma, dtype=float)))
 
 
 def closed_form_solution(g, fx, lam, kind):
@@ -227,9 +207,10 @@ def closed_form_solution(g, fx, lam, kind):
     lam >= 0; a sparse LU fills in badly on a random graph: at n=4000,
     m=12k (2 cores, scipy 1.17.1) spsolve took 3.6-3.9 s and CG 4-10 ms
     for two columns, and at n=50 both took about 1 ms.  CG's module,
-    ``scipy.sparse.linalg``, is imported here on first use, so only the
-    closed-form checks and ``alpha="auto"``'s Lanczos norm
-    (:func:`graph.spectral_norm`) load it."""
+    ``scipy.sparse.linalg`` (ARPACK, SuperLU, PROPACK and scipy.linalg's
+    LAPACK with its own OpenBLAS), is imported here on first use: this is
+    the only place in the package that loads it, so training and
+    propagation never do."""
     fx = np.asarray(fx, dtype=float)
     if lam < 0:
         raise ValueError("lam must be nonnegative")

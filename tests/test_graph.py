@@ -334,8 +334,9 @@ class TestOperatorCache:
             cfg = ModelConfig(backend="implicit", embed_dim=4, n_classes=2, kind=kind)
             for _ in range(2):
                 train(ds.graph, ds.x, ds.labels, ds.masks, cfg, TrainConfig(epochs=6, lr=0.1))
-        # the normalized kinds' ||P|| = 1 needs no solve
-        assert norm_calls == [propagation_matrix(ds.graph, LaplacianKind.COMBINATORIAL)]
+        # ||P|| = max(1, ||L|| - 1) under COMBINATORIAL reads the one
+        # Laplacian solve, and the normalized kinds' ||P|| = 1 needs none
+        assert norm_calls == [laplacian(ds.graph, LaplacianKind.COMBINATORIAL)]
 
     def test_dropped_graph_is_freed_without_the_cyclic_collector(self):
         was_enabled = gc.isenabled()
@@ -417,9 +418,17 @@ class TestSpectralNorm:
     def test_matches_dense_svd(self):
         rng = np.random.default_rng(8)
         dense = rng.normal(size=(20, 20)) * (rng.random((20, 20)) < 0.3)
-        expected = np.linalg.svd(dense, compute_uv=False)[0]
-        got = spectral_norm(sp.csr_matrix(dense))
-        assert got == pytest.approx(expected, rel=1e-6)
+        # with both sides from 64 up, the Lanczos solve: a multiple of the
+        # identity breaks its recurrence down at step 1, a rank-one matrix
+        # leaves it only rounding after step 2, and a tall and a wide one
+        # take the Gram matrix of either side
+        rank_one = np.outer(rng.normal(size=100) * (rng.random(100) < 0.5),
+                            rng.normal(size=100) * (rng.random(100) < 0.5))
+        wide = rng.normal(size=(70, 160)) * (rng.random((70, 160)) < 0.1)
+        for mat in (dense, 3.0 * np.eye(100), rank_one, wide, wide.T):
+            expected = np.linalg.svd(mat, compute_uv=False)[0]
+            got = spectral_norm(sp.csr_matrix(mat))
+            assert got == pytest.approx(expected, rel=1e-6)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -430,7 +439,7 @@ class TestSpectralNorm:
         assert spectral_norm(np.zeros((4, 4))) == 0.0
 
     def test_sparse_input_is_deterministic(self):
-        g = random_graph(np.random.default_rng(10), 40, p=0.1)
+        g = random_graph(np.random.default_rng(10), 80, p=0.1)
         for kind in ALL_KINDS:
             lap = laplacian(g, kind)
             assert spectral_norm(lap) == spectral_norm(lap)
@@ -439,15 +448,39 @@ class TestSpectralNorm:
     def test_operator_norms_match_eigvalsh(self, kind):
         rng = np.random.default_rng(13)
         isolated = build_graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (5, 6)])
-        # the 300-node graph goes through the Lanczos solve
+        # the 200- and 300-node graphs go through the Lanczos solve: a star
+        # (one hub row holds the top), a path (the top of its spectrum is
+        # dense, so the solve is long) and an even cycle (bipartite, so its
+        # SYM_NORMALIZED norm is exactly 2 and its spectrum has pairs)
+        n = 200
+        star = build_graph(n, [(0, i) for i in range(1, n)])
+        path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        cycle = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
         graphs = [random_graph(rng, 12), isolated, build_graph(5, []),
-                  random_graph(rng, 300, p=0.02)]
+                  random_graph(rng, 300, p=0.02), star, path, cycle]
         for g in graphs:
             ops = g.operators(kind)
             for got, mat in ((ops.laplacian_norm, ops.laplacian),
                              (ops.propagation_norm, ops.propagation)):
                 exact = np.abs(np.linalg.eigvalsh(mat.toarray())).max()
                 assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    def test_sparse_solve_keeps_o_n_memory(self, traced_peak):
+        # about 220 Lanczos steps: a stored basis would be 22x the bound
+        rng = np.random.default_rng(17)
+        n = 20_000
+        g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+        lap = laplacian(g, LaplacianKind.SELF_LOOP_SYM)
+        assert traced_peak(spectral_norm, lap) < 10 * n * 8
+
+    def test_sparse_solve_raises_past_its_step_cap(self, monkeypatch):
+        # one step per dimension, and no read of the Ritz value before it
+        monkeypatch.setattr(graph_module, "_LANCZOS_STEPS_PER_DIM", 1)
+        monkeypatch.setattr(graph_module, "_LANCZOS_READ_EVERY", 10 ** 9)
+        lap = laplacian(random_graph(np.random.default_rng(18), 80, p=0.1),
+                        LaplacianKind.COMBINATORIAL)
+        with pytest.raises(RuntimeError, match="did not converge in 80 steps"):
+            spectral_norm(lap)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_edgeless_graph_propagates_by_the_identity(self, kind):
