@@ -31,6 +31,16 @@ _NEG_DIAG_TOL = 1e-12
 _CONFIG_NAMES = {"big_t": "T"}
 
 
+def _clamp_rounding_negatives(x, message):
+    """x with rounding negatives down to -1e-12 (and -0.0) raised to 0, from
+    one scan that copies only when some entry is <= 0; ValueError(message)
+    below that.  fmin skips NaN, which passes through as np.maximum passes it."""
+    low = np.fmin.reduce(x, axis=None, initial=math.inf)
+    if low < -_NEG_DIAG_TOL:
+        raise ValueError(message)
+    return np.maximum(x, 0.0) if low <= 0.0 else x
+
+
 # ---------------------------------------------------------------------------
 # rho: concave edge penalties and their gradients (= attention weights)
 # ---------------------------------------------------------------------------
@@ -122,9 +132,7 @@ class Rho:
             # linear: defined on all of R (indefinite quadratic forms)
             return (zsq, np.ones_like(zsq) if grad else None,
                     np.zeros_like(zsq) if grad2 else None)
-        if (zsq < -_NEG_DIAG_TOL).any():
-            raise ValueError("rho argument must be nonnegative")
-        zsq = np.maximum(zsq, 0.0)
+        zsq = _clamp_rounding_negatives(zsq, "rho argument must be nonnegative")
         if self.kind == "log":
             shifted = zsq + self.eps
             return (np.log(shifted) if value else None, 1.0 / shifted if grad else None,
@@ -153,26 +161,35 @@ class Rho:
 
     def _lp(self, zsq, value, grad, grad2):
         """truncated_lp's three pieces: quadratic below tau_bar, z^p up to
-        T_bar, constant beyond."""
+        T_bar, constant beyond.  Most edges sit in the z^p piece, so it is
+        taken over the whole array and the other two written over it at
+        integer indices, much cheaper than boolean-mask gathers; NaN falls
+        in the near piece (value NaN, weight tau_bar^(p-2))."""
+        shape, zsq = zsq.shape, zsq.reshape(-1)  # 0-d input (grad_max) too
         z = np.sqrt(zsq)
-        tb, t_big = self._tau_bar, self._t_bar
-        mid = (z >= tb) & (z <= t_big)
-        far = z > t_big
-        z_mid = z[mid]
+        p, tb, t_big = self.p, self._tau_bar, self._t_bar
+        near = np.flatnonzero(~(z >= tb))
+        far = np.flatnonzero(z > t_big)
         val = weight = curvature = None
-        if value:
-            rho0 = (2.0 - self.p) / self.p * tb ** self.p
-            val = np.asarray(tb ** (self.p - 2.0) * zsq, dtype=float)
-            val[mid] = 2.0 / self.p * z_mid ** self.p - rho0
-            val[far] = 2.0 / self.p * t_big ** self.p - rho0
-        if grad:
-            weight = np.full_like(z, tb ** (self.p - 2.0))
-            weight[mid] = z_mid ** (self.p - 2.0)
-            weight[far] = 0.0
+        # z^p and z^(p-2) overflow or divide by 0 only at entries overwritten below
+        with np.errstate(divide="ignore", over="ignore"):
+            if value:
+                rho0 = (2.0 - p) / p * tb ** p
+                val = z ** p
+                val *= 2.0 / p
+                val -= rho0
+                val[near] = tb ** (p - 2.0) * zsq.take(near)
+                val[far] = 2.0 / p * t_big ** p - rho0
+            if grad:
+                weight = z ** (p - 2.0)
+                weight[near] = tb ** (p - 2.0)
+                weight[far] = 0.0
         if grad2:
+            mid = np.flatnonzero((z >= tb) & (z <= t_big))
             curvature = np.zeros_like(z)
-            curvature[mid] = 0.5 * (self.p - 2.0) * np.maximum(z_mid, 1e-300) ** (self.p - 4.0)
-        return val, weight, curvature
+            curvature[mid] = 0.5 * (p - 2.0) * np.maximum(z.take(mid), 1e-300) ** (p - 4.0)
+        return tuple(None if out is None else out.reshape(shape)
+                     for out in (val, weight, curvature))
 
 
 def rho_identity():
@@ -475,9 +492,8 @@ def edge_diagonal(spec, bview, y, rows=None):
     vals = spec.edge_form(rows)
     if spec.rho.kind == "identity":
         return vals
-    if (vals < -_NEG_DIAG_TOL).any():
-        raise ValueError("edge quadratic form went negative; w_prop must be PSD")
-    return np.maximum(vals, 0.0)
+    return _clamp_rounding_negatives(vals, "edge quadratic form went negative; "
+                                           "w_prop must be PSD")
 
 
 def energy_eval(spec, bview, y, fx, penalty=None):

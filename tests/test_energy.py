@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -164,6 +165,91 @@ class TestRhoValueAndGrad:
         zsq = np.array([-2.0, 0.0, 3.0])
         value, grad = rho_identity().value_and_grad(zsq)
         assert value.tolist() == zsq.tolist() and grad.tolist() == [1.0] * 3
+
+
+def lp_boolean_mask(rho, zsq, value, grad, grad2):
+    """truncated_lp as Rho._evaluate once wrote it, through boolean-mask
+    gathers over each piece: the bitwise reference for the whole-array form."""
+    zsq = np.asarray(zsq, dtype=float)
+    if (zsq < -1e-12).any():
+        raise ValueError("rho argument must be nonnegative")
+    zsq = np.maximum(zsq, 0.0)
+    z = np.sqrt(zsq)
+    tb, t_big = rho._tau_bar, rho._t_bar
+    mid = (z >= tb) & (z <= t_big)
+    far = z > t_big
+    z_mid = z[mid]
+    val = weight = curvature = None
+    if value:
+        rho0 = (2.0 - rho.p) / rho.p * tb ** rho.p
+        val = np.asarray(tb ** (rho.p - 2.0) * zsq, dtype=float)
+        val[mid] = 2.0 / rho.p * z_mid ** rho.p - rho0
+        val[far] = 2.0 / rho.p * t_big ** rho.p - rho0
+    if grad:
+        weight = np.full_like(z, tb ** (rho.p - 2.0))
+        weight[mid] = z_mid ** (rho.p - 2.0)
+        weight[far] = 0.0
+    if grad2:
+        curvature = np.zeros_like(z)
+        curvature[mid] = 0.5 * (rho.p - 2.0) * np.maximum(z_mid, 1e-300) ** (rho.p - 4.0)
+    return val, weight, curvature
+
+
+def lp_rhos():
+    """p = 0.5 (numpy's sqrt path), 1 and 2 at fixed thresholds, then
+    other powers at seeded thresholds 0 < tau <= T."""
+    rng = np.random.default_rng(61)
+    rhos = [rho_truncated_lp(p=p, tau=0.3, big_t=2.0) for p in (0.5, 1.0, 2.0)]
+    for p in [0.1, 0.3, 1.5, *rng.uniform(0.05, 2.0, 5)]:
+        tau, big_t = np.sort(rng.uniform(0.05, 3.0, 2))
+        rhos.append(rho_truncated_lp(p=float(p), tau=float(tau), big_t=float(big_t)))
+    return rhos
+
+
+class TestTruncatedLpMatchesBooleanMasks:
+    """Rho._evaluate for truncated_lp gives, byte for byte, what the
+    boolean-mask formulas give, for every set of outputs asked for."""
+
+    FLAGS = [flags for flags in itertools.product((False, True), repeat=3) if any(flags)]
+
+    @staticmethod
+    def grid(rho):
+        # NaN and a rounding negative together, signed zeros, subnormals,
+        # the breakpoints and their neighbours, inf, and draws over the pieces
+        rng = np.random.default_rng(62)
+        edges = [rho._tau_bar ** 2, rho._t_bar ** 2]
+        points = [np.nan, -1e-13, 0.0, -0.0, 5e-324, 2.2e-308, 1e-300, np.inf, *edges,
+                  *np.nextafter(edges, 0.0), *np.nextafter(edges, np.inf)]
+        return np.concatenate([points, rng.uniform(0.0, 1.5 * edges[1], 300)])
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                g, w = np.asarray(g), np.asarray(w)
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("rho", lp_rhos(), ids=lambda r: f"p={r.p:.3g}")
+    @pytest.mark.parametrize("flags", FLAGS, ids=lambda f: "".join("vgc"[i] for i in range(3)
+                                                                  if f[i]))
+    def test_bitwise(self, rho, flags):
+        zsq = self.grid(rho)
+        self.assert_same(rho._evaluate(zsq, *flags), lp_boolean_mask(rho, zsq, *flags))
+        table = zsq[: zsq.size // 2 * 2].reshape(-1, 2)
+        self.assert_same(rho._evaluate(table, *flags), lp_boolean_mask(rho, table, *flags))
+        for scalar in zsq[:14]:  # the special points, each as a 0-d argument
+            self.assert_same(rho._evaluate(scalar, *flags), lp_boolean_mask(rho, scalar, *flags))
+
+    @pytest.mark.parametrize("bad", [-np.inf, -1e-9])
+    def test_rejects_what_the_masks_reject(self, bad):
+        rho = rho_truncated_lp(p=0.3, tau=0.3, big_t=2.0)
+        for zsq in (bad, np.array([np.nan, 1.0, bad])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                lp_boolean_mask(rho, zsq, True, True, True)
+            with pytest.raises(ValueError, match="nonnegative"):
+                rho._evaluate(zsq, True, True, True)
 
 
 def chain_grad2(rho, zsq):

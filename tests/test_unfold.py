@@ -1312,31 +1312,52 @@ class TestPinnedOutputs:
             "f7623cfda3fd24129ee7896da628a28f45ece55b181ce54decde87cf07f669af",
     }
 
+    # (propagate, backward) at p = 0.3 under COMBINATORIAL: numpy takes z ** 0.5
+    # by its sqrt path, and this pin guards the general pow path
+    GENERAL_POWER = ("bdcb6a0320db667288cd2528b252caa699bab94bfa397c0fa8778b6844cd2105",
+                     "e0adf16a77fb45e4fc9975d90c7d9714440957455e18d76fe34eebd60684a44c")
+
     @staticmethod
-    def instance(kind):
+    def instance(kind, p=0.5):
         rng = np.random.default_rng(58)
         n, d, k = 300, 4, 8
         g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
-        spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), phi=phi_relu(),
+        spec = EnergySpec(rho=rho_truncated_lp(p=p, tau=0.3, big_t=2.0), phi=phi_relu(),
                           lam=1.0, kind=kind)
         cfg = PropagationConfig(steps=k, alpha="auto_irls", attention_schedule=tuple(range(k)))
         return g, spec, rng.normal(size=(n, d)), cfg, rng.normal(size=(n, d))
 
-    @pytest.mark.parametrize("kind", list(LaplacianKind))
-    def test_propagate(self, kind):
-        g, spec, fx, cfg, _ = self.instance(kind)
+    @staticmethod
+    def propagate_digest(g, spec, fx, cfg):
         out = propagate(spec, g, fx, cfg)
         terms = [[ev.fidelity, ev.smoothness, ev.phi_term] for ev in out.trace]
         gammas = [out.gamma_trace[step] for step in sorted(out.gamma_trace)]
         assert sorted(out.gamma_trace) == list(range(cfg.steps))
-        assert _digest([out.y, terms, out.alphas, out.residuals, *gammas]) == self.PROPAGATE[kind]
+        return _digest([out.y, terms, out.alphas, out.residuals, *gammas])
+
+    @staticmethod
+    def backward_digest(g, spec, fx, cfg, d_y):
+        layers = list(unroll(spec, g, fx, cfg))
+        return _digest([unroll_backward(spec, g, fx, layers, d_y, True)])
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_propagate(self, kind):
+        g, spec, fx, cfg, _ = self.instance(kind)
+        assert self.propagate_digest(g, spec, fx, cfg) == self.PROPAGATE[kind]
 
     @pytest.mark.parametrize("kind", list(LaplacianKind))
     def test_full_attention_backward(self, kind):
-        g, spec, fx, cfg, d_y = self.instance(kind)
-        layers = list(unroll(spec, g, fx, cfg))
-        d_fx = unroll_backward(spec, g, fx, layers, d_y, True)
-        assert _digest([d_fx]) == self.BACKWARD[kind]
+        assert self.backward_digest(*self.instance(kind)) == self.BACKWARD[kind]
+
+    def test_general_power(self):
+        g, spec, fx, cfg, d_y = self.instance(COMB, p=0.3)
+        gammas = propagate(spec, g, fx, cfg).gamma_trace
+        # every piece is reached: weights at tau_bar^(p-2), inside (0, that), and 0
+        top = spec.rho.grad_max()
+        assert all(((w == top).any(), ((w > 0) & (w < top)).any(), (w == 0).any())
+                   for w in gammas.values())
+        assert (self.propagate_digest(g, spec, fx, cfg),
+                self.backward_digest(g, spec, fx, cfg, d_y)) == self.GENERAL_POWER
 
 
 class TestPinnedCachedOperators:
