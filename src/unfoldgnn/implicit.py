@@ -2,15 +2,16 @@
 
 The forward map iterates ``Y <- sigma(P Y Wp + F)`` to its unique fixed
 point, which exists whenever ``||Wp||_2 ||P||_2 < 1`` and sigma is
-non-expansive.  The backward pass never stores the iterates: it solves
-the transposed fixed-point system for the adjoint state and reads both
-gradients off it.  One Picard loop serves the solve and its adjoint, so
-both stop, and fail, the same way.  Both start from zeros unless the
-caller passes a start (``y0``, ``v0``); training passes the previous
-epochs' solutions, and uniqueness makes the start immaterial to the
-answer.  Each solve reports the contraction factor c = ||Wp||_2 ||P||_2
-and the error bound c / (1 - c) * residual it implies (see
-:class:`FixedPointResult` for when c is certified).  The linear
+non-expansive.  The backward pass never stores the iterates: its adjoint
+``grad_f <- D * (P grad_f Wp.T + G)`` is the forward's own iteration,
+with sigma's derivative D for sigma, Wp.T for Wp and the upstream
+gradient G for F, so one Picard loop, ``x <- act(P x W + rhs)``, serves
+both, and both stop, and fail, the same way.  Both start from zeros
+unless the caller passes a start (``y0``, ``v0``); training passes the
+previous epochs' solutions, and uniqueness makes the start immaterial to
+the answer.  Each solve reports the contraction factor
+c = ||Wp||_2 ||P||_2 and the error bound c / (1 - c) * residual it
+implies (see :class:`FixedPointResult` for when c is certified).  The linear
 symmetric model (EIGNN) is the identity-sigma case with a weight derived
 from F.
 """
@@ -91,18 +92,20 @@ def project_weights(w_p, p_op, margin=0.9):
     return w_p * (margin / product)
 
 
-def _picard(step, x0, cfg):
-    """Iterate ``x <- step(x)`` from x0 until ``||x_{k+1} - x_k|| <= cfg.tol``.
+def _picard(p_op, w, rhs, act, x0, cfg):
+    """Iterate ``x <- act(P x W + rhs)`` from x0 until ``||x_{k+1} - x_k|| <= cfg.tol``.
 
     Returns (x, iterations, residual_trace).  Raises FixedPointDivergence
     at the first non-finite residual, or when max_iters is exhausted; a
     non-finite start (nan or inf) fails at iteration 1."""
+    flops = 2 * p_op.nnz * rhs.shape[1] + 2 * rhs.size * w.shape[0]
     x = x0
     trace = []
     # inf * 0 and inf - inf make NaNs silently; the residual check reports them
     with np.errstate(invalid="ignore", over="ignore"):
         for it in range(1, cfg.max_iters + 1):
-            x_next = step(x)
+            _kernels.count_dense(flops)
+            x_next = act(p_op @ x @ w + rhs)
             resid = np.linalg.norm(x_next - x)
             x = x_next
             if not np.isfinite(resid):
@@ -139,13 +142,7 @@ def fixed_point_solve(g, w_p, fx, cfg=FixedPointConfig(), y0=None):
     fx = np.asarray(fx, dtype=float)
     w_p = np.asarray(w_p, dtype=float)
     y0 = _start(y0, fx, "y0", "fx")
-    flops = 2 * p_op.nnz * fx.shape[1] + 2 * fx.size * w_p.shape[0]
-
-    def step(y):
-        _kernels.count_dense(flops)
-        return cfg.sigma.prox(p_op @ y @ w_p + fx, 1.0)
-
-    y, iterations, trace = _picard(step, y0, cfg)
+    y, iterations, trace = _picard(p_op, w_p, fx, cfg.sigma.prox, y0, cfg)
     # every residual before the last is above tol > 0, so each ratio is defined
     ratios = trace[1:] / trace[:-1]
     estimate = float(np.median(ratios[-10:])) if ratios.size else 0.0
@@ -159,15 +156,16 @@ def fixed_point_solve(g, w_p, fx, cfg=FixedPointConfig(), y0=None):
 def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=None):
     """Gradients of a loss at the fixed point wrt Wp and f(X).
 
-    Solves the transposed contraction V = G + P.T (D * V) Wp.T, where D
-    is the activation derivative at the converged pre-activations, then
-    grad_f = D * V and grad_Wp = (P Y*).T (D * V).  D is read from
-    sigma's output there (:meth:`Phi.prox_mask`): a boolean mask, or
-    nothing for the identity, which then multiplies by nothing.  As
-    0 <= D <= 1, the map contracts by the forward's certified factor.
-    Like :func:`fixed_point_solve`, the solve starts from zeros unless v0
-    overrides it; a v0 whose shape differs from upstream's raises
-    ValueError.
+    Solves grad_f = D * (P grad_f Wp.T + G) for the upstream gradient G,
+    then grad_Wp = (P Y*).T grad_f.  D is sigma's derivative at the
+    converged pre-activations, read from its output there
+    (:meth:`Phi.prox_mask`): a boolean mask, or nothing for the identity.
+    This is the transposed system V = G + P.T (D * V) Wp.T for
+    grad_f = D * V, with P applied as stored: every kind's P is symmetric
+    with sorted indices, so ``P @ X`` is bitwise ``P.T @ X``.  As
+    0 <= D <= 1, the map contracts by the forward's certified factor.  The
+    solve starts from zeros unless v0 overrides it, as D * v0; a v0 whose
+    shape differs from upstream's raises ValueError.
     """
     p_op = propagation_matrix(g, cfg.kind)
     w_p = np.asarray(w_p, dtype=float)
@@ -177,18 +175,12 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=N
     d_sigma = None
     if cfg.sigma.kind != "zero":
         d_sigma = cfg.sigma.prox_mask(cfg.sigma.prox(p_y @ w_p + fx, 1.0))
-    p_t = p_op.T
-    flops = 2 * p_op.nnz * upstream.shape[1] + 2 * upstream.size * w_p.shape[0]
 
-    def chain(v):
-        return v if d_sigma is None else d_sigma * v
+    def mask(u):
+        return u if d_sigma is None else d_sigma * u
 
-    def step(v):
-        _kernels.count_dense(flops)
-        return upstream + p_t @ chain(v) @ w_p.T
-
-    v, _, _ = _picard(step, _start(v0, upstream, "v0", "upstream"), cfg)
-    grad_fx = chain(v)
+    u0 = mask(_start(v0, upstream, "v0", "upstream"))
+    grad_fx, _, _ = _picard(p_op, w_p.T, upstream, mask, u0, cfg)
     return p_y.T @ grad_fx, grad_fx
 
 

@@ -165,10 +165,10 @@ class _WarmStart:
 
     Each system, the forward solve and its adjoint, starts from the
     extrapolation 2 x_k - x_{k-1} of its last two solutions, from x_k
-    after one, and from zeros before any.  The adjoint keeps grad_f = D * V,
-    the only part of V that its step reads.  The fixed point is unique,
-    so the start moves an answer by no more than the solver's certified
-    error bound."""
+    after one, and from zeros before any.  The adjoint's unknown is
+    grad_f itself, so its past solutions are the gradients it returned.
+    The fixed point is unique, so the start moves an answer by no more
+    than the solver's certified error bound."""
 
     def __init__(self):
         self._past = {"forward": [], "adjoint": []}

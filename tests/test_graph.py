@@ -236,6 +236,26 @@ class TestPropagationMatrix:
         p = propagation_matrix(g, LaplacianKind.COMBINATORIAL)
         np.testing.assert_allclose(np.asarray(p.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [50, 300, 4000])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_stored_symmetric_so_products_match_the_transpose_bitwise(self, kind, n):
+        """implicit_backward applies P where its adjoint reads P.T."""
+        rng = np.random.default_rng(n)
+        n_isolated = 5
+        pairs = rng.integers(0, n - n_isolated, size=(3 * n, 2))
+        g = build_graph(n, pairs)
+        assert np.all(g.degrees[n - n_isolated:] == 0)
+        p = propagation_matrix(g, kind)
+        for row in np.split(p.indices, p.indptr[1:-1]):
+            assert np.all(np.diff(row) > 0)
+        pt = p.T.tocsr()
+        pt.sort_indices()
+        np.testing.assert_array_equal(pt.indptr, p.indptr)
+        np.testing.assert_array_equal(pt.indices, p.indices)
+        np.testing.assert_array_equal(pt.data, p.data)
+        x = rng.normal(size=(n, 16))
+        np.testing.assert_array_equal(p @ x, p.T @ x)
+
     @pytest.mark.parametrize("kind", [LaplacianKind.SYM_NORMALIZED, LaplacianKind.SELF_LOOP_SYM])
     def test_normalized_norm_at_most_one(self, kind):
         rng = np.random.default_rng(7)

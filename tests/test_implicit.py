@@ -41,6 +41,32 @@ def dense_linear_fixed_point(p_dense, w_p, fx):
     return y.reshape(n, d, order="F")
 
 
+def transposed_adjoint(g, w_p, fx, y_star, upstream, cfg, v0=None):
+    """The adjoint as a separate recursion on V, kept as the reference:
+    V <- G + P.T (D * V) Wp.T from v0 (zeros when None), stopped at
+    ||V_{k+1} - V_k|| <= tol.  Returns [D * V_0, ..., D * V_K] and K."""
+    p_op = propagation_matrix(g, cfg.kind)
+    p_t = p_op.T
+    p_y = p_op @ y_star
+    d_sigma = None
+    if cfg.sigma.kind != "zero":
+        d_sigma = cfg.sigma.prox_mask(cfg.sigma.prox(p_y @ w_p + fx, 1.0))
+
+    def chain(v):
+        return v if d_sigma is None else d_sigma * v
+
+    v = np.zeros_like(upstream) if v0 is None else v0
+    masked = [chain(v)]
+    for it in range(1, cfg.max_iters + 1):
+        v_next = upstream + p_t @ chain(v) @ w_p.T
+        resid = np.linalg.norm(v_next - v)
+        v = v_next
+        masked.append(chain(v))
+        if resid <= cfg.tol:
+            return masked, it
+    raise AssertionError("reference adjoint did not converge")
+
+
 class TestProjectWeights:
     def test_scaling_factor(self):
         w = np.diag([2.0, 1.0])
@@ -244,6 +270,47 @@ class TestImplicitBackward:
         np.testing.assert_allclose(grad_fx, expected_fx, atol=1e-8)
         expected_w = (p_dense @ out.y).T @ expected_fx
         np.testing.assert_allclose(grad_w, expected_w, atol=1e-8)
+
+    @pytest.mark.parametrize("start", ["zeros", "v0"])
+    def test_identity_is_bitwise_the_transposed_recursion(self, start):
+        rng = np.random.default_rng(23)
+        g = random_graph(rng, 30)
+        w = contraction_weight(rng, 3, propagation_matrix(g, SELF))
+        fx = rng.normal(size=(30, 3))
+        cfg = FixedPointConfig(tol=1e-10)
+        out = fixed_point_solve(g, w, fx, cfg)
+        up = rng.normal(size=(30, 3))
+        v0 = rng.normal(size=(30, 3)) if start == "v0" else None
+        masked, last = transposed_adjoint(g, w, fx, out.y, up, cfg, v0)
+        grad_w, grad_fx = implicit_backward(g, w, fx, out.y, up, cfg, v0=v0)
+        np.testing.assert_array_equal(grad_fx, masked[last])
+        np.testing.assert_array_equal(grad_w, (propagation_matrix(g, SELF) @ out.y).T @ grad_fx)
+
+    @pytest.mark.parametrize("start", ["zeros", "v0"])
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_relu_returns_a_masked_transposed_iterate_no_later(self, kind, start):
+        """The masked iterates D * V_k are the solve's own iterates, and its
+        steps are D * (V_{k+1} - V_k), so it can only stop earlier."""
+        rng = np.random.default_rng(24)
+        g = random_graph(rng, 40)
+        p_op = propagation_matrix(g, kind)
+        w = contraction_weight(rng, 3, g.operators(kind))
+        fx = rng.normal(size=(40, 3))
+        cfg = FixedPointConfig(sigma=phi_relu(), tol=1e-9, kind=kind)
+        out = fixed_point_solve(g, w, fx, cfg)
+        up = rng.normal(size=(40, 3))
+        v0 = rng.normal(size=(40, 3)) if start == "v0" else None
+        masked, last = transposed_adjoint(g, w, fx, out.y, up, cfg, v0)
+        d_sigma = phi_relu().prox_mask(out.y)
+        assert 0 < d_sigma.sum() < d_sigma.size
+        per_iteration = 2 * p_op.nnz * 3 + 2 * 40 * 3 * 3
+        before = _kernels.op_counter()["dense"]
+        _, grad_fx = implicit_backward(g, w, fx, out.y, up, cfg, v0=v0)
+        iterations = (_kernels.op_counter()["dense"] - before) // per_iteration
+        assert 1 <= iterations <= last
+        np.testing.assert_array_equal(grad_fx, masked[iterations])
+        residual = np.linalg.norm(d_sigma * (up + p_op @ grad_fx @ w.T) - grad_fx)
+        assert residual <= out.contraction * cfg.tol
 
     def test_non_finite_upstream_fails_at_first_iteration(self):
         rng = np.random.default_rng(17)

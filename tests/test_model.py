@@ -538,8 +538,8 @@ class TestWarmStartedTraining:
         finished = []  # (iterations, last residual) of every Picard loop, in order
         picard = implicit._picard
 
-        def recorded_picard(step, x0, cfg):
-            x, iterations, trace = picard(step, x0, cfg)
+        def recorded_picard(*args):
+            x, iterations, trace = picard(*args)
             finished.append((iterations, trace[-1]))
             return x, iterations, trace
 
@@ -574,8 +574,8 @@ class TestWarmStartedTraining:
                 warm_answer, cold_answer = out.y, cold.y
                 bound = out.error_bound + cold.error_bound
             else:
-                # the adjoint map contracts by the forward's certified factor, and
-                # grad_f = D * V with 0 <= D <= 1
+                # the adjoint map contracts by the forward's certified factor,
+                # and its unknown is grad_f itself
                 warm_answer, cold_answer = out[1], cold[1]
                 bound = c / (1.0 - c) * (residual + cold_residual)
             # The bounds hold in exact arithmetic, and in this linear symmetric
