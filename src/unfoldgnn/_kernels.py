@@ -2,8 +2,8 @@
 
 Every edge quantity is a product with the edge-row incidence matrix
 ``B`` of a graph (row k for edge (u, v) carries +su at u and -sv at v),
-with ``B.T``, or with a sparse n x n Laplacian ``L = B.T diag(gamma) B``
-assembled from them, all held as CSR, so the graph modules never
+with ``B.T`` (B's CSC transpose view), or with a sparse n x n CSR Laplacian
+``L = B.T diag(gamma) B`` assembled from them, so the graph modules never
 materialize dense n x n operators and never loop over edges in Python.
 The per-edge kernels take the incidence rows ``e = B @ y`` from
 :func:`edge_diff`, so callers that need several of them at one ``y``
@@ -64,12 +64,13 @@ def weighted_lap_apply(e, gamma, bt):
     return bt @ e
 
 
-def weighted_lap_assemble(gamma, b, bt):
-    """B.T @ diag(gamma) @ B as an n x n CSR matrix."""
+def weighted_lap_assemble(gamma, b):
+    """B.T @ diag(gamma) @ B as an n x n CSR matrix, from B's transpose
+    converted to CSR for this one product."""
     _COUNTS.flops["edge"] += 6 * b.shape[0]  # scale the 2 entries of each row, 4 products per row
     scaled = sp.csr_matrix((b.data * np.repeat(gamma, np.diff(b.indptr)), b.indices, b.indptr),
                            shape=b.shape)
-    return bt @ scaled
+    return b.T.tocsr() @ scaled
 
 
 def lap_apply(y, lap):

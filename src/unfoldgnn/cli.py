@@ -10,10 +10,12 @@ $UNFOLD_ARTIFACTS, default ./artifacts).
 train, propagate and fixedpoint resolve the dataset and every config
 before anything runs (:func:`resolve_run`): an unknown key, or a value
 that its parser or the class that owns it rejects, ``data.*`` keys
-included, exits 2 with that message.
+included, exits 2 with that message.  So does an unusable path: a
+config file that cannot be read, an --out that cannot be a directory or
+a --report that cannot be written, each found before the run starts.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration or data
-error, 3 numerical divergence.
+Exit codes: 0 success, 1 verification failure, 2 configuration, data or
+path error, 3 numerical divergence.
 """
 
 import argparse
@@ -122,7 +124,11 @@ class CliError(ValueError):
 
 def parse_config_file(path):
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path}: {exc.strerror}")
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -241,8 +247,14 @@ def resolve_run(args):
 
 
 def out_dir(args):
+    """The artifacts directory, made if missing.  Each command that writes
+    there resolves it before its run, so a path that cannot be a
+    directory exits 2 before any work."""
     path = args.out or os.environ.get("UNFOLD_ARTIFACTS", "artifacts")
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot use {path} as the artifacts directory: {exc.strerror}")
     return path
 
 
@@ -252,8 +264,8 @@ def out_dir(args):
 
 def cmd_train(args):
     ds, mcfg, tcfg = resolve_run(args)
-    model, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, mcfg, tcfg)
     out = out_dir(args)
+    model, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, mcfg, tcfg)
     metrics.to_csv(os.path.join(out, "metrics.csv"))
     save_checkpoint(model.params, os.path.join(out, "checkpoint"))
     if metrics.diverged:
@@ -266,9 +278,9 @@ def cmd_train(args):
 
 def cmd_propagate(args):
     ds, mcfg, _ = resolve_run(args)
+    out = out_dir(args)
     result = propagate(mcfg.energy_spec, ds.graph, ds.x,
                        replace(mcfg.propagation, record_trace=True))
-    out = out_dir(args)
     trace_to_csv(result, os.path.join(out, "trace.csv"))
     gamma_trace_to_csv(result, os.path.join(out, "gammas.csv"))
     final = result.trace[-1]
@@ -279,6 +291,7 @@ def cmd_propagate(args):
 
 def cmd_fixedpoint(args):
     ds, mcfg, _ = resolve_run(args)
+    out = out_dir(args)
     d = mcfg.embed_dim
     rng = np.random.default_rng(args.seed)
     w_p = project_weights(rng.normal(size=(d, d)) / np.sqrt(d), ds.graph.operators(mcfg.kind),
@@ -293,7 +306,6 @@ def cmd_fixedpoint(args):
     result = fixed_point_solve(ds.graph, w_p, fx, mcfg.fixed_point)
     elapsed = time.perf_counter() - start
     solve_flops = _kernels.op_counter()["dense"] - dense0
-    out = out_dir(args)
     write_csv(os.path.join(out, "fixedpoint.csv"), "fixedpoint-summary v2",
               ["iterations", "residual", "contraction_estimate", "contraction", "error_bound",
                "solve_flops", "seconds"],
@@ -310,10 +322,13 @@ def cmd_fixedpoint(args):
 def cmd_verify(args):
     if args.trials is not None and args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
-    ok, records = run_suite(args.suite, seed=args.seed, trials=args.trials,
-                            inject_failure=args.inject_failure)
-    stream = open(args.report, "w") if args.report else sys.stdout
     try:
+        stream = open(args.report, "w") if args.report else sys.stdout
+    except OSError as exc:
+        raise CliError(f"cannot write the report {args.report}: {exc.strerror}")
+    try:
+        ok, records = run_suite(args.suite, seed=args.seed, trials=args.trials,
+                                inject_failure=args.inject_failure)
         for rec in records:
             stream.write(json.dumps(_jsonable(rec)) + "\n")
     finally:

@@ -52,8 +52,7 @@ def closed_form_convergence(out_dir, seed=0, n=50, d=8, lam=1.0, steps=500):
 # ---------------------------------------------------------------------------
 
 def _normalized_spread(g, y):
-    scale = 1.0 / np.sqrt(g.degrees + 1.0)
-    z = y * scale[:, None]
+    z = y * g.operators(SELF).scale[:, None]
     diffs = z[:, None, :] - z[None, :, :]
     return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
 

@@ -7,10 +7,11 @@ the largest n with n * n in int64, and builds nothing beyond the edges.
 Everything downstream (degrees, the CSR adjacency, Laplacians, incidence
 factorizations, propagation operators, their spectral norms) is derived
 from the edges alone, so each is built on first use and cached: the
-degrees and the adjacency once per graph, the rest in one
-:class:`GraphOperators` bundle per Laplacian kind.  The degrees are
-counted from the edges, so only a Laplacian, a propagation matrix or a
-caller that reads ``adjacency`` builds the adjacency.  Graphs compare
+degrees and the adjacency once per graph, and per Laplacian kind one
+:class:`GraphOperators` bundle holding B, L, P and their norms.  B.T is
+B's transpose view, not a copy, and each Laplacian is assembled from its
+incidence view, so only a caller that reads ``adjacency`` builds the
+adjacency; the engine never does.  Graphs compare
 and hash by identity, so two graphs built from equal edge lists share
 no cache.  An operator bundle shares the graph's arrays but keeps no
 reference back to the graph, so a graph that is dropped is freed at
@@ -119,11 +120,11 @@ class Graph:
 
 class GraphOperators:
     """The operators of one graph under one Laplacian kind, each built on
-    first use and kept: the incidence view (with its CSR ``B`` and
-    ``B.T``), the Laplacian, the propagation matrix, their spectral norms
-    and the certified O(m) bound on the Laplacian's.  The bundle shares
-    the graph's arrays, not the graph, so the two form no reference
-    cycle."""
+    first use and kept: the node scale, the incidence view (with its CSR
+    ``B``; ``B.T`` is a view of it), the Laplacian assembled from that
+    view, the propagation matrix P = I - L, their spectral norms and the
+    certified O(m) bound on the Laplacian's.  The bundle shares the
+    graph's arrays, not the graph, so the two form no reference cycle."""
 
     def __init__(self, arrays, kind):
         self.n, self.edges = arrays.n, arrays.edges
@@ -131,30 +132,45 @@ class GraphOperators:
         self.kind = kind
 
     @cached_property
-    def incidence(self):
-        kind = self.kind
-        eu, ev = self.edges[:, 0], self.edges[:, 1]
-        if kind is LaplacianKind.COMBINATORIAL:
+    def scale(self):
+        """The node scale s of this kind's incidence rows, read-only: ones
+        under COMBINATORIAL, D^{-1/2} (0 at an isolated node) under
+        SYM_NORMALIZED and D~^{-1/2} = (D + I)^{-1/2} under SELF_LOOP_SYM."""
+        d = self._arrays.degrees
+        if self.kind is LaplacianKind.COMBINATORIAL:
             s = np.ones(self.n)
-        elif kind is LaplacianKind.SYM_NORMALIZED:
-            s = _inv_sqrt(self._arrays.degrees)
+        elif self.kind is LaplacianKind.SYM_NORMALIZED:
+            s = _inv_sqrt(d)
         else:
             # self-loop mass keeps D~^{-1/2}(D - A)D~^{-1/2} = I - D~^{-1/2}A~D~^{-1/2}
-            s = _inv_sqrt(self._arrays.degrees + 1.0)
-        return IncidenceView(kind, self.n, eu, ev, _read_only(s[eu]), _read_only(s[ev]))
+            s = _inv_sqrt(d + 1.0)
+        return _read_only(s)
+
+    @cached_property
+    def incidence(self):
+        eu, ev, s = self.edges[:, 0], self.edges[:, 1], self.scale
+        return IncidenceView(self.kind, self.n, eu, ev, _read_only(s[eu]), _read_only(s[ev]))
 
     @cached_property
     def laplacian(self):
-        kind, d, adj = self.kind, self._arrays.degrees, self._arrays.adjacency
-        eye = sp.identity(self.n, format="csr")
-        if kind is LaplacianKind.COMBINATORIAL:
-            lap = sp.diags(d) - adj
-        elif kind is LaplacianKind.SYM_NORMALIZED:
-            s = _inv_sqrt(d)
-            lap = sp.diags((d > 0).astype(float)) - sp.diags(s) @ adj @ sp.diags(s)
+        """B.T @ B, assembled from the incidence view's scales entry by
+        entry in one COO to CSR build, without the adjacency: -(s_u s_v) at
+        (u, v) and (v, u) for each edge, and on the diagonal d_i, 1 where
+        d_i > 0, or 1 - s_i s_i by kind, a zero diagonal left out.  That
+        stores what D - A and its normalized forms stored, bit for bit."""
+        view, d, s = self.incidence, self._arrays.degrees, self.scale
+        if self.kind is LaplacianKind.COMBINATORIAL:
+            diag = d
+        elif self.kind is LaplacianKind.SYM_NORMALIZED:
+            diag = (d > 0).astype(float)
         else:
-            s = _inv_sqrt(d + 1.0)
-            lap = eye - sp.diags(s) @ (adj + eye) @ sp.diags(s)
+            diag = 1.0 - s * s
+        nodes = np.flatnonzero(diag)
+        off = -(view.su * view.sv)
+        lap = sp.coo_matrix((np.concatenate([off, off, diag[nodes]]),
+                             (np.concatenate([view.eu, view.ev, nodes]),
+                              np.concatenate([view.ev, view.eu, nodes]))),
+                            shape=(self.n, self.n))
         return _read_only_csr(lap.tocsr())
 
     @cached_property
@@ -196,7 +212,9 @@ class IncidenceView:
     Row k, for edge (u, v), carries +su[k] at u and -sv[k] at v; B has one
     row per edge and none else, so an isolated node's row and column of
     B.T @ B are zero under every kind.  ``b`` is B as CSR and ``bt`` its
-    transpose.  ``raw`` is the unit-scale view of the same edges.
+    transpose view, a CSC over the same arrays: its products sum each
+    node's edges in ascending edge order from zero, as a CSR copy's would.
+    ``raw`` is the unit-scale view of the same edges.
     """
 
     kind: LaplacianKind
@@ -214,9 +232,10 @@ class IncidenceView:
     def b(self):
         return _edge_rows(self.n, self.eu, self.ev, self.su, self.sv)
 
-    @cached_property
+    @property
     def bt(self):
-        return _read_only_csr(self.b.T.tocsr())
+        """B.T as B's transpose view: CSC over B's own arrays, no copy."""
+        return self.b.T
 
     @property
     def raw(self):
@@ -241,7 +260,7 @@ class IncidenceView:
 
     def weighted_laplacian(self, gamma):
         """B.T @ diag(gamma) @ B over the edge rows, assembled as CSR."""
-        return _kernels.weighted_lap_assemble(gamma, self.b, self.bt)
+        return _kernels.weighted_lap_assemble(gamma, self.b)
 
     def norm_bound(self, gamma):
         """Certified upper bound on ||B.T diag(gamma) B|| over the edge rows,
@@ -359,7 +378,8 @@ def _inv_sqrt(deg):
 def laplacian(g, kind):
     """Selected Laplacian as sparse CSR (symmetric, PSD), cached and
     read-only; under every kind it equals B.T @ B over the edge rows of
-    incidence(g, kind), so an isolated node's row and column are zero.
+    incidence(g, kind), from whose scales it is assembled without the
+    adjacency, so an isolated node's row and column are zero.
 
     COMBINATORIAL: D - A.  SYM_NORMALIZED: I - D^{-1/2} A D^{-1/2}, with
     the identity's entry dropped at an isolated node (L_ii = 1 only where

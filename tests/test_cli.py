@@ -263,6 +263,43 @@ def test_negative_seed_exits_two(command, capsys):
     assert "--seed: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
 
 
+class TestUnusablePaths:
+    """A path that cannot be used exits 2, naming it, before anything runs
+    or is written."""
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("propagate", "run_suite"):
+            monkeypatch.setattr(cli, name, must_not_run)
+
+    def test_out_that_is_a_file(self, no_run, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert run_cli(["propagate", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "keep\n" and os.listdir(tmp_path) == ["taken"]
+
+    def test_report_that_is_a_directory(self, no_run, tmp_path, capsys):
+        report = tmp_path / "reports"
+        report.mkdir()
+        code = run_cli(["verify", "--suite", "descent", "--report", str(report),
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert str(report) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["reports"] and os.listdir(report) == []
+
+    def test_config_that_is_a_directory(self, no_run, tmp_path, capsys):
+        config = tmp_path / "configs"
+        config.mkdir()
+        code = run_cli(["propagate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert str(config) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["configs"] and os.listdir(config) == []
+
+
 class TestFixedPoint:
     def test_solves_and_reports(self, fixture_dir, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -218,6 +218,80 @@ class TestIncidence:
                                    b.T @ (gamma[:, None] * (b @ y)), atol=1e-12)
 
 
+def _adjacency_laplacian(g, kind):
+    """The Laplacian as sparse algebra on the CSR adjacency, frozen from
+    the construction that the incidence-view assembly replaced, to pin
+    that assembly byte for byte."""
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    ones = np.ones(g.m)
+    adj = sp.csr_matrix((np.concatenate([ones, ones]),
+                         (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(g.n, g.n))
+    d = g.degrees
+    eye = sp.identity(g.n, format="csr")
+
+    def inv_sqrt(deg):
+        out = np.zeros_like(deg, dtype=float)
+        out[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+        return out
+
+    if kind is LaplacianKind.COMBINATORIAL:
+        lap = sp.diags(d) - adj
+    elif kind is LaplacianKind.SYM_NORMALIZED:
+        s = inv_sqrt(d)
+        lap = sp.diags((d > 0).astype(float)) - sp.diags(s) @ adj @ sp.diags(s)
+    else:
+        s = inv_sqrt(d + 1.0)
+        lap = eye - sp.diags(s) @ (adj + eye) @ sp.diags(s)
+    return lap.tocsr()
+
+
+def _random_pairs(n, p):
+    return np.argwhere(np.triu(np.random.default_rng(n).random((n, n)) < p, k=1))
+
+
+# n = 0, n = 1, an edgeless graph, a star with isolated nodes, seeded random graphs
+PINNED_GRAPHS = {"n0": (0, []), "n1": (1, []), "edgeless": (5, []),
+                 "star_plus_isolated": (9, [(0, leaf) for leaf in range(1, 6)]),
+                 **{f"random{n}": (n, _random_pairs(n, p))
+                    for n, p in ((2, 0.9), (30, 0.1), (80, 0.3), (200, 0.02))}}
+
+
+def assert_same_csr(got, want):
+    assert got.format == want.format == "csr" and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestAssemblyPinnedToTheAdjacencyForm:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("name", PINNED_GRAPHS)
+    def test_laplacian_and_propagation_byte_for_byte(self, kind, name):
+        g = build_graph(*PINNED_GRAPHS[name])
+        want = _adjacency_laplacian(g, kind)
+        assert_same_csr(laplacian(g, kind), want)
+        assert_same_csr(propagation_matrix(g, kind),
+                        (sp.identity(g.n, format="csr") - want).tocsr())
+        assert "adjacency" not in vars(g._arrays)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_transpose_view_products_match_the_csr_copy_byte_for_byte(self, kind):
+        rng = np.random.default_rng(42)
+        g = build_graph(60, np.vstack([rng.integers(0, 55, size=(150, 2)), [(0, 1)]]))
+        view = incidence(g, kind)
+        e = rng.normal(size=(view.n_edge_rows, 5))
+        e[:, 0] = 0.0
+        e[::2, 1] = -0.0
+        e[::7, 2] = np.nan
+        e[1::3, 3] = 5e-324 * rng.integers(-3, 4, size=e[1::3, 3].shape)
+        for v in (view, view.raw):
+            assert v.bt.format == "csc"
+            for cols in (e, e[:, 0], e[:, 1:2]):
+                got, want = v.bt @ cols, v.b.T.tocsr() @ cols
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 class TestPropagationMatrix:
     def test_path_self_loop(self):
         g = build_graph(2, [(0, 1)])
@@ -292,23 +366,41 @@ class TestOperatorCache:
         incidence(g, LaplacianKind.COMBINATORIAL)
         assert list(g._operators) == [LaplacianKind.COMBINATORIAL]
 
-    def test_combinatorial_propagate_builds_no_adjacency(self):
-        # the robust propagation of a cold graph: a refresh and an IRLS
-        # step at every layer, and the energy trace
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_engine_builds_no_adjacency_and_no_transpose_copy(self, kind):
+        # the robust propagation of a cold graph (a refresh and an IRLS step
+        # at every layer, and the energy trace), the operators, a
+        # fixed-point solve and a short training run of each backend
         rng = np.random.default_rng(14)
         g = build_graph(50, rng.integers(0, 50, size=(200, 2)))
         spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), phi=phi_relu(),
-                          kind=LaplacianKind.COMBINATORIAL)
+                          kind=kind)
         propagate(spec, g, rng.normal(size=(50, 3)), PropagationConfig(
             steps=4, alpha="auto_irls", attention_schedule=(0, 1, 2, 3)))
-        assert "adjacency" not in vars(g._arrays)
+        laplacian(g, kind), propagation_matrix(g, kind)
+        w_p = implicit.project_weights(np.eye(3), g.operators(kind))
+        implicit.fixed_point_solve(g, w_p, rng.normal(size=(50, 3)),
+                                   implicit.FixedPointConfig(kind=kind))
+        ds = self.sbm()
+        # eignn's weight rule contracts only where ||P|| <= 1
+        backends = ("unrolled", "implicit") if kind is LaplacianKind.COMBINATORIAL \
+            else ("unrolled", "implicit", "eignn")
+        for backend in backends:
+            cfg = ModelConfig(backend=backend, embed_dim=4, n_classes=2, steps=4, kind=kind,
+                              rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0),
+                              attention_schedule=sandwich_schedule(4))
+            train(ds.graph, ds.x, ds.labels, ds.masks, cfg, TrainConfig(epochs=2, lr=0.1))
+        for graph in (g, ds.graph):
+            assert "adjacency" not in vars(graph._arrays)
+            for ops in graph._operators.values():
+                if "incidence" in vars(ops):
+                    assert "bt" not in vars(ops.incidence)
+                    assert "bt" not in vars(ops.incidence.raw)
 
     def test_adjacency_is_built_once_on_first_read(self):
         g = random_graph(np.random.default_rng(15), 12)
-        laplacian(g, LaplacianKind.SELF_LOOP_SYM)
-        adj = vars(g._arrays)["adjacency"]
-        assert g.adjacency is adj
-        laplacian(g, LaplacianKind.COMBINATORIAL)
+        adj = g.adjacency
+        assert vars(g._arrays)["adjacency"] is adj
         assert g.adjacency is adj
 
     @pytest.mark.parametrize("n, pairs", [
