@@ -4,15 +4,17 @@ Subcommands: train, propagate, fixedpoint, verify, experiment, bench.
 Every numeric option lives in a flat dotted-key config space; values
 resolve as defaults < config file < --set overrides < dedicated flags.
 Config files are plain ``key=value`` lines with '#' comments.  All
-commands honor --seed and write artifacts under --out (or
-$UNFOLD_ARTIFACTS, default ./artifacts).
+commands honor --seed.  All but verify write artifacts under --out (or
+$UNFOLD_ARTIFACTS, default ./artifacts); verify writes its JSON-lines
+report to --report or standard output.
 
 train, propagate and fixedpoint resolve the dataset and every config
 before anything runs (:func:`resolve_run`): an unknown key, or a value
 that its parser or the class that owns it rejects, ``data.*`` keys
 included, exits 2 with that message.  So does an unusable path: a
-config file that cannot be read, an --out that cannot be a directory or
-a --report that cannot be written, each found before the run starts.
+config or dataset file that cannot be read or is not UTF-8 text, an
+--out that cannot be a directory or a --report that cannot be written,
+each found before the run starts.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration, data or
 path error, 3 numerical divergence.
@@ -28,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _kernels
-from .artifacts import write_csv
+from .artifacts import text_lines, write_csv
 from .data import PerturbSpec, SbmSpec, load_dataset, perturb_edges, sbm_generate
 from .energy import phi_from_config, rho_from_config
 from .graph import LaplacianKind
@@ -124,19 +126,11 @@ class CliError(ValueError):
 
 def parse_config_file(path):
     values = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc.strerror}")
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip()] = value.strip()
+    for where, line in text_lines(path, CliError):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise CliError(f"{where}: expected key=value, got {line!r}")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -388,11 +382,12 @@ def _seed(text):
     return int(text)
 
 
-def _add_common(sub, config_keys=True):
+def _add_common(sub, config_keys=True, out=True):
     sub.add_argument("--seed", type=_seed, default=0,
                      help="run seed; fully determines numeric outputs")
-    sub.add_argument("--out", default=None,
-                     help="artifacts directory (default $UNFOLD_ARTIFACTS or ./artifacts)")
+    if out:
+        sub.add_argument("--out", default=None,
+                         help="artifacts directory (default $UNFOLD_ARTIFACTS or ./artifacts)")
     if config_keys:
         sub.add_argument("--config", default=None, help="key=value config file")
         sub.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -423,7 +418,7 @@ def build_parser():
         sub.set_defaults(fn=fn)
 
     p_verify = subs.add_parser("verify", help="run a verification suite")
-    _add_common(p_verify, config_keys=False)
+    _add_common(p_verify, config_keys=False, out=False)
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--report", default=None, help="write JSON-lines here")
@@ -449,7 +444,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, FileNotFoundError) as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PropagationDivergence, FixedPointDivergence) as exc:

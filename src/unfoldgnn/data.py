@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import text_lines
 from .graph import Graph, GraphError, build_graph, edge_keys, homophily_ratio, read_edge_list
 
 
@@ -66,13 +67,10 @@ def make_dataset(graph, x, labels, masks):
 
 def load_dataset(directory):
     """Read the four dataset files; errors carry file and line context."""
-    edges_path = os.path.join(directory, "edges.tsv")
-    if not os.path.exists(edges_path):
-        raise DatasetError(f"missing {edges_path}")
     features = _read_float_csv(os.path.join(directory, "features.csv"))
     n = features.shape[0]
     try:
-        graph = read_edge_list(edges_path, n=n)
+        graph = read_edge_list(os.path.join(directory, "edges.tsv"), n=n)
     except GraphError as exc:
         raise DatasetError(str(exc))
     labels = _read_int_lines(os.path.join(directory, "labels.csv"))
@@ -101,17 +99,13 @@ def save_dataset(ds, directory):
 
 def _read_float_csv(path):
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-numeric value in {line!r}")
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise DatasetError(f"{path}:{lineno}: ragged row")
+    for where, line in text_lines(path, DatasetError):
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError:
+            raise DatasetError(f"{where}: non-numeric value in {line!r}")
+        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+            raise DatasetError(f"{where}: ragged row")
     if not rows:
         raise DatasetError(f"{path}: empty file")
     return np.asarray(rows)
@@ -119,15 +113,11 @@ def _read_float_csv(path):
 
 def _read_int_lines(path):
     vals = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                vals.append(int(line))
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer label {line!r}")
+    for where, line in text_lines(path, DatasetError):
+        try:
+            vals.append(int(line))
+        except ValueError:
+            raise DatasetError(f"{where}: non-integer label {line!r}")
     return np.asarray(vals, dtype=np.int64)
 
 

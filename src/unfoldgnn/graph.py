@@ -33,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
+from .artifacts import text_lines
 
 
 class LaplacianKind(Enum):
@@ -338,23 +339,19 @@ def build_graph(n, edge_pairs):
 def read_edge_list(path, n=None):
     """Parse a "u<TAB>v" edge-list file ('#' comments, 0-indexed)."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t") if "\t" in line else line.split()
-            if len(parts) != 2:
-                raise GraphError(f"{path}:{lineno}: expected 'u<TAB>v', got {line!r}")
-            try:
-                pair = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphError(f"{path}:{lineno}: non-integer endpoint in {line!r}")
-            if min(pair) < 0:
-                raise GraphError(f"{path}:{lineno}: negative endpoint in {line!r}")
-            if n is not None and max(pair) >= n:
-                raise GraphError(f"{path}:{lineno}: edge {pair} out of range for n={n}")
-            pairs.append(pair)
+    for where, line in text_lines(path, GraphError):
+        parts = line.split("\t") if "\t" in line else line.split()
+        if len(parts) != 2:
+            raise GraphError(f"{where}: expected 'u<TAB>v', got {line!r}")
+        try:
+            pair = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphError(f"{where}: non-integer endpoint in {line!r}")
+        if min(pair) < 0:
+            raise GraphError(f"{where}: negative endpoint in {line!r}")
+        if n is not None and max(pair) >= n:
+            raise GraphError(f"{where}: edge {pair} out of range for n={n}")
+        pairs.append(pair)
     if n is None:
         n = 1 + max((max(u, v) for u, v in pairs), default=-1)
     return build_graph(n, pairs)

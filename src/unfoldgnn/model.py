@@ -24,12 +24,13 @@ difference checks exercise.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import text_lines, write_csv
 from .energy import EnergySpec, Phi, Rho, phi_zero, rho_identity
 from .energy import edge_diagonal  # noqa: F401  patched by perfbench/tracing.py
 from .graph import LaplacianKind, propagation_matrix
@@ -37,6 +38,7 @@ from .graph import incidence  # noqa: F401  patched by perfbench/tracing.py
 from .implicit import (
     EignnSpec,
     FixedPointConfig,
+    FixedPointDivergence,
     eignn_grad_f,
     fixed_point_solve,
     implicit_backward,
@@ -404,9 +406,11 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
     """Full-batch gradient descent; deterministic for a fixed seed.
 
     Returns (model, metrics); the model carries the best-validation
-    parameters.  Divergence aborts early and flags the partial metrics.
-    Each epoch's fixed-point solves start from earlier epochs' solutions
-    (:class:`_WarmStart`); the final evaluation starts them from zeros.
+    parameters.  Divergence of any backend aborts early and flags the
+    partial metrics.  Each epoch's fixed-point solves start from earlier
+    epochs' solutions (:class:`_WarmStart`).  The final evaluation, and
+    under dropout each epoch's accuracies, come from a forward without
+    dropout whose solves start from zeros.
     """
     labels = np.asarray(labels)
     bad = np.flatnonzero((labels < 0) | (labels >= model_cfg.n_classes))
@@ -426,7 +430,9 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
             loss, logits, grads = loss_and_grads(
                 model, g, x, labels, train_rows,
                 train_mode=model_cfg.dropout > 0, dropout_rng=dropout_rng, warm=warm)
-        except (PropagationDivergence, FloatingPointError):
+            if model_cfg.dropout > 0:
+                logits, _ = model.forward(g, x)
+        except (PropagationDivergence, FixedPointDivergence, FloatingPointError):
             diverged = True
             break
         if not np.isfinite(loss):
@@ -512,8 +518,6 @@ def min_preactivation_margin(model, g, x):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(params, directory):
-    import os
-
     os.makedirs(directory, exist_ok=True)
     names = sorted(params)
     offset = 0
@@ -525,7 +529,7 @@ def save_checkpoint(params, directory):
             shape = "x".join(str(s) for s in arr.shape) or "scalar"
             lines.append(f"{name} {shape} {offset} {arr.size}")
             offset += arr.size
-    with open(os.path.join(directory, "manifest.txt"), "w") as fh:
+    with open(os.path.join(directory, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -536,36 +540,29 @@ class CheckpointError(ValueError):
 def load_checkpoint(directory):
     """Read a checkpoint; a params.bin that disagrees with its manifest
     raises CheckpointError naming the file and the manifest line."""
-    import os
-
     blob_path = os.path.join(directory, "params.bin")
     manifest_path = os.path.join(directory, "manifest.txt")
     blob = np.fromfile(blob_path, dtype=np.float64)
     params = {}
     end = 0
-    with open(manifest_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{manifest_path}:{lineno}"
-            try:
-                name, shape, offset, size = line.split()
-                offset, size = int(offset), int(size)
-                dims = () if shape == "scalar" else tuple(int(s) for s in shape.split("x"))
-            except ValueError:
-                raise CheckpointError(f"{where}: expected 'name shape offset size', got {line!r}")
-            if offset < 0 or size != int(np.prod(dims)):
-                raise CheckpointError(f"{where}: offset {offset} and size {size} do not fit "
-                                      f"shape {shape}")
-            if offset + size > blob.size:
-                raise CheckpointError(f"{blob_path} holds {blob.size} values, but {where} "
-                                      f"needs {offset + size}")
-            end = max(end, offset + size)
-            arr = blob[offset:offset + size]
-            if shape != "scalar":
-                arr = arr.reshape(dims)
-            params[name] = arr.copy()
+    for where, line in text_lines(manifest_path, CheckpointError):
+        try:
+            name, shape, offset, size = line.split()
+            offset, size = int(offset), int(size)
+            dims = () if shape == "scalar" else tuple(int(s) for s in shape.split("x"))
+        except ValueError:
+            raise CheckpointError(f"{where}: expected 'name shape offset size', got {line!r}")
+        if offset < 0 or size != int(np.prod(dims)):
+            raise CheckpointError(f"{where}: offset {offset} and size {size} do not fit "
+                                  f"shape {shape}")
+        if offset + size > blob.size:
+            raise CheckpointError(f"{blob_path} holds {blob.size} values, but {where} "
+                                  f"needs {offset + size}")
+        end = max(end, offset + size)
+        arr = blob[offset:offset + size]
+        if shape != "scalar":
+            arr = arr.reshape(dims)
+        params[name] = arr.copy()
     nbytes = os.path.getsize(blob_path)
     if nbytes != blob.itemsize * end:
         raise CheckpointError(f"{blob_path} is {nbytes} bytes, but {manifest_path} accounts "

@@ -64,6 +64,29 @@ class TestTrain:
                         "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["edges.tsv", "features.csv", "labels.csv", "masks.csv"])
+    def test_dataset_file_that_is_a_directory_exits_two(self, name, fixture_dir, tmp_path,
+                                                        capsys):
+        path = os.path.join(fixture_dir, name)
+        os.remove(path)
+        os.mkdir(path)
+        code = run_cli(["train", "--dataset", fixture_dir, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: cannot read {path}: Is a directory" in capsys.readouterr().err
+
+    # numpy warns of the overflow on the way to the divergence
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("backend", ["unrolled", "implicit", "eignn"])
+    def test_divergence_writes_metrics_and_exits_three(self, backend, fixture_dir, tmp_path,
+                                                       capsys):
+        out = tmp_path / "o"
+        code = run_cli(["train", "--dataset", fixture_dir, "--backend", backend,
+                        "--lr", "1e200", "--epochs", "10", "--out", str(out)])
+        assert code == 3
+        assert "training diverged" in capsys.readouterr().err
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0].startswith("# schema: train-metrics") and 2 < len(lines) < 2 + 10
+
     def test_non_finite_features_exit_two(self, fixture_dir, tmp_path, capsys):
         features = os.path.join(fixture_dir, "features.csv")
         with open(features) as fh:
@@ -115,6 +138,12 @@ class TestPropagate:
                         "--set", "unfold.kind=combinatorial", "--out", str(tmp_path / "o")])
         assert code == 0
         assert "final_energy=" in capsys.readouterr().out
+
+    def test_divergence_exit_three(self, tmp_path, capsys):
+        code = run_cli(["propagate", "--set", "unfold.alpha=50", "--K", "30",
+                        "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("divergence: ")
 
     @pytest.mark.parametrize("alpha", [[], ["--set", "unfold.alpha=auto_irls"]],
                              ids=["auto", "auto_irls"])
@@ -197,9 +226,11 @@ class TestPropagate:
       "--set", "unfold.attention=sandwich"], "largest weight tau_bar^(p-2) and T_bar"),
 ])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
-    # verify and bench read no dataset, so they take no --dataset flag
+    # verify and bench read no dataset, so they take no --dataset flag, and
+    # verify writes no artifacts, so it takes no --out
     dataset = ["--dataset", fixture_dir] if args[0] not in ("verify", "bench") else []
-    code = run_cli([*args, *dataset, "--out", str(tmp_path / "o")])
+    out = ["--out", str(tmp_path / "o")] if args[0] != "verify" else []
+    code = run_cli([*args, *dataset, *out])
     assert code == 2
     assert message in capsys.readouterr().err
 
@@ -285,8 +316,7 @@ class TestUnusablePaths:
     def test_report_that_is_a_directory(self, no_run, tmp_path, capsys):
         report = tmp_path / "reports"
         report.mkdir()
-        code = run_cli(["verify", "--suite", "descent", "--report", str(report),
-                        "--out", str(tmp_path / "o")])
+        code = run_cli(["verify", "--suite", "descent", "--report", str(report)])
         assert code == 2
         assert str(report) in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["reports"] and os.listdir(report) == []
@@ -326,11 +356,10 @@ class TestFixedPoint:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["descent", "equivalence"])
+    @pytest.mark.parametrize("suite", ["descent", "equivalence", "gradients"])
     def test_suites_pass(self, suite, tmp_path, capsys):
         report = str(tmp_path / "report.jsonl")
-        code = run_cli(["verify", "--suite", suite, "--trials", "6",
-                        "--report", report, "--out", str(tmp_path / "o")])
+        code = run_cli(["verify", "--suite", suite, "--trials", "6", "--report", report])
         assert code == 0
         with open(report) as fh:
             records = [json.loads(line) for line in fh]
@@ -338,15 +367,29 @@ class TestVerify:
 
     def test_injected_failure_exit_one(self, tmp_path, capsys):
         code = run_cli(["verify", "--suite", "descent", "--trials", "3",
-                        "--inject-failure", "--report", str(tmp_path / "r.jsonl"),
-                        "--out", str(tmp_path / "o")])
+                        "--inject-failure", "--report", str(tmp_path / "r.jsonl")])
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_gradients_injected_failure_exit_one(self, tmp_path, capsys):
+        code = run_cli(["verify", "--suite", "gradients", "--trials", "4",
+                        "--inject-failure", "--report", str(tmp_path / "r.jsonl")])
+        assert code == 1
+        assert '"suite": "gradients"' in capsys.readouterr().err
+
+    def test_takes_no_out(self, tmp_path, capsys):
+        # verify writes only its report, so an --out would be ignored
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--suite", "descent", "--trials", "1",
+                     "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_fixed_point_records_carry_certified_error(self, tmp_path):
         report = str(tmp_path / "report.jsonl")
         code = run_cli(["verify", "--suite", "convergence", "--trials", "3",
-                        "--report", report, "--out", str(tmp_path / "o")])
+                        "--report", report])
         assert code == 0
         with open(report) as fh:
             records = [r for r in map(json.loads, fh) if r.get("check") == "fixed-point"]
@@ -359,7 +402,7 @@ class TestVerify:
         # seed 10's second trial draws a graph with an isolated node
         report = str(tmp_path / "report.jsonl")
         code = run_cli(["verify", "--suite", "convergence", "--seed", "10", "--trials", "3",
-                        "--report", report, "--out", str(tmp_path / "o")])
+                        "--report", report])
         assert code == 0
         with open(report) as fh:
             records = [r for r in map(json.loads, fh) if r.get("check") == "closed-form"]
@@ -369,8 +412,7 @@ class TestVerify:
 
     def test_report_is_json_lines(self, tmp_path):
         report = str(tmp_path / "report.jsonl")
-        run_cli(["verify", "--suite", "convergence", "--trials", "2",
-                 "--report", report, "--out", str(tmp_path / "o")])
+        run_cli(["verify", "--suite", "convergence", "--trials", "2", "--report", report])
         with open(report) as fh:
             for line in fh:
                 json.loads(line)

@@ -27,6 +27,7 @@ from unfoldgnn.model import (
     Model,
     ModelConfig,
     TrainConfig,
+    accuracy,
     finite_difference_check,
     load_checkpoint,
     loss_and_grads,
@@ -247,6 +248,18 @@ class TestGradients:
                           embed_dim=3, n_classes=3, predictor="mlp",
                           hidden=(5,), activation="tanh", kind=SELF)
         model = Model(x.shape[1], cfg, seed=2)
+        report = finite_difference_check(model, g, x, labels, rows)
+        assert report["ok"], report
+
+    def test_unrolled_relu_mlp_predictor(self):
+        g, x, labels, rows = small_instance(20, n=9, d_in=4, c=3)
+        cfg = ModelConfig(backend="unrolled", steps=3, alpha=0.2, lam=1.0,
+                          embed_dim=3, n_classes=3, predictor="mlp",
+                          hidden=(5,), activation="relu", kind=SELF)
+        model = Model(x.shape[1], cfg, seed=2)
+        # away from relu's kink, some units on and some off
+        z = x @ model.params["mlp_w0"] + model.params["mlp_b0"]
+        assert np.abs(z).min() > 1e-3 and (z > 0).any() and (z < 0).any()
         report = finite_difference_check(model, g, x, labels, rows)
         assert report["ok"], report
 
@@ -677,6 +690,19 @@ class TestTraining:
         assert metrics.diverged
         assert metrics.loss.size < 50
 
+    # numpy warns of the overflow on the way to the divergence
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("backend", ["unrolled", "implicit", "eignn"])
+    def test_every_backend_flags_divergence(self, backend):
+        ds = sbm_generate(SbmSpec(blocks=(40, 40), p_in=0.2, p_out=0.05, seed=0))
+        cfg = ModelConfig(backend=backend, embed_dim=8, n_classes=2)
+        _, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, cfg,
+                           TrainConfig(epochs=10, lr=1e200, seed=0))
+        assert metrics.diverged
+        assert 0 < metrics.loss.size < 10
+        assert metrics.acc_val.size == metrics.loss.size
+        assert metrics.best_val_epoch >= 0
+
     def test_implicit_training_reprojects_weights(self):
         g, x, labels, masks = two_block_instance(5, n_per=10)
         cfg = ModelConfig(backend="implicit", embed_dim=4, n_classes=2,
@@ -699,6 +725,62 @@ class TestTraining:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# schema: train-metrics")
         assert len(lines) == 2 + 3
+
+
+class TestDropoutEvaluation:
+    """Under dropout an epoch's accuracies, and so its best epoch, come
+    from a forward without dropout at that epoch's parameters."""
+
+    @staticmethod
+    def instance(backend):
+        ds = sbm_generate(SbmSpec(blocks=(60, 60), p_in=0.1, p_out=0.03, seed=2))
+        cfg = ModelConfig(backend=backend, embed_dim=8, n_classes=2, predictor="mlp",
+                          hidden=(16,), dropout=0.5)
+        return ds, cfg, TrainConfig(epochs=30, lr=0.1, seed=0)
+
+    @pytest.mark.parametrize("backend", ["unrolled", "implicit"])
+    def test_logged_accuracies_are_the_eval_mode_ones(self, backend, monkeypatch):
+        ds, cfg, tcfg = self.instance(backend)
+        seen = []  # each epoch's parameters, read at its training forward
+        forward = Model.forward
+
+        def spy(self, g, x, train_mode=False, **kwargs):
+            if train_mode:
+                seen.append({k: v.copy() for k, v in self.params.items()})
+            return forward(self, g, x, train_mode=train_mode, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", spy)
+        _, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, cfg, tcfg)
+        monkeypatch.undo()
+        assert len(seen) == tcfg.epochs
+        for epoch, params in enumerate(seen):
+            model = Model(ds.x.shape[1], cfg, g=ds.graph)
+            model.params = params
+            logits, _ = model.forward(ds.graph, ds.x)
+            for name, logged in (("train", metrics.acc_train), ("val", metrics.acc_val),
+                                 ("test", metrics.acc_test)):
+                assert logged[epoch] == accuracy(logits, ds.labels, ds.masks[name]), \
+                    (epoch, name)
+        assert metrics.best_val_acc == metrics.acc_val.max()
+        assert metrics.best_val_epoch == int(np.argmax(metrics.acc_val))
+
+    def test_losses_are_those_of_the_training_forwards_alone(self):
+        # the eval forward draws no dropout mask and leaves the warm starts
+        # alone, so the losses are a loop's that never runs it
+        ds, cfg, tcfg = self.instance("eignn")
+        _, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, cfg, tcfg)
+        model = Model(ds.x.shape[1], cfg, seed=tcfg.seed, g=ds.graph)
+        rng = np.random.default_rng(tcfg.seed + 1)
+        warm = model_module._WarmStart()
+        rows = np.flatnonzero(ds.masks["train"])
+        losses = []
+        for _ in range(tcfg.epochs):
+            loss, _, grads = loss_and_grads(model, ds.graph, ds.x, ds.labels, rows,
+                                            train_mode=True, dropout_rng=rng, warm=warm)
+            losses.append(loss)
+            for name in model.trainable_names():
+                model.params[name] += 0.0 - tcfg.lr * grads[name]
+        np.testing.assert_array_equal(metrics.loss, losses)
 
 
 class TestCheckpoint:
