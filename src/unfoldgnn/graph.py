@@ -7,11 +7,14 @@ the largest n with n * n in int64, and builds nothing beyond the edges.
 Everything downstream (degrees, the CSR adjacency, Laplacians, incidence
 factorizations, propagation operators, their spectral norms) is derived
 from the edges alone, so each is built on first use and cached: the
-degrees and the adjacency once per graph, and per Laplacian kind one
-:class:`GraphOperators` bundle holding B, L, P and their norms.  B.T is
-B's transpose view, not a copy, and each Laplacian is assembled from its
-incidence view, so only a caller that reads ``adjacency`` builds the
-adjacency; the engine never does.  Graphs compare
+degrees, the adjacency and the unit-scale incidence once per graph, and
+per Laplacian kind one :class:`GraphOperators` bundle holding B, L, P and
+their norms.  The graph has one incidence index structure: every kind's
+B is built on the unit incidence's column indices and row pointers, and
+stores only its own scaled entries, from which its edge scales are read
+as views.  B.T is B's transpose view, not a copy, and each Laplacian is
+assembled from its incidence view, so only a caller that reads
+``adjacency`` builds the adjacency; the engine never does.  Graphs compare
 and hash by identity, so two graphs built from equal edge lists share
 no cache.  An operator bundle shares the graph's arrays but keeps no
 reference back to the graph, so a graph that is dropped is freed at
@@ -58,9 +61,10 @@ def _read_only_csr(mat):
 
 
 class _GraphArrays:
-    """A graph's node count and edges, with the degrees and the adjacency
-    built from them on first read.  The graph and its operator bundles
-    share one, so each is built once per graph, and it refers to neither."""
+    """A graph's node count and edges, with the degrees, the adjacency and
+    the unit-scale incidence built from them on first read.  The graph and
+    its operator bundles share one, so each is built once per graph, and it
+    refers to neither."""
 
     def __init__(self, n, edges):
         self.n, self.edges = n, edges
@@ -78,6 +82,19 @@ class _GraphArrays:
                              (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
                             shape=(self.n, self.n))
         return _read_only_csr(adj)
+
+    @cached_property
+    def incidence(self):
+        """The unit-scale incidence view, COMBINATORIAL's: row k carries +1
+        at u and -1 at v for edge k = (u, v).  Every kind's B is built on
+        its column indices and row pointers.  The indices are int32 where
+        the node and entry counts allow, as scipy would cast them."""
+        m = self.edges.shape[0]
+        idx = np.int32 if max(self.n, 2 * m) <= np.iinfo(np.int32).max else np.int64
+        data, cols = np.empty((m, 2)), np.empty((m, 2), dtype=idx)
+        data[:], cols[:] = (1.0, -1.0), self.edges
+        return IncidenceView(LaplacianKind.COMBINATORIAL, self.edges, _edge_rows(
+            self.n, data, cols, _read_only(np.arange(0, 2 * m + 1, 2, dtype=idx))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +166,10 @@ class GraphOperators:
 
     @cached_property
     def incidence(self):
-        eu, ev, s = self.edges[:, 0], self.edges[:, 1], self.scale
-        return IncidenceView(self.kind, self.n, eu, ev, _read_only(s[eu]), _read_only(s[ev]))
+        unit = self._arrays.incidence
+        if self.kind is LaplacianKind.COMBINATORIAL:
+            return unit
+        return unit.rescaled(self.kind, self.scale)
 
     @cached_property
     def laplacian(self):
@@ -159,15 +178,16 @@ class GraphOperators:
         (u, v) and (v, u) for each edge, and on the diagonal d_i, 1 where
         d_i > 0, or 1 - s_i s_i by kind, a zero diagonal left out.  That
         stores what D - A and its normalized forms stored, bit for bit."""
-        view, d, s = self.incidence, self._arrays.degrees, self.scale
+        view, d = self.incidence, self._arrays.degrees
         if self.kind is LaplacianKind.COMBINATORIAL:
             diag = d
         elif self.kind is LaplacianKind.SYM_NORMALIZED:
             diag = (d > 0).astype(float)
         else:
-            diag = 1.0 - s * s
+            diag = 1.0 - self.scale * self.scale
         nodes = np.flatnonzero(diag)
-        off = -(view.su * view.sv)
+        # su * (-sv) is -(su * sv) bit for bit: IEEE products are sign-symmetric
+        off = view.su * view.b.data[1::2]
         lap = sp.coo_matrix((np.concatenate([off, off, diag[nodes]]),
                              (np.concatenate([view.eu, view.ev, nodes]),
                               np.concatenate([view.ev, view.eu, nodes]))),
@@ -210,28 +230,43 @@ class IncidenceView:
     """Edge-row factorization B with B.T @ B equal to the Laplacian of
     its kind.
 
-    Row k, for edge (u, v), carries +su[k] at u and -sv[k] at v; B has one
-    row per edge and none else, so an isolated node's row and column of
-    B.T @ B are zero under every kind.  ``b`` is B as CSR and ``bt`` its
-    transpose view, a CSC over the same arrays: its products sum each
-    node's edges in ascending edge order from zero, as a CSR copy's would.
-    ``raw`` is the unit-scale view of the same edges.
+    Row k, for edge (u, v) = edges[k], carries +su[k] at u and -sv[k] at
+    v; B has one row per edge and none else, so an isolated node's row and
+    column of B.T @ B are zero under every kind.  ``b`` is B as CSR, the
+    view's only storage: its entries interleave (+su, -sv) per row, so
+    ``su`` is the strided view ``b.data[0::2]`` and -sv is ``b.data[1::2]``,
+    and its column indices and row pointers are the graph's unit-scale
+    incidence's, shared by every kind.  ``bt`` is B's transpose view, a CSC
+    over the same arrays: its products sum each node's edges in ascending
+    edge order from zero, as a CSR copy's would.  ``raw`` is the unit-scale
+    view of the same edges: this view under COMBINATORIAL, ``unit`` else.
     """
 
     kind: LaplacianKind
-    n: int
-    eu: np.ndarray
-    ev: np.ndarray
-    su: np.ndarray
-    sv: np.ndarray
+    edges: np.ndarray
+    b: sp.csr_matrix
+    unit: "IncidenceView | None" = field(default=None, repr=False)
+
+    @property
+    def n(self):
+        return self.b.shape[1]
 
     @property
     def n_edge_rows(self):
-        return self.eu.shape[0]
+        return self.b.shape[0]
 
-    @cached_property
-    def b(self):
-        return _edge_rows(self.n, self.eu, self.ev, self.su, self.sv)
+    @property
+    def eu(self):
+        return self.edges[:, 0]
+
+    @property
+    def ev(self):
+        return self.edges[:, 1]
+
+    @property
+    def su(self):
+        """Each edge row's scale at its first endpoint, a view of B's entries."""
+        return self.b.data[0::2]
 
     @property
     def bt(self):
@@ -242,14 +277,16 @@ class IncidenceView:
     def raw(self):
         """The unit-scale view of the same edges (row k carries +1 at eu[k]
         and -1 at ev[k]), whatever the kind: this view under COMBINATORIAL."""
-        # not cached on self there: a view that held itself would outlive its
-        # graph until the cyclic collector ran
-        return self if self.kind is LaplacianKind.COMBINATORIAL else self._unit_view
+        return self if self.unit is None else self.unit
 
-    @cached_property
-    def _unit_view(self):
-        ones = _read_only(np.ones(self.n_edge_rows))
-        return IncidenceView(LaplacianKind.COMBINATORIAL, self.n, self.eu, self.ev, ones, ones)
+    def rescaled(self, kind, s):
+        """The view of the same edges under ``kind`` at node scale ``s``: row
+        k carries +s[u] at u and -s[v] at v, on this view's index arrays."""
+        data = s[self.edges]
+        np.negative(data[:, 1], out=data[:, 1])
+        raw = self.raw
+        return IncidenceView(kind, self.edges, _edge_rows(
+            self.n, data, raw.b.indices, raw.b.indptr), raw)
 
     def apply(self, y):
         """B @ y restricted to the edge rows."""
@@ -278,20 +315,22 @@ class IncidenceView:
         if self.n_edge_rows == 0:
             return 0.0
         w = np.abs(gamma)  # rho'(z^2) can be negative (cosine rho)
-        d = np.bincount(self.eu, weights=w, minlength=self.n) \
-            + np.bincount(self.ev, weights=w, minlength=self.n)
+        eu, ev = self.eu, self.ev
+        d = np.bincount(eu, weights=w, minlength=self.n) \
+            + np.bincount(ev, weights=w, minlength=self.n)
         if self.raw is self:  # unit scales: s_i^2 d(i) is d(i)
-            return float(np.max(d[self.eu] + d[self.ev]))
-        return float(np.max(self.su ** 2 * d[self.eu] + self.sv ** 2 * d[self.ev]))
+            return float(np.max(d[eu] + d[ev]))
+        # (-sv)^2 is sv^2 bit for bit
+        return float(np.max(self.su ** 2 * d[eu] + self.b.data[1::2] ** 2 * d[ev]))
 
 
-def _edge_rows(n, eu, ev, su, sv):
-    """CSR edge rows of B: row k is +su[k] at eu[k], -sv[k] at ev[k]."""
-    m = eu.shape[0]
-    b = sp.csr_matrix((np.column_stack([su, -sv]).ravel(),
-                       np.column_stack([eu, ev]).ravel(),
-                       np.arange(0, 2 * m + 1, 2)), shape=(m, n))
-    return _read_only_csr(b)
+def _edge_rows(n, data, indices, indptr):
+    """B as CSR over its arrays, made read-only and not copied: row k holds
+    the entries data[k] at the columns indices[k] (data an (m, 2) array,
+    indices one too or its flat form), and ``indptr`` is the read-only
+    0, 2, ..., 2m."""
+    data, indices = (_read_only(arr).reshape(-1) for arr in (data, indices))
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.shape[0] - 1, n))
 
 
 class GraphError(ValueError):

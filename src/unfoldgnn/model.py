@@ -426,32 +426,35 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
     diverged = False
     warm = _WarmStart()
     for epoch in range(train_cfg.epochs):
-        try:
-            loss, logits, grads = loss_and_grads(
-                model, g, x, labels, train_rows,
-                train_mode=model_cfg.dropout > 0, dropout_rng=dropout_rng, warm=warm)
-            if model_cfg.dropout > 0:
-                logits, _ = model.forward(g, x)
-        except (PropagationDivergence, FixedPointDivergence, FloatingPointError):
-            diverged = True
-            break
-        if not np.isfinite(loss):
-            diverged = True
-            break
-        hist["loss"].append(loss)
-        hist["train"].append(accuracy(logits, labels, masks["train"]))
-        hist["val"].append(accuracy(logits, labels, masks["val"]))
-        hist["test"].append(accuracy(logits, labels, masks["test"]))
-        if hist["val"][-1] > best[0]:
-            best = (hist["val"][-1], epoch, {k: v.copy() for k, v in model.params.items()})
-        for name in model.trainable_names():
-            step = grads[name] + train_cfg.weight_decay * model.params[name]
-            velocity[name] = train_cfg.momentum * velocity[name] - train_cfg.lr * step
-            model.params[name] += velocity[name]
-        if model_cfg.backend == "implicit" and model_cfg.train_w_p:
-            model.params["w_p"] = project_weights(
-                model.params["w_p"], g.operators(model_cfg.kind),
-                margin=model_cfg.contraction_margin)
+        # an overflow on the way to a divergence is flagged by the checks
+        # below, not raised, even where warnings are errors
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                loss, logits, grads = loss_and_grads(
+                    model, g, x, labels, train_rows,
+                    train_mode=model_cfg.dropout > 0, dropout_rng=dropout_rng, warm=warm)
+                if model_cfg.dropout > 0:
+                    logits, _ = model.forward(g, x)
+            except (PropagationDivergence, FixedPointDivergence, FloatingPointError):
+                diverged = True
+                break
+            if not np.isfinite(loss):
+                diverged = True
+                break
+            hist["loss"].append(loss)
+            hist["train"].append(accuracy(logits, labels, masks["train"]))
+            hist["val"].append(accuracy(logits, labels, masks["val"]))
+            hist["test"].append(accuracy(logits, labels, masks["test"]))
+            if hist["val"][-1] > best[0]:
+                best = (hist["val"][-1], epoch, {k: v.copy() for k, v in model.params.items()})
+            for name in model.trainable_names():
+                step = grads[name] + train_cfg.weight_decay * model.params[name]
+                velocity[name] = train_cfg.momentum * velocity[name] - train_cfg.lr * step
+                model.params[name] += velocity[name]
+            if model_cfg.backend == "implicit" and model_cfg.train_w_p:
+                model.params["w_p"] = project_weights(
+                    model.params["w_p"], g.operators(model_cfg.kind),
+                    margin=model_cfg.contraction_margin)
     if best[2] is not None:
         model.params = best[2]
     logits, _ = model.forward(g, x)
@@ -542,7 +545,10 @@ def load_checkpoint(directory):
     raises CheckpointError naming the file and the manifest line."""
     blob_path = os.path.join(directory, "params.bin")
     manifest_path = os.path.join(directory, "manifest.txt")
-    blob = np.fromfile(blob_path, dtype=np.float64)
+    try:
+        blob = np.fromfile(blob_path, dtype=np.float64)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {blob_path}: {exc.strerror}")
     params = {}
     end = 0
     for where, line in text_lines(manifest_path, CheckpointError):

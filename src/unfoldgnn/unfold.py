@@ -65,7 +65,7 @@ import scipy.sparse as sp
 from . import _kernels
 from .artifacts import write_csv
 from .energy import edge_diagonal, energy_eval
-from .graph import IncidenceView, LaplacianKind, incidence, laplacian
+from .graph import LaplacianKind, incidence, laplacian
 from .graph import propagation_matrix, spectral_norm  # noqa: F401  patched by perfbench/tracing.py
 
 DIVERGENCE_LIMIT = 1e12
@@ -241,8 +241,7 @@ def normalized_step(g, gamma):
     deg = np.bincount(raw.eu, weights=gamma, minlength=g.n) \
         + np.bincount(raw.ev, weights=gamma, minlength=g.n)
     s = 1.0 / np.sqrt(deg + 1.0)
-    view = IncidenceView(LaplacianKind.SELF_LOOP_SYM, g.n, raw.eu, raw.ev, s[raw.eu], s[raw.ev])
-    return view.weighted_laplacian(gamma)
+    return raw.rescaled(LaplacianKind.SELF_LOOP_SYM, s).weighted_laplacian(gamma)
 
 
 @dataclass(frozen=True)

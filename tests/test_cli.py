@@ -74,8 +74,6 @@ class TestTrain:
         assert code == 2
         assert f"error: cannot read {path}: Is a directory" in capsys.readouterr().err
 
-    # numpy warns of the overflow on the way to the divergence
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("backend", ["unrolled", "implicit", "eignn"])
     def test_divergence_writes_metrics_and_exits_three(self, backend, fixture_dir, tmp_path,
                                                        capsys):

@@ -520,6 +520,80 @@ class TestOperatorCache:
             LaplacianKind("bogus")
 
 
+def _owner(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _owned_buffers(obj):
+    """The distinct memory-owning arrays reachable from obj through the
+    attributes of the package's and scipy.sparse's objects."""
+    seen, owners, stack = set(), {}, [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            owner = _owner(item)
+            owners[id(owner)] = owner
+        elif type(item).__module__.startswith(("unfoldgnn", "scipy.sparse")) \
+                and hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return list(owners.values())
+
+
+class TestSharedIncidence:
+    """Each graph stores one incidence index structure, and each view's
+    scales only in its B."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_scales_are_views_of_b(self, kind):
+        g = random_graph(np.random.default_rng(20), 15)
+        view = incidence(g, kind)
+        assert np.shares_memory(view.su, view.b.data)
+        np.testing.assert_array_equal(view.su, view.b.data[0::2])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_every_kind_shares_the_unit_index_arrays(self, kind):
+        g = random_graph(np.random.default_rng(21), 15)
+        view, unit = incidence(g, kind), incidence(g, LaplacianKind.COMBINATORIAL)
+        assert view.raw is unit is g._arrays.incidence
+        assert _owner(view.raw.b.indices) is _owner(view.b.indices)
+        assert view.raw.b.indptr is view.b.indptr
+        assert _owner(view.bt.indices) is _owner(view.b.indices)
+        np.testing.assert_array_equal(unit.b.data, np.tile([1.0, -1.0], g.m))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_views_and_their_owners_are_read_only(self, kind):
+        g = random_graph(np.random.default_rng(22), 15)
+        view = incidence(g, kind)
+        arrays = [view.su, view.eu, view.ev]
+        for b in (view.b, view.raw.b, view.bt):
+            arrays += [b.data, b.indices, b.indptr]
+        for arr in arrays + [_owner(arr) for arr in arrays]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_bundle_holds_each_buffer_once(self):
+        # nodes 55-59 are isolated; with B, the unit B, L and P built the
+        # bundle owns: the int64 edges, the degrees and the scale; the unit
+        # B's entries, int32 columns and row pointers; the scaled B's
+        # entries; L's CSR; and P's, whose arrays scipy's subtraction sizes
+        # for nnz(I) + nnz(L) entries
+        g = build_graph(60, np.random.default_rng(23).integers(0, 55, size=(150, 2)))
+        ops = g.operators(LaplacianKind.SELF_LOOP_SYM)
+        ops.incidence.raw.b, ops.laplacian, ops.propagation
+        n, m, nnz_l = g.n, g.m, ops.laplacian.nnz
+        want = (16 * m + 8 * n + 8 * n
+                + 16 * m + 8 * m + 4 * (m + 1)
+                + 16 * m
+                + 12 * nnz_l + 4 * (n + 1)
+                + 12 * (n + nnz_l) + 4 * (n + 1))
+        assert sum(arr.nbytes for arr in _owned_buffers(ops)) == want
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-8)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -690,8 +692,6 @@ class TestTraining:
         assert metrics.diverged
         assert metrics.loss.size < 50
 
-    # numpy warns of the overflow on the way to the divergence
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("backend", ["unrolled", "implicit", "eignn"])
     def test_every_backend_flags_divergence(self, backend):
         ds = sbm_generate(SbmSpec(blocks=(40, 40), p_in=0.2, p_out=0.05, seed=0))
@@ -816,6 +816,21 @@ class TestCheckpoint:
         blob.write_bytes(blob.read_bytes() + bytes(extra))
         with pytest.raises(CheckpointError,
                            match=r"params.bin is \d+ bytes, but .*manifest.txt accounts for"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    def test_missing_params_named(self, tmp_path):
+        blob, _ = self.saved(tmp_path)
+        blob.unlink()
+        with pytest.raises(CheckpointError,
+                           match=f"cannot read {re.escape(str(blob))}: No such file"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    def test_params_that_is_a_directory_named(self, tmp_path):
+        blob, _ = self.saved(tmp_path)
+        blob.unlink()
+        blob.mkdir()
+        with pytest.raises(CheckpointError,
+                           match=f"cannot read {re.escape(str(blob))}: Is a directory"):
             load_checkpoint(tmp_path / "ckpt")
 
     def test_manifest_size_disagreeing_with_shape_rejected(self, tmp_path):
