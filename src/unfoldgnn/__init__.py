@@ -4,14 +4,13 @@ two model families together."""
 
 __version__ = "0.1.0"
 
-from .graph import Graph, LaplacianKind, build_graph, homophily_ratio, laplacian, propagation_matrix, spectral_norm
+from .graph import Graph, LaplacianKind, build_graph, homophily_ratio, propagation_matrix, spectral_norm
 
 __all__ = [
     "Graph",
     "LaplacianKind",
     "build_graph",
     "homophily_ratio",
-    "laplacian",
     "propagation_matrix",
     "spectral_norm",
 ]

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: train, propagate, fixedpoint, verify, experiment, bench.
+Subcommands: train, propagate, fixedpoint, verify, experiment.
 Every numeric option lives in a flat dotted-key config space; values
 resolve as defaults < config file < --set overrides < dedicated flags.
 Config files are plain ``key=value`` lines with '#' comments.  All
@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -273,8 +272,7 @@ def cmd_train(args):
 def cmd_propagate(args):
     ds, mcfg, _ = resolve_run(args)
     out = out_dir(args)
-    result = propagate(mcfg.energy_spec, ds.graph, ds.x,
-                       replace(mcfg.propagation, record_trace=True))
+    result = propagate(mcfg.energy_spec, ds.graph, ds.x, mcfg.propagation)
     trace_to_csv(result, os.path.join(out, "trace.csv"))
     gamma_trace_to_csv(result, os.path.join(out, "gammas.csv"))
     final = result.trace[-1]
@@ -340,26 +338,6 @@ def cmd_experiment(args):
     out = out_dir(args)
     summary = run_experiment(args.name, out, seed=args.seed)
     print(json.dumps(_jsonable(summary), indent=2))
-    return 0
-
-
-def cmd_bench(args):
-    out = out_dir(args)
-    sizes = []
-    for chunk in args.sizes.split(";"):
-        try:
-            n, deg, d, k = (int(tok) for tok in chunk.split(":"))
-        except ValueError:
-            raise CliError(f"bad --sizes entry {chunk!r}; expected n:avg_degree:d:K")
-        if min(n, deg, d) < 1 or k < 0:
-            raise CliError(f"bad --sizes entry {chunk!r}; n, avg_degree and d must be at "
-                           f"least 1 and K at least 0")
-        sizes.append((n, deg, d, k))
-    summary = run_experiment("bench-time", out, seed=args.seed, sizes=tuple(sizes))
-    rows = summary["rows"]
-    for key, val in rows.items():
-        print(f"n={key[0]} m={key[1]} d={key[2]} K={key[3]} "
-              f"edge_flops={val['edge_flops']} seconds={val['seconds']:.4f}")
     return 0
 
 
@@ -431,11 +409,6 @@ def build_parser():
     p_exp.add_argument("--name", required=True, choices=EXPERIMENTS)
     p_exp.set_defaults(fn=cmd_experiment)
 
-    p_bench = subs.add_parser("bench", help="time propagation over K layers")
-    _add_common(p_bench, config_keys=False)
-    p_bench.add_argument("--sizes", default="2000:8:8:8;2000:8:8:16;4000:8:8:8",
-                         help="semicolon-separated n:avg_degree:d:K tuples")
-    p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 

@@ -173,11 +173,19 @@ class GraphOperators:
 
     @cached_property
     def laplacian(self):
-        """B.T @ B, assembled from the incidence view's scales entry by
-        entry in one COO to CSR build, without the adjacency: -(s_u s_v) at
-        (u, v) and (v, u) for each edge, and on the diagonal d_i, 1 where
-        d_i > 0, or 1 - s_i s_i by kind, a zero diagonal left out.  That
-        stores what D - A and its normalized forms stored, bit for bit."""
+        """This kind's Laplacian as sparse CSR (symmetric, PSD), read-only:
+        B.T @ B over the incidence view's edge rows, so an isolated node's
+        row and column are zero.  COMBINATORIAL: D - A.  SYM_NORMALIZED:
+        I - D^{-1/2} A D^{-1/2}, with the identity's entry dropped at an
+        isolated node (L_ii = 1 only where d_i > 0, as in Chung's
+        normalized Laplacian).  SELF_LOOP_SYM: I - D~^{-1/2} (A + I) D~^{-1/2}
+        with D~ = D + I.
+
+        It is assembled from the incidence view's scales entry by entry in
+        one COO to CSR build, without the adjacency: -(s_u s_v) at (u, v)
+        and (v, u) for each edge, and on the diagonal d_i, 1 where d_i > 0,
+        or 1 - s_i s_i by kind, a zero diagonal left out.  That stores what
+        D - A and its normalized forms stored, bit for bit."""
         view, d = self.incidence, self._arrays.degrees
         if self.kind is LaplacianKind.COMBINATORIAL:
             diag = d
@@ -196,8 +204,12 @@ class GraphOperators:
 
     @cached_property
     def propagation(self):
+        """P = I - L as CSR, read-only, owning exactly nnz(P) entries: the
+        difference's arrays are copied out of scipy's buffers, which are
+        sized for nnz(I) + nnz(L)."""
         p = sp.identity(self.n, format="csr") - self.laplacian
-        return _read_only_csr(p.tocsr())
+        return _read_only_csr(sp.csr_matrix((p.data.copy(), p.indices.copy(), p.indptr),
+                                            shape=p.shape))
 
     @cached_property
     def laplacian_norm(self):
@@ -411,20 +423,6 @@ def _inv_sqrt(deg):
     return out
 
 
-def laplacian(g, kind):
-    """Selected Laplacian as sparse CSR (symmetric, PSD), cached and
-    read-only; under every kind it equals B.T @ B over the edge rows of
-    incidence(g, kind), from whose scales it is assembled without the
-    adjacency, so an isolated node's row and column are zero.
-
-    COMBINATORIAL: D - A.  SYM_NORMALIZED: I - D^{-1/2} A D^{-1/2}, with
-    the identity's entry dropped at an isolated node (L_ii = 1 only where
-    d_i > 0, as in Chung's normalized Laplacian).  SELF_LOOP_SYM:
-    I - D~^{-1/2} (A + I) D~^{-1/2} with D~ = D + I.
-    """
-    return g.operators(kind).laplacian
-
-
 def propagation_matrix(g, kind):
     """I minus the selected Laplacian, cached and read-only: an isolated
     node's row is e_i under every kind, and the rest is
@@ -434,8 +432,8 @@ def propagation_matrix(g, kind):
 
 
 def incidence(g, kind):
-    """Edge-row incidence view whose B.T @ B equals laplacian(g, kind);
-    cached, with read-only arrays.
+    """Edge-row incidence view whose B.T @ B equals the Laplacian
+    ``g.operators(kind).laplacian``; cached, with read-only arrays.
 
     Sign convention: edge (u, v) with u < v carries + at u, - at v.
     """

@@ -125,8 +125,7 @@ class ModelConfig:
     def propagation(self):
         """The layer plan the unrolled backend runs."""
         return PropagationConfig(steps=self.steps, alpha=self.alpha, variant=self.variant,
-                                 attention_schedule=self.attention_schedule,
-                                 record_trace=False)
+                                 attention_schedule=self.attention_schedule)
 
     @cached_property
     def fixed_point(self):

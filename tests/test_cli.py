@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -9,6 +10,7 @@ from unfoldgnn import cli
 from unfoldgnn.cli import KEYS, main
 from unfoldgnn.energy import _CONFIG_NAMES, _PHI_FACTORIES, _RHO_FACTORIES
 from unfoldgnn.data import SbmSpec, save_dataset, sbm_generate
+from unfoldgnn.experiments import bench_time
 
 
 @pytest.fixture
@@ -195,10 +197,6 @@ class TestPropagate:
     (["propagate", "--set", "unfold.rho=identity:x=1"], "takes no parameter 'x'"),
     (["verify", "--suite", "descent", "--trials", "0"], "--trials must be at least 1"),
     (["verify", "--suite", "descent", "--trials", "-3"], "--trials must be at least 1"),
-    (["bench", "--sizes", "0:8:8:2"], "n, avg_degree and d must be at least 1"),
-    (["bench", "--sizes", "100:0:8:2"], "n, avg_degree and d must be at least 1"),
-    (["bench", "--sizes", "100:8:0:2"], "n, avg_degree and d must be at least 1"),
-    (["bench", "--sizes", "100:8:4:-1"], "K at least 0"),
     (["train", "--lam", "-1"], "lam must be nonnegative"),
     (["train", "--set", "data.p_in=2"], "edge probabilities must lie in [0, 1]"),
     (["propagate", "--set", "data.p_in=2"], "edge probabilities must lie in [0, 1]"),
@@ -224,9 +222,9 @@ class TestPropagate:
       "--set", "unfold.attention=sandwich"], "largest weight tau_bar^(p-2) and T_bar"),
 ])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
-    # verify and bench read no dataset, so they take no --dataset flag, and
-    # verify writes no artifacts, so it takes no --out
-    dataset = ["--dataset", fixture_dir] if args[0] not in ("verify", "bench") else []
+    # verify reads no dataset, so it takes no --dataset flag, and writes no
+    # artifacts, so it takes no --out
+    dataset = ["--dataset", fixture_dir] if args[0] != "verify" else []
     out = ["--out", str(tmp_path / "o")] if args[0] != "verify" else []
     code = run_cli([*args, *dataset, *out])
     assert code == 2
@@ -284,7 +282,7 @@ def test_rejected_values_exit_two_with_the_owners_message(setting, message, tmp_
     assert message in err and "bad value for" not in err
 
 
-@pytest.mark.parametrize("command", ["train", "verify", "experiment", "bench"])
+@pytest.mark.parametrize("command", ["train", "verify", "experiment"])
 def test_negative_seed_exits_two(command, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli([command, "--seed", "-1"])
@@ -425,16 +423,20 @@ class TestExperimentAndBench:
         summary = json.loads(capsys.readouterr().out)
         assert float(summary["final_rel_error"]) < 1e-6
 
-    def test_bench_scaling_and_csv(self, tmp_path, capsys):
+    def test_bench_time_csv_and_rows(self, tmp_path, capsys):
         out = str(tmp_path / "o")
-        code = run_cli(["bench", "--sizes", "400:6:4:8;400:6:4:16;800:6:4:8",
-                        "--out", out])
+        code = run_cli(["experiment", "--name", "bench-time", "--out", out])
         assert code == 0
-        stdout = capsys.readouterr().out
-        lines = [l for l in stdout.splitlines() if l.startswith("n=")]
-        flops = [int(l.split("edge_flops=")[1].split()[0]) for l in lines]
-        assert flops[1] == pytest.approx(2 * flops[0], rel=0.05)
+        summary = json.loads(capsys.readouterr().out)
+        sizes = inspect.signature(bench_time).parameters["sizes"].default
+        assert len(summary["rows"]) == len(sizes)
         assert os.path.exists(os.path.join(out, "bench_time.csv"))
+
+    def test_bench_is_not_a_subcommand(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_artifacts_env_var(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "via_env"
@@ -451,6 +453,20 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "unfold.steps" in text and "train.lr" in text
         assert "[key: unfold.steps]" in text
+
+    def test_documented_subcommands_are_the_parsers(self):
+        """The subcommands that the module docstring lists and that the
+        README's CLI block runs are exactly those the parser takes."""
+        subs = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        parsed = set(subs.choices)
+        line = next(l for l in cli.__doc__.splitlines() if l.startswith("Subcommands: "))
+        assert set(line.removeprefix("Subcommands: ").rstrip(".").split(", ")) == parsed
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        assert {l.split()[1] for l in block.splitlines() if l.startswith("unfoldgnn ")} == parsed
 
 
 # the CLI defaults that differ from their class's on purpose (the comment

@@ -18,7 +18,6 @@ from unfoldgnn.graph import (
     edge_keys,
     homophily_ratio,
     incidence,
-    laplacian,
     propagation_matrix,
     read_edge_list,
     spectral_norm,
@@ -136,23 +135,23 @@ class TestEdgeKeys:
 class TestLaplacian:
     def test_path_combinatorial(self):
         g = build_graph(2, [(0, 1)])
-        lap = laplacian(g, LaplacianKind.COMBINATORIAL).toarray()
+        lap = g.operators(LaplacianKind.COMBINATORIAL).laplacian.toarray()
         np.testing.assert_allclose(lap, [[1, -1], [-1, 1]])
 
     def test_triangle_combinatorial(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        lap = laplacian(g, LaplacianKind.COMBINATORIAL).toarray()
+        lap = g.operators(LaplacianKind.COMBINATORIAL).laplacian.toarray()
         np.testing.assert_allclose(lap, 2 * np.eye(3) - (np.ones((3, 3)) - np.eye(3)))
 
     def test_path_sym_normalized(self):
         # degree-1 endpoints: dense evaluation of I - D^-1/2 A D^-1/2
         g = build_graph(2, [(0, 1)])
-        lap = laplacian(g, LaplacianKind.SYM_NORMALIZED).toarray()
+        lap = g.operators(LaplacianKind.SYM_NORMALIZED).laplacian.toarray()
         np.testing.assert_allclose(lap, [[1, -1], [-1, 1]])
 
     def test_combinatorial_rows_sum_to_zero(self):
         g = random_graph(np.random.default_rng(1), 15)
-        lap = laplacian(g, LaplacianKind.COMBINATORIAL)
+        lap = g.operators(LaplacianKind.COMBINATORIAL).laplacian
         np.testing.assert_allclose(np.asarray(lap.sum(axis=1)).ravel(), 0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -160,14 +159,14 @@ class TestLaplacian:
         rng = np.random.default_rng(2)
         for n in (5, 17, 64):
             g = random_graph(rng, n, p=0.15)
-            lap = laplacian(g, kind).toarray()
+            lap = g.operators(kind).laplacian.toarray()
             np.testing.assert_allclose(lap, lap.T, atol=1e-14)
             assert np.linalg.eigvalsh(lap).min() >= -1e-10
 
     def test_isolated_node_conventions(self):
         g = build_graph(3, [(0, 1)])  # node 2 isolated
         for kind in ALL_KINDS:
-            lap = laplacian(g, kind).toarray()
+            lap = g.operators(kind).laplacian.toarray()
             np.testing.assert_array_equal(lap[2], 0)
             np.testing.assert_array_equal(lap[:, 2], 0)
             prop = propagation_matrix(g, kind).toarray()
@@ -193,7 +192,7 @@ class TestIncidence:
         for n in (4, 12, 30):
             g = random_graph(rng, n, p=0.25)
             b = incidence(g, kind).b
-            lap = laplacian(g, kind).toarray()
+            lap = g.operators(kind).laplacian.toarray()
             np.testing.assert_allclose((b.T @ b).toarray(), lap, atol=1e-12)
 
     def test_btb_matches_laplacian_with_isolated_node(self):
@@ -201,7 +200,7 @@ class TestIncidence:
         for kind in ALL_KINDS:
             b = incidence(g, kind).b
             np.testing.assert_allclose(
-                (b.T @ b).toarray(), laplacian(g, kind).toarray(), atol=1e-12
+                (b.T @ b).toarray(), g.operators(kind).laplacian.toarray(), atol=1e-12
             )
 
     def test_apply_matches_matrix(self):
@@ -269,7 +268,7 @@ class TestAssemblyPinnedToTheAdjacencyForm:
     def test_laplacian_and_propagation_byte_for_byte(self, kind, name):
         g = build_graph(*PINNED_GRAPHS[name])
         want = _adjacency_laplacian(g, kind)
-        assert_same_csr(laplacian(g, kind), want)
+        assert_same_csr(g.operators(kind).laplacian, want)
         assert_same_csr(propagation_matrix(g, kind),
                         (sp.identity(g.n, format="csr") - want).tocsr())
         assert "adjacency" not in vars(g._arrays)
@@ -302,7 +301,7 @@ class TestPropagationMatrix:
         rng = np.random.default_rng(5)
         g = random_graph(rng, 18)
         for kind in ALL_KINDS:
-            total = propagation_matrix(g, kind) + laplacian(g, kind)
+            total = propagation_matrix(g, kind) + g.operators(kind).laplacian
             np.testing.assert_allclose(total.toarray(), np.eye(18), atol=1e-14)
 
     def test_combinatorial_row_sums_one(self):
@@ -377,7 +376,7 @@ class TestOperatorCache:
                           kind=kind)
         propagate(spec, g, rng.normal(size=(50, 3)), PropagationConfig(
             steps=4, alpha="auto_irls", attention_schedule=(0, 1, 2, 3)))
-        laplacian(g, kind), propagation_matrix(g, kind)
+        g.operators(kind).laplacian, propagation_matrix(g, kind)
         w_p = implicit.project_weights(np.eye(3), g.operators(kind))
         implicit.fixed_point_solve(g, w_p, rng.normal(size=(50, 3)),
                                    implicit.FixedPointConfig(kind=kind))
@@ -419,7 +418,7 @@ class TestOperatorCache:
     def test_each_operator_is_built_once(self):
         g = random_graph(np.random.default_rng(11), 12)
         for kind in ALL_KINDS:
-            assert laplacian(g, kind) is laplacian(g, kind)
+            assert g.operators(kind).laplacian is g.operators(kind).laplacian
             assert propagation_matrix(g, kind) is propagation_matrix(g, kind)
             assert incidence(g, kind) is incidence(g, kind)
             assert incidence(g, kind).b is incidence(g, kind).b
@@ -432,13 +431,13 @@ class TestOperatorCache:
                           attention_schedule=sandwich_schedule(6))
         tcfg = TrainConfig(epochs=8, lr=0.1)
         train(ds.graph, ds.x, ds.labels, ds.masks, cfg, tcfg)
-        assert norm_calls == [laplacian(ds.graph, cfg.kind)]
+        assert norm_calls == [ds.graph.operators(cfg.kind).laplacian]
         train(ds.graph, ds.x, ds.labels, ds.masks, cfg, tcfg)
         assert len(norm_calls) == 1
         other = ModelConfig(backend="unrolled", embed_dim=4, n_classes=2, steps=6,
                             kind=LaplacianKind.COMBINATORIAL)
         train(ds.graph, ds.x, ds.labels, ds.masks, other, tcfg)
-        assert norm_calls[1:] == [laplacian(ds.graph, LaplacianKind.COMBINATORIAL)]
+        assert norm_calls[1:] == [ds.graph.operators(LaplacianKind.COMBINATORIAL).laplacian]
 
     def test_implicit_training_computes_propagation_norm_once(self, norm_calls):
         ds = self.sbm()
@@ -448,7 +447,7 @@ class TestOperatorCache:
                 train(ds.graph, ds.x, ds.labels, ds.masks, cfg, TrainConfig(epochs=6, lr=0.1))
         # ||P|| = max(1, ||L|| - 1) under COMBINATORIAL reads the one
         # Laplacian solve, and the normalized kinds' ||P|| = 1 needs none
-        assert norm_calls == [laplacian(ds.graph, LaplacianKind.COMBINATORIAL)]
+        assert norm_calls == [ds.graph.operators(LaplacianKind.COMBINATORIAL).laplacian]
 
     def test_dropped_graph_is_freed_without_the_cyclic_collector(self):
         was_enabled = gc.isenabled()
@@ -458,7 +457,7 @@ class TestOperatorCache:
             bundles = [g.operators(kind) for kind in ALL_KINDS]
             for ops in bundles:
                 ops.incidence.bt, ops.laplacian_norm, ops.propagation_norm
-            expected = laplacian(g, LaplacianKind.COMBINATORIAL).toarray()
+            expected = g.operators(LaplacianKind.COMBINATORIAL).laplacian.toarray()
             ref = weakref.ref(g)
             del g
             assert ref() is None
@@ -487,7 +486,7 @@ class TestOperatorCache:
         g1, g2 = build_graph(4, pairs), build_graph(4, pairs)
         assert g1 != g2 and len({g1, g2}) == 2 and g1 == g1
         for kind in ALL_KINDS:
-            assert laplacian(g1, kind) is not laplacian(g2, kind)
+            assert g1.operators(kind).laplacian is not g2.operators(kind).laplacian
             assert incidence(g1, kind) is not incidence(g2, kind)
         assert g1.degrees is not g2.degrees
 
@@ -496,9 +495,9 @@ class TestOperatorCache:
         g = build_graph(4, [(0, 1), (1, 2)])
         kind = LaplacianKind.SYM_NORMALIZED
         view = incidence(g, kind)
-        lap_before = laplacian(g, kind).toarray()
+        lap_before = g.operators(kind).laplacian.toarray()
         arrays = [g.edges, g.degrees, g.adjacency.data, view.eu, view.su, view.raw.su]
-        for mat in (laplacian(g, kind), propagation_matrix(g, kind),
+        for mat in (g.operators(kind).laplacian, propagation_matrix(g, kind),
                     view.b, view.bt, view.raw.b, view.raw.bt):
             arrays += [mat.data, mat.indices, mat.indptr]
         for arr in arrays:
@@ -506,13 +505,13 @@ class TestOperatorCache:
                 arr[...] = 0
         for entry in ((0, 0), (0, 3)):  # stored, and not stored
             with pytest.raises(ValueError, match="read-only"):
-                laplacian(g, kind)[entry] = 5.0
-        np.testing.assert_array_equal(laplacian(g, kind).toarray(), lap_before)
+                g.operators(kind).laplacian[entry] = 5.0
+        np.testing.assert_array_equal(g.operators(kind).laplacian.toarray(), lap_before)
         assert g.degrees.tolist() == [1, 2, 1, 0]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown Laplacian kind"):
-            laplacian(build_graph(2, [(0, 1)]), "combinatorial")
+            build_graph(2, [(0, 1)]).operators("combinatorial")
 
     def test_kind_from_its_name(self):
         assert LaplacianKind("sym_normalized") is LaplacianKind.SYM_NORMALIZED
@@ -580,17 +579,16 @@ class TestSharedIncidence:
         # nodes 55-59 are isolated; with B, the unit B, L and P built the
         # bundle owns: the int64 edges, the degrees and the scale; the unit
         # B's entries, int32 columns and row pointers; the scaled B's
-        # entries; L's CSR; and P's, whose arrays scipy's subtraction sizes
-        # for nnz(I) + nnz(L) entries
+        # entries; L's CSR; and P's, sized for its own nnz(P) entries
         g = build_graph(60, np.random.default_rng(23).integers(0, 55, size=(150, 2)))
         ops = g.operators(LaplacianKind.SELF_LOOP_SYM)
         ops.incidence.raw.b, ops.laplacian, ops.propagation
-        n, m, nnz_l = g.n, g.m, ops.laplacian.nnz
+        n, m, nnz_l, nnz_p = g.n, g.m, ops.laplacian.nnz, ops.propagation.nnz
         want = (16 * m + 8 * n + 8 * n
                 + 16 * m + 8 * m + 4 * (m + 1)
                 + 16 * m
                 + 12 * nnz_l + 4 * (n + 1)
-                + 12 * (n + nnz_l) + 4 * (n + 1))
+                + 12 * nnz_p + 4 * (n + 1))
         assert sum(arr.nbytes for arr in _owned_buffers(ops)) == want
 
 
@@ -627,7 +625,7 @@ class TestSpectralNorm:
     def test_sparse_input_is_deterministic(self):
         g = random_graph(np.random.default_rng(10), 80, p=0.1)
         for kind in ALL_KINDS:
-            lap = laplacian(g, kind)
+            lap = g.operators(kind).laplacian
             assert spectral_norm(lap) == spectral_norm(lap)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -656,15 +654,15 @@ class TestSpectralNorm:
         rng = np.random.default_rng(17)
         n = 20_000
         g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
-        lap = laplacian(g, LaplacianKind.SELF_LOOP_SYM)
+        lap = g.operators(LaplacianKind.SELF_LOOP_SYM).laplacian
         assert traced_peak(spectral_norm, lap) < 10 * n * 8
 
     def test_sparse_solve_raises_past_its_step_cap(self, monkeypatch):
         # one step per dimension, and no read of the Ritz value before it
         monkeypatch.setattr(graph_module, "_LANCZOS_STEPS_PER_DIM", 1)
         monkeypatch.setattr(graph_module, "_LANCZOS_READ_EVERY", 10 ** 9)
-        lap = laplacian(random_graph(np.random.default_rng(18), 80, p=0.1),
-                        LaplacianKind.COMBINATORIAL)
+        g = random_graph(np.random.default_rng(18), 80, p=0.1)
+        lap = g.operators(LaplacianKind.COMBINATORIAL).laplacian
         with pytest.raises(RuntimeError, match="did not converge in 80 steps"):
             spectral_norm(lap)
 

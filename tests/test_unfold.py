@@ -22,7 +22,7 @@ from unfoldgnn.energy import (
     rho_truncated_lp,
     rho_truncated_quadratic,
 )
-from unfoldgnn.graph import LaplacianKind, build_graph, incidence, laplacian, propagation_matrix
+from unfoldgnn.graph import LaplacianKind, build_graph, incidence, propagation_matrix
 from unfoldgnn.implicit import FixedPointConfig, fixed_point_solve, project_weights
 from unfoldgnn.model import Model, ModelConfig, softmax_cross_entropy
 from unfoldgnn.unfold import (
@@ -160,7 +160,7 @@ class TestAbridgedStep:
         y = rng.normal(size=(9, 3))
         fx = rng.normal(size=(9, 3))
         lam, alpha = 0.8, 0.2
-        lap = laplacian(g, COMB).toarray()
+        lap = g.operators(COMB).laplacian.toarray()
         expected = y - alpha * ((lam * lap + np.eye(9)) @ y - fx)
         u = abridged_gradient_step(EnergySpec(lam=lam), incidence(g, COMB), y, fx, np.ones(g.m),
                                    alpha)
@@ -393,7 +393,7 @@ class TestStepSizeBound:
         spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), lam=1.5, kind=kind)
         for n in (12, 60, 200, 600):
             g = random_graph(rng, n, p=6.0 / n)
-            exact = np.abs(np.linalg.eigvalsh(laplacian(g, kind).toarray())).max()
+            exact = np.abs(np.linalg.eigvalsh(g.operators(kind).laplacian.toarray())).max()
             safe = 1.0 / (1.0 + spec.lam * spec.rho.grad_max() * exact)
             assert step_size_bound(spec, g) <= safe
 
@@ -404,7 +404,7 @@ class TestStepSizeBound:
         rng = np.random.default_rng(0)
         g = build_graph(200, rng.integers(0, 200, size=(1000, 2)))
         spec = EnergySpec(rho=rho_log(eps=4.0), lam=1.0, kind=COMB)
-        exact = np.abs(np.linalg.eigvalsh(laplacian(g, COMB).toarray())).max()
+        exact = np.abs(np.linalg.eigvalsh(g.operators(COMB).laplacian.toarray())).max()
         alpha = step_size_bound(spec, g)
         assert alpha == pytest.approx(1.0 / (1.0 + exact), rel=1e-10)
         assert alpha <= 1.0 / (1.0 + exact)
@@ -518,7 +518,7 @@ class TestClosedForm:
         fx = rng.normal(size=(n, 2))
         lam = 0.8
         y = closed_form_solution(g, fx, lam, LaplacianKind.SELF_LOOP_SYM)
-        lap = laplacian(g, LaplacianKind.SELF_LOOP_SYM)
+        lap = g.operators(LaplacianKind.SELF_LOOP_SYM).laplacian
         resid = np.linalg.norm(y + lam * (lap @ y) - fx)
         assert resid < 1e-8 * max(1.0, np.linalg.norm(fx))
 
@@ -698,7 +698,7 @@ class TestUniqueness:
                                    kind=LaplacianKind.SELF_LOOP_SYM,
                                    gradient_mode="exact")
         # positive-definite curvature certificate from the dense eigen-oracle
-        lap = laplacian(g, LaplacianKind.SELF_LOOP_SYM).toarray()
+        lap = g.operators(LaplacianKind.SELF_LOOP_SYM).laplacian.toarray()
         sigma = np.kron(np.eye(d) - w, np.eye(g.n)) + np.kron(w, lap)
         assert np.linalg.eigvalsh(sigma).min() > 0
         fx = rng.normal(size=(g.n, d))
@@ -915,7 +915,8 @@ class TestNormalizedIsThePlainStep:
         got = unfold_module.normalized_step(g, gamma).toarray()
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
         unit = unfold_module.normalized_step(g, np.ones(g.m)).toarray()
-        np.testing.assert_allclose(unit, laplacian(g, self.SELF).toarray(), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(unit, g.operators(self.SELF).laplacian.toarray(),
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("phi", [phi_zero(), phi_relu()], ids=["zero", "relu"])
     @pytest.mark.parametrize("alpha", [0.3, "auto", "auto_irls"])
@@ -940,7 +941,7 @@ class TestNormalizedIsThePlainStep:
         for layer in layers:
             assert layer.gamma.shape == (g.m,)
             assert layer.lap is not None
-            assert (layer.lap is laplacian(g, self.SELF)) == (layer.gamma_step < 0)
+            assert (layer.lap is g.operators(self.SELF).laplacian) == (layer.gamma_step < 0)
             assert layer.lap is layers[max(layer.gamma_step, 0)].lap
 
 
@@ -989,7 +990,7 @@ class TestSegmentLaplacian:
             start = max(s for s in starts if s <= k)
             assert (layer.lap is None) == (ends[start] - start < 2)
             assert layer.lap is layers[start].lap
-        cached = layers[0].lap is laplacian(g, kind)
+        cached = layers[0].lap is g.operators(kind).laplacian
         assert cached == (0 not in schedule)
 
         self.factored(monkeypatch)
@@ -1023,7 +1024,7 @@ class TestSegmentLaplacian:
         g = build_graph(n, [(i, (i + 1 + j) % n) for i in range(n) for j in range(3)])
         kind = LaplacianKind.SELF_LOOP_SYM
         nnz = n + 2 * g.m  # every node has an edge, and rho_log keeps gamma > 0
-        assert laplacian(g, kind).nnz == nnz
+        assert g.operators(kind).laplacian.nnz == nnz
         cfg = ModelConfig(backend="unrolled", embed_dim=d, n_classes=2, steps=k, alpha="auto",
                           rho=rho_log(eps=0.5), kind=kind, attention_schedule=sandwich_schedule(k))
         model = Model(5, cfg, seed=1)
@@ -1037,7 +1038,7 @@ class TestSegmentLaplacian:
         model.backward(cache, d_logits)
         backward = _kernels.op_counter()["edge"] - before
         layers = cache["prop"]["layers"]
-        assert layers[0].lap is laplacian(g, kind)
+        assert layers[0].lap is g.operators(kind).laplacian
         assert layers[-1].lap.nnz == nnz
         # forward: one product per layer, plus at the refresh its squared
         # distances (4 m d) and the one assembly (6 m)
@@ -1298,11 +1299,11 @@ class TestPinnedOutputs:
     must leave these digests as they are."""
 
     PROPAGATE = {
-        COMB: "08f0fe2e31fbc7bf828c574015b5a7aea5e965361e58e05831751d54e84823ac",
+        COMB: "59e32dfb769beaef96207bf5e55ded67a6da588334e9f9b0af635b8a013f0e40",
         LaplacianKind.SYM_NORMALIZED:
-            "f49a1b0be3cc636c5e2ae6eb771541b80afc56bb4ba7f616f3b8a14df039fc3a",
+            "565db609466e79bc12b439dd8e77c85aad864147e9bc68793c645ec5353e9afe",
         LaplacianKind.SELF_LOOP_SYM:
-            "83b77d76acd22449ee6b049523226a4a170d02b3408f3049880a18d91e166d3f",
+            "2b02557c599d0b9307038eee7ba479b591c4b979d07ec47c755643326d525b32",
     }
     BACKWARD = {
         COMB: "a4729b15cbdc2f6c5a08e17811d9945289fe3bd716e666989bda6ff097f3ac9a",
@@ -1314,7 +1315,7 @@ class TestPinnedOutputs:
 
     # (propagate, backward) at p = 0.3 under COMBINATORIAL: numpy takes z ** 0.5
     # by its sqrt path, and this pin guards the general pow path
-    GENERAL_POWER = ("bdcb6a0320db667288cd2528b252caa699bab94bfa397c0fa8778b6844cd2105",
+    GENERAL_POWER = ("aa4a88edddd665d0fa4293dae8a94d692600c4f187fc6c35771f194273851c3f",
                      "e0adf16a77fb45e4fc9975d90c7d9714440957455e18d76fe34eebd60684a44c")
 
     @staticmethod
@@ -1360,6 +1361,39 @@ class TestPinnedOutputs:
                 self.backward_digest(g, spec, fx, cfg, d_y)) == self.GENERAL_POWER
 
 
+# a robust propagation whose iterates hold 2000 x 8 = 16,000 entries, above
+# the 10,000 past which OpenBLAS splits a dot product across threads
+THREADS_SNIPPET = """
+import hashlib
+import json
+
+import numpy as np
+
+from unfoldgnn.energy import EnergySpec, phi_relu, rho_truncated_lp
+from unfoldgnn.graph import LaplacianKind, build_graph
+from unfoldgnn.unfold import PropagationConfig, propagate
+
+rng = np.random.default_rng(0)
+n, d, k = 2000, 8, 4
+g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), phi=phi_relu(), lam=1.0,
+                  kind=LaplacianKind.COMBINATORIAL)
+out = propagate(spec, g, rng.standard_normal((n, d)), PropagationConfig(
+    steps=k, alpha="auto_irls", attention_schedule=tuple(range(k)), record_trace=False))
+print(json.dumps([hashlib.sha256(arr.tobytes()).hexdigest() for arr in (out.y, out.residuals)]))
+"""
+
+
+def test_propagate_does_not_depend_on_the_blas_thread_count(fresh_python, monkeypatch):
+    # OpenBLAS reads its thread count once, at load, so each count needs its
+    # own interpreter; on a one-core machine both runs take one thread
+    digests = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        digests.append(fresh_python(THREADS_SNIPPET))
+    assert digests[0] == digests[1]
+
+
 class TestPinnedCachedOperators:
     """Every bit of the outputs that read a graph's cached operators, on
     a seeded 300-node graph without an isolated node: an ``alpha="auto"``
@@ -1369,11 +1403,11 @@ class TestPinnedCachedOperators:
     leave these digests as they are."""
 
     PROPAGATE = {
-        COMB: "93d82f1d5b8dec84c23ae88c285d2614fb518df1937895355f142a6ebb2e60a6",
+        COMB: "95db56745a208609f985a9f927591c45da87880b4cc98f887ff68e08d32ff212",
         LaplacianKind.SYM_NORMALIZED:
-            "008f319c84e6396391041ec7864784bf118da52b6ed3ec5d1ca5126eeb8f4d72",
+            "fabfd857af94b68f85bcaa45b22771fad0963cfd328d82e291497377281f5fd1",
         LaplacianKind.SELF_LOOP_SYM:
-            "289116ab4148c492b6f68b4181af33b1a4c27b767637dbe66766969aab9f456b",
+            "42e828f69c83fd08a58376a83361f8bc4c00a239bd85d1d3b1fc47ce6686cadc",
     }
     FIXED_POINT = {
         COMB: "a8d56736a63ed1c2cf32e0f6a11ee1871585c76e4f063a3d169b7f340bd64776",
