@@ -197,6 +197,10 @@ def bench_time(out_dir, seed=0, sizes=((2000, 8, 8, 8), (2000, 8, 8, 16),
     operators; each repeat round then times every size, so a slow spell
     on the machine slows all sizes alike, and each size reports its
     median over the rounds."""
+    for n, deg, d, k in sizes:
+        if min(n, deg, d) < 1 or k < 0:
+            raise ValueError(f"bad bench-time size {(n, deg, d, k)}; n, avg_degree and d "
+                             f"must be at least 1 and K at least 0")
     spec = EnergySpec(lam=1.0, kind=SELF)
     cases = []
     for n, deg, d, k in sizes:

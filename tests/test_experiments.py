@@ -81,6 +81,19 @@ def test_bench_time_linear_scaling(tmp_path):
     assert double_n["edge_flops"] == pytest.approx(m_ratio * base["edge_flops"], rel=0.05)
 
 
+@pytest.mark.parametrize("size, message", [
+    ((0, 8, 8, 2), "n, avg_degree and d must be at least 1"),
+    ((100, 0, 8, 2), "n, avg_degree and d must be at least 1"),
+    ((100, 8, 0, 2), "n, avg_degree and d must be at least 1"),
+    ((100, 8, 4, -1), "K at least 0"),
+])
+def test_bench_time_rejects_bad_sizes(size, message, tmp_path):
+    # a bad size is refused before any graph is built or any CSV written
+    with pytest.raises(ValueError, match=message):
+        run_experiment("bench-time", tmp_path, seed=0, sizes=((100, 6, 4, 2), size))
+    assert not (tmp_path / "bench_time.csv").exists()
+
+
 def test_all_experiment_names_registered():
     assert set(EXPERIMENTS) == {
         "closed-form-convergence", "prop-depth-sweep", "attention-robustness",
