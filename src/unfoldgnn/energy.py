@@ -430,11 +430,14 @@ class EnergySpec:
         return np.subtract(y, lap_y, out=lap_y)
 
     def step_t(self, d_u, lap_du, alpha, d_fx):
-        """:meth:`step`'s transpose: d/dY of <d_u, U>, given lap_du = L_Gamma d_u;
-        adds d/dF to d_fx in place."""
+        """:meth:`step`'s transpose: d/dY of <d_u, U>, given lap_du = L_Gamma d_u,
+        which simple mode overwrites with the result; adds d/dF to d_fx in place."""
         if self.simple:
-            d_fx += alpha * d_u
-            return (1.0 - alpha) * d_u - alpha * self.lam * lap_du
+            # one temporary; the result is taken in place on lap_du
+            scaled = np.multiply(d_u, alpha)
+            d_fx += scaled
+            lap_du *= alpha * self.lam
+            return np.subtract(np.multiply(d_u, 1.0 - alpha, out=scaled), lap_du, out=lap_du)
         w_fid = self.w_fid_sym()
         d_fx += alpha * d_u @ w_fid if self.gradient_mode == "exact" else alpha * d_u
         return d_u - alpha * (lap_du @ self.w_prop_sym() + d_u @ w_fid)

@@ -92,14 +92,15 @@ def project_weights(w_p, p_op, margin=0.9):
     return w_p * (margin / product)
 
 
-def _picard(p_op, w, rhs, act, x0, cfg):
-    """Iterate ``x <- act(P x W + rhs)`` from x0 until ``||x_{k+1} - x_k|| <= cfg.tol``.
+def _picard(p_op, w, rhs, act, x, cfg):
+    """Iterate ``x <- act(P x W + rhs)`` from x until ``||x_{k+1} - x_k|| <= cfg.tol``.
 
-    Returns (x, iterations, residual_trace).  Raises FixedPointDivergence
-    at the first non-finite residual, or when max_iters is exhausted; a
-    non-finite start (nan or inf) fails at iteration 1."""
+    Writes into none of its inputs, and holds the start only through the
+    first iteration.  Returns (x, iterations, residual_trace).  Raises
+    FixedPointDivergence at the first non-finite residual, or when
+    max_iters is exhausted; a non-finite start (nan or inf) fails at
+    iteration 1."""
     flops = 2 * p_op.nnz * rhs.shape[1] + 2 * rhs.size * w.shape[0]
-    x = x0
     trace = []
     # inf * 0 and inf - inf make NaNs silently; the residual check reports them
     with np.errstate(invalid="ignore", over="ignore"):
@@ -136,13 +137,14 @@ def fixed_point_solve(g, w_p, fx, cfg=FixedPointConfig(), y0=None):
     Starts from zeros unless y0 overrides it; training starts each epoch
     from the previous epochs' solutions, and the uniqueness checks from
     random points.  Uniqueness makes the start immaterial to the answer.
-    A y0 whose shape differs from fx's raises ValueError.  Raises
-    FixedPointDivergence when max_iters is exhausted."""
+    A y0 whose shape differs from fx's raises ValueError.  Writes into
+    neither y0 nor fx.  Raises FixedPointDivergence when max_iters is
+    exhausted."""
     p_op = propagation_matrix(g, cfg.kind)
     fx = np.asarray(fx, dtype=float)
     w_p = np.asarray(w_p, dtype=float)
-    y0 = _start(y0, fx, "y0", "fx")
-    y, iterations, trace = _picard(p_op, w_p, fx, cfg.sigma.prox, y0, cfg)
+    y, iterations, trace = _picard(p_op, w_p, fx, cfg.sigma.prox, _start(y0, fx, "y0", "fx"),
+                                   cfg)
     # every residual before the last is above tol > 0, so each ratio is defined
     ratios = trace[1:] / trace[:-1]
     estimate = float(np.median(ratios[-10:])) if ratios.size else 0.0
@@ -165,7 +167,8 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=N
     with sorted indices, so ``P @ X`` is bitwise ``P.T @ X``.  As
     0 <= D <= 1, the map contracts by the forward's certified factor.  The
     solve starts from zeros unless v0 overrides it, as D * v0; a v0 whose
-    shape differs from upstream's raises ValueError.
+    shape differs from upstream's raises ValueError.  f(X) is read only
+    for D.  Writes into none of fx, y_star, upstream and v0.
     """
     p_op = propagation_matrix(g, cfg.kind)
     w_p = np.asarray(w_p, dtype=float)
@@ -179,8 +182,8 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=N
     def mask(u):
         return u if d_sigma is None else d_sigma * u
 
-    u0 = mask(_start(v0, upstream, "v0", "upstream"))
-    grad_fx, _, _ = _picard(p_op, w_p.T, upstream, mask, u0, cfg)
+    grad_fx, _, _ = _picard(p_op, w_p.T, upstream, mask,
+                            mask(_start(v0, upstream, "v0", "upstream")), cfg)
     return p_y.T @ grad_fx, grad_fx
 
 

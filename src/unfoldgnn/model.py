@@ -168,22 +168,28 @@ class _WarmStart:
     extrapolation 2 x_k - x_{k-1} of its last two solutions, from x_k
     after one, and from zeros before any.  The adjoint's unknown is
     grad_f itself, so its past solutions are the gradients it returned.
-    The fixed point is unique, so the start moves an answer by no more
-    than the solver's certified error bound."""
+    :meth:`record` takes the extrapolation into one buffer per system,
+    allocated once and rewritten every epoch, and keeps only x_k; it never
+    writes into a solution, which its callers still hold.  The fixed
+    point is unique, so the start moves an answer by no more than the
+    solver's certified error bound."""
 
     def __init__(self):
-        self._past = {"forward": [], "adjoint": []}
+        self._last = {}
+        self._next = {}
 
     def start(self, system):
-        past = self._past[system]
-        if len(past) < 2:
-            return past[-1] if past else None
-        start = 2.0 * past[1]
-        start -= past[0]
-        return start
+        return self._next.get(system, self._last.get(system))
 
     def record(self, system, x):
-        self._past[system] = self._past[system][-1:] + [x]
+        last = self._last.get(system)
+        if last is not None:
+            start = self._next.get(system)
+            if start is None:
+                start = self._next[system] = np.empty_like(x)
+            np.multiply(x, 2.0, out=start)
+            start -= last
+        self._last[system] = x
 
 
 def _uniform_init(rng, shape, fan_in):

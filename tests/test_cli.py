@@ -158,7 +158,7 @@ class TestPropagate:
         assert "only a user-given alpha is accepted" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args, message", [
+BAD_SETTINGS = [
     (["train", "--K", "4", "--set", "unfold.attention=9"], "attention indices"),
     (["train", "--set", "unfold.alpha=-0.1"], "alpha must be positive"),
     (["train", "--set", "unfold.alpha=nan"], "alpha must be positive and finite"),
@@ -220,7 +220,12 @@ class TestPropagate:
     (["train", "--K", "x"], "bad value for unfold.steps: 'x'"),
     (["propagate", "--K", "4", "--rho", "truncated_lp:p=0.5,tau=0",
       "--set", "unfold.attention=sandwich"], "largest weight tau_bar^(p-2) and T_bar"),
-])
+]
+
+
+# each case is named by its command line, so removing a row renames no other case
+@pytest.mark.parametrize("args, message", BAD_SETTINGS,
+                         ids=[" ".join(args) for args, _ in BAD_SETTINGS])
 def test_bad_settings_exit_two(args, message, fixture_dir, tmp_path, capsys):
     # verify reads no dataset, so it takes no --dataset flag, and writes no
     # artifacts, so it takes no --out

@@ -434,6 +434,32 @@ class TestImplicitBackward:
             assert grad_fx[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+class TestInputsNeverWritten:
+    """fixed_point_solve and implicit_backward write into none of their
+    arrays: training passes its warm start's own buffer as y0 and v0, and
+    as fx and upstream arrays that the model still reads."""
+
+    @pytest.mark.parametrize("start", ["zeros", "given"])
+    @pytest.mark.parametrize("sigma", [phi_zero(), phi_relu(), phi_soft_threshold(0.1)],
+                             ids=["zero", "relu", "soft_threshold"])
+    def test_inputs_bitwise_unchanged(self, sigma, start):
+        rng = np.random.default_rng(31)
+        g = random_graph(rng, 30)
+        w = contraction_weight(rng, 3, g.operators(SELF))
+        fx, up = rng.normal(size=(30, 3)), rng.normal(size=(30, 3))
+        y0 = v0 = None
+        if start == "given":
+            y0, v0 = rng.normal(size=(30, 3)), rng.normal(size=(30, 3))
+        inputs = [a for a in (w, fx, up, y0, v0) if a is not None]
+        before = [a.tobytes() for a in inputs]
+        cfg = FixedPointConfig(sigma=sigma, tol=1e-10)
+        out = fixed_point_solve(g, w, fx, cfg, y0=y0)
+        y_star = out.y.tobytes()
+        implicit_backward(g, w, fx, out.y, up, cfg, v0=v0)
+        assert [a.tobytes() for a in inputs] == before
+        assert out.y.tobytes() == y_star
+
+
 class TestEignn:
     def test_zero_f_returns_base_prediction(self):
         rng = np.random.default_rng(12)

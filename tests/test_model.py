@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from unfoldgnn.energy import (
     phi_zero,
     rho_identity,
     rho_log,
+    rho_truncated_lp,
 )
 from unfoldgnn.graph import LaplacianKind, build_graph, propagation_matrix, spectral_norm
 from unfoldgnn.implicit import (
@@ -490,6 +492,54 @@ class TestUnrolledTapeMemory:
         assert abs(growth - 24 * per_layer * array) <= array, growth / (24 * array)
 
 
+class TestEpochWorkingSet:
+    """The peak traced memory of one warm training epoch, loss_and_grads
+    inside train, in n x d arrays, for every backend.  The third epoch is
+    traced, so both warm starts of the fixed-point backends extrapolate
+    from two past solutions.  n = 4000 and d = 16, train-sbm's sizes: each
+    n x d array is above numpy's 256 KiB threshold for reusing temporaries,
+    which moves the count."""
+
+    N, D = 4000, 16
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        rng = np.random.default_rng(0)
+        n = self.N
+        g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+        quarter = np.arange(n) % 4
+        masks = {"train": quarter == 0, "val": quarter == 1, "test": quarter >= 2}
+        return g, rng.normal(size=(n, 4)), rng.integers(0, 2, size=n), masks
+
+    # implicit and eignn peak in the adjoint: f(X), Y*, G, P Y* and the
+    # iterate with its two temporaries, plus the n x 2 logits and relu's
+    # boolean mask; the start D * v0 is released by then
+    @pytest.mark.parametrize("backend, arrays", [
+        ("unrolled", 8.64), ("implicit", 7.51), ("eignn", 7.26)])
+    def test_warm_epoch_peak(self, instance, traced_peak, monkeypatch, backend, arrays):
+        g, x, labels, masks = instance
+        cfgs = {
+            "unrolled": ModelConfig(backend="unrolled", embed_dim=self.D, n_classes=2,
+                                    steps=16, rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0),
+                                    attention_schedule=sandwich_schedule(16)),
+            "implicit": ModelConfig(backend="implicit", embed_dim=self.D, n_classes=2,
+                                    sigma=phi_relu(), fp_tol=1e-8),
+            "eignn": ModelConfig(backend="eignn", embed_dim=self.D, n_classes=2),
+        }
+        peaks = []
+
+        def traced_epoch(*args, **kwargs):
+            out = []
+            peaks.append(traced_peak(lambda: out.append(loss_and_grads(*args, **kwargs))))
+            return out[0]
+
+        monkeypatch.setattr(model_module, "loss_and_grads", traced_epoch)
+        train(g, x, labels, masks, cfgs[backend], TrainConfig(epochs=3, lr=0.1, seed=0))
+        assert len(peaks) == 3
+        measured = peaks[2] / (self.N * self.D * 8)
+        assert abs(measured - arrays) <= 0.25, measured
+
+
 class TestFixedPointBackendsMatchSolver:
     """The implicit and eignn backends are the fixed-point solve and its
     adjoint, called with the backend's weight and activation."""
@@ -601,6 +651,31 @@ class TestWarmStartedTraining:
             rounding = 32 * np.finfo(float).eps * size / (1.0 - c)
             assert np.linalg.norm(warm_answer - cold_answer) <= bound + rounding
         assert warm_total < cold_total
+
+    @pytest.mark.parametrize("backend", ["implicit", "eignn"])
+    def test_training_never_writes_into_a_solution(self, backend, sbm, monkeypatch):
+        # the warm start keeps past solutions and extrapolates beside them:
+        # whoever holds a returned array still reads it as it was returned
+        returned = []  # (array, its digest when returned)
+
+        def digest(a):
+            return hashlib.sha256(a.tobytes()).hexdigest()
+
+        def recorded(fn, arrays):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                returned.extend((a, digest(a)) for a in arrays(out))
+                return out
+            return call
+
+        monkeypatch.setattr(model_module, "fixed_point_solve",
+                            recorded(fixed_point_solve, lambda res: [res.y, res.residual_trace]))
+        monkeypatch.setattr(model_module, "implicit_backward",
+                            recorded(implicit_backward, lambda grads: grads))
+        train(sbm.graph, sbm.x, sbm.labels, sbm.masks, self._config(backend),
+              TrainConfig(epochs=6, lr=0.1, seed=0))
+        assert len(returned) == 2 * 6 + 2 * 6 + 2  # y and trace, grad_w and grad_f; final y
+        assert [i for i, (a, d) in enumerate(returned) if digest(a) != d] == []
 
     @pytest.mark.parametrize("backend", ["implicit", "eignn"])
     def test_final_evaluation_equals_fresh_forward(self, backend, sbm, monkeypatch):
