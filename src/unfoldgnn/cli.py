@@ -258,7 +258,10 @@ def out_dir(args):
 def cmd_train(args):
     ds, mcfg, tcfg = resolve_run(args)
     out = out_dir(args)
-    model, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, mcfg, tcfg)
+    try:
+        model, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, mcfg, tcfg)
+    except ValueError as exc:  # the data that train rejects before its first epoch
+        raise CliError(str(exc))
     metrics.to_csv(os.path.join(out, "metrics.csv"))
     save_checkpoint(model.params, os.path.join(out, "checkpoint"))
     if metrics.diverged:

@@ -12,8 +12,8 @@ per Laplacian kind one :class:`GraphOperators` bundle holding B, L, P and
 their norms.  The graph has one incidence index structure: every kind's
 B is built on the unit incidence's column indices and row pointers, and
 stores only its own scaled entries, from which its edge scales are read
-as views.  B.T is B's transpose view, not a copy, and each Laplacian is
-assembled from its incidence view, so only a caller that reads
+as views.  B.T is B's transpose view, not a copy, and each L and P is
+assembled from its incidence view's scales, so only a caller that reads
 ``adjacency`` builds the adjacency; the engine never does.  Graphs compare
 and hash by identity, so two graphs built from equal edge lists share
 no cache.  An operator bundle shares the graph's arrays but keeps no
@@ -76,12 +76,7 @@ class _GraphArrays:
 
     @cached_property
     def adjacency(self):
-        lo, hi = self.edges[:, 0], self.edges[:, 1]
-        ones = np.ones(lo.shape[0])
-        adj = sp.csr_matrix((np.concatenate([ones, ones]),
-                             (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-                            shape=(self.n, self.n))
-        return _read_only_csr(adj)
+        return _symmetric_csr(self.edges, np.ones(self.edges.shape[0]), np.zeros(self.n))
 
     @cached_property
     def incidence(self):
@@ -140,9 +135,11 @@ class GraphOperators:
     """The operators of one graph under one Laplacian kind, each built on
     first use and kept: the node scale, the incidence view (with its CSR
     ``B``; ``B.T`` is a view of it), the Laplacian assembled from that
-    view, the propagation matrix P = I - L, their spectral norms and the
-    certified O(m) bound on the Laplacian's.  The bundle shares the
-    graph's arrays, not the graph, so the two form no reference cycle."""
+    view's scales, the propagation matrix P = I - L assembled from the same
+    entries rather than subtracted from I (so reading P builds no L), their
+    spectral norms and the certified O(m) bound on the Laplacian's.  The
+    bundle shares the graph's arrays, not the graph, so the two form no
+    reference cycle."""
 
     def __init__(self, arrays, kind):
         self.n, self.edges = arrays.n, arrays.edges
@@ -179,13 +176,21 @@ class GraphOperators:
         I - D^{-1/2} A D^{-1/2}, with the identity's entry dropped at an
         isolated node (L_ii = 1 only where d_i > 0, as in Chung's
         normalized Laplacian).  SELF_LOOP_SYM: I - D~^{-1/2} (A + I) D~^{-1/2}
-        with D~ = D + I.
+        with D~ = D + I.  Built from :meth:`_laplacian_entries`."""
+        return _symmetric_csr(self.edges, *self._laplacian_entries())
 
-        It is assembled from the incidence view's scales entry by entry in
-        one COO to CSR build, without the adjacency: -(s_u s_v) at (u, v)
-        and (v, u) for each edge, and on the diagonal d_i, 1 where d_i > 0,
-        or 1 - s_i s_i by kind, a zero diagonal left out.  That stores what
-        D - A and its normalized forms stored, bit for bit."""
+    @cached_property
+    def propagation(self):
+        """P = I - L as CSR, read-only, from L's entries without building L:
+        their negatives off the diagonal and 1 - L_ii on it."""
+        off, diag = self._laplacian_entries()
+        return _symmetric_csr(self.edges, -off, 1.0 - diag)
+
+    def _laplacian_entries(self):
+        """L's entry -(s_u s_v) of each edge and its diagonal, d_i, 1 where
+        d_i > 0, or 1 - s_i s_i by kind, read from the incidence view's
+        scales without the adjacency: the entries of D - A and its
+        normalized forms, bit for bit."""
         view, d = self.incidence, self._arrays.degrees
         if self.kind is LaplacianKind.COMBINATORIAL:
             diag = d
@@ -193,23 +198,8 @@ class GraphOperators:
             diag = (d > 0).astype(float)
         else:
             diag = 1.0 - self.scale * self.scale
-        nodes = np.flatnonzero(diag)
         # su * (-sv) is -(su * sv) bit for bit: IEEE products are sign-symmetric
-        off = view.su * view.b.data[1::2]
-        lap = sp.coo_matrix((np.concatenate([off, off, diag[nodes]]),
-                             (np.concatenate([view.eu, view.ev, nodes]),
-                              np.concatenate([view.ev, view.eu, nodes]))),
-                            shape=(self.n, self.n))
-        return _read_only_csr(lap.tocsr())
-
-    @cached_property
-    def propagation(self):
-        """P = I - L as CSR, read-only, owning exactly nnz(P) entries: the
-        difference's arrays are copied out of scipy's buffers, which are
-        sized for nnz(I) + nnz(L)."""
-        p = sp.identity(self.n, format="csr") - self.laplacian
-        return _read_only_csr(sp.csr_matrix((p.data.copy(), p.indices.copy(), p.indptr),
-                                            shape=p.shape))
+        return view.su * view.b.data[1::2], diag
 
     @cached_property
     def laplacian_norm(self):
@@ -312,6 +302,11 @@ class IncidenceView:
         """B.T @ diag(gamma) @ B over the edge rows, assembled as CSR."""
         return _kernels.weighted_lap_assemble(gamma, self.b)
 
+    def weighted_degrees(self, w):
+        """Each node's sum of the edge weights w over its edges."""
+        return np.bincount(self.eu, weights=w, minlength=self.n) \
+            + np.bincount(self.ev, weights=w, minlength=self.n)
+
     def norm_bound(self, gamma):
         """Certified upper bound on ||B.T diag(gamma) B|| over the edge rows,
         in O(m): max over edges (u, v) of s_u^2 d(u) + s_v^2 d(v), where s is
@@ -326,14 +321,23 @@ class IncidenceView:
         """
         if self.n_edge_rows == 0:
             return 0.0
-        w = np.abs(gamma)  # rho'(z^2) can be negative (cosine rho)
-        eu, ev = self.eu, self.ev
-        d = np.bincount(eu, weights=w, minlength=self.n) \
-            + np.bincount(ev, weights=w, minlength=self.n)
+        # rho'(z^2) can be negative (cosine rho)
+        d, eu, ev = self.weighted_degrees(np.abs(gamma)), self.eu, self.ev
         if self.raw is self:  # unit scales: s_i^2 d(i) is d(i)
             return float(np.max(d[eu] + d[ev]))
         # (-sv)^2 is sv^2 bit for bit
         return float(np.max(self.su ** 2 * d[eu] + self.b.data[1::2] ** 2 * d[ev]))
+
+
+def _symmetric_csr(edges, off, diag):
+    """The symmetric n x n CSR (n = diag's length), read-only, with off[k]
+    at (u, v) and (v, u) for edge k = (u, v) and diag[i] at (i, i), in one
+    COO to CSR build; a zero diagonal entry is left out."""
+    nodes, (eu, ev) = np.flatnonzero(diag), edges.T
+    mat = sp.coo_matrix((np.concatenate([off, off, diag[nodes]]),
+                         (np.concatenate([eu, ev, nodes]), np.concatenate([ev, eu, nodes]))),
+                        shape=(diag.shape[0],) * 2)
+    return _read_only_csr(mat.tocsr())
 
 
 def _edge_rows(n, data, indices, indptr):

@@ -168,15 +168,16 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=N
     0 <= D <= 1, the map contracts by the forward's certified factor.  The
     solve starts from zeros unless v0 overrides it, as D * v0; a v0 whose
     shape differs from upstream's raises ValueError.  f(X) is read only
-    for D.  Writes into none of fx, y_star, upstream and v0.
+    for D, and P Y* is formed before the solve only where D needs it.
+    Writes into none of fx, y_star, upstream and v0.
     """
     p_op = propagation_matrix(g, cfg.kind)
     w_p = np.asarray(w_p, dtype=float)
     y_star = np.asarray(y_star, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
-    p_y = p_op @ y_star
-    d_sigma = None
+    p_y = d_sigma = None
     if cfg.sigma.kind != "zero":
+        p_y = p_op @ y_star
         d_sigma = cfg.sigma.prox_mask(cfg.sigma.prox(p_y @ w_p + fx, 1.0))
 
     def mask(u):
@@ -184,6 +185,8 @@ def implicit_backward(g, w_p, fx, y_star, upstream, cfg=FixedPointConfig(), v0=N
 
     grad_fx, _, _ = _picard(p_op, w_p.T, upstream, mask,
                             mask(_start(v0, upstream, "v0", "upstream")), cfg)
+    if p_y is None:  # the identity reads P Y* only here, so the solve does not hold it
+        p_y = p_op @ y_star
     return p_y.T @ grad_fx, grad_fx
 
 
@@ -198,8 +201,10 @@ class EignnSpec:
     The propagation weight derived from F is the rescaled Gram matrix
     ``Wp_s = s^2 F.T F`` with ``s = (||F.T F|| + eps_f)^(-1/2)``, damped
     by ``mu`` in [0, 1), where ||.|| is the Frobenius norm.  It bounds
-    the spectral norm from above, so the product norm is below one by
-    construction.
+    the spectral norm from above, so ||Wp_s|| < mu, and the product norm
+    ||Wp_s|| ||P|| is below one wherever ||P|| = 1: under the normalized
+    kinds, not under COMBINATORIAL, which :class:`model.ModelConfig`
+    rejects for this backend.
     """
 
     mu: float = 0.5

@@ -109,6 +109,10 @@ class ModelConfig:
             # FixedPointConfig names its tol and max_iters, fp_tol and fp_max_iters here
             raise ValueError(f"fp_{exc}") from exc
         check_config(self.energy_spec, self.propagation)
+        if self.backend == "eignn" and self.kind is LaplacianKind.COMBINATORIAL:
+            # its weight rule keeps ||Wp|| below mu, a contraction only where ||P|| = 1
+            raise ValueError("the eignn backend needs a normalized Laplacian kind: "
+                             "under combinatorial ||P|| can exceed 1")
         if self.variant == "normalized" and self.attention_grad == "full":
             raise ValueError("full attention differentiation is supported for "
                              "the plain variant only")
@@ -407,24 +411,31 @@ def loss_and_grads(model, g, x, labels, train_rows, train_mode=False, dropout_rn
     return loss, logits, grads
 
 
+_DIVERGENCE = (PropagationDivergence, FixedPointDivergence, FloatingPointError)
+
+
 def train(g, x, labels, masks, model_cfg, train_cfg):
     """Full-batch gradient descent; deterministic for a fixed seed.
 
     Returns (model, metrics); the model carries the best-validation
     parameters.  Divergence of any backend aborts early and flags the
-    partial metrics.  Each epoch's fixed-point solves start from earlier
-    epochs' solutions (:class:`_WarmStart`).  The final evaluation, and
-    under dropout each epoch's accuracies, come from a forward without
-    dropout whose solves start from zeros.
+    partial metrics, also when the final evaluation diverges (then
+    ``test_acc_at_best`` is nan).  An empty training mask raises
+    ValueError before the first epoch.  Each epoch's fixed-point solves
+    start from earlier epochs' solutions (:class:`_WarmStart`).  The final
+    evaluation, and under dropout each epoch's accuracies, come from a
+    forward without dropout whose solves start from zeros.
     """
     labels = np.asarray(labels)
     bad = np.flatnonzero((labels < 0) | (labels >= model_cfg.n_classes))
     if bad.size:
         raise ValueError(f"node {bad[0]} has label {labels[bad[0]]}; labels must lie "
                          f"in [0, {model_cfg.n_classes})")
+    train_rows = np.flatnonzero(masks["train"])
+    if train_rows.size == 0:
+        raise ValueError("the training mask is empty: no node to fit")
     model = Model(x.shape[1], model_cfg, seed=train_cfg.seed, g=g)
     dropout_rng = np.random.default_rng(train_cfg.seed + 1)
-    train_rows = np.flatnonzero(masks["train"])
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     hist = {"loss": [], "train": [], "val": [], "test": []}
     best = (-1.0, -1, None)  # (val acc, epoch, params)
@@ -440,7 +451,7 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
                     train_mode=model_cfg.dropout > 0, dropout_rng=dropout_rng, warm=warm)
                 if model_cfg.dropout > 0:
                     logits, _ = model.forward(g, x)
-            except (PropagationDivergence, FixedPointDivergence, FloatingPointError):
+            except _DIVERGENCE:
                 diverged = True
                 break
             if not np.isfinite(loss):
@@ -462,7 +473,14 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
                     margin=model_cfg.contraction_margin)
     if best[2] is not None:
         model.params = best[2]
-    logits, _ = model.forward(g, x)
+    test_acc = float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            # when no epoch finished, these are the parameters that diverged
+            logits, _ = model.forward(g, x)
+            test_acc = accuracy(logits, labels, masks["test"])
+        except _DIVERGENCE:
+            diverged = True
     return model, Metrics(
         loss=np.array(hist["loss"]),
         acc_train=np.array(hist["train"]),
@@ -470,7 +488,7 @@ def train(g, x, labels, masks, model_cfg, train_cfg):
         acc_test=np.array(hist["test"]),
         best_val_epoch=best[1],
         best_val_acc=best[0],
-        test_acc_at_best=accuracy(logits, labels, masks["test"]),
+        test_acc_at_best=test_acc,
         diverged=diverged,
     )
 

@@ -238,9 +238,7 @@ def normalized_step(g, gamma):
     is the recursion U = (1-a-a*lam) Y + a*lam (I - L) Y + a*F, and a
     common rescaling of gamma only moves the self loop's share."""
     raw = incidence(g, LaplacianKind.SELF_LOOP_SYM).raw
-    deg = np.bincount(raw.eu, weights=gamma, minlength=g.n) \
-        + np.bincount(raw.ev, weights=gamma, minlength=g.n)
-    s = 1.0 / np.sqrt(deg + 1.0)
+    s = 1.0 / np.sqrt(raw.weighted_degrees(gamma) + 1.0)
     return raw.rescaled(LaplacianKind.SELF_LOOP_SYM, s).weighted_laplacian(gamma)
 
 

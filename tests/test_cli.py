@@ -87,6 +87,27 @@ class TestTrain:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0].startswith("# schema: train-metrics") and 2 < len(lines) < 2 + 10
 
+    def test_first_epoch_divergence_writes_metrics_and_exits_three(self, tmp_path, capsys):
+        # the generated SBM's first epoch diverges at step 5, so no epoch finishes
+        out = tmp_path / "o"
+        code = run_cli(["train", "--set", "unfold.alpha=50", "--epochs", "3", "--out", str(out)])
+        assert code == 3
+        assert "training diverged" in capsys.readouterr().err
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0].startswith("# schema: train-metrics") and len(lines) == 2
+        assert (out / "checkpoint" / "manifest.txt").exists()
+
+    def test_empty_training_mask_exits_two(self, fixture_dir, tmp_path, capsys):
+        masks = os.path.join(fixture_dir, "masks.csv")
+        with open(masks) as fh:
+            rows = fh.read().splitlines()
+        rows = [row if row.startswith("#") else "0" + row[1:] for row in rows]
+        with open(masks, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        code = run_cli(["train", "--dataset", fixture_dir, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: the training mask is empty" in capsys.readouterr().err
+
     def test_non_finite_features_exit_two(self, fixture_dir, tmp_path, capsys):
         features = os.path.join(fixture_dir, "features.csv")
         with open(features) as fh:
@@ -218,6 +239,8 @@ BAD_SETTINGS = [
     (["train", "--set", "unfold.variant=normalized", "--set", "unfold.rho=cosine",
       "--set", "unfold.attention=0"], "cannot reweight with cosine rho"),
     (["train", "--K", "x"], "bad value for unfold.steps: 'x'"),
+    (["train", "--backend", "eignn", "--set", "unfold.kind=combinatorial"],
+     "the eignn backend needs a normalized Laplacian kind"),
     (["propagate", "--K", "4", "--rho", "truncated_lp:p=0.5,tau=0",
       "--set", "unfold.attention=sandwich"], "largest weight tau_bar^(p-2) and T_bar"),
 ]

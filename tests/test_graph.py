@@ -381,7 +381,7 @@ class TestOperatorCache:
         implicit.fixed_point_solve(g, w_p, rng.normal(size=(50, 3)),
                                    implicit.FixedPointConfig(kind=kind))
         ds = self.sbm()
-        # eignn's weight rule contracts only where ||P|| <= 1
+        # eignn's weight rule contracts only where ||P|| = 1
         backends = ("unrolled", "implicit") if kind is LaplacianKind.COMBINATORIAL \
             else ("unrolled", "implicit", "eignn")
         for backend in backends:
@@ -448,6 +448,20 @@ class TestOperatorCache:
         # ||P|| = max(1, ||L|| - 1) under COMBINATORIAL reads the one
         # Laplacian solve, and the normalized kinds' ||P|| = 1 needs none
         assert norm_calls == [ds.graph.operators(LaplacianKind.COMBINATORIAL).laplacian]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_fixed_point_training_builds_the_laplacian_only_under_combinatorial(self, kind):
+        # P is assembled from L's entries without L, and the normalized
+        # kinds' ||P|| = 1 needs no norm; under COMBINATORIAL ||P|| reads ||L||
+        ds = self.sbm()
+        backends = ("implicit",) if kind is LaplacianKind.COMBINATORIAL \
+            else ("implicit", "eignn")
+        for backend in backends:
+            cfg = ModelConfig(backend=backend, embed_dim=4, n_classes=2, kind=kind)
+            train(ds.graph, ds.x, ds.labels, ds.masks, cfg, TrainConfig(epochs=3, lr=0.1))
+        ops = ds.graph.operators(kind)
+        assert "propagation" in vars(ops)
+        assert ("laplacian" in vars(ops)) == (kind is LaplacianKind.COMBINATORIAL)
 
     def test_dropped_graph_is_freed_without_the_cyclic_collector(self):
         was_enabled = gc.isenabled()

@@ -105,6 +105,8 @@ class TestConfigValidation:
         (dict(fp_tol=float("nan")), "fp_tol must be positive and finite, got nan"),
         (dict(eps_f=float("inf")), "eps_f must be positive and finite, got inf"),
         (dict(mu=float("nan")), r"mu must lie in \[0, 1\)"),
+        (dict(backend="eignn", kind=LaplacianKind.COMBINATORIAL),
+         "the eignn backend needs a normalized Laplacian kind"),
     ])
     def test_bad_sizes_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -513,9 +515,10 @@ class TestEpochWorkingSet:
 
     # implicit and eignn peak in the adjoint: f(X), Y*, G, P Y* and the
     # iterate with its two temporaries, plus the n x 2 logits and relu's
-    # boolean mask; the start D * v0 is released by then
+    # boolean mask; the start D * v0 is released by then.  eignn's identity
+    # reads P Y* only after the solve, so it holds one array fewer
     @pytest.mark.parametrize("backend, arrays", [
-        ("unrolled", 8.64), ("implicit", 7.51), ("eignn", 7.26)])
+        ("unrolled", 8.64), ("implicit", 7.51), ("eignn", 6.26)])
     def test_warm_epoch_peak(self, instance, traced_peak, monkeypatch, backend, arrays):
         g, x, labels, masks = instance
         cfgs = {
@@ -758,6 +761,28 @@ class TestTraining:
         cfg = ModelConfig(backend="unrolled", steps=2, embed_dim=4, n_classes=2, kind=SELF)
         with pytest.raises(ValueError, match=f"node {node} has label 5"):
             train(g, x, labels, masks, cfg, TrainConfig(epochs=2, lr=0.1, seed=0))
+
+    def test_empty_training_mask_rejected_before_the_first_epoch(self, monkeypatch):
+        g, x, labels, masks = two_block_instance(8, n_per=8)
+        masks = {**masks, "train": np.zeros_like(masks["train"])}
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(model_module, "loss_and_grads", no_epoch)
+        cfg = ModelConfig(backend="unrolled", steps=2, embed_dim=4, n_classes=2, kind=SELF)
+        with pytest.raises(ValueError, match="the training mask is empty"):
+            train(g, x, labels, masks, cfg, TrainConfig(epochs=2, lr=0.1, seed=0))
+
+    def test_divergence_in_the_first_epoch_returns_diverged_metrics(self):
+        # the final evaluation runs the parameters that diverged again
+        g, x, labels, masks = two_block_instance(4, n_per=10)
+        cfg = ModelConfig(backend="unrolled", steps=6, alpha=50.0, embed_dim=4, n_classes=2,
+                          kind=SELF)
+        _, metrics = train(g, x, labels, masks, cfg, TrainConfig(epochs=3, lr=0.1, seed=0))
+        assert metrics.diverged
+        assert metrics.loss.size == 0 and metrics.best_val_epoch == -1
+        assert np.isnan(metrics.test_acc_at_best)
 
     def test_divergence_aborts_with_partial_metrics(self):
         g, x, labels, masks = two_block_instance(4, n_per=10)
