@@ -3,8 +3,9 @@
 Every edge quantity is a product with the edge-row incidence matrix
 ``B`` of a graph (row k for edge (u, v) carries +su at u and -sv at v),
 with ``B.T`` (B's CSC transpose view), or with a sparse n x n CSR Laplacian
-``L = B.T diag(gamma) B`` assembled from them, so the graph modules never
-materialize dense n x n operators and never loop over edges in Python.
+``L = B.T diag(gamma) B``, which the graph module assembles entry by entry
+from the edge list, canonical and exactly symmetric, so the graph modules
+never materialize dense n x n operators and never loop over edges in Python.
 The per-edge kernels take the incidence rows ``e = B @ y`` from
 :func:`edge_diff`, so callers that need several of them at one ``y``
 compute the product once.
@@ -13,8 +14,9 @@ Operation counts are analytic: each call adds a fixed multiple of
 (edges x columns), or of nnz(L) x columns for a product with an
 assembled Laplacian, to the calling thread's counter, whatever the
 product's implementation; an assembly adds a fixed multiple of the
-edges.  Each thread counts its own calls only, so a computation run in
-another thread leaves this thread's counts unchanged.
+edges through :func:`count_edge`.  Each thread counts its own calls only,
+so a computation run in another thread leaves this thread's counts
+unchanged.
 """
 
 import threading
@@ -44,6 +46,10 @@ def count_dense(nflops):
     _COUNTS.flops["dense"] += int(nflops)
 
 
+def count_edge(nflops):
+    _COUNTS.flops["edge"] += int(nflops)
+
+
 def edge_diff(y, b):
     """Rows of B @ y: one scaled endpoint difference per edge."""
     _COUNTS.flops["edge"] += 2 * b.shape[0] * y.shape[1]
@@ -62,15 +68,6 @@ def weighted_lap_apply(e, gamma, bt):
     _COUNTS.flops["edge"] += 3 * e.shape[0] * e.shape[1]
     e *= gamma[:, None]
     return bt @ e
-
-
-def weighted_lap_assemble(gamma, b):
-    """B.T @ diag(gamma) @ B as an n x n CSR matrix, from B's transpose
-    converted to CSR for this one product."""
-    _COUNTS.flops["edge"] += 6 * b.shape[0]  # scale the 2 entries of each row, 4 products per row
-    scaled = sp.csr_matrix((b.data * np.repeat(gamma, np.diff(b.indptr)), b.indices, b.indptr),
-                           shape=b.shape)
-    return b.T.tocsr() @ scaled
 
 
 def lap_apply(y, lap):

@@ -12,14 +12,17 @@ per Laplacian kind one :class:`GraphOperators` bundle holding B, L, P and
 their norms.  The graph has one incidence index structure: every kind's
 B is built on the unit incidence's column indices and row pointers, and
 stores only its own scaled entries, from which its edge scales are read
-as views.  B.T is B's transpose view, not a copy, and each L and P is
-assembled from its incidence view's scales, so only a caller that reads
-``adjacency`` builds the adjacency; the engine never does.  Graphs compare
-and hash by identity, so two graphs built from equal edge lists share
-no cache.  An operator bundle shares the graph's arrays but keeps no
-reference back to the graph, so a graph that is dropped is freed at
-once, with its operators, not at the next run of the cyclic garbage
-collector.
+as views.  B.T is B's transpose view, not a copy.  One symmetric CSR
+assembly, from the edge list, builds every operator matrix: the adjacency,
+each L and P from its incidence view's scales, and the reweighted
+Laplacians L_gamma = B.T diag(gamma) B the unfolded layers apply, so each
+comes out with sorted indices, exactly symmetric and without a stored
+zero; only a caller that reads ``adjacency`` builds the adjacency, and the
+engine never does.  Graphs compare and hash by identity, so two graphs
+built from equal edge lists share no cache.  An operator bundle shares
+the graph's arrays but keeps no reference back to the graph, so a graph
+that is dropped is freed at once, with its operators, not at the next
+run of the cyclic garbage collector.
 
 Graphs are immutable and safe to share across threads.  Every cached
 array is read-only, so a caller cannot change what later calls see.  The
@@ -166,7 +169,10 @@ class GraphOperators:
         unit = self._arrays.incidence
         if self.kind is LaplacianKind.COMBINATORIAL:
             return unit
-        return unit.rescaled(self.kind, self.scale)
+        data = self.scale[self.edges]
+        np.negative(data[:, 1], out=data[:, 1])
+        return IncidenceView(self.kind, self.edges, _edge_rows(
+            self.n, data, unit.b.indices, unit.b.indptr), unit)
 
     @cached_property
     def laplacian(self):
@@ -200,6 +206,16 @@ class GraphOperators:
             diag = 1.0 - self.scale * self.scale
         # su * (-sv) is -(su * sv) bit for bit: IEEE products are sign-symmetric
         return view.su * view.b.data[1::2], diag
+
+    def weighted_laplacian(self, gamma, scale=None):
+        """L_gamma = B.T diag(gamma) B over the edge rows of B at node scale
+        ``scale`` (this kind's by default), as read-only CSR from the same
+        symmetric assembly as L: -gamma_k s_u s_v at edge k = (u, v) and s_i^2
+        times the gamma-weighted degree at (i, i), each zero left out."""
+        s = self.scale if scale is None else scale
+        _kernels.count_edge(6 * self.edges.shape[0])
+        return _symmetric_csr(self.edges, -gamma * (s[self.edges[:, 0]] * s[self.edges[:, 1]]),
+                              s * s * self._arrays.incidence.weighted_degrees(gamma))
 
     @cached_property
     def laplacian_norm(self):
@@ -281,15 +297,6 @@ class IncidenceView:
         and -1 at ev[k]), whatever the kind: this view under COMBINATORIAL."""
         return self if self.unit is None else self.unit
 
-    def rescaled(self, kind, s):
-        """The view of the same edges under ``kind`` at node scale ``s``: row
-        k carries +s[u] at u and -s[v] at v, on this view's index arrays."""
-        data = s[self.edges]
-        np.negative(data[:, 1], out=data[:, 1])
-        raw = self.raw
-        return IncidenceView(kind, self.edges, _edge_rows(
-            self.n, data, raw.b.indices, raw.b.indptr), raw)
-
     def apply(self, y):
         """B @ y restricted to the edge rows."""
         return _kernels.edge_diff(y, self.b)
@@ -297,10 +304,6 @@ class IncidenceView:
     def apply_t(self, e):
         """B.T @ e for edge-row inputs."""
         return _kernels.edge_scatter(e, self.bt)
-
-    def weighted_laplacian(self, gamma):
-        """B.T @ diag(gamma) @ B over the edge rows, assembled as CSR."""
-        return _kernels.weighted_lap_assemble(gamma, self.b)
 
     def weighted_degrees(self, w):
         """Each node's sum of the edge weights w over its edges."""
@@ -332,10 +335,13 @@ class IncidenceView:
 def _symmetric_csr(edges, off, diag):
     """The symmetric n x n CSR (n = diag's length), read-only, with off[k]
     at (u, v) and (v, u) for edge k = (u, v) and diag[i] at (i, i), in one
-    COO to CSR build; a zero diagonal entry is left out."""
-    nodes, (eu, ev) = np.flatnonzero(diag), edges.T
-    mat = sp.coo_matrix((np.concatenate([off, off, diag[nodes]]),
-                         (np.concatenate([eu, ev, nodes]), np.concatenate([ev, eu, nodes]))),
+    COO to CSR build; every zero entry is left out.  The sorted edges, fed
+    lower triangle, diagonal, upper triangle, fill each row in column order,
+    so the CSR comes out canonical and scipy sorts nothing."""
+    nodes, keep = np.flatnonzero(diag), off != 0
+    (eu, ev), off = edges[keep].T, off[keep]
+    mat = sp.coo_matrix((np.concatenate([off, diag[nodes], off]),
+                         (np.concatenate([ev, nodes, eu]), np.concatenate([eu, nodes, ev]))),
                         shape=(diag.shape[0],) * 2)
     return _read_only_csr(mat.tocsr())
 
@@ -380,14 +386,11 @@ def build_graph(n, edge_pairs):
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         bad = pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)][0]
         raise GraphError(f"edge ({bad[0]}, {bad[1]}) out of range for n={n}")
-    loops = pairs[:, 0] == pairs[:, 1]
-    if loops.any():
-        pairs = pairs[~loops]
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     # with return_counts np.unique sorts; without it, numpy 2.4 takes a path
     # about 15x slower on int64 keys
-    keys, _ = np.unique(edge_keys(n, lo, hi), return_counts=True)
+    keys, _ = np.unique(edge_keys(n, lo, hi)[lo != hi], return_counts=True)
     return Graph(n=n, edges=_read_only(np.stack(np.divmod(keys, n), axis=1)))
 
 

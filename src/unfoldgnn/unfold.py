@@ -26,18 +26,20 @@ Gamma is constant over a segment, from one refresh to the next, so each
 segment's Laplacian is picked once, when the segment starts, and the
 two variants differ only in that pick.  The plain variant applies
 L_Gamma = B.T diag(Gamma) B: the graph's cached Laplacian while Gamma
-is still ones, else L_Gamma assembled as CSR.  Every step of the
-segment is then one sparse product with it, and so is the step's
-transpose in the backward, since L_Gamma is symmetric.  A segment of a
-single forward step applies B.T (Gamma * (B Y)) factor by factor
-instead, since there an assembly would cost more than the one product
-it saves.  Where that step also refreshes Gamma, and the edge diagonal
-reads the same incidence (:meth:`EnergySpec.edge_view`: any kind in
-general mode, COMBINATORIAL in simple mode), B Y is computed once for
-both.  The normalized variant applies the SELF_LOOP_SYM Laplacian
-renormalized by Gamma (:func:`normalized_step`) instead, assembled at
-every refresh, even for a one-step segment, so each of its layers
-carries the operator its backward applies.
+is still ones, else L_Gamma from :meth:`graph.GraphOperators.weighted_laplacian`,
+the graph's one symmetric CSR assembly, so it is canonical and exactly
+symmetric.  Every step of the segment is then one sparse product with it,
+and so is the step's transpose in the backward, since L_Gamma is its own
+transpose bit for bit.  A segment of a single forward step applies
+B.T (Gamma * (B Y)) factor by factor instead, since there an assembly
+would cost more than the one product it saves.  Where that step also
+refreshes Gamma, and the edge diagonal reads the same incidence
+(:meth:`EnergySpec.edge_view`: any kind in general mode, COMBINATORIAL
+in simple mode), B Y is computed once for both.  The normalized
+variant applies the SELF_LOOP_SYM Laplacian
+renormalized by Gamma (:func:`normalized_step`) instead, from the same
+assembly at every refresh, even for a one-step segment, so each of its
+layers carries the operator its backward applies.
 
 The step and everything else that depends on the energy's mode is
 read from :class:`energy.EnergySpec`.  Simple mode follows the scalar
@@ -159,9 +161,8 @@ def _segment_laplacian(g, bview, gamma, unit, steps, normalized):
         return g.operators(bview.kind).laplacian if unit else normalized_step(g, gamma)
     if steps < 2:
         return None
-    if unit:
-        return g.operators(bview.kind).laplacian
-    return bview.weighted_laplacian(gamma)
+    ops = g.operators(bview.kind)
+    return ops.laplacian if unit else ops.weighted_laplacian(gamma)
 
 
 def step_size_bound(spec, g):
@@ -230,16 +231,16 @@ def closed_form_solution(g, fx, lam, kind):
 
 def normalized_step(g, gamma):
     """The Laplacian the normalized variant steps with at edge weights
-    gamma, assembled as CSR: I - S (A_g + I) S with A_g the reweighted
-    adjacency and S = (D_g + I)^-1/2, D_g its degrees.  That is
-    S B.T diag(gamma) B S over the unit-scale incidence B, so it is
-    B.T diag(gamma) B on the edge rows scaled by s at each endpoint, and
-    at gamma = 1 the SELF_LOOP_SYM Laplacian.  The simple-mode step on it
-    is the recursion U = (1-a-a*lam) Y + a*lam (I - L) Y + a*F, and a
-    common rescaling of gamma only moves the self loop's share."""
-    raw = incidence(g, LaplacianKind.SELF_LOOP_SYM).raw
-    s = 1.0 / np.sqrt(raw.weighted_degrees(gamma) + 1.0)
-    return raw.rescaled(LaplacianKind.SELF_LOOP_SYM, s).weighted_laplacian(gamma)
+    gamma: I - S (A_g + I) S with A_g the reweighted adjacency and
+    S = (D_g + I)^-1/2, D_g its degrees.  That is S B.T diag(gamma) B S
+    over the unit-scale incidence B: :meth:`GraphOperators.weighted_laplacian`
+    at S's diagonal, from the symmetric assembly of every other Laplacian,
+    so canonical CSR, exactly symmetric, and at gamma = 1 the SELF_LOOP_SYM
+    Laplacian.  The simple-mode step on it is the recursion
+    U = (1-a-a*lam) Y + a*lam (I - L) Y + a*F, and a common rescaling of
+    gamma only moves the self loop's share."""
+    ops = g.operators(LaplacianKind.SELF_LOOP_SYM)
+    return ops.weighted_laplacian(gamma, 1.0 / np.sqrt(ops.incidence.weighted_degrees(gamma) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -351,8 +352,9 @@ def unroll(spec, g, fx, cfg):
                                      normalized)
         u = spec.step(y, _lap_apply(bview, gamma, lap, y, rows), fx, alpha)
         y = spec.phi.prox(u, alpha)
-        norm = np.linalg.norm(y)
-        if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
+        # outside BLAS, whose threaded ddot can stall above 10,000 entries
+        norm = math.sqrt(np.einsum("ij,ij->", y, y))
+        if not math.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             raise PropagationDivergence(k, norm)
         yield Layer(k, u, y, alpha, gamma, gamma_step, lap, diagonal, penalty)
 

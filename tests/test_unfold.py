@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from unfoldgnn import _kernels
 from unfoldgnn import energy as energy_module
@@ -561,8 +562,9 @@ class TestPropagate:
     def test_divergence_guard_raises_with_step(self):
         g = build_graph(2, [(0, 1)])
         fx = np.array([[1.0], [-1.0]])
-        with pytest.raises(PropagationDivergence):
+        with pytest.raises(PropagationDivergence) as err:
             propagate(EnergySpec(lam=1.0), g, fx, PropagationConfig(steps=2000, alpha=50.0))
+        assert err.value.step == 5
 
     def test_gamma_snapshots_at_schedule(self):
         rng = np.random.default_rng(14)
@@ -1047,6 +1049,90 @@ class TestSegmentLaplacian:
         assert backward == k * 2 * nnz * d
 
 
+def check_assembled(lap, b, gamma):
+    """``lap`` is B.T diag(gamma) B for the edge-row matrix b as one
+    symmetric assembly builds it: indices strictly increasing in each row,
+    exactly symmetric, and the sparsity of the SpGEMM reference with its
+    zeros eliminated, each value within 4 ulps of the same product over
+    |b| and |gamma|, which bounds the rounding of any summation order."""
+    ref = (b.T @ sp.diags(gamma) @ b).tocsr()
+    ref.eliminate_zeros()
+    ref.sort_indices()
+    size = (abs(b).T @ sp.diags(np.abs(gamma)) @ abs(b)).toarray()
+    indptr = lap.indptr
+    assert all((np.diff(lap.indices[lo:hi]) > 0).all() for lo, hi in zip(indptr, indptr[1:]))
+    assert (lap != lap.T).nnz == 0
+    assert lap.nnz == ref.nnz
+    np.testing.assert_array_equal(indptr, ref.indptr)
+    np.testing.assert_array_equal(lap.indices, ref.indices)
+    eps = np.finfo(float).eps
+    assert (np.abs(lap.toarray() - ref.toarray()) <= 4 * eps * size).all()
+
+
+class TestOneAssembly:
+    """Every reweighted Laplacian the layers apply, L_gamma of a plain
+    segment and the renormalized one of the normalized variant, comes from
+    the graph's one symmetric CSR assembly, on graphs with isolated nodes
+    and with gamma holding exact zeros or negative weights."""
+
+    SELF = LaplacianKind.SELF_LOOP_SYM
+
+    @staticmethod
+    def graph(rng):
+        # three isolated nodes, relabelled to fall among the others
+        perm = rng.permutation(33)
+        return build_graph(33, perm[random_graph(rng, 30, p=0.2).edges])
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind), ids=lambda k: k.name)
+    def test_signed_weights_with_zeros(self, kind):
+        rng = np.random.default_rng(70)
+        g = self.graph(rng)
+        gamma = rng.uniform(-1.0, 1.0, g.m)
+        gamma[rng.random(g.m) < 0.3] = 0.0
+        # every edge of node edges[0, 0] at zero weight leaves its diagonal zero
+        gamma[(g.edges == g.edges[0, 0]).any(axis=1)] = 0.0
+        ops = g.operators(kind)
+        before = _kernels.op_counter()["edge"]
+        lap = ops.weighted_laplacian(gamma)
+        assert _kernels.op_counter()["edge"] - before == 6 * g.m
+        check_assembled(lap, ops.incidence.b, gamma)
+        assert lap[g.edges[0, 0], g.edges[0, 0]] == 0.0
+
+    def test_normalized_step_with_zeros(self):
+        rng = np.random.default_rng(71)
+        g = self.graph(rng)
+        gamma = rng.random(g.m)
+        gamma[rng.random(g.m) < 0.3] = 0.0
+        raw = incidence(g, self.SELF).raw
+        s = 1.0 / np.sqrt(abs(raw.b).T @ gamma + 1.0)
+        check_assembled(unfold_module.normalized_step(g, gamma), raw.b @ sp.diags(s), gamma)
+
+    @pytest.mark.parametrize("kind, variant, rho", [
+        *((kind, "plain", rho) for kind in LaplacianKind
+          for rho in (rho_truncated_quadratic(tau=2.0), rho_cosine())),
+        (SELF, "normalized", rho_truncated_quadratic(tau=2.0)),
+    ], ids=lambda v: getattr(v, "name", None) or getattr(v, "kind", None) or v)
+    def test_every_assembled_segment(self, kind, variant, rho):
+        rng = np.random.default_rng(72)
+        g = self.graph(rng)
+        spec = EnergySpec(rho=rho, lam=0.5, kind=kind)
+        # cosine rho takes a user-given alpha only
+        alpha = 0.01 if rho.kind == "cosine" else "auto"
+        cfg = PropagationConfig(steps=9, alpha=alpha, variant=variant, attention_schedule=(3, 6),
+                                record_trace=False)
+        layers = list(unroll(spec, g, 3.0 * rng.normal(size=(g.n, 2)), cfg))
+        # the unit-gamma segment reads the cached Laplacian
+        assert layers[0].lap is g.operators(kind).laplacian
+        for layer in layers[3], layers[6]:
+            gamma = layer.gamma
+            assert (gamma < 0).any() if rho.kind == "cosine" else (gamma == 0).any()
+            b = incidence(g, kind).b
+            if variant == "normalized":
+                raw = incidence(g, kind).raw
+                b = raw.b @ sp.diags(1.0 / np.sqrt(abs(raw.b).T @ gamma + 1.0))
+            check_assembled(layer.lap, b, gamma)
+
+
 class TestRefreshDiagonal:
     """A refresh keeps the edge diagonal it computed on its layer; the
     energy trace and the attention backward read it there."""
@@ -1347,6 +1433,31 @@ class TestPinnedOutputs:
         assert self.propagate_digest(g, spec, fx, cfg) == self.PROPAGATE[kind]
 
     @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_propagate_takes_no_blas_norm(self, kind, monkeypatch):
+        # OpenBLAS's threaded ddot behind np.linalg.norm can stall for
+        # milliseconds, so no norm of the layer loop goes through it
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        g, spec, fx, cfg, _ = self.instance(kind)
+        assert self.propagate_digest(g, spec, fx, cfg) == self.PROPAGATE[kind]
+
+    # (step, message) of the divergence guard at alpha = 5 without reweighting
+    DIVERGES = {
+        COMB: (7, "embedding norm 1.534e+13 exceeded 1e+12 at step 7"),
+        LaplacianKind.SYM_NORMALIZED: (20, "embedding norm 3.201e+12 exceeded 1e+12 at step 20"),
+        LaplacianKind.SELF_LOOP_SYM: (22, "embedding norm 1.777e+12 exceeded 1e+12 at step 22"),
+    }
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_divergence_guard_step(self, kind):
+        g, spec, fx, _, _ = self.instance(kind)
+        with pytest.raises(PropagationDivergence) as err:
+            propagate(spec, g, fx, PropagationConfig(steps=40, alpha=5.0))
+        assert (err.value.step, str(err.value)) == self.DIVERGES[kind]
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
     def test_full_attention_backward(self, kind):
         assert self.backward_digest(*self.instance(kind)) == self.BACKWARD[kind]
 
@@ -1361,26 +1472,33 @@ class TestPinnedOutputs:
                 self.backward_digest(g, spec, fx, cfg, d_y)) == self.GENERAL_POWER
 
 
-# a robust propagation whose iterates hold 2000 x 8 = 16,000 entries, above
-# the 10,000 past which OpenBLAS splits a dot product across threads
+# a robust propagation and a sandwich one, whose second segment applies an
+# assembled L_gamma, with iterates of 2000 x 8 = 16,000 entries, above the
+# 10,000 past which OpenBLAS splits a dot product across threads
 THREADS_SNIPPET = """
 import hashlib
 import json
 
 import numpy as np
 
-from unfoldgnn.energy import EnergySpec, phi_relu, rho_truncated_lp
+from unfoldgnn.energy import EnergySpec, phi_relu, rho_log, rho_truncated_lp
 from unfoldgnn.graph import LaplacianKind, build_graph
-from unfoldgnn.unfold import PropagationConfig, propagate
+from unfoldgnn.unfold import PropagationConfig, propagate, sandwich_schedule
 
 rng = np.random.default_rng(0)
 n, d, k = 2000, 8, 4
 g = build_graph(n, rng.integers(0, n, size=(4 * n, 2)))
+fx = rng.standard_normal((n, d))
 spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), phi=phi_relu(), lam=1.0,
                   kind=LaplacianKind.COMBINATORIAL)
-out = propagate(spec, g, rng.standard_normal((n, d)), PropagationConfig(
+robust = propagate(spec, g, fx, PropagationConfig(
     steps=k, alpha="auto_irls", attention_schedule=tuple(range(k)), record_trace=False))
-print(json.dumps([hashlib.sha256(arr.tobytes()).hexdigest() for arr in (out.y, out.residuals)]))
+spec = EnergySpec(rho=rho_log(eps=0.5), phi=phi_relu(), lam=1.3,
+                  kind=LaplacianKind.SELF_LOOP_SYM)
+sandwich = propagate(spec, g, fx, PropagationConfig(
+    steps=8, alpha="auto", attention_schedule=sandwich_schedule(8), record_trace=False))
+arrays = (robust.y, robust.residuals, sandwich.y, sandwich.residuals)
+print(json.dumps([hashlib.sha256(arr.tobytes()).hexdigest() for arr in arrays]))
 """
 
 
@@ -1403,11 +1521,11 @@ class TestPinnedCachedOperators:
     leave these digests as they are."""
 
     PROPAGATE = {
-        COMB: "95db56745a208609f985a9f927591c45da87880b4cc98f887ff68e08d32ff212",
+        COMB: "b862b074eb10c8f7c17bb83e1c583d221b282d5efbb0274e356d48b303a66a49",
         LaplacianKind.SYM_NORMALIZED:
-            "fabfd857af94b68f85bcaa45b22771fad0963cfd328d82e291497377281f5fd1",
+            "b637a524b25c335310c46c584ec2c98e7b402634cb72ffb260462b74f0577c9e",
         LaplacianKind.SELF_LOOP_SYM:
-            "42e828f69c83fd08a58376a83361f8bc4c00a239bd85d1d3b1fc47ce6686cadc",
+            "24a231458b2e29e1f03fcd9ea53d13d1dd71c5d4905c4b9e8cb837aa0828e3ad",
     }
     FIXED_POINT = {
         COMB: "a8d56736a63ed1c2cf32e0f6a11ee1871585c76e4f063a3d169b7f340bd64776",
