@@ -1,8 +1,8 @@
 """Scripted desk-scale experiments.
 
 Each experiment writes one or more schema-versioned CSVs under the
-artifacts directory and returns a summary dict that the test suite and
-the verification command assert against.
+artifacts directory and returns a summary dict that the test suite
+asserts against.
 """
 
 import os

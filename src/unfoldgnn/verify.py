@@ -4,6 +4,12 @@ Each suite generates its own random instances from a seed, checks one
 family of guarantees, and returns (ok, records).  Records are plain
 dicts (JSON-lines friendly); a failing record carries the instance
 parameters needed to replay it.
+
+The acceptance tests run these suites at their own seed and trial
+count, so each guarantee has one check: criterion 2 (descent, exact and
+literal) is ``descent``, 4 is ``convergence``, 6 is ``gradients``, and 7
+and 8 are ``equivalence``.  The tests draw their instances from the
+generators below.
 """
 
 import numpy as np
@@ -36,7 +42,9 @@ from .unfold import (
 )
 
 
-def _random_graph(rng, n, p=0.35):
+def random_graph(rng, n, p):
+    """Erdős–Rényi graph on n nodes with edge probability p; one edge
+    (0, 1) when no pair is drawn."""
     mask = np.triu(rng.random((n, n)) < p, k=1)
     pairs = np.argwhere(mask)
     if pairs.shape[0] == 0:
@@ -44,9 +52,20 @@ def _random_graph(rng, n, p=0.35):
     return build_graph(n, pairs)
 
 
-def _random_psd(rng, d):
+def random_psd(rng, d):
+    """Random symmetric positive definite d×d weight."""
     a = rng.normal(size=(d, d))
     return a @ a.T / d + 0.05 * np.eye(d)
+
+
+def real_spectrum_asymmetric(rng, d, p_op):
+    """Random asymmetric weight with real, distinct eigenvalues: a
+    diagonal similarity-transformed by a non-orthogonal basis, then
+    scaled so that ||W|| ||P|| <= 0.8."""
+    basis = rng.normal(size=(d, d)) + 2.0 * np.eye(d)
+    diag = np.diag(np.linspace(-1.0, 1.0, d) + 0.05 * rng.normal(size=d))
+    w = basis @ diag @ np.linalg.inv(basis)
+    return project_weights(w, p_op, margin=0.8)
 
 
 def descent_suite(seed, trials, inject_failure=False):
@@ -59,13 +78,13 @@ def descent_suite(seed, trials, inject_failure=False):
     for t in range(trials):
         n = int(rng.integers(5, 28))
         d = int(rng.integers(1, 6))
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n, 0.35)
         spec = EnergySpec(
             rho=menu[t % len(menu)],
             phi=phi_relu() if t % 2 else phi_zero(),
             simple=False,
-            w_fid=_random_psd(rng, d),
-            w_prop=_random_psd(rng, d),
+            w_fid=random_psd(rng, d),
+            w_prop=random_psd(rng, d),
             gradient_mode="literal" if t % 8 >= 4 else "exact",
         )
         fx = rng.normal(size=(n, d))
@@ -91,15 +110,16 @@ def descent_suite(seed, trials, inject_failure=False):
 
 def convergence_suite(seed, trials, inject_failure=False):
     """Deep-propagation limit vs direct solve, under Laplacian kind
-    t % 3 in trial t, and fixed-point uniqueness, geometric residual
-    decay and a certified contraction factor below one."""
+    t % 3 in trial t; then one fixed point reached from two random
+    starts, every residual ratio from iteration 3 on at most 0.95, and
+    a certified contraction factor below one."""
     rng = np.random.default_rng(seed)
     records = []
     ok = True
     for t in range(trials):
         n = int(rng.integers(10, 40))
         d = int(rng.integers(1, 6))
-        g = _random_graph(rng, n, p=0.25)
+        g = random_graph(rng, n, 0.25)
         fx = rng.normal(size=(n, d))
         lam = float(rng.uniform(0.2, 2.0))
         spec = EnergySpec(lam=lam, kind=list(LaplacianKind)[t % 3])
@@ -112,37 +132,37 @@ def convergence_suite(seed, trials, inject_failure=False):
         good = rel < 1e-6
         records.append({"suite": "convergence", "check": "closed-form", "trial": t,
                         "kind": spec.kind.value, "n": n, "d": d, "lam": lam,
+                        "isolated": int(np.count_nonzero(g.degrees == 0)),
                         "rel_error": rel, "ok": good, "seed": seed})
         ok = ok and good
 
         w = project_weights(rng.normal(size=(d, d)), g.operators(LaplacianKind.SELF_LOOP_SYM),
                             margin=0.9)
         cfg = FixedPointConfig(sigma=phi_relu(), tol=1e-10)
-        a = fixed_point_solve(g, w, fx, cfg)
-        b = fixed_point_solve(g, w, fx + 1e-9 * rng.normal(size=fx.shape), cfg)
+        a = fixed_point_solve(g, w, fx, cfg, y0=rng.normal(size=(n, d)))
+        b = fixed_point_solve(g, w, fx, cfg, y0=rng.normal(size=(n, d)))
         gap = float(np.linalg.norm(a.y - b.y))
-        good = gap < 1e-7 and a.contraction_estimate <= 0.95 and a.contraction < 1.0
+        resid = a.residual_trace
+        ratio = float((resid[4:] / np.maximum(resid[3:-1], cfg.tol)).max(initial=0.0))
+        good = gap < 1e-7 and ratio <= 0.95 and a.contraction < 1.0
         records.append({"suite": "convergence", "check": "fixed-point", "trial": t,
                         "iterations": a.iterations, "uniqueness_gap": gap,
-                        "contraction": a.contraction_estimate,
-                        "certified_contraction": a.contraction, "error_bound": a.error_bound,
-                        "ok": good, "seed": seed})
+                        "worst_ratio": ratio, "certified_contraction": a.contraction,
+                        "error_bound": a.error_bound, "ok": good, "seed": seed})
         ok = ok and good
     return ok, records
 
 
 def equivalence_suite(seed, trials, inject_failure=False):
-    """Both weight-family constructions re-verified end to end."""
+    """Both weight-family constructions re-verified end to end, with the
+    drift shrinking down a jitter ladder on every 10th trial."""
     rng = np.random.default_rng(seed)
     records = []
     ok = True
     for t in range(trials):
         d = int(rng.integers(2, 7))
-        g = _random_graph(rng, int(rng.integers(6, 14)))
-        basis = rng.normal(size=(d, d)) + 2.0 * np.eye(d)
-        diag = np.diag(np.linspace(-1.0, 1.0, d) + 0.05 * rng.normal(size=d))
-        w = basis @ diag @ np.linalg.inv(basis)
-        w = project_weights(w, g.operators(LaplacianKind.SELF_LOOP_SYM), margin=0.8)
+        g = random_graph(rng, int(rng.integers(6, 14)), 0.35)
+        w = real_spectrum_asymmetric(rng, d, g.operators(LaplacianKind.SELF_LOOP_SYM))
         x = rng.normal(size=(g.n, 3))
         w_x = rng.normal(size=(3, d))
         rep = symmetrize_linear(w, g, w_x, x, eps=0.0)
@@ -154,6 +174,18 @@ def equivalence_suite(seed, trials, inject_failure=False):
                         "symmetry_defect": rep.symmetry_defect, "ok": good,
                         "seed": seed})
         ok = ok and good
+
+        if t % 10 == 0:
+            ladder = [verify_linear_equivalence(
+                symmetrize_linear(w, g, w_x, x, eps=eps, seed=seed + t), g, x, w_p=w, w_x=w_x)
+                for eps in (1e-2, 1e-4, 1e-6)]
+            worst = max(r["residual"] for r in ladder)
+            drifts = [r["drift"] for r in ladder]
+            good = worst < 1e-6 and drifts[1] < 10 * drifts[0] and drifts[2] < 10 * drifts[1]
+            records.append({"suite": "equivalence", "check": "jitter-ladder", "trial": t,
+                            "max_residual": worst, "drifts": drifts, "ok": good,
+                            "seed": seed})
+            ok = ok and good
 
         k_layers = int(rng.integers(1, 5))
         residual_conn = bool(rng.integers(0, 2))
@@ -175,7 +207,8 @@ def equivalence_suite(seed, trials, inject_failure=False):
 
 
 def gradients_suite(seed, trials, inject_failure=False):
-    """Finite-difference agreement for every backend."""
+    """Finite-difference agreement for every backend, at a random
+    embedding width in [2, 4]."""
     rng = np.random.default_rng(seed)
     records = []
     ok = True
@@ -183,15 +216,19 @@ def gradients_suite(seed, trials, inject_failure=False):
         ("unrolled-zero", dict(backend="unrolled", steps=4, alpha=0.15, phi=phi_zero())),
         ("unrolled-relu", dict(backend="unrolled", steps=4, alpha=0.15, phi=phi_relu())),
         ("implicit", dict(backend="implicit", fp_tol=1e-12)),
-        ("eignn", dict(backend="eignn", mu=0.6, eps_f=0.2, fp_tol=1e-12)),
+        ("implicit-relu", dict(backend="implicit", fp_tol=1e-12, sigma=phi_relu())),
+        # at 1e-12 the solve's error shows through the central differences
+        # of eignn's smaller F gradients (max_rel_err 5.4e-4 at seed 57)
+        ("eignn", dict(backend="eignn", mu=0.6, eps_f=0.2, fp_tol=1e-13)),
     ]
     for t in range(trials):
         tag, overrides = backends[t % len(backends)]
         n = int(rng.integers(6, 14))
-        g = _random_graph(rng, n)
+        d = int(rng.integers(2, 5))
+        g = random_graph(rng, n, 0.35)
         x = rng.normal(size=(n, 3))
         labels = rng.integers(0, 2, size=n)
-        cfg = ModelConfig(embed_dim=3, n_classes=2, kind=LaplacianKind.SELF_LOOP_SYM,
+        cfg = ModelConfig(embed_dim=d, n_classes=2, kind=LaplacianKind.SELF_LOOP_SYM,
                           **overrides)
         model = Model(3, cfg, seed=seed + t, g=g)
         if tag == "unrolled-relu" and min_preactivation_margin(model, g, x) < 1e-3:
@@ -209,7 +246,7 @@ def gradients_suite(seed, trials, inject_failure=False):
 
             model.backward = corrupted
         report = finite_difference_check(model, g, x, labels, np.arange(n))
-        records.append({"suite": "gradients", "backend": tag, "trial": t,
+        records.append({"suite": "gradients", "backend": tag, "trial": t, "d": d,
                         "max_rel_err": report["max_rel_err"], "ok": report["ok"],
                         "seed": seed})
         ok = ok and report["ok"]

@@ -12,34 +12,17 @@ from unfoldgnn.equivalence import (
     verify_gcn_equivalence,
     verify_linear_equivalence,
 )
-from unfoldgnn.graph import LaplacianKind, build_graph, propagation_matrix
+from unfoldgnn.graph import LaplacianKind, propagation_matrix
 from unfoldgnn.implicit import project_weights
+from unfoldgnn.verify import random_graph, real_spectrum_asymmetric
 
 SELF = LaplacianKind.SELF_LOOP_SYM
-
-
-def random_graph(rng, n, p=0.35):
-    mask = np.triu(rng.random((n, n)) < p, k=1)
-    pairs = np.argwhere(mask)
-    if pairs.shape[0] == 0:
-        pairs = np.array([[0, 1]])
-    return build_graph(n, pairs)
-
-
-def real_spectrum_asymmetric(rng, d, margin, p_op):
-    """Random asymmetric weight with real, distinct eigenvalues: a
-    similarity-transformed diagonal, then scaled into the contraction
-    ball.  Genuinely asymmetric (similarity by a non-orthogonal basis)."""
-    basis = rng.normal(size=(d, d)) + 2.0 * np.eye(d)
-    diag = np.diag(np.linspace(-1.0, 1.0, d) + 0.05 * rng.normal(size=d))
-    w = basis @ diag @ np.linalg.inv(basis)
-    return project_weights(w, p_op, margin=margin)
 
 
 class TestSymmetrizeLinear:
     def test_symmetric_input_uses_orthogonal_eigenbasis(self):
         rng = np.random.default_rng(0)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.35)
         p_op = propagation_matrix(g, SELF)
         a = rng.normal(size=(3, 3))
         w = project_weights(a + a.T, p_op.toarray(), margin=0.8)
@@ -56,7 +39,7 @@ class TestSymmetrizeLinear:
 
     def test_nilpotent_needs_jitter(self):
         rng = np.random.default_rng(1)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.35)
         p_op = propagation_matrix(g, SELF)
         w = np.array([[0.0, 0.3], [0.0, 0.0]])
         x = rng.normal(size=(6, 2))
@@ -71,9 +54,9 @@ class TestSymmetrizeLinear:
 
     def test_real_spectrum_asymmetric_exact_without_jitter(self):
         rng = np.random.default_rng(2)
-        g = random_graph(rng, 10)
+        g = random_graph(rng, 10, 0.35)
         p_op = propagation_matrix(g, SELF)
-        w = real_spectrum_asymmetric(rng, 4, 0.8, p_op.toarray())
+        w = real_spectrum_asymmetric(rng, 4, p_op.toarray())
         assert np.abs(w - w.T).max() > 1e-3
         x = rng.normal(size=(10, 3))
         w_x = rng.normal(size=(3, 4))
@@ -86,9 +69,9 @@ class TestSymmetrizeLinear:
 
     def test_drift_shrinks_with_jitter(self):
         rng = np.random.default_rng(3)
-        g = random_graph(rng, 9)
+        g = random_graph(rng, 9, 0.35)
         p_op = propagation_matrix(g, SELF)
-        w = real_spectrum_asymmetric(rng, 3, 0.8, p_op.toarray())
+        w = real_spectrum_asymmetric(rng, 3, p_op.toarray())
         x = rng.normal(size=(9, 2))
         w_x = rng.normal(size=(2, 3))
         drifts = []
@@ -105,7 +88,7 @@ class TestSymmetrizeLinear:
         # rotation weight: the fixed-point identity is exact, the
         # symmetry defect equals |Im lambda| and cannot be removed
         rng = np.random.default_rng(4)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.35)
         theta = 0.9
         w = 0.5 * np.array([[np.cos(theta), np.sin(theta)],
                             [-np.sin(theta), np.cos(theta)]])
@@ -121,9 +104,9 @@ class TestSymmetrizeLinear:
         rng = np.random.default_rng(5)
         for trial in range(20):
             d = int(rng.integers(2, 7))
-            g = random_graph(rng, int(rng.integers(6, 14)))
+            g = random_graph(rng, int(rng.integers(6, 14)), 0.35)
             p_op = propagation_matrix(g, SELF)
-            w = real_spectrum_asymmetric(rng, d, 0.8, p_op.toarray())
+            w = real_spectrum_asymmetric(rng, d, p_op.toarray())
             x = rng.normal(size=(g.n, 3))
             w_x = rng.normal(size=(3, d))
             rep = symmetrize_linear(w, g, w_x, x, eps=0.0)
@@ -135,7 +118,7 @@ class TestSymmetrizeLinear:
 class TestEmbedGcn:
     def test_single_layer_first_block(self):
         rng = np.random.default_rng(6)
-        g = random_graph(rng, 7)
+        g = random_graph(rng, 7, 0.35)
         p_dense = propagation_matrix(g, SELF).toarray()
         w1 = 0.5 * rng.normal(size=(3, 2))
         emb = embed_gcn([w1], residual=False, sigma=phi_relu())
@@ -147,7 +130,7 @@ class TestEmbedGcn:
     @pytest.mark.parametrize("sigma", [phi_relu(), phi_zero(), phi_soft_threshold(0.1)])
     def test_three_layer_stack_exact(self, sigma):
         rng = np.random.default_rng(7)
-        g = random_graph(rng, 9)
+        g = random_graph(rng, 9, 0.35)
         widths = [4, 3, 5, 2]
         layers = [0.6 * rng.normal(size=(widths[i], widths[i + 1])) for i in range(3)]
         emb = embed_gcn(layers, residual=False, sigma=sigma)
@@ -158,7 +141,7 @@ class TestEmbedGcn:
 
     def test_residual_stack_exact(self):
         rng = np.random.default_rng(8)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.35)
         layers = [0.5 * rng.normal(size=(3, 3)) for _ in range(2)]
         emb = embed_gcn(layers, residual=True, sigma=phi_relu())
         y0 = rng.normal(size=(8, 3))
@@ -167,7 +150,7 @@ class TestEmbedGcn:
 
     def test_zero_steps_trivially_equal(self):
         rng = np.random.default_rng(9)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.35)
         layers = [rng.normal(size=(2, 2))]
         emb = embed_gcn(layers, residual=False, sigma=phi_relu())
         y0 = rng.normal(size=(6, 2))
@@ -176,7 +159,7 @@ class TestEmbedGcn:
 
     def test_injected_mismatch_flags_layer(self):
         rng = np.random.default_rng(10)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.35)
         layers = [0.5 * rng.normal(size=(3, 3)) for _ in range(3)]
         emb = embed_gcn(layers, residual=False, sigma=phi_relu())
         emb.w_p_sym_block[emb.block_slices[1], emb.block_slices[2]] += 0.05
@@ -203,7 +186,7 @@ class TestEmbedGcn:
 
     def test_oracle_matches_hand_loop(self):
         rng = np.random.default_rng(13)
-        g = random_graph(rng, 5)
+        g = random_graph(rng, 5, 0.35)
         p_dense = propagation_matrix(g, SELF).toarray()
         w = rng.normal(size=(2, 2))
         outs = gcn_oracle(p_dense, [w], residual=True, sigma=phi_relu(),
@@ -214,7 +197,7 @@ class TestEmbedGcn:
 
 def test_linear_fixed_point_oracle_self_consistent():
     rng = np.random.default_rng(15)
-    g = random_graph(rng, 7)
+    g = random_graph(rng, 7, 0.35)
     p_dense = propagation_matrix(g, SELF).toarray()
     w = project_weights(rng.normal(size=(3, 3)), p_dense, margin=0.8)
     fx = rng.normal(size=(7, 3))

@@ -25,14 +25,9 @@ from unfoldgnn.graph import (
 )
 from unfoldgnn.model import ModelConfig, TrainConfig, train
 from unfoldgnn.unfold import PropagationConfig, propagate, sandwich_schedule
+from unfoldgnn.verify import random_graph
 
 ALL_KINDS = list(LaplacianKind)
-
-
-def random_graph(rng, n, p=0.3):
-    mask = np.triu(rng.random((n, n)) < p, k=1)
-    pairs = np.argwhere(mask)
-    return build_graph(n, pairs)
 
 
 class TestBuildGraph:
@@ -71,7 +66,7 @@ class TestBuildGraph:
         assert g.degrees.tolist() == [1, 1, 2]
 
     def test_adjacency_symmetric(self):
-        g = random_graph(np.random.default_rng(0), 20)
+        g = random_graph(np.random.default_rng(0), 20, 0.3)
         assert (g.adjacency != g.adjacency.T).nnz == 0
 
 
@@ -150,7 +145,7 @@ class TestLaplacian:
         np.testing.assert_allclose(lap, [[1, -1], [-1, 1]])
 
     def test_combinatorial_rows_sum_to_zero(self):
-        g = random_graph(np.random.default_rng(1), 15)
+        g = random_graph(np.random.default_rng(1), 15, 0.3)
         lap = g.operators(LaplacianKind.COMBINATORIAL).laplacian
         np.testing.assert_allclose(np.asarray(lap.sum(axis=1)).ravel(), 0, atol=1e-12)
 
@@ -158,7 +153,7 @@ class TestLaplacian:
     def test_psd_against_dense_eigendecomposition(self, kind):
         rng = np.random.default_rng(2)
         for n in (5, 17, 64):
-            g = random_graph(rng, n, p=0.15)
+            g = random_graph(rng, n, 0.15)
             lap = g.operators(kind).laplacian.toarray()
             np.testing.assert_allclose(lap, lap.T, atol=1e-14)
             assert np.linalg.eigvalsh(lap).min() >= -1e-10
@@ -190,7 +185,7 @@ class TestIncidence:
     def test_btb_matches_laplacian(self, kind):
         rng = np.random.default_rng(3)
         for n in (4, 12, 30):
-            g = random_graph(rng, n, p=0.25)
+            g = random_graph(rng, n, 0.25)
             b = incidence(g, kind).b
             lap = g.operators(kind).laplacian.toarray()
             np.testing.assert_allclose((b.T @ b).toarray(), lap, atol=1e-12)
@@ -205,7 +200,7 @@ class TestIncidence:
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(4)
-        g = random_graph(rng, 12, p=0.3)
+        g = random_graph(rng, 12, 0.3)
         y = rng.normal(size=(12, 3))
         view = incidence(g, LaplacianKind.SELF_LOOP_SYM)
         b = view.b.toarray()
@@ -299,13 +294,13 @@ class TestPropagationMatrix:
 
     def test_plus_laplacian_is_identity(self):
         rng = np.random.default_rng(5)
-        g = random_graph(rng, 18)
+        g = random_graph(rng, 18, 0.3)
         for kind in ALL_KINDS:
             total = propagation_matrix(g, kind) + g.operators(kind).laplacian
             np.testing.assert_allclose(total.toarray(), np.eye(18), atol=1e-14)
 
     def test_combinatorial_row_sums_one(self):
-        g = random_graph(np.random.default_rng(6), 10)
+        g = random_graph(np.random.default_rng(6), 10, 0.3)
         p = propagation_matrix(g, LaplacianKind.COMBINATORIAL)
         np.testing.assert_allclose(np.asarray(p.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
@@ -333,7 +328,7 @@ class TestPropagationMatrix:
     def test_normalized_norm_at_most_one(self, kind):
         rng = np.random.default_rng(7)
         for _ in range(3):
-            g = random_graph(rng, 25, p=0.2)
+            g = random_graph(rng, 25, 0.2)
             assert spectral_norm(propagation_matrix(g, kind)) <= 1 + 1e-9
 
 
@@ -397,7 +392,7 @@ class TestOperatorCache:
                     assert "bt" not in vars(ops.incidence.raw)
 
     def test_adjacency_is_built_once_on_first_read(self):
-        g = random_graph(np.random.default_rng(15), 12)
+        g = random_graph(np.random.default_rng(15), 12, 0.3)
         adj = g.adjacency
         assert vars(g._arrays)["adjacency"] is adj
         assert g.adjacency is adj
@@ -416,7 +411,7 @@ class TestOperatorCache:
         assert degrees.tobytes() == want.tobytes()
 
     def test_each_operator_is_built_once(self):
-        g = random_graph(np.random.default_rng(11), 12)
+        g = random_graph(np.random.default_rng(11), 12, 0.3)
         for kind in ALL_KINDS:
             assert g.operators(kind).laplacian is g.operators(kind).laplacian
             assert propagation_matrix(g, kind) is propagation_matrix(g, kind)
@@ -467,7 +462,7 @@ class TestOperatorCache:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            g = random_graph(np.random.default_rng(12), 10)
+            g = random_graph(np.random.default_rng(12), 10, 0.3)
             bundles = [g.operators(kind) for kind in ALL_KINDS]
             for ops in bundles:
                 ops.incidence.bt, ops.laplacian_norm, ops.propagation_norm
@@ -484,7 +479,7 @@ class TestOperatorCache:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            g = random_graph(np.random.default_rng(13), 10)
+            g = random_graph(np.random.default_rng(13), 10, 0.3)
             views = [incidence(g, kind) for kind in ALL_KINDS]
             for view in views:
                 view.bt, view.raw.bt
@@ -563,14 +558,14 @@ class TestSharedIncidence:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
     def test_scales_are_views_of_b(self, kind):
-        g = random_graph(np.random.default_rng(20), 15)
+        g = random_graph(np.random.default_rng(20), 15, 0.3)
         view = incidence(g, kind)
         assert np.shares_memory(view.su, view.b.data)
         np.testing.assert_array_equal(view.su, view.b.data[0::2])
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
     def test_every_kind_shares_the_unit_index_arrays(self, kind):
-        g = random_graph(np.random.default_rng(21), 15)
+        g = random_graph(np.random.default_rng(21), 15, 0.3)
         view, unit = incidence(g, kind), incidence(g, LaplacianKind.COMBINATORIAL)
         assert view.raw is unit is g._arrays.incidence
         assert _owner(view.raw.b.indices) is _owner(view.b.indices)
@@ -580,7 +575,7 @@ class TestSharedIncidence:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
     def test_views_and_their_owners_are_read_only(self, kind):
-        g = random_graph(np.random.default_rng(22), 15)
+        g = random_graph(np.random.default_rng(22), 15, 0.3)
         view = incidence(g, kind)
         arrays = [view.su, view.eu, view.ev]
         for b in (view.b, view.raw.b, view.bt):
@@ -637,7 +632,7 @@ class TestSpectralNorm:
         assert spectral_norm(np.zeros((4, 4))) == 0.0
 
     def test_sparse_input_is_deterministic(self):
-        g = random_graph(np.random.default_rng(10), 80, p=0.1)
+        g = random_graph(np.random.default_rng(10), 80, 0.1)
         for kind in ALL_KINDS:
             lap = g.operators(kind).laplacian
             assert spectral_norm(lap) == spectral_norm(lap)
@@ -654,8 +649,8 @@ class TestSpectralNorm:
         star = build_graph(n, [(0, i) for i in range(1, n)])
         path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
         cycle = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-        graphs = [random_graph(rng, 12), isolated, build_graph(5, []),
-                  random_graph(rng, 300, p=0.02), star, path, cycle]
+        graphs = [random_graph(rng, 12, 0.3), isolated, build_graph(5, []),
+                  random_graph(rng, 300, 0.02), star, path, cycle]
         for g in graphs:
             ops = g.operators(kind)
             for got, mat in ((ops.laplacian_norm, ops.laplacian),
@@ -675,7 +670,7 @@ class TestSpectralNorm:
         # one step per dimension, and no read of the Ritz value before it
         monkeypatch.setattr(graph_module, "_LANCZOS_STEPS_PER_DIM", 1)
         monkeypatch.setattr(graph_module, "_LANCZOS_READ_EVERY", 10 ** 9)
-        g = random_graph(np.random.default_rng(18), 80, p=0.1)
+        g = random_graph(np.random.default_rng(18), 80, 0.1)
         lap = g.operators(LaplacianKind.COMBINATORIAL).laplacian
         with pytest.raises(RuntimeError, match="did not converge in 80 steps"):
             spectral_norm(lap)
@@ -706,7 +701,7 @@ class TestHomophily:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
-        g = random_graph(rng, 30)
+        g = random_graph(rng, 30, 0.3)
         labels = rng.integers(0, 3, size=30)
         brute = np.mean([labels[u] == labels[v] for u, v in g.edges])
         assert homophily_ratio(g, labels) == pytest.approx(brute)

@@ -16,16 +16,9 @@ from unfoldgnn.implicit import (
     project_weights,
 )
 from unfoldgnn.unfold import PropagationConfig, propagate
+from unfoldgnn.verify import random_graph
 
 SELF = LaplacianKind.SELF_LOOP_SYM
-
-
-def random_graph(rng, n, p=0.35):
-    mask = np.triu(rng.random((n, n)) < p, k=1)
-    pairs = np.argwhere(mask)
-    if pairs.shape[0] == 0:
-        pairs = np.array([[0, 1]])
-    return build_graph(n, pairs)
 
 
 def contraction_weight(rng, d, p_op, margin=0.8):
@@ -103,7 +96,7 @@ def test_non_finite_tol_rejected(tol):
 class TestFixedPointSolve:
     def test_zero_weight_converges_immediately(self):
         rng = np.random.default_rng(2)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.35)
         fx = rng.normal(size=(8, 3))
         out = fixed_point_solve(g, np.zeros((3, 3)), fx, FixedPointConfig(sigma=phi_relu()))
         assert out.iterations <= 2
@@ -111,7 +104,7 @@ class TestFixedPointSolve:
 
     def test_identity_activation_matches_kronecker_solve(self):
         rng = np.random.default_rng(3)
-        g = random_graph(rng, 10)
+        g = random_graph(rng, 10, 0.35)
         p_dense = propagation_matrix(g, SELF).toarray()
         w = contraction_weight(rng, 3, p_dense)
         fx = rng.normal(size=(10, 3))
@@ -121,7 +114,7 @@ class TestFixedPointSolve:
 
     def test_fixed_point_equation_satisfied(self):
         rng = np.random.default_rng(4)
-        g = random_graph(rng, 9)
+        g = random_graph(rng, 9, 0.35)
         p_op = propagation_matrix(g, SELF)
         w = contraction_weight(rng, 2, p_op.toarray())
         fx = rng.normal(size=(9, 2))
@@ -146,7 +139,7 @@ class TestFixedPointSolve:
     def test_unique_limit_from_different_starts(self):
         # uniqueness probe: restart from the first solve's endpoint + noise
         rng = np.random.default_rng(5)
-        g = random_graph(rng, 12)
+        g = random_graph(rng, 12, 0.35)
         p_dense = propagation_matrix(g, SELF).toarray()
         w = contraction_weight(rng, 3, p_dense, margin=0.9)
         fx = rng.normal(size=(12, 3))
@@ -158,7 +151,7 @@ class TestFixedPointSolve:
     def test_geometric_residual_decay(self):
         rng = np.random.default_rng(6)
         for trial in range(5):
-            g = random_graph(rng, 14)
+            g = random_graph(rng, 14, 0.35)
             p_dense = propagation_matrix(g, SELF).toarray()
             w = contraction_weight(rng, 3, p_dense, margin=0.9)
             fx = rng.normal(size=(14, 3))
@@ -167,7 +160,7 @@ class TestFixedPointSolve:
 
     def test_max_iters_exhaustion_raises(self):
         rng = np.random.default_rng(7)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.35)
         w = np.eye(2) * 0.99
         fx = rng.normal(size=(8, 2))
         with pytest.raises(FixedPointDivergence):
@@ -181,7 +174,7 @@ class TestFixedPointSolve:
     @pytest.mark.parametrize("kind", list(LaplacianKind))
     def test_certified_error_bound_holds(self, kind):
         rng = np.random.default_rng(8)
-        g = random_graph(rng, 12)
+        g = random_graph(rng, 12, 0.35)
         p_dense = propagation_matrix(g, kind).toarray()
         w = contraction_weight(rng, 3, p_dense, margin=0.9)
         fx = rng.normal(size=(12, 3))
@@ -195,7 +188,7 @@ class TestFixedPointSolve:
 
     def test_error_bound_infinite_without_certified_contraction(self):
         rng = np.random.default_rng(9)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.35)
         fx = -1.0 - rng.random((8, 2))  # relu(fx) = 0 is the fixed point
         out = fixed_point_solve(g, 1.5 * np.eye(2), fx, FixedPointConfig(sigma=phi_relu()))
         assert out.contraction == pytest.approx(1.5)
@@ -204,7 +197,7 @@ class TestFixedPointSolve:
 
     def test_wrong_shaped_start_rejected(self):
         rng = np.random.default_rng(10)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.35)
         fx = rng.normal(size=(6, 2))
         with pytest.raises(ValueError, match=re.escape(
                 "y0 has shape (6, 3), but fx has shape (6, 2)")):
@@ -213,7 +206,7 @@ class TestFixedPointSolve:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_start_fails_at_first_iteration(self, bad):
         rng = np.random.default_rng(12)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.35)
         fx = rng.normal(size=(6, 2))
         y0 = np.zeros_like(fx)
         y0[2, 0] = bad
@@ -228,7 +221,7 @@ class TestUgnnIgnnEquivalence:
         # fixed point and the implicit fixed point coincide
         rng = np.random.default_rng(8)
         for trial in range(6):
-            g = random_graph(rng, 10)
+            g = random_graph(rng, 10, 0.35)
             p_dense = propagation_matrix(g, SELF).toarray()
             d = 3
             a = rng.normal(size=(d, d))
@@ -245,7 +238,7 @@ class TestUgnnIgnnEquivalence:
 class TestImplicitBackward:
     def test_zero_weight_passthrough(self):
         rng = np.random.default_rng(9)
-        g = random_graph(rng, 7)
+        g = random_graph(rng, 7, 0.35)
         fx = rng.normal(size=(7, 2))
         w = np.zeros((2, 2))
         out = fixed_point_solve(g, w, fx, FixedPointConfig())
@@ -255,7 +248,7 @@ class TestImplicitBackward:
 
     def test_identity_matches_dense_adjoint(self):
         rng = np.random.default_rng(10)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.35)
         p_dense = propagation_matrix(g, SELF).toarray()
         w = contraction_weight(rng, 2, p_dense)
         fx = rng.normal(size=(8, 2))
@@ -274,7 +267,7 @@ class TestImplicitBackward:
     @pytest.mark.parametrize("start", ["zeros", "v0"])
     def test_identity_is_bitwise_the_transposed_recursion(self, start):
         rng = np.random.default_rng(23)
-        g = random_graph(rng, 30)
+        g = random_graph(rng, 30, 0.35)
         w = contraction_weight(rng, 3, propagation_matrix(g, SELF))
         fx = rng.normal(size=(30, 3))
         cfg = FixedPointConfig(tol=1e-10)
@@ -292,7 +285,7 @@ class TestImplicitBackward:
         """The masked iterates D * V_k are the solve's own iterates, and its
         steps are D * (V_{k+1} - V_k), so it can only stop earlier."""
         rng = np.random.default_rng(24)
-        g = random_graph(rng, 40)
+        g = random_graph(rng, 40, 0.35)
         p_op = propagation_matrix(g, kind)
         w = contraction_weight(rng, 3, g.operators(kind))
         fx = rng.normal(size=(40, 3))
@@ -314,7 +307,7 @@ class TestImplicitBackward:
 
     def test_non_finite_upstream_fails_at_first_iteration(self):
         rng = np.random.default_rng(17)
-        g = random_graph(rng, 7)
+        g = random_graph(rng, 7, 0.35)
         w = contraction_weight(rng, 2, propagation_matrix(g, SELF).toarray())
         fx = rng.normal(size=(7, 2))
         out = fixed_point_solve(g, w, fx)
@@ -325,7 +318,7 @@ class TestImplicitBackward:
 
     def test_max_iters_exhaustion_names_iterations_and_residual(self):
         rng = np.random.default_rng(18)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.35)
         p_dense = propagation_matrix(g, SELF).toarray()
         w = np.eye(2) * 0.99
         fx = rng.normal(size=(8, 2))
@@ -341,7 +334,7 @@ class TestImplicitBackward:
 
     def test_start_saves_iterations_not_accuracy(self):
         rng = np.random.default_rng(20)
-        g = random_graph(rng, 10)
+        g = random_graph(rng, 10, 0.35)
         p_op = propagation_matrix(g, SELF)
         w = contraction_weight(rng, 3, p_op.toarray(), margin=0.9)
         fx = rng.normal(size=(10, 3))
@@ -364,7 +357,7 @@ class TestImplicitBackward:
 
     def test_wrong_shaped_start_rejected(self):
         rng = np.random.default_rng(21)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.35)
         w = contraction_weight(rng, 2, propagation_matrix(g, SELF).toarray())
         fx = rng.normal(size=(6, 2))
         out = fixed_point_solve(g, w, fx)
@@ -376,7 +369,7 @@ class TestImplicitBackward:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_start_fails_at_first_iteration(self, bad):
         rng = np.random.default_rng(22)
-        g = random_graph(rng, 7)
+        g = random_graph(rng, 7, 0.35)
         w = contraction_weight(rng, 2, propagation_matrix(g, SELF).toarray())
         fx = rng.normal(size=(7, 2))
         out = fixed_point_solve(g, w, fx)
@@ -387,7 +380,7 @@ class TestImplicitBackward:
 
     def test_adjoint_counts_dense_flops_per_iteration(self):
         rng = np.random.default_rng(19)
-        g = random_graph(rng, 9)
+        g = random_graph(rng, 9, 0.35)
         p_op = propagation_matrix(g, SELF)
         w = contraction_weight(rng, 3, p_op.toarray())
         fx = rng.normal(size=(9, 3))
@@ -402,7 +395,7 @@ class TestImplicitBackward:
     @pytest.mark.parametrize("sigma", [phi_zero(), phi_relu()])
     def test_matches_finite_differences(self, sigma):
         rng = np.random.default_rng(11)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.35)
         p_dense = propagation_matrix(g, SELF).toarray()
         d = 2
         w = contraction_weight(rng, d, p_dense, margin=0.7)
@@ -444,7 +437,7 @@ class TestInputsNeverWritten:
                              ids=["zero", "relu", "soft_threshold"])
     def test_inputs_bitwise_unchanged(self, sigma, start):
         rng = np.random.default_rng(31)
-        g = random_graph(rng, 30)
+        g = random_graph(rng, 30, 0.35)
         w = contraction_weight(rng, 3, g.operators(SELF))
         fx, up = rng.normal(size=(30, 3)), rng.normal(size=(30, 3))
         y0 = v0 = None
@@ -463,14 +456,14 @@ class TestInputsNeverWritten:
 class TestEignn:
     def test_zero_f_returns_base_prediction(self):
         rng = np.random.default_rng(12)
-        g = random_graph(rng, 7)
+        g = random_graph(rng, 7, 0.35)
         fx = rng.normal(size=(7, 2))
         spec = EignnSpec(mu=0.9, eps_f=0.1)
         np.testing.assert_allclose(fixed_point_solve(g, spec.weight(np.zeros((2, 2))), fx).y, fx)
 
     def test_identity_f_scaling_and_dense_solve(self):
         rng = np.random.default_rng(13)
-        g = random_graph(rng, 9)
+        g = random_graph(rng, 9, 0.35)
         spec = EignnSpec(mu=0.8, eps_f=0.1)
         s_sq = spec.scale_sq(np.eye(2))
         assert s_sq == pytest.approx(1.0 / (np.sqrt(2.0) + 0.1))
@@ -490,7 +483,7 @@ class TestEignn:
 
     def test_matches_unfolded_minimizer(self):
         rng = np.random.default_rng(15)
-        g = random_graph(rng, 10)
+        g = random_graph(rng, 10, 0.35)
         f = rng.normal(size=(3, 3))
         spec = EignnSpec(mu=0.7, eps_f=0.2)
         fx = rng.normal(size=(10, 3))
@@ -503,7 +496,7 @@ class TestEignn:
 
     def test_grad_f_matches_finite_differences(self):
         rng = np.random.default_rng(16)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.35)
         f = rng.normal(size=(2, 2))
         fx = rng.normal(size=(6, 2))
         up = rng.normal(size=(6, 2))

@@ -42,21 +42,14 @@ from unfoldgnn.model import (
     train,
 )
 from unfoldgnn.unfold import PropagationConfig, propagate, sandwich_schedule, unroll
+from unfoldgnn.verify import random_graph
 
 SELF = LaplacianKind.SELF_LOOP_SYM
 
 
-def random_graph(rng, n, p=0.35):
-    mask = np.triu(rng.random((n, n)) < p, k=1)
-    pairs = np.argwhere(mask)
-    if pairs.shape[0] == 0:
-        pairs = np.array([[0, 1]])
-    return build_graph(n, pairs)
-
-
 def small_instance(seed, n=10, d_in=4, c=3):
     rng = np.random.default_rng(seed)
-    g = random_graph(rng, n)
+    g = random_graph(rng, n, 0.35)
     x = rng.normal(size=(n, d_in))
     labels = rng.integers(0, c, size=n)
     rows = np.arange(n)
@@ -325,7 +318,7 @@ class TestGradients:
 
     def test_unrolled_at_convergence_matches_implicit_gradient(self):
         rng = np.random.default_rng(33)
-        g = random_graph(rng, 9)
+        g = random_graph(rng, 9, 0.35)
         x = rng.normal(size=(9, 3))
         labels = rng.integers(0, 2, size=9)
         rows = np.arange(9)

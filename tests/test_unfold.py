@@ -40,16 +40,9 @@ from unfoldgnn.unfold import (
     unroll_backward,
     verify_descent,
 )
+from unfoldgnn.verify import random_graph, random_psd
 
 COMB = LaplacianKind.COMBINATORIAL
-
-
-def random_graph(rng, n, p=0.3):
-    mask = np.triu(rng.random((n, n)) < p, k=1)
-    pairs = np.argwhere(mask)
-    if pairs.shape[0] == 0:
-        pairs = np.array([[0, 1]])
-    return build_graph(n, pairs)
 
 
 # The normalized variant's step as its own recursion, kept as the
@@ -99,11 +92,6 @@ def abridged_gradient_step(spec, bview, y, fx, gamma, alpha):
     return spec.step(y, _kernels.weighted_lap_apply(bview.apply(y), gamma, bview.bt), fx, alpha)
 
 
-def random_psd(rng, d, scale=1.0):
-    a = rng.normal(size=(d, d))
-    return scale * (a @ a.T / d + 0.05 * np.eye(d))
-
-
 def prox_derivative_at_u(phi, u, alpha):
     """The prox's elementwise derivative at its input u (0 at the kinks),
     as floats: the reference that Phi.prox_mask, read from the output,
@@ -127,7 +115,7 @@ DESCENT_RHOS = [
 class TestGammaUpdate:
     def test_identity_rho_gives_ones(self):
         rng = np.random.default_rng(0)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.3)
         y = rng.normal(size=(8, 2))
         gamma = gamma_update(EnergySpec(), incidence(g, COMB), y)
         np.testing.assert_array_equal(gamma, np.ones(g.m))
@@ -148,7 +136,7 @@ class TestGammaUpdate:
 class TestAbridgedStep:
     def test_pure_fidelity_pullback(self):
         rng = np.random.default_rng(1)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.3)
         y = rng.normal(size=(6, 2))
         fx = rng.normal(size=(6, 2))
         spec = EnergySpec(simple=False, w_fid=0.5 * np.eye(2), w_prop=np.zeros((2, 2)))
@@ -157,7 +145,7 @@ class TestAbridgedStep:
 
     def test_simple_mode_matches_dense_update(self):
         rng = np.random.default_rng(2)
-        g = random_graph(rng, 9)
+        g = random_graph(rng, 9, 0.3)
         y = rng.normal(size=(9, 3))
         fx = rng.normal(size=(9, 3))
         lam, alpha = 0.8, 0.2
@@ -171,7 +159,7 @@ class TestAbridgedStep:
         # (I - a*Dhat) Y + a*(lam*Phat Y + F) with Dhat/Phat split from the
         # reweighted Laplacian equals the abridged step
         rng = np.random.default_rng(3)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.3)
         y = rng.normal(size=(8, 2))
         fx = rng.normal(size=(8, 2))
         lam, alpha = 1.3, 0.15
@@ -187,7 +175,7 @@ class TestAbridgedStep:
 
     def test_general_mode_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        g = random_graph(rng, 5, p=0.6)
+        g = random_graph(rng, 5, 0.6)
         d = 2
         spec = EnergySpec(
             rho=rho_log(eps=0.7), simple=False,
@@ -217,7 +205,7 @@ class TestAbridgedStep:
 
     def test_literal_mode_drops_fidelity_weight_on_fx(self):
         rng = np.random.default_rng(5)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.3)
         d = 2
         w_fid = random_psd(rng, d)
         w_prop = random_psd(rng, d)
@@ -243,7 +231,7 @@ class TestRecordedEnergyIsDescended:
             return EnergySpec(rho=rho, lam=1.3, kind=kind)
         rng = np.random.default_rng(61)
         return EnergySpec(rho=rho, kind=kind, simple=False, w_fid=random_psd(rng, d),
-                          w_prop=random_psd(rng, d, scale=0.5), gradient_mode=mode)
+                          w_prop=0.5 * random_psd(rng, d), gradient_mode=mode)
 
     @pytest.mark.parametrize("mode, kind", [("simple", COMB)] + [
         (mode, kind) for mode in ("exact", "literal") for kind in LaplacianKind],
@@ -251,7 +239,7 @@ class TestRecordedEnergyIsDescended:
     def test_step_at_a_refresh_is_the_recorded_energys_gradient(self, mode, kind):
         rng = np.random.default_rng(60)
         n, d, alpha = 12, 3, 0.05
-        g = build_graph(n + 1, random_graph(rng, n, p=0.4).edges)  # node n is isolated
+        g = build_graph(n + 1, random_graph(rng, n, 0.4).edges)  # node n is isolated
         spec = self.spec(mode, kind, d)
         fx = rng.normal(size=(g.n, d))
         y0 = rng.normal(size=(g.n, d))
@@ -292,7 +280,7 @@ class TestRecordedEnergyIsDescended:
         # auto_irls sizes every layer's step; the norms of Wf_s and Wp_s are
         # the spec's, not the layer's
         rng = np.random.default_rng(62)
-        g = random_graph(rng, 20)
+        g = random_graph(rng, 20, 0.3)
         fx = rng.normal(size=(g.n, 3))
         spec = self.spec("exact", COMB, 3)
         calls = []
@@ -346,8 +334,8 @@ class TestStepSizeBound:
     def test_irls_bound_is_certified(self, kind):
         rng = np.random.default_rng(40)
         isolated = build_graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (5, 6)])
-        graphs = [random_graph(rng, 12), random_graph(rng, 30, p=0.1),
-                  random_graph(rng, 30, p=0.6), isolated, build_graph(5, [])]
+        graphs = [random_graph(rng, 12, 0.3), random_graph(rng, 30, 0.1),
+                  random_graph(rng, 30, 0.6), isolated, build_graph(5, [])]
         spec = EnergySpec(lam=1.0, kind=kind)
         for g in graphs:
             bview = incidence(g, kind)
@@ -393,7 +381,7 @@ class TestStepSizeBound:
         rng = np.random.default_rng(43)
         spec = EnergySpec(rho=rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0), lam=1.5, kind=kind)
         for n in (12, 60, 200, 600):
-            g = random_graph(rng, n, p=6.0 / n)
+            g = random_graph(rng, n, 6.0 / n)
             exact = np.abs(np.linalg.eigvalsh(g.operators(kind).laplacian.toarray())).max()
             safe = 1.0 / (1.0 + spec.lam * spec.rho.grad_max() * exact)
             assert step_size_bound(spec, g) <= safe
@@ -420,13 +408,13 @@ class TestStepSizeBound:
         # certified O(m) bound at Gamma = 1 catches it and sizes the step.
         # Simple mode's trace is its energy under COMBINATORIAL only.
         rng = np.random.default_rng(45)
-        g = random_graph(rng, 40, p=0.15)
+        g = random_graph(rng, 40, 0.15)
         rho = rho_log(eps=0.5)
         if mode == "simple":
             spec = EnergySpec(rho=rho, lam=1.5, kind=kind)
         else:
             spec = EnergySpec(rho=rho, kind=kind, simple=False, w_fid=random_psd(rng, 3),
-                              w_prop=random_psd(rng, 3, scale=0.5), gradient_mode=mode)
+                              w_prop=0.5 * random_psd(rng, 3), gradient_mode=mode)
         cap = max(rho.grad_max(), 1.0)
         ops = g.operators(kind)
         kept = step_size_bound(spec, g)
@@ -448,7 +436,7 @@ class TestStepSizeBound:
                                      rho_truncated_lp(p=0.5, tau=1.5, big_t=2.0)],
                              ids=lambda r: r.kind)
     def test_weights_below_one_take_the_unit_gamma_step(self, rho):
-        g = random_graph(np.random.default_rng(44), 30)
+        g = random_graph(np.random.default_rng(44), 30, 0.3)
         assert rho.grad_max() < 1.0
         for kind in LaplacianKind:
             unit = step_size_bound(EnergySpec(lam=1.5, kind=kind), g)
@@ -459,8 +447,8 @@ class TestStepSizeBound:
         # at most 1 + ||W_p|| ||P|| < 2, so the unit step is inside 2 / curvature
         rng = np.random.default_rng(6)
         for trial in range(6):
-            g = random_graph(rng, 10)
-            w = random_psd(rng, 3, scale=0.2)
+            g = random_graph(rng, 10, 0.3)
+            w = 0.2 * random_psd(rng, 3)
             w /= max(1.0, 2.5 * np.linalg.svd(w, compute_uv=False)[0])
             spec = from_symmetric_pair(w, np.eye(3) - w, kind=LaplacianKind.SELF_LOOP_SYM,
                                        gradient_mode="exact")
@@ -474,7 +462,7 @@ class TestStepSizeBound:
         # with W_p = 0 the energy is the fidelity term alone, whose curvature
         # is lambda_max(W_f + W_f.T): the step 2 / curvature is the boundary
         rng = np.random.default_rng(7)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.3)
         w_fid = random_psd(rng, 2)
         spec = EnergySpec(simple=False, w_fid=w_fid, w_prop=np.zeros((2, 2)))
         boundary = 2.0 / np.linalg.eigvalsh(w_fid + w_fid.T).max()
@@ -490,7 +478,7 @@ class TestStepSizeBound:
 class TestClosedForm:
     def test_lambda_zero(self):
         rng = np.random.default_rng(8)
-        g = random_graph(rng, 7)
+        g = random_graph(rng, 7, 0.3)
         fx = rng.normal(size=(7, 2))
         np.testing.assert_allclose(closed_form_solution(g, fx, 0.0, COMB), fx)
 
@@ -503,7 +491,7 @@ class TestClosedForm:
 
     def test_constant_columns_fixed(self):
         rng = np.random.default_rng(9)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.3)
         fx = np.ones((8, 3)) * np.array([2.0, -1.0, 0.5])
         np.testing.assert_allclose(closed_form_solution(g, fx, 3.0, COMB), fx, atol=1e-10)
 
@@ -527,7 +515,7 @@ class TestClosedForm:
 class TestPropagate:
     def test_zero_steps(self):
         rng = np.random.default_rng(10)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.3)
         fx = rng.normal(size=(6, 2))
         out = propagate(EnergySpec(), g, fx, PropagationConfig(steps=0))
         np.testing.assert_array_equal(out.y, fx)
@@ -535,7 +523,7 @@ class TestPropagate:
 
     def test_converges_to_closed_form(self):
         rng = np.random.default_rng(11)
-        g = random_graph(rng, 20, p=0.25)
+        g = random_graph(rng, 20, 0.25)
         fx = rng.normal(size=(20, 4))
         spec = EnergySpec(lam=1.0)
         out = propagate(spec, g, fx, PropagationConfig(steps=500, alpha="auto"))
@@ -545,7 +533,7 @@ class TestPropagate:
 
     def test_relu_keeps_iterates_nonnegative(self):
         rng = np.random.default_rng(12)
-        g = random_graph(rng, 10)
+        g = random_graph(rng, 10, 0.3)
         fx = rng.normal(size=(10, 3))
         spec = EnergySpec(phi=phi_relu())
         out = propagate(spec, g, fx, PropagationConfig(steps=7))
@@ -553,7 +541,7 @@ class TestPropagate:
 
     def test_trace_length_and_residuals(self):
         rng = np.random.default_rng(13)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.3)
         fx = rng.normal(size=(8, 2))
         out = propagate(EnergySpec(), g, fx, PropagationConfig(steps=9))
         assert len(out.trace) == 10
@@ -568,7 +556,7 @@ class TestPropagate:
 
     def test_gamma_snapshots_at_schedule(self):
         rng = np.random.default_rng(14)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.3)
         fx = rng.normal(size=(8, 2))
         spec = EnergySpec(rho=rho_log(eps=1.0), lam=0.5)
         out = propagate(spec, g, fx, PropagationConfig(steps=8, attention_schedule=(0, 4)))
@@ -584,7 +572,7 @@ class TestPropagate:
         """A random graph on n nodes and ``isolated`` more without an edge,
         relabelled so that the isolated nodes fall among the others."""
         perm = rng.permutation(n + isolated)
-        return build_graph(n + isolated, perm[random_graph(rng, n, p=0.25).edges])
+        return build_graph(n + isolated, perm[random_graph(rng, n, 0.25).edges])
 
     @pytest.mark.parametrize("kind", list(LaplacianKind), ids=lambda k: k.name)
     def test_deep_limit_is_the_closed_form_with_isolated_nodes(self, kind):
@@ -621,7 +609,7 @@ class TestDescent:
         for trial in range(12):
             n = int(rng.integers(5, 20))
             d = int(rng.integers(1, 5))
-            g = random_graph(rng, n)
+            g = random_graph(rng, n, 0.3)
             spec = EnergySpec(
                 rho=DESCENT_RHOS[trial % len(DESCENT_RHOS)],
                 phi=phi_relu() if trial % 2 else phi_zero(),
@@ -640,7 +628,7 @@ class TestDescent:
         rng = np.random.default_rng(16)
         for trial in range(8):
             n = int(rng.integers(6, 24))
-            g = random_graph(rng, n)
+            g = random_graph(rng, n, 0.3)
             spec = EnergySpec(rho=rho_log(eps=0.3), lam=1.5)
             fx = 2.0 * rng.normal(size=(n, 3))
             cfg = PropagationConfig(steps=30, alpha="auto_irls",
@@ -665,7 +653,7 @@ class TestDescent:
 
     def test_oversized_step_flagged(self):
         rng = np.random.default_rng(17)
-        g = random_graph(rng, 12, p=0.5)
+        g = random_graph(rng, 12, 0.5)
         spec = EnergySpec(lam=4.0)
         fx = rng.normal(size=(12, 2))
         alpha = step_size_bound(spec, g)
@@ -674,7 +662,7 @@ class TestDescent:
 
     def test_empty_trace_passes_vacuously(self):
         rng = np.random.default_rng(18)
-        g = random_graph(rng, 5)
+        g = random_graph(rng, 5, 0.3)
         fx = rng.normal(size=(5, 2))
         out = propagate(EnergySpec(), g, fx, PropagationConfig(steps=0))
         assert verify_descent(out)["ok"]
@@ -692,9 +680,9 @@ class TestDescent:
 class TestUniqueness:
     def test_two_initializations_agree(self):
         rng = np.random.default_rng(19)
-        g = random_graph(rng, 10)
+        g = random_graph(rng, 10, 0.3)
         d = 3
-        w = random_psd(rng, d, scale=0.3)
+        w = 0.3 * random_psd(rng, d)
         w /= max(1.0, 2.0 * np.linalg.svd(w, compute_uv=False)[0])
         spec = from_symmetric_pair(w, np.eye(d) - w, phi=phi_relu(),
                                    kind=LaplacianKind.SELF_LOOP_SYM,
@@ -719,14 +707,14 @@ def test_non_finite_alpha_rejected(alpha):
 class TestVariants:
     def test_normalized_lambda_zero_returns_start(self):
         rng = np.random.default_rng(21)
-        g = random_graph(rng, 7)
+        g = random_graph(rng, 7, 0.3)
         y0 = rng.normal(size=(7, 2))
         y = normalized_step(g, rng.normal(size=(7, 2)), y0, alpha=1.0, lam=0.0)
         np.testing.assert_allclose(y, y0, atol=1e-14)
 
     def test_normalized_reaches_linear_fixed_point(self):
         rng = np.random.default_rng(22)
-        g = random_graph(rng, 15, p=0.3)
+        g = random_graph(rng, 15, 0.3)
         fx = rng.normal(size=(15, 3))
         lam = 1.2
         spec = EnergySpec(lam=lam, kind=LaplacianKind.SELF_LOOP_SYM)
@@ -737,7 +725,7 @@ class TestVariants:
 
     def test_normalized_matches_independent_appnp_loop(self):
         rng = np.random.default_rng(23)
-        g = random_graph(rng, 11, p=0.35)
+        g = random_graph(rng, 11, 0.35)
         fx = rng.normal(size=(11, 2))
         lam = 2.0
         alpha = 1.0 / (1.0 + lam)
@@ -756,7 +744,7 @@ class TestVariants:
         # the normalized step reads lam only, so two general-mode specs with
         # different weights would take the same steps
         rng = np.random.default_rng(24)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.3)
         fx = rng.normal(size=(8, 2))
         spec = EnergySpec(simple=False, w_fid=random_psd(rng, 2), w_prop=random_psd(rng, 2),
                           kind=LaplacianKind.SELF_LOOP_SYM)
@@ -771,7 +759,7 @@ class TestVariants:
         # the normalized step always propagates with the self-loop operator,
         # so every kind would take the same steps while its own energy rose
         rng = np.random.default_rng(27)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.3)
         fx = rng.normal(size=(8, 2))
         cfg = PropagationConfig(steps=3, alpha=0.2, variant="normalized")
         spec = EnergySpec(lam=1.0, kind=kind)
@@ -823,7 +811,7 @@ class TestVariants:
 
     def test_reweighted_normalized_with_unit_gamma_matches_plain(self):
         rng = np.random.default_rng(25)
-        g = random_graph(rng, 9)
+        g = random_graph(rng, 9, 0.3)
         y = rng.normal(size=(9, 2))
         y0 = rng.normal(size=(9, 2))
         plain = normalized_step(g, y, y0, alpha=0.4, lam=1.5)
@@ -833,7 +821,7 @@ class TestVariants:
     def test_reweighted_normalized_scale_free_in_gamma(self):
         # rescaling all edge weights only moves the self-loop share
         rng = np.random.default_rng(26)
-        g = random_graph(rng, 8)
+        g = random_graph(rng, 8, 0.3)
         y = rng.normal(size=(8, 2))
         gamma = rng.random(g.m) + 0.5
         base = reweighted_propagation_apply(g, y, 1000.0 * gamma)
@@ -854,7 +842,7 @@ class TestVariants:
         # D_g^-1/2 (A_g + I) D_g^-1/2 y, with D_g the reweighted degrees
         # plus the self loop; node 9 is isolated
         rng = np.random.default_rng(27)
-        g = build_graph(10, random_graph(rng, 9).edges)
+        g = build_graph(10, random_graph(rng, 9, 0.3).edges)
         y = rng.normal(size=(10, 3))
         gamma = rng.random(g.m) + 0.1
         adj = np.zeros((g.n, g.n))
@@ -904,7 +892,7 @@ class TestNormalizedIsThePlainStep:
     def graph():
         # nodes 12 and 13 are isolated
         rng = np.random.default_rng(60)
-        return build_graph(14, random_graph(rng, 12, p=0.35).edges)
+        return build_graph(14, random_graph(rng, 12, 0.35).edges)
 
     def test_renormalized_laplacian_matches_dense_definition(self):
         g = self.graph()
@@ -964,7 +952,7 @@ class TestSegmentLaplacian:
             return EnergySpec(rho=rho, lam=1.3, kind=kind)
         rng = np.random.default_rng(50)
         return EnergySpec(rho=rho, kind=kind, simple=False, w_fid=random_psd(rng, d),
-                          w_prop=random_psd(rng, d, scale=0.5), gradient_mode=mode)
+                          w_prop=0.5 * random_psd(rng, d), gradient_mode=mode)
 
     @staticmethod
     def factored(monkeypatch):
@@ -1081,7 +1069,7 @@ class TestOneAssembly:
     def graph(rng):
         # three isolated nodes, relabelled to fall among the others
         perm = rng.permutation(33)
-        return build_graph(33, perm[random_graph(rng, 30, p=0.2).edges])
+        return build_graph(33, perm[random_graph(rng, 30, 0.2).edges])
 
     @pytest.mark.parametrize("kind", list(LaplacianKind), ids=lambda k: k.name)
     def test_signed_weights_with_zeros(self, kind):
@@ -1168,7 +1156,7 @@ class TestRefreshDiagonal:
             rng = np.random.default_rng(54)
             d = fx.shape[1]
             spec = EnergySpec(rho=rho_log(eps=0.5), kind=COMB, simple=False,
-                              w_fid=random_psd(rng, d), w_prop=random_psd(rng, d, scale=0.5))
+                              w_fid=random_psd(rng, d), w_prop=0.5 * random_psd(rng, d))
         sched = {"every": every, "sandwich": sandwich_schedule(k), "none": ()}[schedule]
         cfg = PropagationConfig(steps=k, alpha=0.05, attention_schedule=sched)
         out = propagate(spec, g, fx, cfg)
@@ -1233,7 +1221,7 @@ class TestRefreshDiagonal:
         if mode == "general":
             rng = np.random.default_rng(56)
             spec = EnergySpec(rho=rho_log(eps=0.5), kind=kind, simple=False,
-                              w_fid=random_psd(rng, d), w_prop=random_psd(rng, d, scale=0.5))
+                              w_fid=random_psd(rng, d), w_prop=0.5 * random_psd(rng, d))
         else:
             spec = EnergySpec(rho=spec.rho, phi=spec.phi, lam=spec.lam, kind=kind)
         cfg = PropagationConfig(steps=k, alpha="auto_irls", attention_schedule=schedule,
@@ -1318,7 +1306,7 @@ class TestOutputFormReverse:
     @pytest.mark.parametrize("phi", PHIS, ids=["zero", "relu", "soft"])
     def test_matches_the_u_based_reverse_bitwise(self, phi, full, variant, kind, alpha):
         rng = np.random.default_rng(71)
-        g = build_graph(12, random_graph(rng, 11, p=0.35).edges)  # node 11 is isolated
+        g = build_graph(12, random_graph(rng, 11, 0.35).edges)  # node 11 is isolated
         fx = rng.normal(size=(g.n, 3))
         d_y = rng.normal(size=(g.n, 3))
         d_y_in = d_y.copy()
@@ -1345,7 +1333,7 @@ class TestOutputFormReverse:
     def test_model_tape_keeps_what_the_reverse_reads(self, phi, full):
         rng = np.random.default_rng(72)
         n, k = 30, 6
-        g = random_graph(rng, n, p=0.2)
+        g = random_graph(rng, n, 0.2)
         cfg = ModelConfig(backend="unrolled", embed_dim=3, n_classes=2, steps=k, alpha="auto",
                           rho=rho_log(eps=0.5), phi=phi, kind=COMB,
                           attention_schedule=sandwich_schedule(k),
@@ -1565,7 +1553,7 @@ class TestPinnedCachedOperators:
 class TestTraceExport:
     def test_csv_schema(self, tmp_path):
         rng = np.random.default_rng(24)
-        g = random_graph(rng, 6)
+        g = random_graph(rng, 6, 0.3)
         fx = rng.normal(size=(6, 2))
         spec = EnergySpec(rho=rho_log(eps=1.0))
         out = propagate(spec, g, fx, PropagationConfig(steps=4, attention_schedule=(2,)))
