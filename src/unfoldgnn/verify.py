@@ -6,10 +6,9 @@ dicts (JSON-lines friendly); a failing record carries the instance
 parameters needed to replay it.
 
 The acceptance tests run these suites at their own seed and trial
-count, so each guarantee has one check: criterion 2 (descent, exact and
-literal) is ``descent``, 4 is ``convergence``, 6 is ``gradients``, and 7
-and 8 are ``equivalence``.  The tests draw their instances from the
-generators below.
+count, so each guarantee has one check; README's "Tests" section says
+which criterion runs which suite.  The tests draw their instances from
+the generators below.
 """
 
 import numpy as np
@@ -24,7 +23,7 @@ from .energy import (
     rho_truncated_quadratic,
 )
 from .graph import LaplacianKind, build_graph
-from .implicit import FixedPointConfig, fixed_point_solve, project_weights
+from .implicit import FixedPointConfig, FixedPointDivergence, fixed_point_solve, project_weights
 from .equivalence import (
     embed_gcn,
     symmetrize_linear,
@@ -143,7 +142,7 @@ def convergence_suite(seed, trials, inject_failure=False):
         b = fixed_point_solve(g, w, fx, cfg, y0=rng.normal(size=(n, d)))
         gap = float(np.linalg.norm(a.y - b.y))
         resid = a.residual_trace
-        ratio = float((resid[4:] / np.maximum(resid[3:-1], cfg.tol)).max(initial=0.0))
+        ratio = float((resid[4:] / resid[3:-1]).max(initial=0.0))
         good = gap < 1e-7 and ratio <= 0.95 and a.contraction < 1.0
         records.append({"suite": "convergence", "check": "fixed-point", "trial": t,
                         "iterations": a.iterations, "uniqueness_gap": gap,
@@ -245,7 +244,10 @@ def gradients_suite(seed, trials, inject_failure=False):
                 return grads
 
             model.backward = corrupted
-        report = finite_difference_check(model, g, x, labels, np.arange(n))
+        try:
+            report = finite_difference_check(model, g, x, labels, np.arange(n))
+        except FixedPointDivergence:
+            report = {"ok": False, "max_rel_err": float("inf")}
         records.append({"suite": "gradients", "backend": tag, "trial": t, "d": d,
                         "max_rel_err": report["max_rel_err"], "ok": report["ok"],
                         "seed": seed})

@@ -3,10 +3,9 @@ pass line with the measured quantity.  Run with ``pytest -s`` to see
 the lines as they go.
 
 The graph-dependent criteria generate their instances from fixed seeds,
-so every number here is reproducible bit for bit.  Criteria 2, 4, 6, 7
-and 8 run the ``unfoldgnn.verify`` suites at their own seeds and trial
-counts (7 and 8 share one test, as they share the equivalence suite),
-and assert on the records those return.
+so every number here is reproducible bit for bit.  Some criteria run
+``unfoldgnn.verify`` suites at their own seeds and trial counts and
+assert on the records those return; README's "Tests" section says which.
 """
 
 import os
@@ -138,7 +137,10 @@ def test_06_gradients_match_finite_differences():
     records, elapsed = passing_records("gradients", 106, 20)
     assert elapsed < 60.0
     checked_records = [r for r in records if "skipped" not in r]
-    assert len(checked_records) >= 16
+    # the kink-margin filter may skip unrolled-relu instances, never all of them
+    assert {r["backend"] for r in checked_records} == {
+        "unrolled-zero", "unrolled-relu", "implicit", "implicit-relu", "eignn"}
+    assert {r["d"] for r in checked_records} == {2, 3, 4}
     worst = max(r["max_rel_err"] for r in checked_records)
     announce(6, "implicit, eignn and unrolled gradients vs finite differences",
              f"{len(checked_records)} instances, max rel err {worst:.1e}, {elapsed:.1f}s")

@@ -6,11 +6,12 @@ import os
 
 import pytest
 
-from unfoldgnn import cli
+from unfoldgnn import cli, verify
 from unfoldgnn.cli import KEYS, main
 from unfoldgnn.energy import _CONFIG_NAMES, _PHI_FACTORIES, _RHO_FACTORIES
 from unfoldgnn.data import SbmSpec, save_dataset, sbm_generate
 from unfoldgnn.experiments import bench_time
+from unfoldgnn.implicit import FixedPointDivergence
 from unfoldgnn.verify import SUITES
 
 
@@ -397,6 +398,18 @@ class TestVerify:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("FAIL") and f'"suite": "{suite}"' in err
+
+    def test_unreached_solve_is_a_failing_record(self, monkeypatch, tmp_path, capsys):
+        # a fixed-point tolerance the solve cannot reach reads FAIL, not a traceback
+        def diverge(*args, **kwargs):
+            raise FixedPointDivergence("no fixed point within 5000 iterations")
+
+        monkeypatch.setattr(verify, "finite_difference_check", diverge)
+        code = run_cli(["verify", "--suite", "gradients", "--trials", "2",
+                        "--report", str(tmp_path / "r.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL") and '"trial": 0' in err and '"d": ' in err
 
     def test_takes_no_out(self, tmp_path, capsys):
         # verify writes only its report, so an --out would be ignored

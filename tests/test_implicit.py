@@ -137,16 +137,15 @@ class TestFixedPointSolve:
         assert np.abs(y[7] - np.maximum(fx[7], 0.0)).max() > 1e-3
 
     def test_unique_limit_from_different_starts(self):
-        # uniqueness probe: restart from the first solve's endpoint + noise
         rng = np.random.default_rng(5)
         g = random_graph(rng, 12, 0.35)
         p_dense = propagation_matrix(g, SELF).toarray()
         w = contraction_weight(rng, 3, p_dense, margin=0.9)
         fx = rng.normal(size=(12, 3))
         cfg = FixedPointConfig(sigma=phi_relu(), tol=1e-9)
-        out1 = fixed_point_solve(g, w, fx, cfg)
-        shifted = fixed_point_solve(g, w, fx + 1e-9 * rng.normal(size=fx.shape), cfg)
-        assert np.linalg.norm(out1.y - shifted.y) < 2e-7
+        a, b = (fixed_point_solve(g, w, fx, cfg, y0=10.0 * rng.normal(size=fx.shape))
+                for _ in range(2))
+        assert np.linalg.norm(a.y - b.y) < 2e-7
 
     def test_geometric_residual_decay(self):
         rng = np.random.default_rng(6)
@@ -156,7 +155,8 @@ class TestFixedPointSolve:
             w = contraction_weight(rng, 3, p_dense, margin=0.9)
             fx = rng.normal(size=(14, 3))
             out = fixed_point_solve(g, w, fx, FixedPointConfig(sigma=phi_relu()))
-            assert out.contraction_estimate <= 0.95
+            ratios = out.residual_trace[4:] / out.residual_trace[3:-1]
+            assert ratios.max(initial=0.0) <= 0.95
 
     def test_max_iters_exhaustion_raises(self):
         rng = np.random.default_rng(7)
