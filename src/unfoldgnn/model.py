@@ -113,6 +113,10 @@ class ModelConfig:
             # its weight rule keeps ||Wp|| below mu, a contraction only where ||P|| = 1
             raise ValueError("the eignn backend needs a normalized Laplacian kind: "
                              "under combinatorial ||P|| can exceed 1")
+        if self.energy is not None and self.energy.kind is not self.kind:
+            # the layers step under energy.kind, pre_propagate and the solves under kind
+            raise ValueError(f"energy.kind {self.energy.kind.value!r} differs from "
+                             f"kind {self.kind.value!r}")
         if self.variant == "normalized" and self.attention_grad == "full":
             raise ValueError("full attention differentiation is supported for "
                              "the plain variant only")
@@ -120,7 +124,8 @@ class ModelConfig:
     @cached_property
     def energy_spec(self):
         """The energy the unrolled backend descends: ``energy`` when given,
-        else the simple-mode spec of rho, phi, lam and kind."""
+        whose kind must be ``kind``, else the simple-mode spec of rho, phi,
+        lam and kind."""
         if self.energy is not None:
             return self.energy
         return EnergySpec(rho=self.rho, phi=self.phi, lam=self.lam, kind=self.kind)

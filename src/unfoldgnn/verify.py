@@ -2,12 +2,14 @@
 
 Each suite generates its own random instances from a seed, checks one
 family of guarantees, and returns (ok, records).  Records are plain
-dicts (JSON-lines friendly); a failing record carries the instance
-parameters needed to replay it.
+dicts (JSON-lines friendly), each naming its suite and check; a failing
+record carries the instance parameters needed to replay it.  Under
+``inject_failure`` every check runs a negative control, a fault that
+fails some of its records.
 
 The acceptance tests run these suites at their own seed and trial
 count, so each guarantee has one check; README's "Tests" section says
-which criterion runs which suite.  The tests draw their instances from
+which criterion runs which check.  The tests draw their instances from
 the generators below.
 """
 
@@ -15,7 +17,9 @@ import numpy as np
 
 from .energy import (
     EnergySpec,
+    from_symmetric_pair,
     phi_relu,
+    phi_soft_threshold,
     phi_zero,
     rho_identity,
     rho_log,
@@ -68,12 +72,31 @@ def real_spectrum_asymmetric(rng, d, p_op):
 
 
 def descent_suite(seed, trials, inject_failure=False):
-    """Safe-step energy monotonicity over random robust instances, exact and literal."""
+    """Energy monotonicity over random robust instances: at the safe fixed
+    step in general mode, exact and literal, refreshing the edge weights
+    at every step; then on the same graph in simple mode under
+    ``alpha="auto_irls"``, log and truncated_lp rho in turn, with the
+    same refreshes."""
     rng = np.random.default_rng(seed)
     menu = [rho_identity(), rho_log(eps=0.5), rho_truncated_quadratic(tau=1.0),
             rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0)]
     records = []
     ok = True
+
+    def check(name, spec, g, fx, alpha, steps, **fields):
+        try:
+            out = propagate(spec, g, fx, PropagationConfig(
+                steps=steps, alpha=alpha, attention_schedule=tuple(range(steps))))
+            report = verify_descent(out, slack=1e-9)
+        except PropagationDivergence as exc:
+            report = {"ok": False, "first_violation": exc.step,
+                      "max_increase": float("inf")}
+        records.append({"suite": "descent", "check": name, "trial": t, "n": g.n,
+                        "d": fx.shape[1], "rho": spec.rho.kind, "alpha": alpha, **fields,
+                        "ok": report["ok"], "first_violation": report["first_violation"],
+                        "max_increase": report["max_increase"], "seed": seed})
+        return report["ok"]
+
     for t in range(trials):
         n = int(rng.integers(5, 28))
         d = int(rng.integers(1, 6))
@@ -90,28 +113,24 @@ def descent_suite(seed, trials, inject_failure=False):
         alpha = step_size_bound(spec, g)
         if inject_failure:
             alpha *= 25.0
-        steps = 25
-        try:
-            out = propagate(spec, g, fx, PropagationConfig(
-                steps=steps, alpha=alpha, attention_schedule=tuple(range(steps))))
-            report = verify_descent(out, slack=1e-9)
-        except PropagationDivergence as exc:
-            report = {"ok": False, "first_violation": exc.step,
-                      "max_increase": float("inf")}
-        rec = {"suite": "descent", "trial": t, "n": n, "d": d, "rho": spec.rho.kind,
-               "phi": spec.phi.kind, "mode": spec.gradient_mode, "alpha": alpha,
-               "ok": report["ok"], "first_violation": report["first_violation"],
-               "max_increase": report["max_increase"], "seed": seed}
-        records.append(rec)
-        ok = ok and report["ok"]
+        ok = check("safe-step", spec, g, fx, alpha, 25, phi=spec.phi.kind,
+                   mode=spec.gradient_mode) and ok
+
+        rho = rho_log(eps=0.3) if t % 2 else rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0)
+        spec = EnergySpec(rho=rho, lam=float(rng.uniform(0.5, 2.5)),
+                          kind=LaplacianKind.COMBINATORIAL)
+        fx = 2.0 * rng.normal(size=(n, d))
+        # the negative control steps at 25 times the fixed safe step
+        alpha = 25.0 * step_size_bound(spec, g) if inject_failure else "auto_irls"
+        ok = check("reweighted", spec, g, fx, alpha, 30, lam=spec.lam) and ok
     return ok, records
 
 
 def convergence_suite(seed, trials, inject_failure=False):
     """Deep-propagation limit vs direct solve, under Laplacian kind
     t % 3 in trial t; then one fixed point reached from two random
-    starts, every residual ratio from iteration 3 on at most 0.95, and
-    a certified contraction factor below one."""
+    starts of scale 10, every residual ratio from iteration 3 on at most
+    0.95, and a certified contraction factor below one."""
     rng = np.random.default_rng(seed)
     records = []
     ok = True
@@ -138,8 +157,10 @@ def convergence_suite(seed, trials, inject_failure=False):
         w = project_weights(rng.normal(size=(d, d)), g.operators(LaplacianKind.SELF_LOOP_SYM),
                             margin=0.9)
         cfg = FixedPointConfig(sigma=phi_relu(), tol=1e-10)
-        a = fixed_point_solve(g, w, fx, cfg, y0=rng.normal(size=(n, d)))
-        b = fixed_point_solve(g, w, fx, cfg, y0=rng.normal(size=(n, d)))
+        a = fixed_point_solve(g, w, fx, cfg, y0=10.0 * rng.normal(size=(n, d)))
+        # the negative control solves the second start on a shifted fx
+        b = fixed_point_solve(g, w, fx + (1e-3 if inject_failure else 0.0), cfg,
+                              y0=10.0 * rng.normal(size=(n, d)))
         gap = float(np.linalg.norm(a.y - b.y))
         resid = a.residual_trace
         ratio = float((resid[4:] / resid[3:-1]).max(initial=0.0))
@@ -154,14 +175,19 @@ def convergence_suite(seed, trials, inject_failure=False):
 
 def equivalence_suite(seed, trials, inject_failure=False):
     """Both weight-family constructions re-verified end to end, with the
-    drift shrinking down a jitter ladder on every 10th trial."""
+    drift shrinking down a jitter ladder on every 10th trial; then, on
+    the same graph, the unfolded and implicit fixed points of one
+    symmetric weight agreeing, with phi zero, relu and soft_threshold in
+    turn."""
     rng = np.random.default_rng(seed)
+    phis = [phi_zero(), phi_relu(), phi_soft_threshold(0.05)]
     records = []
     ok = True
     for t in range(trials):
         d = int(rng.integers(2, 7))
         g = random_graph(rng, int(rng.integers(6, 14)), 0.35)
-        w = real_spectrum_asymmetric(rng, d, g.operators(LaplacianKind.SELF_LOOP_SYM))
+        ops = g.operators(LaplacianKind.SELF_LOOP_SYM)
+        w = real_spectrum_asymmetric(rng, d, ops)
         x = rng.normal(size=(g.n, 3))
         w_x = rng.normal(size=(3, d))
         rep = symmetrize_linear(w, g, w_x, x, eps=0.0)
@@ -175,9 +201,11 @@ def equivalence_suite(seed, trials, inject_failure=False):
         ok = ok and good
 
         if t % 10 == 0:
+            # the negative control climbs the ladder, so the drift grows
+            jitters = (1e-6, 1e-4, 1e-2) if inject_failure else (1e-2, 1e-4, 1e-6)
             ladder = [verify_linear_equivalence(
                 symmetrize_linear(w, g, w_x, x, eps=eps, seed=seed + t), g, x, w_p=w, w_x=w_x)
-                for eps in (1e-2, 1e-4, 1e-6)]
+                for eps in jitters]
             worst = max(r["residual"] for r in ladder)
             drifts = [r["drift"] for r in ladder]
             good = worst < 1e-6 and drifts[1] < 10 * drifts[0] and drifts[2] < 10 * drifts[1]
@@ -195,12 +223,31 @@ def equivalence_suite(seed, trials, inject_failure=False):
                   for i in range(k_layers)]
         emb = embed_gcn(layers, residual=residual_conn, sigma=phi_relu())
         y0 = rng.normal(size=(g.n, widths[0]))
-        rep2 = verify_gcn_equivalence(emb, g, y0, steps=k_layers, layers=layers)
+        # the negative control checks the embedding against a stack it does not embed
+        stack = [2.0 * layer for layer in layers] if inject_failure else layers
+        rep2 = verify_gcn_equivalence(emb, g, y0, steps=k_layers, layers=stack)
         good = rep2["ok"]
         records.append({"suite": "equivalence", "check": "layer-stack", "trial": t,
                         "layers": k_layers, "residual_conn": residual_conn,
                         "max_diff": max(rep2["per_layer_max_diff"]), "ok": good,
                         "seed": seed})
+        ok = ok and good
+
+        phi = phis[t % len(phis)]
+        a = rng.normal(size=(d, d))
+        w_sym = project_weights(a + a.T, ops, margin=0.8)
+        spec = from_symmetric_pair(w_sym, np.eye(d) - w_sym, phi=phi,
+                                   kind=LaplacianKind.SELF_LOOP_SYM, gradient_mode="literal")
+        fx = rng.normal(size=(g.n, d))
+        ugnn = propagate(spec, g, fx, PropagationConfig(steps=400, alpha=1.0,
+                                                        record_trace=False))
+        # the negative control solves the implicit side at half the weight
+        ignn = fixed_point_solve(g, 0.5 * w_sym if inject_failure else w_sym, fx,
+                                 FixedPointConfig(sigma=phi, tol=1e-12))
+        diff = float(np.linalg.norm(ugnn.y - ignn.y))
+        good = diff < 1e-6
+        records.append({"suite": "equivalence", "check": "ugnn-ignn", "trial": t, "d": d,
+                        "phi": phi.kind, "diff": diff, "ok": good, "seed": seed})
         ok = ok and good
     return ok, records
 
@@ -231,8 +278,9 @@ def gradients_suite(seed, trials, inject_failure=False):
                           **overrides)
         model = Model(3, cfg, seed=seed + t, g=g)
         if tag == "unrolled-relu" and min_preactivation_margin(model, g, x) < 1e-3:
-            records.append({"suite": "gradients", "backend": tag, "trial": t,
-                            "ok": True, "skipped": "kink margin", "seed": seed})
+            records.append({"suite": "gradients", "check": "finite-difference",
+                            "backend": tag, "trial": t, "ok": True,
+                            "skipped": "kink margin", "seed": seed})
             continue
         if inject_failure:
             orig = model.backward
@@ -248,7 +296,8 @@ def gradients_suite(seed, trials, inject_failure=False):
             report = finite_difference_check(model, g, x, labels, np.arange(n))
         except FixedPointDivergence:
             report = {"ok": False, "max_rel_err": float("inf")}
-        records.append({"suite": "gradients", "backend": tag, "trial": t, "d": d,
+        records.append({"suite": "gradients", "check": "finite-difference",
+                        "backend": tag, "trial": t, "d": d,
                         "max_rel_err": report["max_rel_err"], "ok": report["ok"],
                         "seed": seed})
         ok = ok and report["ok"]

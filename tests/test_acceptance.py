@@ -2,38 +2,23 @@
 pass line with the measured quantity.  Run with ``pytest -s`` to see
 the lines as they go.
 
-The graph-dependent criteria generate their instances from fixed seeds,
-so every number here is reproducible bit for bit.  Some criteria run
-``unfoldgnn.verify`` suites at their own seeds and trial counts and
-assert on the records those return; README's "Tests" section says which.
+Each criterion runs the library's own check, an ``unfoldgnn.verify``
+suite or a scripted experiment, at its own seed (and trial count), and
+asserts on the records or summary it returns, so every number here but
+a wall time is reproducible bit for bit.  README's "Tests" section says which
+criterion runs which check.
 """
 
 import os
 import time
 
-import numpy as np
 import pytest
-import scipy.sparse.csgraph as csgraph
 
-from unfoldgnn.data import SbmSpec, load_dataset, sbm_generate
-from unfoldgnn.energy import (
-    EnergySpec,
-    from_symmetric_pair,
-    phi_relu,
-    phi_soft_threshold,
-    phi_zero,
-    rho_log,
-    rho_truncated_lp,
-)
+from unfoldgnn.data import load_dataset
 from unfoldgnn.experiments import run_experiment
-from unfoldgnn.graph import LaplacianKind, propagation_matrix
-from unfoldgnn.implicit import FixedPointConfig, fixed_point_solve, project_weights
+from unfoldgnn.graph import LaplacianKind
 from unfoldgnn.model import ModelConfig, TrainConfig, train
-from unfoldgnn.unfold import PropagationConfig, closed_form_solution, propagate, verify_descent
-from unfoldgnn.verify import random_graph, run_suite
-
-COMB = LaplacianKind.COMBINATORIAL
-SELF = LaplacianKind.SELF_LOOP_SYM
+from unfoldgnn.verify import run_suite
 
 
 def announce(number, name, detail):
@@ -50,22 +35,12 @@ def passing_records(suite, seed, trials):
 
 
 def of_check(records, check):
-    return [r for r in records if r.get("check") == check]
+    return [r for r in records if r["check"] == check]
 
 
-def test_01_closed_form_convergence():
-    rng = np.random.default_rng(101)
-    g = random_graph(rng, 50, 0.15)
-    fx = rng.normal(size=(50, 8))
-    spec = EnergySpec(lam=1.0, kind=COMB)
-    # build the cached operators and step bound first, so the timing reflects the layers
-    propagate(spec, g, fx, PropagationConfig(steps=1, alpha="auto", record_trace=False))
-    target = closed_form_solution(g, fx, 1.0, COMB)
-    start = time.perf_counter()
-    out = propagate(spec, g, fx, PropagationConfig(steps=500, alpha="auto",
-                                                   record_trace=False))
-    elapsed = time.perf_counter() - start
-    rel = np.linalg.norm(out.y - target) / np.linalg.norm(target)
+def test_01_closed_form_convergence(tmp_path):
+    summary = run_experiment("closed-form-convergence", str(tmp_path), seed=101)
+    rel, elapsed = summary["final_rel_error"], summary["seconds"]
     assert rel < 1e-6
     assert elapsed < 1.0
     announce(1, "closed-form convergence", f"rel_error={rel:.2e}, {elapsed:.2f}s")
@@ -74,26 +49,20 @@ def test_01_closed_form_convergence():
 def test_02_energy_descent_safe_step():
     records, elapsed = passing_records("descent", 102, 100)
     assert elapsed < 30.0
-    worst = max(r["max_increase"] for r in records)
-    literal = sum(r["mode"] == "literal" for r in records)
+    safe = of_check(records, "safe-step")
+    assert len(safe) == 100
+    worst = max(r["max_increase"] for r in safe)
+    literal = sum(r["mode"] == "literal" for r in safe)
     announce(2, "energy descent at the safe step size",
              f"100 instances ({literal} literal), max increase {worst:.1e}, {elapsed:.1f}s")
 
 
 def test_03_reweighted_descent_per_step_bound():
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for trial in range(50):
-        n = int(rng.integers(6, 24))
-        g = random_graph(rng, n, 0.3)
-        rho = rho_log(eps=0.3) if trial % 2 else rho_truncated_lp(p=0.5, tau=0.3, big_t=2.0)
-        spec = EnergySpec(rho=rho, lam=float(rng.uniform(0.5, 2.5)), kind=COMB)
-        fx = 2.0 * rng.normal(size=(n, int(rng.integers(1, 4))))
-        out = propagate(spec, g, fx, PropagationConfig(
-            steps=30, alpha="auto_irls", attention_schedule=tuple(range(30))))
-        report = verify_descent(out, slack=1e-9)
-        assert report["ok"], f"trial {trial}: {report}"
-        worst = max(worst, report["max_increase"])
+    records, _ = passing_records("descent", 103, 50)
+    reweighted = of_check(records, "reweighted")
+    assert len(reweighted) == 50
+    assert {r["rho"] for r in reweighted} == {"log", "truncated_lp"}
+    worst = max(r["max_increase"] for r in reweighted)
     announce(3, "reweighted descent with per-step bound",
              f"50 instances, max increase {worst:.1e}")
 
@@ -109,26 +78,11 @@ def test_04_fixed_point_uniqueness_and_contraction():
 
 
 def test_05_unfolded_and_implicit_fixed_points_agree():
-    rng = np.random.default_rng(105)
-    phis = [phi_zero(), phi_relu(), phi_soft_threshold(0.05)]
-    worst = 0.0
-    for trial in range(20):
-        n = int(rng.integers(8, 16))
-        d = int(rng.integers(2, 5))
-        g = random_graph(rng, n, 0.3)
-        p_dense = propagation_matrix(g, SELF).toarray()
-        a = rng.normal(size=(d, d))
-        w_sym = project_weights(a + a.T, p_dense, margin=0.8)
-        phi = phis[trial % len(phis)]
-        spec = from_symmetric_pair(w_sym, np.eye(d) - w_sym, phi=phi, kind=SELF,
-                                   gradient_mode="literal")
-        fx = rng.normal(size=(n, d))
-        ugnn = propagate(spec, g, fx, PropagationConfig(steps=400, alpha=1.0,
-                                                        record_trace=False))
-        ignn = fixed_point_solve(g, w_sym, fx, FixedPointConfig(sigma=phi, tol=1e-12))
-        diff = np.linalg.norm(ugnn.y - ignn.y)
-        assert diff < 1e-6, f"trial {trial}: {diff}"
-        worst = max(worst, diff)
+    records, _ = passing_records("equivalence", 105, 20)
+    agreements = of_check(records, "ugnn-ignn")
+    assert len(agreements) == 20
+    assert {r["phi"] for r in agreements} == {"zero", "relu", "soft_threshold"}
+    worst = max(r["diff"] for r in agreements)
     announce(5, "unfolded/implicit fixed-point agreement",
              f"20 instances, max diff {worst:.1e}")
 
@@ -160,31 +114,14 @@ def test_07_08_equivalence_constructions():
              f"5 jitter ladders monotone within 10x")
 
 
-def test_09_oversmoothing_contrast():
-    ds = sbm_generate(SbmSpec(blocks=(50, 50), p_in=0.5, p_out=0.1,
-                              feature_dim=8, separation=1.5, seed=109))
-    g = ds.graph
-    n_comp, _ = csgraph.connected_components(g.adjacency, directed=False)
-    assert n_comp == 1  # the contrast needs a connected graph
-    p_op = propagation_matrix(g, SELF)
-    scale = 1.0 / np.sqrt(g.degrees + 1.0)
-
-    def spread(y):
-        z = y * scale[:, None]
-        diffs = z[:, None, :] - z[None, :, :]
-        return np.sqrt((diffs ** 2).sum(axis=2)).max()
-
-    y = ds.x.copy()
-    for _ in range(512):
-        y = p_op @ y
-    collapse = spread(y) / spread(ds.x)
+def test_09_oversmoothing_contrast(tmp_path):
+    # a graph with two components keeps one normalized level per component,
+    # so the pure spread ratio below 1e-6 also shows that the graph is connected
+    deepest = run_experiment("prop-depth-sweep", str(tmp_path), seed=109,
+                             depths=(512,))[512]
+    collapse, rel, anchored = (deepest[key] for key in
+                               ("pure_spread_rel", "ugnn_rel_error", "ugnn_spread_rel"))
     assert collapse < 1e-6
-    spec = EnergySpec(lam=1.0, kind=SELF)
-    out = propagate(spec, g, ds.x, PropagationConfig(steps=512, alpha="auto",
-                                                     record_trace=False))
-    target = closed_form_solution(g, ds.x, 1.0, SELF)
-    rel = np.linalg.norm(out.y - target) / np.linalg.norm(target)
-    anchored = spread(out.y) / spread(ds.x)
     assert rel < 1e-6
     assert anchored > 1e-3
     announce(9, "oversmoothing contrast at depth 512",
@@ -214,7 +151,7 @@ def test_11_citation_benchmark_band():
     cfg = ModelConfig(backend="unrolled", steps=16, lam=1.0, embed_dim=64,
                       n_classes=n_classes, predictor="mlp", hidden=(64,),
                       activation="relu", dropout=0.5, variant="normalized",
-                      kind=SELF)
+                      kind=LaplacianKind.SELF_LOOP_SYM)
     start = time.perf_counter()
     _, metrics = train(ds.graph, ds.x, ds.labels, ds.masks, cfg,
                        TrainConfig(epochs=200, lr=0.2, seed=0))

@@ -381,6 +381,15 @@ class TestFixedPoint:
         assert row["error_bound"] == pytest.approx(c / (1 - c) * row["residual"])
 
 
+# the checks each verify suite's records name
+CHECKS = {
+    "descent": ("safe-step", "reweighted"),
+    "convergence": ("closed-form", "fixed-point"),
+    "equivalence": ("linear-fixed-point", "jitter-ladder", "layer-stack", "ugnn-ignn"),
+    "gradients": ("finite-difference",),
+}
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", SUITES)
     def test_suites_pass(self, suite, tmp_path, capsys):
@@ -390,14 +399,21 @@ class TestVerify:
         with open(report) as fh:
             records = [json.loads(line) for line in fh]
         assert records and all(r["ok"] for r in records)
+        assert {r["check"] for r in records} == set(CHECKS[suite])
 
-    @pytest.mark.parametrize("suite", SUITES)
-    def test_injected_failure_exit_one(self, suite, tmp_path, capsys):
+    @pytest.mark.parametrize("suite, check", [
+        (suite, check) for suite in SUITES for check in CHECKS[suite]])
+    def test_injected_failure_exit_one(self, suite, check, tmp_path, capsys):
+        # every check has a negative control: the injected fault fails some of its records
+        report = str(tmp_path / "r.jsonl")
         code = run_cli(["verify", "--suite", suite, "--trials", "3",
-                        "--inject-failure", "--report", str(tmp_path / "r.jsonl")])
+                        "--inject-failure", "--report", report])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("FAIL") and f'"suite": "{suite}"' in err
+        with open(report) as fh:
+            records = [r for r in map(json.loads, fh) if r["check"] == check]
+        assert any(not r["ok"] for r in records)
 
     def test_unreached_solve_is_a_failing_record(self, monkeypatch, tmp_path, capsys):
         # a fixed-point tolerance the solve cannot reach reads FAIL, not a traceback

@@ -136,28 +136,6 @@ class TestFixedPointSolve:
         np.testing.assert_allclose(y[7], np.maximum(y[7] @ w + fx[7], 0.0), rtol=0, atol=1e-11)
         assert np.abs(y[7] - np.maximum(fx[7], 0.0)).max() > 1e-3
 
-    def test_unique_limit_from_different_starts(self):
-        rng = np.random.default_rng(5)
-        g = random_graph(rng, 12, 0.35)
-        p_dense = propagation_matrix(g, SELF).toarray()
-        w = contraction_weight(rng, 3, p_dense, margin=0.9)
-        fx = rng.normal(size=(12, 3))
-        cfg = FixedPointConfig(sigma=phi_relu(), tol=1e-9)
-        a, b = (fixed_point_solve(g, w, fx, cfg, y0=10.0 * rng.normal(size=fx.shape))
-                for _ in range(2))
-        assert np.linalg.norm(a.y - b.y) < 2e-7
-
-    def test_geometric_residual_decay(self):
-        rng = np.random.default_rng(6)
-        for trial in range(5):
-            g = random_graph(rng, 14, 0.35)
-            p_dense = propagation_matrix(g, SELF).toarray()
-            w = contraction_weight(rng, 3, p_dense, margin=0.9)
-            fx = rng.normal(size=(14, 3))
-            out = fixed_point_solve(g, w, fx, FixedPointConfig(sigma=phi_relu()))
-            ratios = out.residual_trace[4:] / out.residual_trace[3:-1]
-            assert ratios.max(initial=0.0) <= 0.95
-
     def test_max_iters_exhaustion_raises(self):
         rng = np.random.default_rng(7)
         g = random_graph(rng, 8, 0.35)
@@ -212,27 +190,6 @@ class TestFixedPointSolve:
         y0[2, 0] = bad
         with pytest.raises(FixedPointDivergence, match="non-finite residual at iteration 1$"):
             fixed_point_solve(g, 0.1 * np.eye(2), fx, y0=y0)
-
-
-class TestUgnnIgnnEquivalence:
-    @pytest.mark.parametrize("phi", [phi_zero(), phi_relu(), phi_soft_threshold(0.05)])
-    def test_fixed_points_agree(self, phi):
-        # paired weights, unit step, identity attention: the unfolded
-        # fixed point and the implicit fixed point coincide
-        rng = np.random.default_rng(8)
-        for trial in range(6):
-            g = random_graph(rng, 10, 0.35)
-            p_dense = propagation_matrix(g, SELF).toarray()
-            d = 3
-            a = rng.normal(size=(d, d))
-            w_sym = a + a.T
-            w_sym = project_weights(w_sym, p_dense, margin=0.8)
-            spec = from_symmetric_pair(w_sym, np.eye(d) - w_sym, phi=phi,
-                                       kind=SELF, gradient_mode="literal")
-            fx = rng.normal(size=(10, d))
-            ugnn = propagate(spec, g, fx, PropagationConfig(steps=400, alpha=1.0))
-            ignn = fixed_point_solve(g, w_sym, fx, FixedPointConfig(sigma=phi, tol=1e-12))
-            assert np.linalg.norm(ugnn.y - ignn.y) < 1e-6
 
 
 class TestImplicitBackward:

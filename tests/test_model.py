@@ -100,6 +100,9 @@ class TestConfigValidation:
         (dict(mu=float("nan")), r"mu must lie in \[0, 1\)"),
         (dict(backend="eignn", kind=LaplacianKind.COMBINATORIAL),
          "the eignn backend needs a normalized Laplacian kind"),
+        (dict(energy=EnergySpec(kind=LaplacianKind.COMBINATORIAL), kind=SELF,
+              pre_propagate=True),
+         "energy.kind 'combinatorial' differs from kind 'self_loop_sym'"),
     ])
     def test_bad_sizes_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):
